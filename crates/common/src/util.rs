@@ -1,5 +1,7 @@
 //! Small numeric utilities shared by the PMA, the baselines and the harness.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
 /// Returns the smallest power of two greater than or equal to `n` (minimum 1).
 #[inline]
 pub fn next_power_of_two(n: usize) -> usize {
@@ -52,6 +54,42 @@ impl<T> CachePadded<T> {
     }
 }
 
+/// Stripes of a [`StripedCounter`].
+const STRIPES: usize = 16;
+
+thread_local! {
+    /// This thread's stripe: dealt round-robin on first use, so up to
+    /// `STRIPES` live threads never share one.
+    static STRIPE: usize = {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES
+    };
+}
+
+/// A statistics counter that every operation of every client bumps. A single
+/// `AtomicU64` would make each bump a store to a cache line all clients
+/// share; here each thread adds to its own padded stripe and readers sum the
+/// stripes. All accesses are relaxed: the counter is a diagnostic, it
+/// publishes nothing.
+#[derive(Debug, Default)]
+pub struct StripedCounter {
+    stripes: [CachePadded<AtomicU64>; STRIPES],
+}
+
+impl StripedCounter {
+    /// Adds `n` on the calling thread's stripe.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        let stripe = STRIPE.with(|s| *s);
+        self.stripes[stripe].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Sum over all stripes (not an atomic snapshot of them).
+    pub fn sum(&self) -> u64 {
+        self.stripes.iter().map(|s| s.load(Ordering::Relaxed)).sum()
+    }
+}
+
 impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -68,6 +106,18 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn striped_counter_sums_across_threads() {
+        let counter = StripedCounter::default();
+        std::thread::scope(|s| {
+            for _ in 0..(STRIPES + 3) {
+                s.spawn(|| (0..1000).for_each(|_| counter.add(1)));
+            }
+        });
+        counter.add(5);
+        assert_eq!(counter.sum(), (STRIPES as u64 + 3) * 1000 + 5);
+    }
 
     #[test]
     fn next_power_of_two_basics() {

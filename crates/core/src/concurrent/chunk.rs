@@ -5,9 +5,33 @@
 //! range, its live elements are packed at the start of that range and sorted,
 //! and the chunk-wide key order is maintained across segments.
 //!
+//! # One allocation, one hop
+//!
+//! Everything a chunk owns lives in a single reference-counted slab of 8-byte
+//! words, reached from the gate's hot line with one pointer hop:
+//!
+//! ```text
+//! | gen | geometry | mins[S] | cards[S] | keys[S*B] | values[S*B] | activity[S] |
+//! ```
+//!
+//! The routing prefix (`mins`, `cards`) sits right behind the header, so a
+//! point lookup touches the slab's first two or three cache lines, then the
+//! one segment it routes to. `gen` is the write generation that installed
+//! this version of the chunk (see [`super::version::CowGen`]); `activity` is
+//! the adaptive-rebalancing predictor state (`f64` bits), only touched by
+//! writers.
+//!
+//! The reference count is what carries copy-on-write: cloning a chunk is an
+//! `Arc` bump (that is how a frozen snapshot captures it), and every
+//! mutating method first makes the slab unique, copying it if a clone still
+//! shares it. A clone therefore behaves like a deep copy that is only paid
+//! for by the first write after it.
+//!
 //! All methods take `&self` / `&mut self`: the *caller* (the concurrent PMA
 //! and the rebalancer) is responsible for holding the owning gate's latch in
 //! the appropriate mode before touching a chunk.
+
+use std::sync::Arc;
 
 use crate::sequential::adaptive::AdaptivePredictor;
 use pma_common::{simd, Key, ScanStats, Value, KEY_MIN};
@@ -24,116 +48,100 @@ pub enum ChunkInsert {
     SegmentFull(usize),
 }
 
+/// Slab word holding the write generation.
+const GEN: usize = 0;
+/// Slab word holding `num_segments << 32 | segment_capacity`.
+const GEOMETRY: usize = 1;
+/// First word of the routing prefix.
+const MINS: usize = 2;
+
 /// The elements of one chunk (one gate's worth of segments).
 ///
-/// `Clone` exists for the copy-on-write path: when a frozen snapshot still
-/// holds a chunk's version, the next in-place mutation clones the payload
-/// (all slot arrays plus the predictor state) instead of mutating the shared
-/// one. See [`super::gate::Gate::chunk_mut_cow`].
-#[derive(Debug, Clone)]
+/// `Clone` is an `Arc` bump; the payload is copied lazily, by the first
+/// mutation of either handle (see the module documentation).
+#[derive(Clone)]
 pub struct ChunkData {
+    slab: Arc<[i64]>,
+}
+
+impl std::fmt::Debug for ChunkData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChunkData")
+            .field("gen", &self.gen())
+            .field("num_segments", &self.num_segments())
+            .field("segment_capacity", &self.segment_capacity())
+            .field("cardinality", &self.cardinality())
+            .finish()
+    }
+}
+
+/// The slab's arrays, borrowed.
+#[derive(Clone, Copy)]
+struct View<'a> {
     segment_capacity: usize,
-    /// Live elements per segment.
-    cards: Box<[u32]>,
-    /// Slot array: segment `s` owns `[s * B, (s + 1) * B)`.
-    keys: Box<[Key]>,
-    values: Box<[Value]>,
     /// Contiguous routing prefix: `mins[s]` is the minimum key of segment
     /// `s`, with empty segments inheriting the previous non-empty segment's
     /// minimum (leading empties hold [`KEY_MIN`]). The array is therefore
-    /// non-decreasing and [`ChunkData::find_segment`] routes through it with
-    /// one branchless vectorised count instead of touching every segment's
-    /// slot range.
-    mins: Box<[Key]>,
-    /// Per-segment insertion/deletion activity, used by adaptive rebalancing.
-    predictor: AdaptivePredictor,
+    /// non-decreasing and [`View::find_segment`] routes through it with one
+    /// branchless vectorised count instead of touching every segment's slot
+    /// range.
+    mins: &'a [Key],
+    /// Live elements per segment.
+    cards: &'a [i64],
+    /// Slot array: segment `s` owns `[s * B, (s + 1) * B)`.
+    keys: &'a [Key],
+    values: &'a [Value],
 }
 
-impl ChunkData {
-    /// Creates an empty chunk of `num_segments` segments of
-    /// `segment_capacity` slots each.
-    pub fn new(num_segments: usize, segment_capacity: usize) -> Self {
-        assert!(num_segments > 0 && segment_capacity > 0);
-        let slots = num_segments * segment_capacity;
+/// The slab's arrays, borrowed mutably (the slab is unique by then).
+struct ViewMut<'a> {
+    segment_capacity: usize,
+    mins: &'a mut [Key],
+    cards: &'a mut [i64],
+    keys: &'a mut [Key],
+    values: &'a mut [Value],
+    /// Per-segment insertion/deletion activity (`f64` bits), used by
+    /// adaptive rebalancing.
+    activity: &'a mut [i64],
+}
+
+/// `(num_segments, segment_capacity)` out of the geometry word.
+#[inline]
+fn geometry(slab: &[i64]) -> (usize, usize) {
+    let word = slab[GEOMETRY] as u64;
+    ((word >> 32) as usize, (word & 0xFFFF_FFFF) as usize)
+}
+
+impl<'a> View<'a> {
+    #[inline]
+    fn new(slab: &'a [i64]) -> Self {
+        let (segments, segment_capacity) = geometry(slab);
+        let slots = segments * segment_capacity;
+        let (mins, rest) = slab[MINS..].split_at(segments);
+        let (cards, rest) = rest.split_at(segments);
+        let (keys, rest) = rest.split_at(slots);
         Self {
             segment_capacity,
-            cards: vec![0u32; num_segments].into_boxed_slice(),
-            keys: vec![0 as Key; slots].into_boxed_slice(),
-            values: vec![0 as Value; slots].into_boxed_slice(),
-            mins: vec![KEY_MIN; num_segments].into_boxed_slice(),
-            predictor: AdaptivePredictor::new(num_segments),
+            mins,
+            cards,
+            keys,
+            values: &rest[..slots],
         }
     }
 
-    /// Builds a chunk by pulling elements from `stream` (ascending key order):
-    /// segment `s` receives `targets[s]` elements.
-    pub fn from_stream<I>(
-        num_segments: usize,
-        segment_capacity: usize,
-        targets: &[usize],
-        stream: &mut I,
-    ) -> Self
-    where
-        I: Iterator<Item = (Key, Value)>,
-    {
-        assert_eq!(targets.len(), num_segments);
-        let mut chunk = Self::new(num_segments, segment_capacity);
-        for (s, &t) in targets.iter().enumerate() {
-            assert!(t <= segment_capacity);
-            let start = chunk.seg_start(s);
-            for i in 0..t {
-                let (k, v) = stream
-                    .next()
-                    .expect("stream exhausted before filling the chunk");
-                chunk.keys[start + i] = k;
-                chunk.values[start + i] = v;
-            }
-            chunk.cards[s] = t as u32;
-        }
-        chunk.refresh_mins();
-        chunk
-    }
-
-    /// Rebuilds the routing prefix after a mutation that changed a segment
-    /// minimum. One linear pass over the (few) segments of the chunk.
-    fn refresh_mins(&mut self) {
-        let mut current = KEY_MIN;
-        for s in 0..self.num_segments() {
-            if self.cards[s] > 0 {
-                current = self.keys[self.seg_start(s)];
-            }
-            self.mins[s] = current;
-        }
-    }
-
-    /// Number of segments in the chunk.
     #[inline]
-    pub fn num_segments(&self) -> usize {
+    fn num_segments(&self) -> usize {
         self.cards.len()
     }
 
-    /// Slots per segment.
     #[inline]
-    pub fn segment_capacity(&self) -> usize {
-        self.segment_capacity
-    }
-
-    /// Total number of slots in the chunk.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Total number of live elements in the chunk.
-    #[inline]
-    pub fn cardinality(&self) -> usize {
-        self.cards.iter().map(|&c| c as usize).sum()
-    }
-
-    /// Live elements in segment `s`.
-    #[inline]
-    pub fn card(&self, s: usize) -> usize {
+    fn card(&self, s: usize) -> usize {
         self.cards[s] as usize
+    }
+
+    #[inline]
+    fn cardinality(&self) -> usize {
+        self.cards.iter().sum::<i64>() as usize
     }
 
     #[inline]
@@ -143,46 +151,25 @@ impl ChunkData {
 
     /// Sorted live keys of segment `s`.
     #[inline]
-    pub fn seg_keys(&self, s: usize) -> &[Key] {
-        let start = self.seg_start(s);
-        &self.keys[start..start + self.card(s)]
+    fn seg_keys(&self, s: usize) -> &'a [Key] {
+        let (keys, start) = (self.keys, self.seg_start(s));
+        &keys[start..start + self.card(s)]
     }
 
-    /// Minimum key of segment `s`, if non-empty.
+    /// Values of segment `s`, parallel to [`View::seg_keys`].
     #[inline]
-    pub fn seg_min(&self, s: usize) -> Option<Key> {
-        if self.cards[s] == 0 {
-            None
-        } else {
-            Some(self.keys[self.seg_start(s)])
-        }
+    fn seg_values(&self, s: usize) -> &'a [Value] {
+        let (values, start) = (self.values, self.seg_start(s));
+        &values[start..start + self.card(s)]
     }
 
-    /// Minimum key stored anywhere in the chunk.
-    pub fn min_key(&self) -> Option<Key> {
-        (0..self.num_segments()).find_map(|s| self.seg_min(s))
+    #[inline]
+    fn seg_min(&self, s: usize) -> Option<Key> {
+        self.seg_keys(s).first().copied()
     }
 
-    /// Maximum key stored anywhere in the chunk.
-    pub fn max_key(&self) -> Option<Key> {
-        (0..self.num_segments())
-            .rev()
-            .find(|&s| self.cards[s] > 0)
-            .map(|s| {
-                let start = self.seg_start(s);
-                self.keys[start + self.card(s) - 1]
-            })
-    }
-
-    /// Returns the segment that should contain `key`: the last non-empty
-    /// segment whose minimum key is `<= key`, falling back to the first
-    /// non-empty segment, or segment 0 for an empty chunk.
-    ///
-    /// Routes through the contiguous `mins` prefix with one vectorised
-    /// count — a single cache line for the default 8-segment gate — then
-    /// resolves empty-segment inheritance against the cards array.
-    pub fn find_segment(&self, key: Key) -> usize {
-        let mut s = simd::route(&self.mins, key);
+    fn find_segment(&self, key: Key) -> usize {
+        let mut s = simd::route(self.mins, key);
         // An empty segment inherits the previous non-empty segment's
         // minimum: walk left to the owner.
         while self.cards[s] == 0 && s > 0 {
@@ -201,46 +188,265 @@ impl ChunkData {
         first
     }
 
+    /// The in-range span `[begin, end)` of segment `s` for `[lo, hi]`, cut
+    /// with the counting kernels, and whether the segment holds a key
+    /// greater than `hi`.
+    #[inline]
+    fn seg_span(&self, s: usize, lo: Key, hi: Key) -> (usize, usize, bool) {
+        let seg = self.seg_keys(s);
+        let begin = simd::count_lt(seg, lo);
+        let end = simd::count_le(seg, hi);
+        (begin, end, end < seg.len())
+    }
+}
+
+impl<'a> ViewMut<'a> {
+    fn new(slab: &'a mut [i64]) -> Self {
+        let (segments, segment_capacity) = geometry(slab);
+        let slots = segments * segment_capacity;
+        let (mins, rest) = slab[MINS..].split_at_mut(segments);
+        let (cards, rest) = rest.split_at_mut(segments);
+        let (keys, rest) = rest.split_at_mut(slots);
+        let (values, activity) = rest.split_at_mut(slots);
+        Self {
+            segment_capacity,
+            mins,
+            cards,
+            keys,
+            values,
+            activity,
+        }
+    }
+
+    #[inline]
+    fn view(&self) -> View<'_> {
+        View {
+            segment_capacity: self.segment_capacity,
+            mins: self.mins,
+            cards: self.cards,
+            keys: self.keys,
+            values: self.values,
+        }
+    }
+
+    /// Rebuilds the routing prefix after a mutation that changed a segment
+    /// minimum. One linear pass over the (few) segments of the chunk.
+    fn refresh_mins(&mut self) {
+        let mut current = KEY_MIN;
+        for s in 0..self.cards.len() {
+            if self.cards[s] > 0 {
+                current = self.keys[s * self.segment_capacity];
+            }
+            self.mins[s] = current;
+        }
+    }
+
+    /// Adds `delta` to segment `s`'s recorded activity.
+    #[inline]
+    fn record_activity(&mut self, s: usize, delta: f64) {
+        let activity = f64::from_bits(self.activity[s] as u64) + delta;
+        self.activity[s] = activity.to_bits() as i64;
+    }
+
+    /// Writes `keys`/`values` (ascending) back into the segment window
+    /// starting at `start_seg`, `targets[i]` elements into its `i`-th
+    /// segment, and refreshes the routing prefix.
+    fn place(&mut self, start_seg: usize, targets: &[usize], keys: &[Key], values: &[Value]) {
+        let mut cursor = 0usize;
+        for (i, &t) in targets.iter().enumerate() {
+            let s = start_seg + i;
+            let start = s * self.segment_capacity;
+            self.keys[start..start + t].copy_from_slice(&keys[cursor..cursor + t]);
+            self.values[start..start + t].copy_from_slice(&values[cursor..cursor + t]);
+            self.cards[s] = t as i64;
+            cursor += t;
+        }
+        self.refresh_mins();
+    }
+}
+
+impl ChunkData {
+    /// Creates an empty chunk of `num_segments` segments of
+    /// `segment_capacity` slots each.
+    pub fn new(num_segments: usize, segment_capacity: usize) -> Self {
+        assert!(num_segments > 0 && segment_capacity > 0);
+        assert!(num_segments <= u32::MAX as usize && segment_capacity <= u32::MAX as usize);
+        let words = MINS + 3 * num_segments + 2 * num_segments * segment_capacity;
+        // Collecting a `TrustedLen` iterator builds the slab in place: one
+        // allocation, no staging vector.
+        let mut slab: Arc<[i64]> = std::iter::repeat_n(0i64, words).collect();
+        let words = Arc::get_mut(&mut slab).expect("a fresh slab is unique");
+        words[GEOMETRY] = ((num_segments as u64) << 32 | segment_capacity as u64) as i64;
+        words[MINS..MINS + num_segments].fill(KEY_MIN);
+        Self { slab }
+    }
+
+    /// Builds a chunk by pulling elements from `stream` (ascending key order):
+    /// segment `s` receives `targets[s]` elements.
+    pub fn from_stream<I>(
+        num_segments: usize,
+        segment_capacity: usize,
+        targets: &[usize],
+        stream: &mut I,
+    ) -> Self
+    where
+        I: Iterator<Item = (Key, Value)>,
+    {
+        assert_eq!(targets.len(), num_segments);
+        let mut chunk = Self::new(num_segments, segment_capacity);
+        let mut v = chunk.unique();
+        for (s, &t) in targets.iter().enumerate() {
+            assert!(t <= segment_capacity);
+            let start = s * segment_capacity;
+            for i in 0..t {
+                let (k, value) = stream
+                    .next()
+                    .expect("stream exhausted before filling the chunk");
+                v.keys[start + i] = k;
+                v.values[start + i] = value;
+            }
+            v.cards[s] = t as i64;
+        }
+        v.refresh_mins();
+        chunk
+    }
+
+    #[inline]
+    fn view(&self) -> View<'_> {
+        View::new(&self.slab)
+    }
+
+    /// Mutable access to the slab, copying it first if a clone (a frozen
+    /// snapshot) still shares it.
+    #[inline]
+    fn unique(&mut self) -> ViewMut<'_> {
+        ViewMut::new(Arc::make_mut(&mut self.slab))
+    }
+
+    /// Whether a clone of this chunk still shares its slab, i.e. whether
+    /// the next mutation will copy. (`&mut`: the check must synchronise
+    /// with the drop of the last clone, which `Arc::get_mut` does and a
+    /// plain count load does not.)
+    #[inline]
+    pub(crate) fn is_shared(&mut self) -> bool {
+        Arc::get_mut(&mut self.slab).is_none()
+    }
+
+    /// The write generation that installed this version of the chunk.
+    #[inline]
+    pub fn gen(&self) -> u64 {
+        self.slab[GEN] as u64
+    }
+
+    /// Stamps the chunk with a write generation (copying a shared slab
+    /// first, like every mutation).
+    pub fn set_gen(&mut self, gen: u64) {
+        Arc::make_mut(&mut self.slab)[GEN] = gen as i64;
+    }
+
+    /// Number of segments in the chunk.
+    #[inline]
+    pub fn num_segments(&self) -> usize {
+        geometry(&self.slab).0
+    }
+
+    /// Slots per segment.
+    #[inline]
+    pub fn segment_capacity(&self) -> usize {
+        geometry(&self.slab).1
+    }
+
+    /// Total number of slots in the chunk.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        let (segments, segment_capacity) = geometry(&self.slab);
+        segments * segment_capacity
+    }
+
+    /// Total number of live elements in the chunk.
+    #[inline]
+    pub fn cardinality(&self) -> usize {
+        self.view().cardinality()
+    }
+
+    /// Live elements in segment `s`.
+    #[inline]
+    pub fn card(&self, s: usize) -> usize {
+        self.view().card(s)
+    }
+
+    /// Sorted live keys of segment `s`.
+    #[inline]
+    pub fn seg_keys(&self, s: usize) -> &[Key] {
+        self.view().seg_keys(s)
+    }
+
+    /// Minimum key of segment `s`, if non-empty.
+    #[inline]
+    pub fn seg_min(&self, s: usize) -> Option<Key> {
+        self.view().seg_min(s)
+    }
+
+    /// Minimum key stored anywhere in the chunk.
+    pub fn min_key(&self) -> Option<Key> {
+        let v = self.view();
+        (0..v.num_segments()).find_map(|s| v.seg_min(s))
+    }
+
+    /// Maximum key stored anywhere in the chunk.
+    pub fn max_key(&self) -> Option<Key> {
+        let v = self.view();
+        (0..v.num_segments())
+            .rev()
+            .find_map(|s| v.seg_keys(s).last().copied())
+    }
+
+    /// Returns the segment that should contain `key`: the last non-empty
+    /// segment whose minimum key is `<= key`, falling back to the first
+    /// non-empty segment, or segment 0 for an empty chunk.
+    ///
+    /// Routes through the contiguous `mins` prefix with one vectorised
+    /// count — a single cache line for the default 8-segment gate — then
+    /// resolves empty-segment inheritance against the cards array.
+    pub fn find_segment(&self, key: Key) -> usize {
+        self.view().find_segment(key)
+    }
+
     /// Point lookup within the chunk.
     pub fn get(&self, key: Key) -> Option<Value> {
-        if self.cardinality() == 0 {
-            return None;
-        }
-        let s = self.find_segment(key);
-        let start = self.seg_start(s);
-        simd::search(self.seg_keys(s), key)
+        let v = self.view();
+        // An empty chunk routes to its (empty) segment 0 and misses there.
+        let s = v.find_segment(key);
+        simd::search(v.seg_keys(s), key)
             .ok()
-            .map(|pos| self.values[start + pos])
+            .map(|pos| v.seg_values(s)[pos])
     }
 
     /// Attempts to insert `key`/`value`. On [`ChunkInsert::SegmentFull`] the
     /// caller must rebalance (locally or globally) and retry.
     pub fn try_insert(&mut self, key: Key, value: Value) -> ChunkInsert {
-        let s = self.find_segment(key);
-        let start = self.seg_start(s);
-        match simd::search(self.seg_keys(s), key) {
-            Ok(pos) => {
-                let old = self.values[start + pos];
-                self.values[start + pos] = value;
-                ChunkInsert::Replaced(old)
-            }
+        let mut v = self.unique();
+        let s = v.view().find_segment(key);
+        let start = s * v.segment_capacity;
+        let card = v.cards[s] as usize;
+        match simd::search(&v.keys[start..start + card], key) {
+            Ok(pos) => ChunkInsert::Replaced(std::mem::replace(&mut v.values[start + pos], value)),
             Err(pos) => {
-                let card = self.card(s);
-                if card == self.segment_capacity {
+                if card == v.segment_capacity {
                     return ChunkInsert::SegmentFull(s);
                 }
-                self.keys
+                v.keys
                     .copy_within(start + pos..start + card, start + pos + 1);
-                self.values
+                v.values
                     .copy_within(start + pos..start + card, start + pos + 1);
-                self.keys[start + pos] = key;
-                self.values[start + pos] = value;
-                self.cards[s] += 1;
-                self.predictor.record_insert(s);
+                v.keys[start + pos] = key;
+                v.values[start + pos] = value;
+                v.cards[s] += 1;
+                v.record_activity(s, 1.0);
                 if pos == 0 {
                     // The segment minimum changed (or the segment was
                     // empty): rebuild the routing prefix.
-                    self.refresh_mins();
+                    v.refresh_mins();
                 }
                 ChunkInsert::Inserted
             }
@@ -249,23 +455,21 @@ impl ChunkData {
 
     /// Removes `key` from the chunk.
     pub fn remove(&mut self, key: Key) -> Option<Value> {
-        if self.cardinality() == 0 {
-            return None;
-        }
-        let s = self.find_segment(key);
-        let start = self.seg_start(s);
-        let pos = simd::search(self.seg_keys(s), key).ok()?;
-        let old = self.values[start + pos];
-        let card = self.card(s);
-        self.keys
+        let mut v = self.unique();
+        let s = v.view().find_segment(key);
+        let start = s * v.segment_capacity;
+        let card = v.cards[s] as usize;
+        let pos = simd::search(&v.keys[start..start + card], key).ok()?;
+        let old = v.values[start + pos];
+        v.keys
             .copy_within(start + pos + 1..start + card, start + pos);
-        self.values
+        v.values
             .copy_within(start + pos + 1..start + card, start + pos);
-        self.cards[s] -= 1;
-        self.predictor.record_delete(s);
+        v.cards[s] -= 1;
+        v.record_activity(s, -1.0);
         if pos == 0 {
             // The segment minimum changed (or the segment drained).
-            self.refresh_mins();
+            v.refresh_mins();
         }
         Some(old)
     }
@@ -273,13 +477,9 @@ impl ChunkData {
     /// Folds every element of the chunk (ascending key order) into `stats`,
     /// one whole segment run at a time.
     pub fn scan(&self, stats: &mut ScanStats) {
-        for s in 0..self.num_segments() {
-            let start = self.seg_start(s);
-            let card = self.card(s);
-            stats.visit_run(
-                &self.keys[start..start + card],
-                &self.values[start..start + card],
-            );
+        let v = self.view();
+        for s in 0..v.num_segments() {
+            stats.visit_run(v.seg_keys(s), v.seg_values(s));
         }
     }
 
@@ -288,18 +488,16 @@ impl ChunkData {
     /// in-range span of each segment is cut with the counting kernels so the
     /// inner loop carries no bound checks.
     pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) -> bool {
-        for s in 0..self.num_segments() {
-            let start = self.seg_start(s);
-            let seg = self.seg_keys(s);
-            let begin = simd::count_lt(seg, lo);
-            let end = simd::count_le(seg, hi);
-            for (k, v) in seg[begin..end]
+        let v = self.view();
+        for s in 0..v.num_segments() {
+            let (begin, end, past_hi) = v.seg_span(s, lo, hi);
+            for (k, value) in v.seg_keys(s)[begin..end]
                 .iter()
-                .zip(&self.values[start + begin..start + end])
+                .zip(&v.seg_values(s)[begin..end])
             {
-                visitor(*k, *v);
+                visitor(*k, *value);
             }
-            if end < seg.len() {
+            if past_hi {
                 return false;
             }
         }
@@ -316,16 +514,14 @@ impl ChunkData {
         keys: &mut Vec<Key>,
         values: &mut Vec<Value>,
     ) -> bool {
-        for s in 0..self.num_segments() {
-            let start = self.seg_start(s);
-            let seg = self.seg_keys(s);
-            let begin = simd::count_lt(seg, lo);
-            let end = simd::count_le(seg, hi);
+        let v = self.view();
+        for s in 0..v.num_segments() {
+            let (begin, end, past_hi) = v.seg_span(s, lo, hi);
             if begin < end {
-                simd::append_run(keys, &seg[begin..end]);
-                simd::append_run(values, &self.values[start + begin..start + end]);
+                simd::append_run(keys, &v.seg_keys(s)[begin..end]);
+                simd::append_run(values, &v.seg_values(s)[begin..end]);
             }
-            if end < seg.len() {
+            if past_hi {
                 return false;
             }
         }
@@ -334,31 +530,29 @@ impl ChunkData {
 
     /// Iterates over every element of the chunk in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        (0..self.num_segments()).flat_map(move |s| {
-            let start = self.seg_start(s);
-            let card = self.card(s);
-            self.keys[start..start + card]
+        let v = self.view();
+        (0..v.num_segments()).flat_map(move |s| {
+            v.seg_keys(s)
                 .iter()
                 .copied()
-                .zip(self.values[start..start + card].iter().copied())
+                .zip(v.seg_values(s).iter().copied())
         })
     }
 
     /// Appends every element (ascending key order) to the output vectors.
     pub fn collect_into(&self, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
-        for s in 0..self.num_segments() {
-            let start = self.seg_start(s);
-            let card = self.card(s);
-            simd::append_run(keys, &self.keys[start..start + card]);
-            simd::append_run(values, &self.values[start..start + card]);
+        let v = self.view();
+        for s in 0..v.num_segments() {
+            simd::append_run(keys, v.seg_keys(s));
+            simd::append_run(values, v.seg_values(s));
         }
     }
 
     /// Number of elements in the local segment window `[start_seg, start_seg + num_segs)`.
     pub fn window_cardinality(&self, start_seg: usize, num_segs: usize) -> usize {
-        (start_seg..start_seg + num_segs)
-            .map(|s| self.card(s))
-            .sum()
+        self.view().cards[start_seg..start_seg + num_segs]
+            .iter()
+            .sum::<i64>() as usize
     }
 
     /// Redistributes the elements of the local segment window evenly
@@ -368,34 +562,34 @@ impl ChunkData {
         let total = self.window_cardinality(start_seg, num_segs);
         let mut staged_keys = Vec::with_capacity(total);
         let mut staged_values = Vec::with_capacity(total);
+        let mut v = self.unique();
         for s in start_seg..start_seg + num_segs {
-            let start = self.seg_start(s);
-            let card = self.card(s);
-            staged_keys.extend_from_slice(&self.keys[start..start + card]);
-            staged_values.extend_from_slice(&self.values[start..start + card]);
+            staged_keys.extend_from_slice(v.view().seg_keys(s));
+            staged_values.extend_from_slice(v.view().seg_values(s));
         }
+        let segment_capacity = v.segment_capacity;
         let targets = if adaptive {
             // As with `even_targets`, keep one gap per segment when the
             // elements allow it so the triggering insertion makes progress.
-            let capacity = if total <= num_segs * (self.segment_capacity - 1) {
-                self.segment_capacity - 1
+            let capacity = if total <= num_segs * (segment_capacity - 1) {
+                segment_capacity - 1
             } else {
-                self.segment_capacity
+                segment_capacity
             };
-            self.predictor.targets(start_seg, num_segs, total, capacity)
+            let window = &mut v.activity[start_seg..start_seg + num_segs];
+            let mut predictor = AdaptivePredictor::from_activity(
+                window.iter().map(|&a| f64::from_bits(a as u64)).collect(),
+            );
+            let targets = predictor.targets(0, num_segs, total, capacity);
+            // The prediction was consumed: keep the decayed history.
+            for (i, slot) in window.iter_mut().enumerate() {
+                *slot = predictor.activity(i).to_bits() as i64;
+            }
+            targets
         } else {
-            crate::sequential::even_targets(total, num_segs, self.segment_capacity)
+            crate::sequential::even_targets(total, num_segs, segment_capacity)
         };
-        let mut cursor = 0usize;
-        for (i, &t) in targets.iter().enumerate() {
-            let s = start_seg + i;
-            let start = self.seg_start(s);
-            self.keys[start..start + t].copy_from_slice(&staged_keys[cursor..cursor + t]);
-            self.values[start..start + t].copy_from_slice(&staged_values[cursor..cursor + t]);
-            self.cards[s] = t as u32;
-            cursor += t;
-        }
-        self.refresh_mins();
+        v.place(start_seg, &targets, &staged_keys, &staged_values);
     }
 
     /// Merges a sorted batch of insertions into the whole chunk, rewriting it
@@ -460,16 +654,9 @@ impl ChunkData {
         let total = merged_keys.len();
         assert!(total <= self.capacity(), "batch does not fit in the chunk");
         let targets =
-            crate::sequential::even_targets(total, self.num_segments(), self.segment_capacity);
-        let mut cursor = 0usize;
-        for (s, &t) in targets.iter().enumerate() {
-            let start = self.seg_start(s);
-            self.keys[start..start + t].copy_from_slice(&merged_keys[cursor..cursor + t]);
-            self.values[start..start + t].copy_from_slice(&merged_values[cursor..cursor + t]);
-            self.cards[s] = t as u32;
-            cursor += t;
-        }
-        self.refresh_mins();
+            crate::sequential::even_targets(total, self.num_segments(), self.segment_capacity());
+        self.unique()
+            .place(0, &targets, &merged_keys, &merged_values);
         added
     }
 
@@ -478,13 +665,11 @@ impl ChunkData {
     /// # Panics
     /// Panics with a description of the first violated invariant.
     pub fn check_invariants(&self) {
+        let v = self.view();
         let mut prev: Option<Key> = None;
-        for s in 0..self.num_segments() {
-            assert!(
-                self.card(s) <= self.segment_capacity,
-                "segment {s} over capacity"
-            );
-            for &k in self.seg_keys(s) {
+        for s in 0..v.num_segments() {
+            assert!(v.card(s) <= v.segment_capacity, "segment {s} over capacity");
+            for &k in v.seg_keys(s) {
                 if let Some(p) = prev {
                     assert!(p < k, "chunk keys not strictly increasing");
                 }
@@ -494,12 +679,12 @@ impl ChunkData {
         // The routing prefix mirrors the segment minima, empty segments
         // inheriting from the left.
         let mut expected = KEY_MIN;
-        for s in 0..self.num_segments() {
-            if let Some(min) = self.seg_min(s) {
+        for s in 0..v.num_segments() {
+            if let Some(min) = v.seg_min(s) {
                 expected = min;
             }
             assert_eq!(
-                self.mins[s], expected,
+                v.mins[s], expected,
                 "routing prefix out of date at segment {s}"
             );
         }

@@ -207,9 +207,7 @@ mod tests {
         assert_eq!(inst.num_gates(), 1);
         assert_eq!(inst.num_segments(), 2);
         assert_eq!(inst.capacity(), 16);
-        let st = inst.gates[0].lock();
-        assert_eq!(st.fence_lo, KEY_MIN);
-        assert_eq!(st.fence_hi, KEY_MAX);
+        assert_eq!(inst.gates[0].fences(), (KEY_MIN, KEY_MAX));
     }
 
     #[test]
@@ -224,22 +222,22 @@ mod tests {
         let mut total = 0usize;
         let mut prev_hi = None;
         for g in 0..4 {
-            let st = inst.gates[g].lock();
+            let (fence_lo, fence_hi) = inst.gates[g].fences();
             // SAFETY: single-threaded test, no latch needed.
             let chunk = unsafe { inst.gates[g].chunk() };
             total += chunk.cardinality();
             chunk.check_invariants();
             // Fences are contiguous and disjoint.
             if let Some(prev) = prev_hi {
-                assert_eq!(st.fence_lo, prev + 1i64);
+                assert_eq!(fence_lo, prev + 1i64);
             } else {
-                assert_eq!(st.fence_lo, KEY_MIN);
+                assert_eq!(fence_lo, KEY_MIN);
             }
-            prev_hi = Some(st.fence_hi);
+            prev_hi = Some(fence_hi);
             // Every stored key respects the fences.
             if let (Some(min), Some(max)) = (chunk.min_key(), chunk.max_key()) {
-                assert!(min >= st.fence_lo.max(0));
-                assert!(max <= st.fence_hi);
+                assert!(min >= fence_lo.max(0));
+                assert!(max <= fence_hi);
             }
         }
         assert_eq!(prev_hi, Some(KEY_MAX));
@@ -248,8 +246,10 @@ mod tests {
         // The index routes keys to gates whose fences cover them.
         for probe in [0i64, 7, 13, 20, 33, 39] {
             let g = inst.index.find_gate(probe);
-            let st = inst.gates[g].lock();
-            assert!(st.covers(probe), "probe {probe} routed to gate {g}");
+            assert!(
+                inst.gates[g].covers(probe),
+                "probe {probe} routed to gate {g}"
+            );
         }
     }
 

@@ -44,8 +44,8 @@ use pma_common::{
 use crate::params::{PmaParams, RebalancePolicy, UpdateMode};
 use crate::stats::{Stats, StatsSnapshot};
 
-use chunk::ChunkInsert;
-use gate::{GateMode, UpdateOp};
+use chunk::{ChunkData, ChunkInsert};
+use gate::{Exclusive, GateMode, SharedGuard, UpdateOp};
 use instance::PmaInstance;
 use rebalancer::{RebalancerHandle, Request};
 use shared::Shared;
@@ -59,6 +59,16 @@ enum WriteAcquire {
     Queued,
     /// The instance was resized; the caller must restart.
     Restart,
+}
+
+/// What a per-gate visitor of [`ConcurrentPma::walk_gates`] wants next.
+enum Walk {
+    /// Move on to the next gate.
+    Continue,
+    /// Stop at this gate boundary and report where the walk would resume.
+    Pause,
+    /// The range is exhausted.
+    Done,
 }
 
 /// Result of applying an operation while holding a gate in `Write` mode.
@@ -211,22 +221,14 @@ impl ConcurrentPma {
 
     /// Looks up `key`.
     pub fn get(&self, key: Key) -> Option<Value> {
-        Stats::bump(&self.shared.stats.lookups);
+        self.shared.stats.lookups.add(1);
         loop {
             let _pin = self.shared.pin();
             // SAFETY: pinned above.
             let inst = unsafe { self.shared.instance_ref() };
             match self.acquire_read(inst, key) {
-                Some(g) => {
-                    // SAFETY: gate `g` is held in shared mode.
-                    let result = unsafe { inst.gates[g].chunk() }.get(key);
-                    inst.gates[g].release_read();
-                    return result;
-                }
-                None => {
-                    Stats::bump(&self.shared.stats.resize_restarts);
-                    continue;
-                }
+                Some((_, guard)) => return guard.chunk().get(key),
+                None => Stats::bump(&self.shared.stats.resize_restarts),
             }
         }
     }
@@ -246,31 +248,12 @@ impl ConcurrentPma {
             // SAFETY: pinned above.
             let inst = unsafe { self.shared.instance_ref() };
             let mut stats = ScanStats::default();
-            for g in 0..inst.num_gates() {
-                let gate = &inst.gates[g];
-                {
-                    let mut st = gate.lock();
-                    loop {
-                        if st.invalidated {
-                            Stats::bump(&self.shared.stats.resize_restarts);
-                            continue 'restart;
-                        }
-                        match st.mode {
-                            GateMode::Free if st.writers_waiting == 0 => {
-                                st.mode = GateMode::Read(1);
-                                break;
-                            }
-                            GateMode::Read(n) if st.writers_waiting == 0 => {
-                                st.mode = GateMode::Read(n + 1);
-                                break;
-                            }
-                            _ => gate.wait(&mut st),
-                        }
-                    }
-                }
-                // SAFETY: gate `g` is held in shared mode.
-                unsafe { gate.chunk() }.scan(&mut stats);
-                gate.release_read();
+            for gate in inst.gates.iter() {
+                let Some(guard) = gate.acquire_shared(&self.shared.stats) else {
+                    Stats::bump(&self.shared.stats.resize_restarts);
+                    continue 'restart;
+                };
+                guard.chunk().scan(&mut stats);
             }
             return stats;
         }
@@ -300,34 +283,13 @@ impl ConcurrentPma {
             // SAFETY: pinned above.
             let inst = unsafe { self.shared.instance_ref() };
             let mut pieces = Vec::with_capacity(inst.num_gates());
-            for g in 0..inst.num_gates() {
-                let gate = &inst.gates[g];
-                let (lo, hi) = {
-                    let mut st = gate.lock();
-                    loop {
-                        if st.invalidated {
-                            Stats::bump(&self.shared.stats.resize_restarts);
-                            continue 'restart;
-                        }
-                        match st.mode {
-                            GateMode::Free if st.writers_waiting == 0 => {
-                                st.mode = GateMode::Read(1);
-                                break;
-                            }
-                            GateMode::Read(n) if st.writers_waiting == 0 => {
-                                st.mode = GateMode::Read(n + 1);
-                                break;
-                            }
-                            _ => gate.wait(&mut st),
-                        }
-                    }
-                    (st.fence_lo, st.fence_hi)
+            for gate in inst.gates.iter() {
+                let Some(guard) = gate.acquire_shared(&self.shared.stats) else {
+                    Stats::bump(&self.shared.stats.resize_restarts);
+                    continue 'restart;
                 };
-                // SAFETY: the gate is held in shared mode, which excludes
-                // every exclusive chunk accessor while we clone the version.
-                let version = unsafe { gate.chunk_version() };
-                gate.release_read();
-                pieces.push((lo, hi, version));
+                let (lo, hi) = guard.fences();
+                pieces.push((lo, hi, guard.version()));
             }
             if !version::fences_tile_key_space(&pieces) {
                 // Fences moved between two per-gate captures: the pieces do
@@ -358,60 +320,13 @@ impl ConcurrentPma {
     /// Visits every element with key in `[lo, hi]` (inclusive) in ascending
     /// key order.
     pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
-        if lo > hi {
-            return;
-        }
-        // If a resize interrupts the scan we restart from just after the last
-        // visited key, so no element is visited twice.
-        let mut cursor = lo;
-        'restart: loop {
-            let _pin = self.shared.pin();
-            // SAFETY: pinned above.
-            let inst = unsafe { self.shared.instance_ref() };
-            let Some(mut g) = self.acquire_read(inst, cursor) else {
-                Stats::bump(&self.shared.stats.resize_restarts);
-                continue 'restart;
-            };
-            loop {
-                let gate = &inst.gates[g];
-                // SAFETY: gate `g` is held in shared mode.
-                let keep_going = unsafe { gate.chunk() }.range(cursor, hi, &mut |k, v| {
-                    visitor(k, v);
-                });
-                {
-                    let st = gate.lock();
-                    // Everything up to this gate's upper fence has been
-                    // covered (elements can only live inside their fences).
-                    cursor = cursor.max(st.fence_hi.saturating_add(1));
-                }
-                let next_needed = keep_going && cursor <= hi;
-                gate.release_read();
-                if !next_needed || g + 1 >= inst.num_gates() {
-                    return;
-                }
-                g += 1;
-                // Acquire the next gate in shared mode.
-                let gate = &inst.gates[g];
-                let mut st = gate.lock();
-                loop {
-                    if st.invalidated {
-                        Stats::bump(&self.shared.stats.resize_restarts);
-                        continue 'restart;
-                    }
-                    match st.mode {
-                        GateMode::Free if st.writers_waiting == 0 => {
-                            st.mode = GateMode::Read(1);
-                            break;
-                        }
-                        GateMode::Read(n) if st.writers_waiting == 0 => {
-                            st.mode = GateMode::Read(n + 1);
-                            break;
-                        }
-                        _ => gate.wait(&mut st),
-                    }
-                }
+        self.walk_gates(lo, hi, |chunk, cursor| {
+            if chunk.range(cursor, hi, visitor) {
+                Walk::Continue
+            } else {
+                Walk::Done
             }
-        }
+        });
     }
 
     /// Scans every element with key in `[lo, hi]` (inclusive) in ascending
@@ -473,60 +388,67 @@ impl ConcurrentPma {
         keys: &mut Vec<Key>,
         values: &mut Vec<Value>,
     ) -> Option<Key> {
+        let base = keys.len();
+        self.walk_gates(lo, hi, |chunk, cursor| {
+            if !chunk.collect_range_into(cursor, hi, keys, values) {
+                Walk::Done
+            } else if keys.len() - base >= min_len {
+                // Gate boundary reached with a full block: hand the
+                // remainder of the range back to the caller.
+                Walk::Pause
+            } else {
+                Walk::Continue
+            }
+        })
+    }
+
+    /// Walks the gates covering `[lo, hi]` in key order, holding one shared
+    /// latch at a time, and hands each latched chunk to `visit` together
+    /// with the key the walk has reached. The walk is routed through the
+    /// static index straight to the gate covering `lo`. Returns `Some(next)`
+    /// when `visit` paused the walk at a gate boundary with `[next, hi]`
+    /// still to go, `None` when the range is exhausted.
+    ///
+    /// If a resize interrupts the walk it restarts from just after the last
+    /// covered fence, so no element is visited twice.
+    fn walk_gates(
+        &self,
+        lo: Key,
+        hi: Key,
+        mut visit: impl FnMut(&ChunkData, Key) -> Walk,
+    ) -> Option<Key> {
         if lo > hi {
             return None;
         }
-        let base = keys.len();
         let mut cursor = lo;
         'restart: loop {
             let _pin = self.shared.pin();
             // SAFETY: pinned above.
             let inst = unsafe { self.shared.instance_ref() };
-            let Some(mut g) = self.acquire_read(inst, cursor) else {
+            let Some((mut g, mut guard)) = self.acquire_read(inst, cursor) else {
                 Stats::bump(&self.shared.stats.resize_restarts);
                 continue 'restart;
             };
             loop {
-                let gate = &inst.gates[g];
-                // SAFETY: gate `g` is held in shared mode.
-                let keep_going =
-                    unsafe { gate.chunk() }.collect_range_into(cursor, hi, keys, values);
-                {
-                    let st = gate.lock();
-                    // Everything up to this gate's upper fence is covered.
-                    cursor = cursor.max(st.fence_hi.saturating_add(1));
-                }
-                let exhausted = !keep_going || cursor > hi || g + 1 >= inst.num_gates();
-                gate.release_read();
-                if exhausted {
-                    return None;
-                }
-                if keys.len() - base >= min_len {
-                    // Gate boundary reached with a full block: hand the
-                    // remainder of the range back to the caller.
-                    return Some(cursor);
+                let step = visit(guard.chunk(), cursor);
+                // Everything up to this gate's upper fence has been covered
+                // (elements can only live inside their fences).
+                cursor = cursor.max(guard.fences().1.saturating_add(1));
+                drop(guard);
+                match step {
+                    Walk::Done => return None,
+                    _ if cursor > hi || g + 1 >= inst.num_gates() => return None,
+                    Walk::Pause => return Some(cursor),
+                    Walk::Continue => {}
                 }
                 g += 1;
-                // Acquire the next gate in shared mode.
-                let gate = &inst.gates[g];
-                let mut st = gate.lock();
-                loop {
-                    if st.invalidated {
+                guard = match inst.gates[g].acquire_shared(&self.shared.stats) {
+                    Some(guard) => guard,
+                    None => {
                         Stats::bump(&self.shared.stats.resize_restarts);
                         continue 'restart;
                     }
-                    match st.mode {
-                        GateMode::Free if st.writers_waiting == 0 => {
-                            st.mode = GateMode::Read(1);
-                            break;
-                        }
-                        GateMode::Read(n) if st.writers_waiting == 0 => {
-                            st.mode = GateMode::Read(n + 1);
-                            break;
-                        }
-                        _ => gate.wait(&mut st),
-                    }
-                }
+                };
             }
         }
     }
@@ -571,7 +493,7 @@ impl ConcurrentPma {
                     }
                     WriteAcquire::Acquired(g) => {
                         let gate = &inst.gates[g];
-                        let fence_hi = gate.lock().fence_hi;
+                        let fence_hi = gate.fences().1;
                         let run_end = i + batch[i..].partition_point(|&(k, _)| k <= fence_hi);
                         let run = &batch[i..run_end];
                         // SAFETY: the gate is held in `Write` mode.
@@ -615,7 +537,7 @@ impl ConcurrentPma {
                                 .iter()
                                 .map(|&(k, v)| UpdateOp::Insert(k, v))
                                 .collect::<Vec<_>>();
-                            self.park_ops_and_hand_over(inst, g, ops);
+                            self.park_ops_and_hand_over(inst, g, ops, 0);
                             Stats::bump(&self.shared.stats.batch_span_rebuilds);
                             advance = run_end - i;
                             if !allow_queue {
@@ -627,10 +549,12 @@ impl ConcurrentPma {
                                 // instance).
                                 let gate = &inst.gates[g];
                                 let mut st = gate.lock();
-                                while !st.invalidated
-                                    && (st.service_owned || st.delegated || !st.pending.is_empty())
+                                while !gate.is_invalidated()
+                                    && (gate.mode() == GateMode::Rebalance
+                                        || st.delegated
+                                        || !st.pending.is_empty())
                                 {
-                                    gate.wait(&mut st);
+                                    gate.wait(&mut st, &self.shared.stats);
                                 }
                             }
                         }
@@ -653,9 +577,9 @@ impl ConcurrentPma {
                 // SAFETY: pinned above.
                 let inst = unsafe { self.shared.instance_ref() };
                 let mut clean = true;
-                for g in 0..inst.num_gates() {
-                    let mut st = inst.gates[g].lock();
-                    if st.invalidated {
+                for (g, gate) in inst.gates.iter().enumerate() {
+                    let mut st = gate.lock();
+                    if gate.is_invalidated() {
                         clean = false;
                         break;
                     }
@@ -663,7 +587,7 @@ impl ConcurrentPma {
                         clean = false;
                         continue;
                     }
-                    match st.mode {
+                    match gate.mode() {
                         GateMode::Free | GateMode::Read(_) => {
                             if !st.pending.is_empty() {
                                 // A non-empty queue on an idle, undelegated
@@ -705,62 +629,54 @@ impl ConcurrentPma {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Uncontended fast path: applies `op` inline while holding the routed
-    /// gate's state mutex, when the gate is `Free` with an empty,
+    /// Uncontended fast path: applies `op` inline under one hold of the
+    /// routed gate's state mutex, when the gate is `Free` with an empty,
     /// undelegated combining queue and its fences cover the key. This saves
-    /// the full path's second mutex round-trip and `notify_all` (the
-    /// `Write`-mode transition and [`ConcurrentPma::finish_writer`]) — pure
-    /// overhead when nobody is contending.
+    /// the full path's second mutex round-trip (taking the latch and
+    /// [`ConcurrentPma::finish_writer`] are two) — pure overhead when nobody
+    /// is contending.
     ///
     /// Returns `Some(result)` when applied; `None` sends the caller to the
     /// full path (gate busy, delegated, mis-routed, invalidated, or the
     /// target segment is full and needs a rebalance).
     fn try_fast_update(&self, inst: &PmaInstance, op: UpdateOp) -> Option<Option<Value>> {
         let key = op.key();
-        let g = inst.index.find_gate(key);
-        let gate = &inst.gates[g];
+        let gate = &inst.gates[inst.index.find_gate(key)];
         let st = gate.lock();
-        if st.invalidated
-            || key < st.fence_lo
-            || key > st.fence_hi
-            || st.delegated
+        if st.delegated
             || st.queue_open
             || !st.pending.is_empty()
-            || !matches!(st.mode, GateMode::Free)
+            || !gate.covers(key)
+            || !gate.try_exclusive(&st, Exclusive::Write)
         {
             return None;
         }
-        // SAFETY: the gate's state mutex is held and the mode is `Free`: no
-        // reader, writer or rebalance owns the chunk, and any thread must
-        // acquire this mutex (observing our completed writes through it)
-        // before it can claim the gate — exclusive chunk access until the
-        // guard drops. No mode changed, so there is nothing to notify.
-        match op {
-            UpdateOp::Delete(key) => {
-                let old = unsafe { self.shared.chunk_mut(gate) }.remove(key);
-                drop(st);
-                if old.is_some() {
-                    self.shared.len.fetch_sub(1, Ordering::Relaxed);
-                    Stats::bump(&self.shared.stats.deletes);
-                    self.maybe_request_downsize(inst);
-                }
-                Some(old)
+        // SAFETY: the gate is held in `Write` mode (just acquired).
+        let chunk = unsafe { self.shared.chunk_mut(gate) };
+        let outcome = match op {
+            UpdateOp::Delete(key) => Some(chunk.remove(key)),
+            UpdateOp::Insert(key, value) => match chunk.try_insert(key, value) {
+                ChunkInsert::Inserted => Some(None),
+                ChunkInsert::Replaced(old) => Some(Some(old)),
+                // The segment needs a rebalance first: the full path owns
+                // that machinery (no chunk mutation happened).
+                ChunkInsert::SegmentFull(_) => None,
+            },
+        };
+        gate.release_exclusive(st, &self.shared.stats);
+        match (op, outcome) {
+            (UpdateOp::Delete(_), Some(Some(_))) => {
+                self.shared.len.fetch_sub(1, Ordering::Relaxed);
+                Stats::bump(&self.shared.stats.deletes);
+                self.maybe_request_downsize(inst);
             }
-            UpdateOp::Insert(key, value) => {
-                match unsafe { self.shared.chunk_mut(gate) }.try_insert(key, value) {
-                    ChunkInsert::Inserted => {
-                        drop(st);
-                        self.shared.len.fetch_add(1, Ordering::Relaxed);
-                        Stats::bump(&self.shared.stats.inserts);
-                        Some(None)
-                    }
-                    ChunkInsert::Replaced(old) => Some(Some(old)),
-                    // The segment needs a rebalance first: the full path
-                    // owns that machinery (no chunk mutation happened).
-                    ChunkInsert::SegmentFull(_) => None,
-                }
+            (UpdateOp::Insert(..), Some(None)) => {
+                self.shared.len.fetch_add(1, Ordering::Relaxed);
+                Stats::bump(&self.shared.stats.inserts);
             }
+            _ => {}
         }
+        outcome
     }
 
     /// Applies an update, possibly enqueueing it to another writer
@@ -822,15 +738,16 @@ impl ConcurrentPma {
             let gate = &inst.gates[g];
             let mut st = gate.lock();
             loop {
-                if st.invalidated {
+                if gate.is_invalidated() {
                     return WriteAcquire::Restart;
                 }
-                if key < st.fence_lo && g > 0 {
+                let (fence_lo, fence_hi) = gate.fences();
+                if key < fence_lo && g > 0 {
                     Stats::bump(&self.shared.stats.gate_misses);
                     g -= 1;
                     break;
                 }
-                if key > st.fence_hi && g + 1 < inst.num_gates() {
+                if key > fence_hi && g + 1 < inst.num_gates() {
                     Stats::bump(&self.shared.stats.gate_misses);
                     g += 1;
                     break;
@@ -842,14 +759,7 @@ impl ConcurrentPma {
                     st.pending.push_back(op);
                     return WriteAcquire::Queued;
                 }
-                match st.mode {
-                    GateMode::Free => {
-                        st.mode = GateMode::Write;
-                        if allow_queue {
-                            st.queue_open = true;
-                        }
-                        return WriteAcquire::Acquired(g);
-                    }
+                match gate.mode() {
                     GateMode::Write if allow_queue && st.queue_open => {
                         st.pending.push_back(op);
                         return WriteAcquire::Queued;
@@ -866,7 +776,7 @@ impl ConcurrentPma {
                     // (A queue closed by a resize rejects new entries: the
                     // writer waits for the new instance instead, since the
                     // queued operations are being folded into it.)
-                    GateMode::Rebalance if allow_queue && st.service_owned && !st.queue_closed => {
+                    GateMode::Rebalance if allow_queue && !st.queue_closed => {
                         st.pending.push_back(op);
                         if !st.delegated {
                             st.delegated = true;
@@ -877,10 +787,16 @@ impl ConcurrentPma {
                         }
                         return WriteAcquire::Queued;
                     }
+                    _ if gate.try_exclusive(&st, Exclusive::Write) => {
+                        if allow_queue {
+                            st.queue_open = true;
+                        }
+                        return WriteAcquire::Acquired(g);
+                    }
                     // Park with writer preference: arriving readers yield
                     // until no exclusive acquirer is waiting, so a stream of
                     // overlapping scanners cannot starve the writer.
-                    _ => gate.wait_exclusive(&mut st),
+                    _ => gate.wait_exclusive(&mut st, &self.shared.stats),
                 }
             }
         }
@@ -928,86 +844,66 @@ impl ConcurrentPma {
         }
     }
 
-    /// Transitions gate `g` (currently held in `Write` mode by the caller)
-    /// into service ownership and returns its `rebalance_epoch`.
+    /// Parks `ops` (in order) at the **front** of gate `g`'s combining queue
+    /// — they predate anything other writers forwarded while this writer
+    /// held the latch — and hands the gate (held in `Write` mode by the
+    /// caller) over to the rebalancer with a `GlobalRebalance` request.
+    /// The service drains the whole queue at claim time, while the gate is
+    /// owned, and merges it into the window rebuild (or a resize folds it);
+    /// a rebalance that claims the gate first settles the queue in-window.
+    /// The operations therefore never leave the owned-window machinery.
+    /// `reserve` is the number of elements the caller retries itself
+    /// afterwards. Returns the hand-over epoch.
     ///
     /// The epoch MUST be read under the same lock that flips the mode: it is
     /// the identity the master's stale-request check compares against, and a
     /// read outside the critical section could observe a later hand-over's
-    /// epoch. The Write → Rebalance transition makes the gate claimable by
-    /// the rebalancer, so the gate is also notified — without that wakeup the
-    /// master can sleep forever on a gate whose writer has just handed it
-    /// over (e.g. while expanding another window).
-    fn hand_over_gate(&self, inst: &PmaInstance, g: usize) -> u64 {
+    /// epoch.
+    fn park_ops_and_hand_over(
+        &self,
+        inst: &PmaInstance,
+        g: usize,
+        ops: Vec<UpdateOp>,
+        reserve: usize,
+    ) -> u64 {
         let gate = &inst.gates[g];
-        let epoch = {
-            let mut st = gate.lock();
-            st.mode = GateMode::Rebalance;
-            st.service_owned = true;
-            st.queue_open = false;
-            st.rebalance_epoch
-        };
-        gate.notify_all();
-        epoch
-    }
-
-    /// Parks `ops` (in order) at the **front** of gate `g`'s combining queue
-    /// — they predate anything other writers forwarded while this writer
-    /// held the latch — and hands the gate over to the rebalancer. The
-    /// service drains the whole queue at claim time, while the gate is
-    /// owned, and merges it into the window rebuild (or a resize folds it);
-    /// a rebalance that claims the gate first settles the queue in-window.
-    /// The operations therefore never leave the owned-window machinery.
-    /// Returns the hand-over epoch.
-    fn park_ops_and_hand_over(&self, inst: &PmaInstance, g: usize, ops: Vec<UpdateOp>) -> u64 {
-        let gate = &inst.gates[g];
-        let epoch = {
-            let mut st = gate.lock();
-            debug_assert_eq!(st.mode, GateMode::Write);
-            debug_assert!(!st.queue_closed, "queue closed under an active writer");
-            for op in ops.into_iter().rev() {
-                st.pending.push_front(op);
-            }
-            st.mode = GateMode::Rebalance;
-            st.service_owned = true;
-            st.queue_open = false;
-            st.rebalance_epoch
-        };
-        gate.notify_all();
+        let mut st = gate.lock();
+        debug_assert!(!st.queue_closed, "queue closed under an active writer");
+        for op in ops.into_iter().rev() {
+            st.pending.push_front(op);
+        }
+        st.queue_open = false;
+        let epoch = st.rebalance_epoch;
+        gate.hand_over(st, &self.shared.stats);
         self.rebalancer.send(Request::GlobalRebalance {
             gate_id: g,
             origin: (inst as *const PmaInstance as usize, epoch),
-            reserve: 0,
+            reserve,
         });
         epoch
     }
 
     /// Hands gate `g` (currently held in `Write` mode) over to the rebalancer
-    /// and waits until the global rebalance (or a resize) completes. The
-    /// request carries the same `(instance, rebalance_epoch)` origin tag as a
-    /// parked-run hand-over, so the master can recognise it as stale when the
-    /// gate was meanwhile handled as part of another window or a resize.
+    /// and waits until the global rebalance (or a resize) completes — either
+    /// bumps the gate's `rebalance_epoch`. The request carries the same
+    /// `(instance, rebalance_epoch)` origin tag as a parked-run hand-over, so
+    /// the master can recognise it as stale when the gate was meanwhile
+    /// handled as part of another window or a resize.
     fn hand_over_and_wait(&self, inst: &PmaInstance, g: usize) {
-        let epoch_before = self.hand_over_gate(inst, g);
-        self.rebalancer.send(Request::GlobalRebalance {
-            gate_id: g,
-            origin: (inst as *const PmaInstance as usize, epoch_before),
-            reserve: 1,
-        });
+        let epoch_before = self.park_ops_and_hand_over(inst, g, Vec::new(), 1);
         let gate = &inst.gates[g];
         let mut st = gate.lock();
-        while st.rebalance_epoch == epoch_before && st.service_owned && !st.invalidated {
-            gate.wait(&mut st);
+        while st.rebalance_epoch == epoch_before {
+            gate.wait(&mut st, &self.shared.stats);
         }
     }
 
     /// Requests a downsize check when the array has become under-full.
     fn maybe_request_downsize(&self, inst: &PmaInstance) {
-        if inst.num_gates() <= 1 {
-            return;
-        }
-        let len = self.shared.element_count();
-        if (len as f64) < self.shared.params.downsize_at * inst.capacity() as f64 {
+        if self
+            .shared
+            .should_downsize(inst, self.shared.element_count())
+        {
             self.rebalancer.send(Request::MaybeDownsize);
         }
     }
@@ -1025,12 +921,9 @@ impl ConcurrentPma {
                 // claim left delegated; it belongs to the service's
                 // scheduled drain — leave it untouched.
                 let gate = &inst.gates[g];
-                {
-                    let mut st = gate.lock();
-                    st.queue_open = false;
-                    st.mode = GateMode::Free;
-                }
-                gate.notify_all();
+                let mut st = gate.lock();
+                st.queue_open = false;
+                gate.release_exclusive(st, &self.shared.stats);
             }
             UpdateMode::OneByOne => self.drain_one_by_one(inst, g),
             UpdateMode::Batch { t_delay } => self.drain_batch(inst, g, t_delay),
@@ -1048,25 +941,19 @@ impl ConcurrentPma {
                     Some(op) => op,
                     None => {
                         st.queue_open = false;
-                        st.mode = GateMode::Free;
-                        drop(st);
-                        gate.notify_all();
+                        gate.release_exclusive(st, &self.shared.stats);
                         return;
                     }
                 }
             };
-            let (lo, hi) = {
-                let st = gate.lock();
-                (st.fence_lo, st.fence_hi)
-            };
-            if op.key() < lo || op.key() > hi {
+            if !gate.covers(op.key()) {
                 // Unreachable: fences cannot move while this writer holds the
                 // latch, and every fence move settles the queue in-window
                 // before releasing. Hand the op (and the rest of the queue)
                 // to the service, whose stranded-drain path folds it into an
                 // owned rebuild.
                 debug_assert!(false, "queued op {op:?} outside the gate's fences");
-                self.park_ops_and_hand_over(inst, g, vec![op]);
+                self.park_ops_and_hand_over(inst, g, vec![op], 0);
                 return;
             }
             match self.apply_on_gate(inst, g, op) {
@@ -1078,7 +965,7 @@ impl ConcurrentPma {
                     // service drains the queue at claim time and merges it
                     // into the window rebuild, so nothing is replayed after
                     // a release.
-                    self.park_ops_and_hand_over(inst, g, vec![op]);
+                    self.park_ops_and_hand_over(inst, g, vec![op], 0);
                     return;
                 }
             }
@@ -1095,9 +982,7 @@ impl ConcurrentPma {
                 let mut st = gate.lock();
                 if st.pending.is_empty() {
                     st.queue_open = false;
-                    st.mode = GateMode::Free;
-                    drop(st);
-                    gate.notify_all();
+                    gate.release_exclusive(st, &self.shared.stats);
                     return;
                 }
                 st.pending.drain(..).collect()
@@ -1107,15 +992,11 @@ impl ConcurrentPma {
             // operation per key (earlier ones are superseded upserts).
             let ops = dedup_last_op_per_key(ops);
             Stats::bump(&self.shared.stats.batches_processed);
-            let (lo, hi) = {
-                let st = gate.lock();
-                (st.fence_lo, st.fence_hi)
-            };
-            if ops.iter().any(|op| op.key() < lo || op.key() > hi) {
+            if ops.iter().any(|op| !gate.covers(op.key())) {
                 // Unreachable (see `drain_one_by_one`): park everything and
                 // let the service's stranded-drain path fold it.
                 debug_assert!(false, "queued ops outside the gate's fences");
-                self.park_ops_and_hand_over(inst, g, ops);
+                self.park_ops_and_hand_over(inst, g, ops, 0);
                 return;
             }
             // First pass: deletions (they always make room); collect the
@@ -1173,7 +1054,7 @@ impl ConcurrentPma {
                 // Park the batch at the front of the queue and hand the gate
                 // over; we do not wait (asynchronous processing).
                 drop(st);
-                self.park_ops_and_hand_over(inst, g, batch_ops);
+                self.park_ops_and_hand_over(inst, g, batch_ops, 0);
                 return;
             }
             // `t_delay` has not elapsed: park the batch back in the queue and
@@ -1187,10 +1068,8 @@ impl ConcurrentPma {
             }
             st.delegated = true;
             st.queue_open = false;
-            st.mode = GateMode::Free;
             let due = st.last_global_rebalance + t_delay;
-            drop(st);
-            gate.notify_all();
+            gate.release_exclusive(st, &self.shared.stats);
             self.rebalancer
                 .send(Request::DelayedBatch { gate_id: g, due });
             return;
@@ -1202,38 +1081,27 @@ impl ConcurrentPma {
     // ------------------------------------------------------------------
 
     /// Routes `key` to the gate covering it and acquires that gate in shared
-    /// mode. Returns `None` when the instance was invalidated by a resize.
-    fn acquire_read(&self, inst: &PmaInstance, key: Key) -> Option<usize> {
+    /// mode, validating the fence keys under the latch (a stale index read
+    /// or a concurrent rebalance sends the walk to the neighbouring gate).
+    /// Returns `None` when the instance was invalidated by a resize.
+    #[inline]
+    fn acquire_read<'a>(
+        &'a self,
+        inst: &'a PmaInstance,
+        key: Key,
+    ) -> Option<(usize, SharedGuard<'a>)> {
         let mut g = inst.index.find_gate(key);
         loop {
-            let gate = &inst.gates[g];
-            let mut st = gate.lock();
-            loop {
-                if st.invalidated {
-                    return None;
-                }
-                if key < st.fence_lo && g > 0 {
-                    Stats::bump(&self.shared.stats.gate_misses);
-                    g -= 1;
-                    break;
-                }
-                if key > st.fence_hi && g + 1 < inst.num_gates() {
-                    Stats::bump(&self.shared.stats.gate_misses);
-                    g += 1;
-                    break;
-                }
-                match st.mode {
-                    GateMode::Free if st.writers_waiting == 0 => {
-                        st.mode = GateMode::Read(1);
-                        return Some(g);
-                    }
-                    GateMode::Read(n) if st.writers_waiting == 0 => {
-                        st.mode = GateMode::Read(n + 1);
-                        return Some(g);
-                    }
-                    _ => gate.wait(&mut st),
-                }
+            let guard = inst.gates[g].acquire_shared(&self.shared.stats)?;
+            let (fence_lo, fence_hi) = guard.fences();
+            if key < fence_lo && g > 0 {
+                g -= 1;
+            } else if key > fence_hi && g + 1 < inst.num_gates() {
+                g += 1;
+            } else {
+                return Some((g, guard));
             }
+            Stats::bump(&self.shared.stats.gate_misses);
         }
     }
 }
@@ -1724,6 +1592,48 @@ mod tests {
         let stats = p.scan_range(10_000, 10_009);
         assert_eq!(stats.count, 10);
         assert_eq!(stats.key_sum, (10_000i64..10_010).sum::<i64>() as i128);
+    }
+
+    #[test]
+    fn removes_after_a_sparse_bulk_load_do_not_thrash_downsizes() {
+        // 100 000 keys presize to 2048 segments of 128: density 0.38, below
+        // `downsize_at` = 0.5 from the start, yet a downsize would rebuild
+        // the whole array into the same capacity — on every remove.
+        let items: Vec<(i64, i64)> = (0..100_000i64).map(|k| (k * 16, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::default(), &items).unwrap();
+        let density = p.len() as f64 / p.capacity() as f64;
+        assert!(density < p.params().downsize_at, "density {density}");
+        let gates = p.num_gates();
+        for k in 0..1_000i64 {
+            p.remove(k * 1_600);
+        }
+        p.flush();
+        assert_eq!(p.len(), 99_000);
+        assert!(p.stats().resizes <= 1, "{:?}", p.stats());
+        assert_eq!(p.num_gates(), gates);
+        // A real shrink still happens once a smaller array would do.
+        for k in 0..80_000i64 {
+            p.remove(k * 16);
+        }
+        p.flush();
+        assert!(p.num_gates() < gates, "{} gates left", p.num_gates());
+        assert_eq!(p.scan_all().count as usize, p.len());
+    }
+
+    #[test]
+    fn quiescent_reads_never_park_or_wake() {
+        let items: Vec<(i64, i64)> = (0..100_000i64).map(|k| (k * 16, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::default(), &items).unwrap();
+        for k in 0..100_000i64 {
+            assert_eq!(p.get(k * 16), Some(k));
+        }
+        assert_eq!(p.scan_all().count, 100_000);
+        assert_eq!(p.scan_range(160, 1_600).count, 91);
+        let frozen = p.frozen();
+        assert_eq!(frozen.len(), 100_000);
+        let stats = p.stats();
+        assert_eq!(stats.lookups, 100_000);
+        assert_eq!((stats.gate_parks, stats.gate_wakes), (0, 0), "{stats:?}");
     }
 
     #[test]

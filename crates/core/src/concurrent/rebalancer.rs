@@ -26,17 +26,17 @@ use pma_common::{Key, Value};
 use crate::stats::Stats;
 
 use super::chunk::{ChunkData, ChunkInsert};
-use super::gate::{GateMode, UpdateOp};
+use super::gate::{Exclusive, GateMode, UpdateOp};
 use super::instance::{compute_window_fences, PmaInstance};
 use super::shared::Shared;
 
 /// Requests accepted by the rebalancer master.
 #[derive(Debug)]
 pub(crate) enum Request {
-    /// A writer handed over `gate_id` (latch in `Rebalance` mode,
-    /// `service_owned` set) because the work exceeds the gate: either a
-    /// single insertion that needs a multi-gate window (`reserve` = 1, the
-    /// writer retries it after the rebalance), or an oversized batch run
+    /// A writer handed over `gate_id` (latch in `Rebalance` mode) because
+    /// the work exceeds the gate: either a single insertion that needs a
+    /// multi-gate window (`reserve` = 1, the writer retries it after the
+    /// rebalance), or an oversized batch run
     /// **parked at the front of the gate's combining queue** (`reserve` = 0;
     /// the master drains the queue at claim time and merges the run into the
     /// window rebuild). Requests never carry element payloads: a payload in
@@ -323,24 +323,19 @@ impl Master {
     }
 
     /// Waits for gate `g` to become acquirable by the service and claims it.
-    /// Gates already handed over (`Rebalance` + `service_owned`) are claimed
-    /// immediately: the stale hand-over request will notice and skip.
+    /// Gates already handed over (`Rebalance` mode) are claimed immediately:
+    /// the stale hand-over request will notice and skip.
     fn acquire_gate(&self, inst: &PmaInstance, g: usize) {
         let gate = &inst.gates[g];
         let mut st = gate.lock();
-        loop {
-            match st.mode {
-                GateMode::Free => {
-                    st.mode = GateMode::Rebalance;
-                    st.service_owned = true;
-                    return;
-                }
-                GateMode::Rebalance if st.service_owned => return,
-                // Park with writer preference (see `Gate::wait_exclusive`):
-                // a continuous stream of overlapping scanners must not
-                // starve the service out of its window.
-                _ => gate.wait_exclusive(&mut st),
-            }
+        // The master is the only thread that publishes resizes, so a gate
+        // of the instance it just loaded cannot be invalidated under it.
+        assert!(!gate.is_invalidated(), "the master claimed a dead gate");
+        while gate.mode() != GateMode::Rebalance && !gate.try_exclusive(&st, Exclusive::Rebalance) {
+            // Park with writer preference (see `Gate::wait_exclusive`): a
+            // continuous stream of overlapping scanners must not starve the
+            // service out of its window.
+            gate.wait_exclusive(&mut st, &self.shared.stats);
         }
     }
 
@@ -362,23 +357,18 @@ impl Master {
         let now = Instant::now();
         for g in g_lo..g_hi {
             let gate = &inst.gates[g];
-            let drain = {
-                let mut st = gate.lock();
-                st.mode = GateMode::Free;
-                st.service_owned = false;
-                st.queue_closed = false;
-                st.rebalance_epoch += 1;
-                st.last_global_rebalance = now;
-                let drain = !st.pending.is_empty() && !st.delegated && !st.invalidated;
-                if drain {
-                    // Keep later writers appending FIFO behind the queued
-                    // operations until the drain runs (same protocol as the
-                    // `t_delay` parking in `drain_batch`).
-                    st.delegated = true;
-                }
-                drain
-            };
-            gate.notify_all();
+            let mut st = gate.lock();
+            st.queue_closed = false;
+            st.rebalance_epoch += 1;
+            st.last_global_rebalance = now;
+            let drain = !st.pending.is_empty() && !st.delegated;
+            if drain {
+                // Keep later writers appending FIFO behind the queued
+                // operations until the drain runs (same protocol as the
+                // `t_delay` parking in `drain_batch`).
+                st.delegated = true;
+            }
+            gate.release_exclusive(st, &self.shared.stats);
             if drain {
                 let _ = self.req_tx.send(Request::DelayedBatch {
                     gate_id: g,
@@ -405,10 +395,10 @@ impl Master {
         // SAFETY: pinned above.
         let inst = unsafe { self.shared.instance_ref() };
         let stale = gate_id >= inst.num_gates() || {
-            let st = inst.gates[gate_id].lock();
+            let gate = &inst.gates[gate_id];
+            let st = gate.lock();
             let (inst_addr, epoch) = origin;
-            st.invalidated
-                || !(st.mode == GateMode::Rebalance && st.service_owned)
+            gate.mode() != GateMode::Rebalance
                 || inst_addr != inst as *const PmaInstance as usize
                 || epoch != st.rebalance_epoch
         };
@@ -453,14 +443,7 @@ impl Master {
         ops: Vec<UpdateOp>,
     ) -> QueueDrain {
         let gate = &inst.gates[gate_id];
-        let (fence_lo, fence_hi) = {
-            let st = gate.lock();
-            (st.fence_lo, st.fence_hi)
-        };
-        let outside = ops
-            .iter()
-            .filter(|op| op.key() < fence_lo || op.key() > fence_hi)
-            .count();
+        let outside = ops.iter().filter(|op| !gate.covers(op.key())).count();
         if outside > 0 {
             Stats::add(&self.shared.stats.late_replays, outside as u64);
             debug_assert!(
@@ -588,12 +571,7 @@ impl Master {
     fn settle_window_queues(&self, inst: &PmaInstance, g_lo: usize, g_hi: usize) -> Vec<UpdateOp> {
         let mut span = obs::span(obs::Category::RebalanceSettle, 0);
         // Fences are stable while the gates are owned; snapshot them once.
-        let fences: Vec<(Key, Key)> = (g_lo..g_hi)
-            .map(|g| {
-                let st = inst.gates[g].lock();
-                (st.fence_lo, st.fence_hi)
-            })
-            .collect();
+        let fences: Vec<(Key, Key)> = (g_lo..g_hi).map(|g| inst.gates[g].fences()).collect();
         let mut moved: Vec<UpdateOp> = Vec::new();
         for g in g_lo..g_hi {
             let gate = &inst.gates[g];
@@ -758,8 +736,8 @@ impl Master {
 
         // Install the staged chunks ("rewiring": a swap per gate), then update
         // fences and separators.
-        let outer_lo = inst.gates[g_lo].lock().fence_lo;
-        let outer_hi = inst.gates[g_hi - 1].lock().fence_hi;
+        let outer_lo = inst.gates[g_lo].fences().0;
+        let outer_hi = inst.gates[g_hi - 1].fences().1;
         let mut mins = Vec::with_capacity(num_gates);
         // The pointer swaps install a new placement of the window's elements:
         // advance the write generation and stamp every installed chunk with
@@ -775,11 +753,8 @@ impl Master {
         let fences = compute_window_fences(outer_lo, outer_hi, &mins);
         for (i, &(lo, hi)) in fences.iter().enumerate() {
             let g = g_lo + i;
-            {
-                let mut st = inst.gates[g].lock();
-                st.fence_lo = lo;
-                st.fence_hi = hi;
-            }
+            let gate = &inst.gates[g];
+            gate.set_fences(&gate.lock(), lo, hi);
             inst.index.update_separator(g, lo);
         }
         if new_keys > 0 {
@@ -837,10 +812,7 @@ impl Master {
 
         if shrink_check {
             debug_assert!(batch.is_empty() && pre_ops.is_empty());
-            let capacity = inst.capacity();
-            let still_underfull =
-                (keys.len() as f64) < self.shared.params.downsize_at * capacity as f64;
-            if !still_underfull || inst.num_gates() == 1 {
+            if !self.shared.should_downsize(inst, keys.len()) {
                 // Abort: the combining queues are left untouched —
                 // `release_gates` schedules a drain for any gate holding
                 // queued operations, preserving their FIFO position.
@@ -938,16 +910,11 @@ impl Master {
         // retire the old instance. Every queued operation was folded into
         // the published instance above, so nothing is stranded.
         for gate in old.gates.iter() {
-            {
-                let mut st = gate.lock();
-                st.invalidated = true;
-                st.service_owned = false;
-                st.queue_closed = false;
-                st.mode = GateMode::Free;
-                st.rebalance_epoch += 1;
-                debug_assert!(st.pending.is_empty(), "queue grew while closed");
-            }
-            gate.notify_all();
+            let mut st = gate.lock();
+            st.queue_closed = false;
+            st.rebalance_epoch += 1;
+            debug_assert!(st.pending.is_empty(), "queue grew while closed");
+            gate.invalidate(st, &self.shared.stats);
         }
         self.shared.garbage.retire(&self.shared.registry, old);
         Stats::bump(&self.shared.stats.resizes);
@@ -968,25 +935,11 @@ impl Master {
         }
         self.acquire_gate(inst, gate_id);
         let gate = &inst.gates[gate_id];
-        let (ops, invalid) = {
+        let ops = {
             let mut st = gate.lock();
-            let invalid = st.invalidated;
             st.delegated = false;
-            (st.pending.drain(..).collect::<Vec<_>>(), invalid)
+            st.pending.drain(..).collect::<Vec<_>>()
         };
-        if invalid {
-            // Unreachable: the master is the only thread that publishes
-            // resizes, so the instance it just loaded cannot have been
-            // invalidated under it — and writers never queue onto an
-            // invalidated gate in the first place.
-            debug_assert!(ops.is_empty(), "ops queued on an invalidated gate");
-            self.release_gates(inst, gate_id, gate_id + 1);
-            if !ops.is_empty() {
-                Stats::add(&self.shared.stats.late_replays, ops.len() as u64);
-                self.fold_into_current(ops);
-            }
-            return;
-        }
         // Deletions are applied before insertions; reduce the FIFO queue to
         // the last operation per key first so that split cannot reorder
         // same-key operations.
@@ -1034,30 +987,15 @@ impl Master {
         let _pin = self.shared.pin();
         // SAFETY: pinned above.
         let inst = unsafe { self.shared.instance_ref() };
-        if inst.num_gates() == 1 {
-            return;
-        }
-        let len = self.shared.element_count();
-        if (len as f64) >= self.shared.params.downsize_at * inst.capacity() as f64 {
+        if !self
+            .shared
+            .should_downsize(inst, self.shared.element_count())
+        {
             return;
         }
         // Own a gate as the starting point, then resize with a re-check.
         self.acquire_gate(inst, 0);
         self.resize(inst, 0, 1, Vec::new(), Vec::new(), true);
-    }
-
-    /// Folds operations whose home instance died under them into the
-    /// *current* instance through a full owned rebuild — the only way to
-    /// apply arbitrary keys without releasing ownership first. Unreachable
-    /// in practice (the invariant asserted by its callers makes the input
-    /// impossible); it exists so the impossible branch stays safe in release
-    /// builds instead of replaying operations after the fact.
-    fn fold_into_current(&self, ops: Vec<UpdateOp>) {
-        let _pin = self.shared.pin();
-        // SAFETY: pinned above.
-        let inst = unsafe { self.shared.instance_ref() };
-        self.acquire_gate(inst, 0);
-        self.resize(inst, 0, 1, Vec::new(), ops, false);
     }
 }
 

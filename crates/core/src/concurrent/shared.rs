@@ -108,6 +108,18 @@ impl Shared {
     pub fn element_count(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }
+
+    /// Whether `inst`, holding `len` elements, is under-full *and* a rebuild
+    /// would actually shrink it. The second half matters after a bulk load:
+    /// presizing rounds the gate count up to a power of two, so a loaded
+    /// density can sit below `downsize_at` while the presizing rule still
+    /// lands on the same capacity — a downsize would then rebuild the whole
+    /// array for nothing, and so would the one requested by the next remove.
+    pub fn should_downsize(&self, inst: &PmaInstance, len: usize) -> bool {
+        inst.num_gates() > 1
+            && (len as f64) < self.params.downsize_at * inst.capacity() as f64
+            && self.params.presized_gates(len) < inst.num_gates()
+    }
 }
 
 impl Drop for Shared {

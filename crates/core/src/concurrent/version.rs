@@ -3,18 +3,18 @@
 //! A [`CowGen`] tracks the global *write generation* of one PMA: every
 //! structural install (a redistribute's pointer swaps, a resize's fresh
 //! instance) advances it, and every chunk version carries the generation that
-//! installed it ([`super::gate::ChunkVersion::gen`]). Snapshots *pin* the
+//! installed it ([`super::chunk::ChunkData::gen`]). Snapshots *pin* the
 //! generation current at freeze time; the pin set drives the
 //! `pinned_generations` / `snapshot_lag` gauges.
 //!
 //! The generation stamps are observability metadata. Snapshot *correctness*
 //! is carried by `Arc` reference counting alone: a snapshot clones each
-//! gate's `Arc<ChunkVersion>` under a shared latch, and every exclusive
-//! mutation goes through [`super::gate::Gate::chunk_mut_cow`], which copies
-//! the payload when the version is shared. A snapshot's captured versions are
-//! therefore immutable for as long as it holds them — including across
-//! resizes, whose retired instances drop their gate `Arc`s while the
-//! snapshot's clones keep the payloads alive.
+//! gate's [`ChunkData`] handle under a shared latch (a reference-count bump
+//! on the chunk's slab), and every mutation of a chunk copies a slab that is
+//! still shared. A snapshot's captured versions are therefore immutable for
+//! as long as it holds them — including across resizes, whose retired
+//! instances drop their gates' handles while the snapshot's clones keep the
+//! slabs alive.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pma_common::{FrozenView, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
 
-use super::gate::ChunkVersion;
+use super::chunk::ChunkData;
 
 /// The global write-generation counter of one PMA, plus the set of
 /// generations pinned by live [`FrozenSnapshot`]s.
@@ -96,11 +96,11 @@ impl CowGen {
 /// empty chunks. A failure means fences moved between two per-gate captures
 /// (a concurrent redistribute), so the capture does not describe any single
 /// point in time and must be retried.
-pub(crate) fn fences_tile_key_space(pieces: &[(Key, Key, Arc<ChunkVersion>)]) -> bool {
+pub(crate) fn fences_tile_key_space(pieces: &[(Key, Key, ChunkData)]) -> bool {
     let mut expect = KEY_MIN as i128;
     for (lo, hi, version) in pieces {
         if lo > hi {
-            if version.data.cardinality() != 0 {
+            if version.cardinality() != 0 {
                 return false;
             }
             continue;
@@ -126,7 +126,7 @@ pub(crate) fn fences_tile_key_space(pieces: &[(Key, Key, Arc<ChunkVersion>)]) ->
 pub struct FrozenSnapshot {
     /// Non-degenerate captured pieces, ascending and disjoint by fences.
     /// Every key of a piece's chunk lies within its fences.
-    pieces: Vec<(Key, Key, Arc<ChunkVersion>)>,
+    pieces: Vec<(Key, Key, ChunkData)>,
     /// Total cardinality across the pieces.
     len: usize,
     /// The write generation pinned by this snapshot.
@@ -140,10 +140,10 @@ impl FrozenSnapshot {
     /// Builds a snapshot from validated captured pieces, pinning the current
     /// write generation. Degenerate pieces (empty gates) are dropped — they
     /// cover no key.
-    pub(crate) fn capture(pieces: Vec<(Key, Key, Arc<ChunkVersion>)>, cow: Arc<CowGen>) -> Self {
+    pub(crate) fn capture(pieces: Vec<(Key, Key, ChunkData)>, cow: Arc<CowGen>) -> Self {
         debug_assert!(fences_tile_key_space(&pieces));
         let pieces: Vec<_> = pieces.into_iter().filter(|&(lo, hi, _)| lo <= hi).collect();
-        let len = pieces.iter().map(|(_, _, v)| v.data.cardinality()).sum();
+        let len = pieces.iter().map(|(_, _, v)| v.cardinality()).sum();
         let gen = cow.pin();
         Self {
             pieces,
@@ -172,7 +172,7 @@ impl FrozenSnapshot {
                 }
             })
             .ok()?;
-        self.pieces[idx].2.data.get(key)
+        self.pieces[idx].2.get(key)
     }
 
     /// Number of elements in the frozen state.
@@ -198,7 +198,7 @@ impl FrozenSnapshot {
             if *piece_lo > hi {
                 break;
             }
-            if !version.data.range(lo, hi, visitor) {
+            if !version.range(lo, hi, visitor) {
                 break;
             }
         }
@@ -209,7 +209,7 @@ impl FrozenSnapshot {
     pub fn scan_all(&self) -> ScanStats {
         let mut stats = ScanStats::default();
         for (_, _, version) in &self.pieces {
-            version.data.scan(&mut stats);
+            version.scan(&mut stats);
         }
         stats
     }
@@ -251,15 +251,15 @@ impl std::fmt::Debug for FrozenSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::super::chunk::ChunkData;
     use super::*;
 
-    fn version_of(items: &[(Key, Value)], gen: u64) -> Arc<ChunkVersion> {
+    fn version_of(items: &[(Key, Value)], gen: u64) -> ChunkData {
         let mut chunk = ChunkData::new(2, 8);
         for &(k, v) in items {
             chunk.try_insert(k, v);
         }
-        Arc::new(ChunkVersion { gen, data: chunk })
+        chunk.set_gen(gen);
+        chunk
     }
 
     #[test]
@@ -303,25 +303,25 @@ mod tests {
 
         // Exact tiling, with a degenerate empty piece in the middle.
         assert!(fences_tile_key_space(&[
-            (KEY_MIN, 9, Arc::clone(&full)),
-            (10, 5, Arc::clone(&empty)),
-            (10, KEY_MAX, Arc::clone(&full)),
+            (KEY_MIN, 9, full.clone()),
+            (10, 5, empty.clone()),
+            (10, KEY_MAX, full.clone()),
         ]));
         // A gap between pieces fails.
         assert!(!fences_tile_key_space(&[
-            (KEY_MIN, 9, Arc::clone(&full)),
-            (11, KEY_MAX, Arc::clone(&full)),
+            (KEY_MIN, 9, full.clone()),
+            (11, KEY_MAX, full.clone()),
         ]));
         // An overlap fails.
         assert!(!fences_tile_key_space(&[
-            (KEY_MIN, 9, Arc::clone(&full)),
-            (9, KEY_MAX, Arc::clone(&full)),
+            (KEY_MIN, 9, full.clone()),
+            (9, KEY_MAX, full.clone()),
         ]));
         // Not reaching KEY_MAX fails.
-        assert!(!fences_tile_key_space(&[(KEY_MIN, 9, Arc::clone(&full))]));
+        assert!(!fences_tile_key_space(&[(KEY_MIN, 9, full.clone())]));
         // A degenerate piece with a non-empty chunk fails.
         assert!(!fences_tile_key_space(&[
-            (KEY_MIN, KEY_MAX, Arc::clone(&empty)),
+            (KEY_MIN, KEY_MAX, empty.clone()),
             (10, 5, full),
         ]));
     }
@@ -365,28 +365,28 @@ mod tests {
 
     #[test]
     fn frozen_snapshot_is_immune_to_source_chunk_cow() {
+        use super::super::gate::{Exclusive, Gate};
         // Mimic the writer protocol: build a gate, freeze its version, then
         // mutate through the CoW accessor and verify the frozen piece.
-        let gate = super::super::gate::Gate::new(0, 1, 8);
-        {
-            let mut st = gate.lock();
-            st.mode = super::super::gate::GateMode::Write;
-        }
-        // SAFETY: exclusive latch held as above; single-threaded test.
+        let stats = crate::stats::Stats::new();
+        let gate = Gate::new(0, 1, 8);
+        assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
+        // SAFETY: `Write` mode held by this thread.
         unsafe {
             gate.chunk_mut_cow(0).0.try_insert(1, 10);
         }
+        gate.release_exclusive(gate.lock(), &stats);
         let cow = Arc::new(CowGen::new());
-        // SAFETY: latch still held.
-        let version = unsafe { gate.chunk_version() };
+        let version = gate.acquire_shared(&stats).unwrap().version();
         let snap = FrozenSnapshot::capture(vec![(KEY_MIN, KEY_MAX, version)], Arc::clone(&cow));
-        // SAFETY: latch still held.
+        assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
+        // SAFETY: `Write` mode held by this thread.
         unsafe {
             let (chunk, copied) = gate.chunk_mut_cow(1);
             assert!(copied);
             chunk.try_insert(2, 20);
         }
-        gate.release_write();
+        gate.release_exclusive(gate.lock(), &stats);
         assert_eq!(snap.get(2), None, "snapshot must not see the later write");
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.get(1), Some(10));

@@ -20,8 +20,14 @@ pub struct AdaptivePredictor {
 impl AdaptivePredictor {
     /// Creates a predictor for `num_segments` segments.
     pub fn new(num_segments: usize) -> Self {
+        Self::from_activity(vec![0.0; num_segments])
+    }
+
+    /// Creates a predictor from previously recorded per-segment activity
+    /// (for callers that keep the counters in their own storage).
+    pub fn from_activity(activity: Vec<f64>) -> Self {
         Self {
-            activity: vec![0.0; num_segments],
+            activity,
             decay: 0.5,
         }
     }

@@ -338,7 +338,7 @@ where
         if self.len == 0 {
             return None;
         }
-        Stats::bump(&self.stats.lookups);
+        self.stats.lookups.add(1);
         let s = self.find_segment(key);
         let start = self.seg_start(s);
         K::search_run(self.seg_keys(s), key)

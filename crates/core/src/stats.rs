@@ -6,6 +6,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pma_common::util::StripedCounter;
+
 /// Internal atomic counters. All increments use relaxed ordering: the counters
 /// are diagnostics, not synchronisation.
 #[derive(Debug, Default)]
@@ -14,8 +16,11 @@ pub struct Stats {
     pub inserts: AtomicU64,
     /// Successful deletions applied to the array.
     pub deletes: AtomicU64,
-    /// Point lookups served.
-    pub lookups: AtomicU64,
+    /// Point lookups served. Striped per thread: every `get` of every
+    /// client bumps it, and a plain counter here would put a store to a
+    /// line all clients share (the one `inserts` and `deletes` live on) on
+    /// the read path.
+    pub lookups: StripedCounter,
     /// Rebalances fully contained in one gate, executed by the writer itself.
     pub local_rebalances: AtomicU64,
     /// Rebalances spanning multiple gates, executed by the rebalancer service.
@@ -53,6 +58,13 @@ pub struct Stats {
     /// version still pinned by a frozen snapshot (the copy-on-write slow
     /// path). Zero while no snapshot is live.
     pub cow_copies: AtomicU64,
+    /// Times a thread went to sleep on a gate's condvar (the latch slow
+    /// path: a reader behind an exclusive owner, an exclusive acquirer
+    /// behind readers, a writer waiting out a rebalance).
+    pub gate_parks: AtomicU64,
+    /// Times a gate release found a parked thread and notified. Zero, like
+    /// `gate_parks`, on a quiescent read path.
+    pub gate_wakes: AtomicU64,
 }
 
 impl Stats {
@@ -76,7 +88,7 @@ impl Stats {
         StatsSnapshot {
             inserts: self.inserts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
+            lookups: self.lookups.sum(),
             local_rebalances: self.local_rebalances.load(Ordering::Relaxed),
             global_rebalances: self.global_rebalances.load(Ordering::Relaxed),
             resizes: self.resizes.load(Ordering::Relaxed),
@@ -90,6 +102,8 @@ impl Stats {
             owned_applies: self.owned_applies.load(Ordering::Relaxed),
             late_replays: self.late_replays.load(Ordering::Relaxed),
             cow_copies: self.cow_copies.load(Ordering::Relaxed),
+            gate_parks: self.gate_parks.load(Ordering::Relaxed),
+            gate_wakes: self.gate_wakes.load(Ordering::Relaxed),
         }
     }
 }
@@ -131,6 +145,10 @@ pub struct StatsSnapshot {
     /// Chunk payloads copied by the copy-on-write path because a frozen
     /// snapshot still pinned them.
     pub cow_copies: u64,
+    /// Times a thread went to sleep on a gate's condvar.
+    pub gate_parks: u64,
+    /// Times a gate release found a parked thread and notified.
+    pub gate_wakes: u64,
 }
 
 impl StatsSnapshot {
@@ -156,6 +174,8 @@ impl pma_common::obs::MetricSource for StatsSnapshot {
         out.counter("owned_applies", self.owned_applies);
         out.counter("late_replays", self.late_replays);
         out.counter("cow_copies", self.cow_copies);
+        out.counter("gate_parks", self.gate_parks);
+        out.counter("gate_wakes", self.gate_wakes);
     }
 }
 
@@ -168,10 +188,12 @@ mod tests {
         let s = Stats::new();
         Stats::bump(&s.inserts);
         Stats::bump(&s.inserts);
+        s.lookups.add(3);
         Stats::add(&s.combined_ops, 5);
         Stats::bump(&s.resizes);
         let snap = s.snapshot();
         assert_eq!(snap.inserts, 2);
+        assert_eq!(snap.lookups, 3);
         assert_eq!(snap.combined_ops, 5);
         assert_eq!(snap.resizes, 1);
         assert_eq!(snap.deletes, 0);

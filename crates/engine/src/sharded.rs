@@ -481,13 +481,32 @@ struct Engine {
     /// Workers executing cross-shard fan-out (scans, batch runs).
     pool: WorkerPool,
     stats: EngineStats,
-    /// Combining counters absorbed from shards retired by splits/merges
-    /// (their inner instances die with their counters): summed into
-    /// `combining_stats` so a `late_replays` hit can never be masked by a
-    /// later structural rebuild of the shard that recorded it.
-    retired_owned_applies: AtomicU64,
-    retired_late_replays: AtomicU64,
+    /// Counters absorbed from shards retired by splits/merges (their inner
+    /// instances die with their counters), by metric name: added to the
+    /// live shards' sums in `combining_stats` and `observe_metrics`, so the
+    /// forwarded counters stay monotone and a `late_replays` hit can never
+    /// be masked by a later structural rebuild of the shard that recorded
+    /// it.
+    retired_counters: Mutex<BTreeMap<String, u64>>,
     stop: AtomicBool,
+}
+
+/// The counters an inner map exports, by name, and its `queue_depth` gauge.
+fn inner_counters(map: &dyn ConcurrentMap) -> (BTreeMap<String, u64>, f64) {
+    let mut sink = obs::Observations::new();
+    map.observe_metrics(&mut sink);
+    let mut counters = BTreeMap::new();
+    let mut depth = 0.0;
+    for metric in sink.into_snapshot().metrics {
+        match metric.value {
+            obs::metrics::MetricValue::Counter(v) => {
+                *counters.entry(metric.name).or_default() += v;
+            }
+            obs::metrics::MetricValue::Gauge(v) if metric.name == "queue_depth" => depth += v,
+            _ => {}
+        }
+    }
+    (counters, depth)
 }
 
 impl Engine {
@@ -498,39 +517,30 @@ impl Engine {
         &*self.dir.load(Ordering::Acquire)
     }
 
-    /// Folds a soon-to-be-retired shard's combining counters into the
-    /// engine-level accumulators, returning the absorbed snapshot. Called
-    /// **before** the directory swap: a concurrent `combining_stats` reader
-    /// may transiently count the shard twice (once live, once absorbed),
-    /// which only overstates — the reverse order would open a window where a
-    /// `late_replays` hit is counted in neither place and a protocol
-    /// violation could be masked. Counters the shard accrues *after* this
-    /// call (its post-publish settling flush) are folded in by
-    /// [`Engine::absorb_counter_delta`].
-    fn absorb_retired_counters(&self, shard: &Shard) -> CombiningStats {
-        let stats = shard.map.combining_stats().unwrap_or_default();
-        self.retired_owned_applies
-            .fetch_add(stats.owned_applies, Ordering::Relaxed);
-        self.retired_late_replays
-            .fetch_add(stats.late_replays, Ordering::Relaxed);
-        stats
-    }
-
-    /// Folds the counters a retired shard accrued after `already` was
-    /// absorbed (the settling flush that runs after publication applies the
-    /// inner queue backlog, which still ticks `owned_applies` — and must
-    /// still surface a `late_replays` hit).
-    fn absorb_counter_delta(&self, shard: &Shard, already: CombiningStats) {
-        if let Some(now) = shard.map.combining_stats() {
-            self.retired_owned_applies.fetch_add(
-                now.owned_applies.saturating_sub(already.owned_applies),
-                Ordering::Relaxed,
-            );
-            self.retired_late_replays.fetch_add(
-                now.late_replays.saturating_sub(already.late_replays),
-                Ordering::Relaxed,
-            );
+    /// Folds into the engine-level accumulators whatever a soon-to-be (or
+    /// just) retired shard's inner map counted beyond `already`, returning
+    /// its current counters. Called first **before** the directory swap
+    /// with nothing absorbed yet: a concurrent reader may transiently count
+    /// the shard twice (once live, once absorbed), which only overstates —
+    /// the reverse order would open a window where a `late_replays` hit is
+    /// counted in neither place and a protocol violation could be masked.
+    /// Called again, with the first call's result, after the post-publish
+    /// settling flush: applying the inner queue backlog still ticks
+    /// `owned_applies` — and must still surface a `late_replays` hit.
+    fn absorb_counters(
+        &self,
+        shard: &Shard,
+        already: &BTreeMap<String, u64>,
+    ) -> BTreeMap<String, u64> {
+        let now = inner_counters(shard.map.as_ref()).0;
+        let mut retired = self.retired_counters.lock();
+        for (name, &value) in &now {
+            let delta = value.saturating_sub(already.get(name).copied().unwrap_or(0));
+            if delta > 0 {
+                *retired.entry(name.clone()).or_default() += delta;
+            }
         }
+        now
     }
 
     /// Publishes `shards` as the next directory generation and retires the
@@ -765,7 +775,7 @@ impl Engine {
         // deferred visibility those ops would have had without a split.
         captured += Self::fold_delta(&delta, boundary, left.as_ref(), right.as_ref());
         debug_assert!(delta.is_empty(), "a fenced fold must drain the log");
-        let absorbed = self.absorb_retired_counters(&shard);
+        let absorbed = self.absorb_counters(&shard, &BTreeMap::new());
         let wrote = shard.wrote.load(Ordering::Relaxed);
         let mut shards = Vec::with_capacity(dir.shards.len() + 1);
         shards.extend(dir.shards[..idx].iter().cloned());
@@ -789,7 +799,7 @@ impl Engine {
         // shard and the instance drops clean, then fold the counters that
         // settling accrued.
         shard.map.flush();
-        self.absorb_counter_delta(&shard, absorbed);
+        self.absorb_counters(&shard, &absorbed);
         EngineStats::bump(&self.stats.shard_splits);
         EngineStats::add(&self.stats.split_stall_ns, stall.as_nanos() as u64);
         EngineStats::add(&self.stats.delta_ops, captured);
@@ -834,7 +844,7 @@ impl Engine {
         shards.push(Shard::new(shard.lo, boundary - 1, left, wrote));
         shards.push(Shard::new(boundary, shard.hi, right, wrote));
         shards.extend(dir.shards[idx + 1..].iter().cloned());
-        self.absorb_retired_counters(&shard);
+        self.absorb_counters(&shard, &BTreeMap::new());
         self.publish(dir.generation + 1, shards);
         shard.retired.store(true, Ordering::Release);
         drop(exclusive);
@@ -892,8 +902,8 @@ impl Engine {
         let mut right_gate = right.latch.write();
         captured += Self::fold_delta(&delta, KEY_MIN, merged.as_ref(), merged.as_ref());
         debug_assert!(delta.is_empty(), "a fenced fold must drain the log");
-        let left_absorbed = self.absorb_retired_counters(&left);
-        let right_absorbed = self.absorb_retired_counters(&right);
+        let left_absorbed = self.absorb_counters(&left, &BTreeMap::new());
+        let right_absorbed = self.absorb_counters(&right, &BTreeMap::new());
         let mut shards = Vec::with_capacity(dir.shards.len() - 1);
         shards.extend(dir.shards[..idx].iter().cloned());
         let wrote = left.wrote.load(Ordering::Relaxed) || right.wrote.load(Ordering::Relaxed);
@@ -910,8 +920,8 @@ impl Engine {
 
         left.map.flush();
         right.map.flush();
-        self.absorb_counter_delta(&left, left_absorbed);
-        self.absorb_counter_delta(&right, right_absorbed);
+        self.absorb_counters(&left, &left_absorbed);
+        self.absorb_counters(&right, &right_absorbed);
         EngineStats::bump(&self.stats.shard_merges);
         EngineStats::add(&self.stats.split_stall_ns, stall.as_nanos() as u64);
         EngineStats::add(&self.stats.delta_ops, captured);
@@ -1482,8 +1492,7 @@ impl ShardedMap {
             maintenance: Mutex::new(()),
             pool: WorkerPool::new(pool_size),
             stats: EngineStats::new(),
-            retired_owned_applies: AtomicU64::new(0),
-            retired_late_replays: AtomicU64::new(0),
+            retired_counters: Mutex::new(BTreeMap::new()),
             stop: AtomicBool::new(false),
         });
         #[cfg(debug_assertions)]
@@ -1650,7 +1659,7 @@ impl ShardedMap {
                     }
                     _ => {
                         shard.ops.fetch_add(1, Ordering::Relaxed);
-                        EngineStats::bump(&self.engine.stats.routed_ops);
+                        self.engine.stats.routed_ops.add(1);
                         return apply(shard, &gate);
                     }
                 }
@@ -1702,7 +1711,7 @@ impl ConcurrentMap for ShardedMap {
                 continue;
             }
             shard.ops.fetch_add(1, Ordering::Relaxed);
-            EngineStats::bump(&self.engine.stats.routed_ops);
+            self.engine.stats.routed_ops.add(1);
             return shard.get_op(&gate, key);
         }
     }
@@ -1862,14 +1871,18 @@ impl ConcurrentMap for ShardedMap {
 
     fn combining_stats(&self) -> Option<CombiningStats> {
         // Live shards plus the counters absorbed from shards retired by
-        // splits/merges (`absorb_retired_counters`), so a `late_replays` hit
+        // splits/merges (`absorb_counters`), so a `late_replays` hit
         // recorded before a structural rebuild is never masked by it.
         let _pin = self.engine.epoch.pin();
         // SAFETY: pinned above.
         let dir = unsafe { self.engine.dir_ref() };
-        let mut total = CombiningStats {
-            owned_applies: self.engine.retired_owned_applies.load(Ordering::Relaxed),
-            late_replays: self.engine.retired_late_replays.load(Ordering::Relaxed),
+        let mut total = {
+            let retired = self.engine.retired_counters.lock();
+            let of = |name| retired.get(name).copied().unwrap_or(0);
+            CombiningStats {
+                owned_applies: of("owned_applies"),
+                late_replays: of("late_replays"),
+            }
         };
         let mut any = false;
         for shard in &dir.shards {
@@ -1920,32 +1933,51 @@ impl ConcurrentMap for ShardedMap {
     }
 
     fn observe_metrics(&self, out: &mut dyn obs::Observe) {
-        use obs::MetricSource;
+        use obs::metrics::MetricValue;
+        use obs::{MetricSource, Observe};
+        // The engine's own view first: its aggregates take precedence over
+        // a forwarded inner counter of the same name.
+        let mut own = obs::Observations::new();
         if let Some(combining) = self.combining_stats() {
-            combining.observe(out);
+            combining.observe(&mut own);
         }
         if let Some(maintenance) = self.maintenance_stats() {
-            maintenance.observe(out);
+            maintenance.observe(&mut own);
         }
         let stats = self.engine.stats.snapshot();
-        out.counter("routed_ops", stats.routed_ops);
-        out.counter("retired_retries", stats.retired_retries);
-        out.counter("delta_ops", stats.delta_ops);
-        out.counter("batch_runs", stats.batch_runs);
-        out.counter("cross_shard_scans", stats.cross_shard_scans);
-        out.counter("monitor_errors", stats.monitor_errors);
-        // Combining-queue depth is an inner-map gauge: capture each shard's
-        // metrics privately and sum the depths, so the engine surfaces one
-        // `queue_depth` instead of S clashing ones.
+        own.counter("routed_ops", stats.routed_ops);
+        own.counter("retired_retries", stats.retired_retries);
+        own.counter("delta_ops", stats.delta_ops);
+        own.counter("batch_runs", stats.batch_runs);
+        own.counter("cross_shard_scans", stats.cross_shard_scans);
+        own.counter("monitor_errors", stats.monitor_errors);
+        let own = own.into_snapshot();
+        for metric in &own.metrics {
+            match &metric.value {
+                MetricValue::Counter(v) => out.counter(&metric.name, *v),
+                MetricValue::Gauge(v) => out.gauge(&metric.name, *v),
+                MetricValue::Histogram(h) => out.histogram(&metric.name, &h.buckets, h.count),
+            }
+        }
+        // Then the inner maps' counters (rebalances, resizes, combining,
+        // gate parks...), summed over the live shards plus what retired
+        // shards left behind, and their combining-queue depths summed into
+        // one `queue_depth` instead of S clashing ones.
         let _pin = self.engine.epoch.pin();
         // SAFETY: pinned above.
         let dir = unsafe { self.engine.dir_ref() };
+        let mut counters = self.engine.retired_counters.lock().clone();
         let mut depth = 0.0;
         for shard in &dir.shards {
-            let mut inner = obs::Observations::new();
-            shard.map.observe_metrics(&mut inner);
-            if let Some(v) = inner.into_snapshot().value("queue_depth") {
-                depth += v;
+            let (shard_counters, shard_depth) = inner_counters(shard.map.as_ref());
+            for (name, value) in shard_counters {
+                *counters.entry(name).or_default() += value;
+            }
+            depth += shard_depth;
+        }
+        for (name, value) in counters {
+            if own.get(&name).is_none() {
+                out.counter(&name, value);
             }
         }
         out.gauge("queue_depth", depth);
@@ -2462,6 +2494,43 @@ mod tests {
         assert_eq!(m.merges, 1);
         assert!(m.stall_ns > 0);
         assert_eq!(m.thrash_averted, 0);
+    }
+
+    #[test]
+    fn observe_metrics_forwards_shard_counters_across_splits() {
+        use pma_common::obs::Observations;
+        let counters = |map: &ShardedMap| {
+            let mut sink = Observations::new();
+            map.observe_metrics(&mut sink);
+            sink.into_snapshot()
+        };
+        let map = ShardedMap::new(config(2), registry()).unwrap();
+        for k in 0..4_000i64 {
+            map.insert(k, k);
+        }
+        map.flush();
+        assert_eq!(map.get(17), Some(17));
+        let before = counters(&map);
+        assert_eq!(before.counter("inserts"), Some(4_000));
+        assert_eq!(before.counter("lookups"), Some(1));
+        assert!(before.counter("local_rebalances").unwrap() > 0);
+        assert!(before.counter("gate_parks").is_some());
+        // One name, one value: the engine's own aggregate wins.
+        let names: Vec<_> = before.metrics.iter().map(|m| &m.name).collect();
+        let mut deduped = names.clone();
+        deduped.sort();
+        deduped.dedup();
+        assert_eq!(names.len(), deduped.len(), "duplicate metric in {names:?}");
+        // A split rebuilds the shard into two fresh inner maps; what the
+        // retired one counted must not vanish from the forwarded sums.
+        assert!(map.split_shard(1).unwrap());
+        let after = counters(&map);
+        for name in ["inserts", "lookups", "local_rebalances", "owned_applies"] {
+            assert!(
+                after.counter(name) >= before.counter(name),
+                "{name} went backwards across a split"
+            );
+        }
     }
 
     #[test]

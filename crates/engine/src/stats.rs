@@ -9,12 +9,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pma_common::util::StripedCounter;
+
 /// Internal atomic counters. All increments use relaxed ordering: the
 /// counters are diagnostics, not synchronisation.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     /// Point operations (insert/remove/get) routed through the directory.
-    pub routed_ops: AtomicU64,
+    /// Striped per thread: it is the one engine counter every point
+    /// operation of every client bumps.
+    pub routed_ops: StripedCounter,
     /// Operations that retried because they reached a shard retired by a
     /// concurrent split or merge.
     pub retired_retries: AtomicU64,
@@ -78,7 +82,7 @@ impl EngineStats {
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> ShardedStats {
         ShardedStats {
-            routed_ops: self.routed_ops.load(Ordering::Relaxed),
+            routed_ops: self.routed_ops.sum(),
             retired_retries: self.retired_retries.load(Ordering::Relaxed),
             shard_splits: self.shard_splits.load(Ordering::Relaxed),
             shard_merges: self.shard_merges.load(Ordering::Relaxed),
@@ -172,7 +176,7 @@ mod tests {
         let s = EngineStats::new();
         EngineStats::bump(&s.shard_splits);
         EngineStats::bump(&s.shard_merges);
-        EngineStats::add(&s.routed_ops, 7);
+        s.routed_ops.add(7);
         EngineStats::add(&s.split_stall_ns, 2_500);
         EngineStats::add(&s.delta_ops, 3);
         EngineStats::add(&s.delta_runs, 2);

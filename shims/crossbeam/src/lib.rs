@@ -19,6 +19,12 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
         cond: Condvar,
+        /// Receivers blocked in `recv`/`recv_timeout`, counted under the
+        /// queue mutex (before the wait releases it, after it is
+        /// re-acquired), so `send` — which pushes under the same mutex —
+        /// can skip the `futex` wake when nobody is parked without losing a
+        /// wake-up.
+        parked: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
@@ -58,6 +64,7 @@ pub mod channel {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
+            parked: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
         });
@@ -79,7 +86,9 @@ pub mod channel {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             queue.push_back(value);
             drop(queue);
-            self.shared.cond.notify_one();
+            if self.shared.parked.load(Ordering::SeqCst) != 0 {
+                self.shared.cond.notify_one();
+            }
             Ok(())
         }
     }
@@ -120,11 +129,13 @@ pub mod channel {
                 if self.shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
+                self.shared.parked.fetch_add(1, Ordering::SeqCst);
                 queue = self
                     .shared
                     .cond
                     .wait(queue)
                     .unwrap_or_else(|e| e.into_inner());
+                self.shared.parked.fetch_sub(1, Ordering::SeqCst);
             }
         }
 
@@ -143,11 +154,13 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                self.shared.parked.fetch_add(1, Ordering::SeqCst);
                 let (guard, _result) = self
                     .shared
                     .cond
                     .wait_timeout(queue, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
+                self.shared.parked.fetch_sub(1, Ordering::SeqCst);
                 queue = guard;
             }
         }
@@ -236,6 +249,25 @@ pub mod channel {
             all.extend(b.join().unwrap());
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn send_wakes_a_parked_receiver_and_skips_the_wake_otherwise() {
+            let (tx, rx) = unbounded::<u32>();
+            let parked = Arc::clone(&tx.shared);
+            // Nobody parked: the send must not need the condvar at all.
+            tx.send(1).unwrap();
+            assert_eq!(rx.recv(), Ok(1));
+            let receiver = std::thread::spawn(move || rx.recv());
+            // `parked` is bumped under the queue mutex right before the wait
+            // releases it: once it reads 1 the receiver is (about to be)
+            // asleep and only a real notify gets it out.
+            while parked.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            tx.send(2).unwrap();
+            assert_eq!(receiver.join().unwrap(), Ok(2));
+            assert_eq!(parked.parked.load(Ordering::SeqCst), 0);
         }
 
         #[test]

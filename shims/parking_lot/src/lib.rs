@@ -12,6 +12,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
 pub struct Mutex<T: ?Sized> {
@@ -99,8 +100,19 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 }
 
 /// A condition variable compatible with [`MutexGuard`].
+///
+/// Like the real crate, a notify with nobody parked is one load and no
+/// syscall (std's condvar issues a `futex` wake unconditionally). `waiters`
+/// counts the threads inside [`Condvar::wait`]; it is incremented while the
+/// caller still holds its mutex and decremented after the mutex is
+/// re-acquired. No wake-up is lost: a notifier that changed the predicate
+/// under the same mutex did so either before the waiter checked it (the
+/// waiter sees the change and does not wait) or after the waiter released
+/// the mutex inside `wait` — and then the mutex hand-off orders the
+/// increment before the notifier's load, which therefore reads non-zero.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -108,6 +120,7 @@ impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
@@ -115,18 +128,24 @@ impl Condvar {
     /// released while waiting and re-acquired before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard present outside wait");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
     /// Wakes a single waiting thread.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes every waiting thread.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -248,6 +267,100 @@ mod tests {
             cvar.notify_all();
         }
         assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn notify_all_reaches_every_parked_waiter() {
+        const N: usize = 6;
+        // (threads that entered the wait loop, go flag)
+        let shared = Arc::new((Mutex::new((0usize, false)), Condvar::new()));
+        let waiters: Vec<_> = (0..N)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let (lock, cvar) = &*shared;
+                    let mut st = lock.lock();
+                    st.0 += 1;
+                    while !st.1 {
+                        cvar.wait(&mut st);
+                    }
+                })
+            })
+            .collect();
+        let (lock, cvar) = &*shared;
+        // A waiter bumps the count under the mutex and only releases it
+        // inside `wait`: once the count reads N under the mutex, all N are
+        // parked.
+        loop {
+            let mut st = lock.lock();
+            if st.0 == N {
+                assert_eq!(cvar.waiters.load(Ordering::SeqCst), N);
+                st.1 = true;
+                break;
+            }
+            drop(st);
+            std::thread::yield_now();
+        }
+        cvar.notify_all();
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(cvar.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn notify_with_nobody_parked_is_elided_and_loses_nothing() {
+        const ROUNDS: usize = 10_000;
+        // (waiter is parked or about to park, token available)
+        let shared = Arc::new((Mutex::new((false, false)), Condvar::new()));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (shared, barrier) = (Arc::clone(&shared), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let (lock, cvar) = &*shared;
+                for round in 0..ROUNDS {
+                    if round % 3 == 1 {
+                        // Notify-before-wait: the token is already there.
+                        barrier.wait();
+                    }
+                    let mut st = lock.lock();
+                    st.0 = true;
+                    while !st.1 {
+                        cvar.wait(&mut st);
+                    }
+                    *st = (false, false);
+                    drop(st);
+                    barrier.wait();
+                }
+            })
+        };
+        let (lock, cvar) = &*shared;
+        for round in 0..ROUNDS {
+            match round % 3 {
+                // Wait-before-notify: only notify once the waiter is parked.
+                0 => loop {
+                    let mut st = lock.lock();
+                    if st.0 {
+                        st.1 = true;
+                        break;
+                    }
+                    drop(st);
+                    std::thread::yield_now();
+                },
+                // Notify-before-wait: the waiter is held at the barrier, so
+                // this notify finds nobody parked and is elided.
+                1 => {
+                    lock.lock().1 = true;
+                    cvar.notify_one();
+                    barrier.wait();
+                }
+                // Unforced: both sides race.
+                _ => lock.lock().1 = true,
+            }
+            cvar.notify_one();
+            barrier.wait();
+        }
+        waiter.join().unwrap();
     }
 
     #[test]
