@@ -49,6 +49,7 @@ pub mod affinity;
 pub mod backends;
 pub mod bytesharded;
 mod merge;
+mod park;
 pub mod router;
 pub mod sharded;
 pub mod stats;

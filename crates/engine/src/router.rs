@@ -6,30 +6,40 @@
 //! cache bouncing and directory latch traffic at high thread counts), the
 //! router pins `N` persistent worker threads — one per contiguous worker
 //! key range — and client threads *ship* operations to the owning worker
-//! through a bounded MPSC ingress queue. Routing reuses the SIMD fence
+//! through a bounded MPSC ingress ring. Routing reuses the SIMD fence
 //! probe of the shard directory ([`pma_common::simd::route`]) over a fixed
 //! fence array derived from the same uniform domain tiling the sharded
 //! engine seeds its directory with, so a worker's ingress traffic maps onto
 //! a stable shard group of the inner structure.
 //!
-//! The data flow is **route → ship → drain → owned apply**:
+//! The data flow is **route → ship → poll → drain → reply**:
 //!
 //! * **route** — the client probes the worker fences with the SIMD kernel
 //!   (`O(log W)`, branch-free tail) to find the owning worker;
-//! * **ship** — point inserts are shipped fire-and-forget (§3.5's batch
-//!   mode: the queue *is* the combining buffer), `get`/`remove` ship with a
-//!   completion slot and wait (one-by-one mode), and `insert_batch` splits
-//!   at the worker fences and ships whole runs with completion slots;
-//! * **drain** — each worker drains its queue in runs (up to
-//!   [`DRAIN_RUN`] ops per pass), coalescing consecutive inserts and
-//!   shipped runs into one buffer that is applied through the inner map's
-//!   `insert_batch` fast path before any read/remove/barrier in the run;
-//! * **owned apply** — all mutations go through the inner structure's
-//!   normal latched paths, so the engine's linearizability invariant
-//!   (`late_replays == 0`) holds unchanged; the router adds ordering on
-//!   top: a worker's queue is FIFO and a key always routes to the same
-//!   worker, so same-key operations apply in ship order, and a `get`
-//!   shipped after an insert of the same key observes it.
+//! * **ship** — one push onto the worker's lock-free ring
+//!   ([`crossbeam::queue::ArrayQueue`]: a CAS and a store). Point inserts
+//!   are fire-and-forget (§3.5's batch mode: the ring *is* the combining
+//!   buffer), `get`/`remove` carry the client thread's reply cell and
+//!   wait on it (one-by-one mode), and `insert_batch` splits at the worker
+//!   fences and ships whole runs that all answer to the same cell;
+//! * **poll** — nobody sleeps while traffic flows. Every wait (worker on an
+//!   empty ring, client on its reply, `Block`-policy producer on a full
+//!   ring) is the one routine of `park.rs`: spin, then yield between
+//!   checks, and only past its polling budget park; whoever ends a wait
+//!   checks one flag and makes the `futex` call only if somebody is parked,
+//!   so an idle router costs no CPU and a busy one no sleeps or wake-ups;
+//! * **drain** — each worker pops runs (up to [`DRAIN_RUN`] ops per pass),
+//!   coalescing consecutive inserts and shipped runs into one buffer that
+//!   is applied through the inner map's `insert_batch` fast path before
+//!   any read/remove/barrier in the run.
+//!   All mutations go through the inner structure's normal latched paths,
+//!   so the engine's linearizability invariant (`late_replays == 0`) holds
+//!   unchanged; the router adds ordering on top: a worker's ring is FIFO
+//!   and a key always routes to the same worker, so same-key operations
+//!   apply in ship order, and a `get` shipped after an insert of the same
+//!   key observes it;
+//! * **reply** — the worker stores the answer in the client's cell and
+//!   counts it down; no allocation, no lock.
 //!
 //! **Visibility**: shipped `get`/`remove` give genuine read-your-writes.
 //! FIFO shipping alone is not enough — a batch-mode inner may *park* a
@@ -44,29 +54,33 @@
 //! flushes the inner map, after which everything acknowledged is applied —
 //! exactly the promise the workload drivers rely on.
 //!
-//! **Overload** is explicit instead of hidden: the ingress queues are
+//! **Overload** is explicit instead of hidden: the ingress rings are
 //! bounded ([`CoreRouterConfig::queue_depth`]) and the
 //! [`OverloadPolicy`] picks between blocking producers (counted in
 //! `backpressure_waits`) and shedding via the typed
 //! [`PmaError::Overloaded`] error on [`ConcurrentMap::try_insert`] — the
 //! contract the open-loop workload driver measures sojourn and shed rates
-//! against.
+//! against. Barriers and the shutdown message take the blocking push like
+//! any other op (a worker always drains, so they get their slot); while one
+//! is queued it occupies one of the `queue_depth` slots.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use crossbeam::queue::ArrayQueue;
 use pma_common::obs::{MetricSource, Observe};
 use pma_common::{
     obs, simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError,
     ScanStats, Value,
 };
 
+use crate::park::{Parker, POLL_BUDGET};
 use crate::sharded::uniform_bounds;
 
-/// Maximum ops a worker takes out of its ingress queue per drain pass.
+/// Maximum ops a worker takes out of its ingress ring per drain pass.
 /// Bounds the latency of a sync op enqueued behind a long insert train
 /// while keeping the per-pass overhead (span, buffer flush) amortised.
 pub const DRAIN_RUN: usize = 1024;
@@ -74,6 +88,9 @@ pub const DRAIN_RUN: usize = 1024;
 /// Hard cap on worker threads (matches the sharded engine's shard cap — one
 /// worker per shard group is the intended operating point).
 const MAX_WORKERS: usize = 256;
+
+/// Hard cap on `queue_depth`: a ring is allocated up front (32 B a slot).
+const MAX_QUEUE_DEPTH: usize = 1 << 20;
 
 /// Overlay size at which a worker settles the inner structure and clears
 /// its read overlay. Bounds the overlay's memory (~a few MB per worker)
@@ -99,7 +116,8 @@ pub struct CoreRouterConfig {
     /// Number of pinned worker threads (1..=256). Each owns a contiguous
     /// range of the key domain.
     pub workers: usize,
-    /// Bounded depth of each worker's ingress queue (ops, >= 1).
+    /// Bounded depth of each worker's ingress queue (ops, 1..=2^20; the
+    /// ring is allocated up front).
     pub queue_depth: usize,
     /// What happens to producers when a queue is full.
     pub policy: OverloadPolicy,
@@ -131,41 +149,63 @@ impl CoreRouterConfig {
                 format!("must be in 1..={MAX_WORKERS}, got {}", self.workers),
             ));
         }
-        if self.queue_depth == 0 {
-            return Err(PmaError::invalid("queue_depth", "must be at least 1"));
+        if self.queue_depth == 0 || self.queue_depth > MAX_QUEUE_DEPTH {
+            return Err(PmaError::invalid(
+                "queue_depth",
+                format!("must be in 1..={MAX_QUEUE_DEPTH}, got {}", self.queue_depth),
+            ));
         }
         Ok(())
     }
 }
 
-/// A completion slot: the rendezvous half of a sync ship. The producer
-/// waits, the owning worker fills exactly once.
-struct CompletionSlot<T> {
-    slot: Mutex<Option<T>>,
-    ready: Condvar,
+/// Where the replies to a client thread's sync ships arrive: a countdown of
+/// outstanding replies and the value of the last `get`/`remove`. Each client
+/// thread owns one (see [`REPLY`]) and reuses it for every op; a shipped op
+/// carries a clone of the `Arc`, so the worker can never outlive the cell.
+#[derive(Default)]
+struct ReplyCell {
+    /// Replies still to come. The client sets it before it ships; a
+    /// worker's `Release` decrement publishes `found`/`value`.
+    pending: AtomicU32,
+    found: AtomicBool,
+    value: AtomicI64,
+    waiter: Parker,
 }
 
-impl<T> CompletionSlot<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
+thread_local! {
+    /// The calling thread's reply cell.
+    static REPLY: Arc<ReplyCell> = Arc::default();
+}
+
+impl ReplyCell {
+    /// Worker side: answers a `get`/`remove`.
+    fn complete(&self, result: Option<Value>, shared: &Shared) {
+        self.value
+            .store(result.unwrap_or_default(), Ordering::Relaxed);
+        self.found.store(result.is_some(), Ordering::Relaxed);
+        self.done(shared);
     }
 
-    fn fill(&self, value: T) {
-        *self.slot.lock() = Some(value);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> T {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(value) = slot.take() {
-                return value;
-            }
-            self.ready.wait(&mut slot);
+    /// Worker side: counts one reply down and, if it was the last, ends the
+    /// client's wait. The worker does not touch the cell's reply fields
+    /// after the decrement (the client may already be shipping its next op).
+    fn done(&self, shared: &Shared) {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.waiter.notify(&shared.counters.wakes_sent);
         }
+    }
+
+    /// Client side: waits for every reply expected since `pending` was set
+    /// and returns the value of the last `complete`.
+    fn wait(&self, shared: &Shared) -> Option<Value> {
+        let parks = &shared.counters.reply_parks;
+        self.waiter.wait(shared.poll, parks, || {
+            (self.pending.load(Ordering::Acquire) == 0).then_some(())
+        });
+        self.found
+            .load(Ordering::Relaxed)
+            .then(|| self.value.load(Ordering::Relaxed))
     }
 }
 
@@ -173,97 +213,90 @@ impl<T> CompletionSlot<T> {
 enum ShippedOp {
     /// Fire-and-forget upsert (§3.5 batch mode: acknowledged at enqueue).
     Insert(Key, Value),
-    /// Sync removal: the worker fills the slot with the previous value
-    /// (resolved against its read overlay, so it is exact even when the
-    /// inner structure would have delegated the delete).
-    Remove(Key, Arc<CompletionSlot<Option<Value>>>),
+    /// Sync removal: the worker replies with the previous value (resolved
+    /// against its read overlay, so it is exact even when the inner
+    /// structure would have delegated the delete).
+    Remove(Key, Arc<ReplyCell>),
     /// Sync lookup: FIFO behind earlier same-worker inserts and answered
     /// overlay-first, so it reads its own worker's writes even while the
     /// inner structure still holds them parked in a combining queue.
-    Get(Key, Arc<CompletionSlot<Option<Value>>>),
-    /// A whole per-worker batch run; the slot fills once the run is
-    /// applied.
-    Run(Vec<(Key, Value)>, Arc<CompletionSlot<()>>),
-    /// Drain barrier: fills once everything shipped before it is applied.
-    Barrier(Arc<CompletionSlot<()>>),
+    Get(Key, Arc<ReplyCell>),
+    /// A whole per-worker batch run. Boxed so a ring slot stays at 32 bytes.
+    Run(Box<ShippedRun>),
+    /// Drain barrier: replies once everything shipped before it is applied.
+    Barrier(Arc<ReplyCell>),
     /// Worker shutdown (sent by `Drop`, after all producers are gone).
     Stop,
 }
 
-/// Bounded MPSC ingress queue: a mutex-guarded ring with two condvars. The
-/// workspace's crossbeam shim only ships unbounded channels, and a
-/// hand-rolled queue is what gives the shed-or-block policies and the
-/// depth gauge their exact semantics anyway.
+const _: () = assert!(std::mem::size_of::<ShippedOp>() <= 24);
+
+/// Payload of [`ShippedOp::Run`]; the reply counts down once the run is
+/// applied.
+struct ShippedRun {
+    items: Vec<(Key, Value)>,
+    reply: Arc<ReplyCell>,
+}
+
+/// A worker's bounded MPSC ingress: the lock-free ring and the two places
+/// threads wait on it.
 struct IngressQueue {
-    items: Mutex<VecDeque<ShippedOp>>,
-    capacity: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
+    ring: ArrayQueue<ShippedOp>,
+    /// The worker, on an empty ring.
+    not_empty: Parker,
+    /// Producers that must not shed, on a full ring.
+    not_full: Parker,
 }
 
 impl IngressQueue {
     fn new(capacity: usize) -> Self {
         Self {
-            items: Mutex::new(VecDeque::with_capacity(capacity.min(DRAIN_RUN))),
-            capacity,
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            ring: ArrayQueue::new(capacity),
+            not_empty: Parker::default(),
+            not_full: Parker::default(),
         }
     }
 
-    /// Blocking push; returns whether the producer had to wait for space.
-    fn push(&self, op: ShippedOp) -> bool {
-        let mut items = self.items.lock();
-        let mut waited = false;
-        while items.len() >= self.capacity {
-            waited = true;
-            self.not_full.wait(&mut items);
-        }
-        items.push_back(op);
-        drop(items);
-        self.not_empty.notify_one();
-        waited
-    }
-
-    /// Non-blocking push: hands the op back when the queue is full.
-    fn try_push(&self, op: ShippedOp) -> Result<(), ShippedOp> {
-        let mut items = self.items.lock();
-        if items.len() >= self.capacity {
-            return Err(op);
-        }
-        items.push_back(op);
-        drop(items);
-        self.not_empty.notify_one();
+    /// Non-blocking push: hands the op back when the ring is full.
+    fn try_push(&self, op: ShippedOp, shared: &Shared) -> Result<(), ShippedOp> {
+        self.ring.push(op)?;
+        self.not_empty.notify(&shared.counters.wakes_sent);
         Ok(())
     }
 
-    /// Cap-exempt push for control ops (barriers, shutdown): still FIFO —
-    /// it appends like any other op — but never deadlocks against a full
-    /// queue.
-    fn push_control(&self, op: ShippedOp) {
-        let mut items = self.items.lock();
-        items.push_back(op);
-        drop(items);
-        self.not_empty.notify_one();
+    /// Blocking push; returns whether the producer had to wait for space.
+    fn push(&self, op: ShippedOp, shared: &Shared) -> bool {
+        let Err(op) = self.try_push(op, shared) else {
+            return false;
+        };
+        let mut op = Some(op);
+        let parks = &shared.counters.producer_parks;
+        self.not_full.wait(shared.poll, parks, || {
+            match self.try_push(op.take().expect("handed back below"), shared) {
+                Ok(()) => Some(()),
+                Err(back) => {
+                    op = Some(back);
+                    None
+                }
+            }
+        });
+        true
     }
 
-    /// Blocks until at least one op is queued, then moves up to `max` ops
-    /// into `out` in FIFO order.
-    fn pop_run(&self, out: &mut Vec<ShippedOp>, max: usize) {
-        let mut items = self.items.lock();
-        while items.is_empty() {
-            self.not_empty.wait(&mut items);
+    /// Waits until at least one op is queued, then moves up to
+    /// [`DRAIN_RUN`] ops into `out` in FIFO order.
+    fn pop_run(&self, out: &mut Vec<ShippedOp>, shared: &Shared) {
+        let parks = &shared.counters.worker_parks;
+        out.push(self.not_empty.wait(shared.poll, parks, || self.ring.pop()));
+        while out.len() < DRAIN_RUN {
+            match self.ring.pop() {
+                Some(op) => out.push(op),
+                None => break,
+            }
         }
-        let n = items.len().min(max);
-        out.extend(items.drain(..n));
-        drop(items);
         // Many producers can be parked on distinct slots freed by one
-        // drain; wake them all.
-        self.not_full.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        self.items.lock().len()
+        // drain; this wakes them all.
+        self.not_full.notify(&shared.counters.wakes_sent);
     }
 }
 
@@ -278,6 +311,12 @@ struct RouterCounters {
     backpressure_waits: AtomicU64,
     ops_shed: AtomicU64,
     pinned_workers: AtomicU64,
+    worker_parks: AtomicU64,
+    reply_parks: AtomicU64,
+    producer_parks: AtomicU64,
+    wakes_sent: AtomicU64,
+    overlay_settles: AtomicU64,
+    overlay_settle_ns: AtomicU64,
 }
 
 /// A point-in-time copy of a router's counters.
@@ -292,25 +331,47 @@ pub struct CoreRouterStats {
     /// Inserts applied through coalesced `insert_batch` runs instead of
     /// point inserts (the cross-core combining win).
     pub coalesced_inserts: u64,
-    /// Producer blocks on a full ingress queue (Block policy, or the
-    /// infallible `insert` under Shed).
+    /// Producer waits on a full ingress queue (Block policy, or the
+    /// infallible `insert` under Shed), polled or parked.
     pub backpressure_waits: u64,
     /// Ops rejected with [`PmaError::Overloaded`] (Shed policy).
     pub ops_shed: u64,
     /// Workers whose CPU pin the kernel accepted.
     pub pinned_workers: u64,
+    /// Times a worker went to sleep on an empty ring (an idle router's
+    /// steady state; rare under load).
+    pub worker_parks: u64,
+    /// Times a client went to sleep waiting for a reply — the worker took
+    /// longer than the polling budget: "where did p99 go".
+    pub reply_parks: u64,
+    /// Times a producer went to sleep on a full ring.
+    pub producer_parks: u64,
+    /// Wake-ups sent to parked threads. Parks growing with wakes flat is
+    /// the stuck signature.
+    pub wakes_sent: u64,
+    /// Times a worker settled the inner structure to clear its overlay.
+    pub overlay_settles: u64,
+    /// Total time those settles blocked their workers' rings.
+    pub overlay_settle_ns: u64,
 }
 
 impl RouterCounters {
     fn snapshot(&self) -> CoreRouterStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         CoreRouterStats {
-            shipped_ops: self.shipped_ops.load(Ordering::Relaxed),
-            shipped_runs: self.shipped_runs.load(Ordering::Relaxed),
-            drained_batches: self.drained_batches.load(Ordering::Relaxed),
-            coalesced_inserts: self.coalesced_inserts.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
-            ops_shed: self.ops_shed.load(Ordering::Relaxed),
-            pinned_workers: self.pinned_workers.load(Ordering::Relaxed),
+            shipped_ops: load(&self.shipped_ops),
+            shipped_runs: load(&self.shipped_runs),
+            drained_batches: load(&self.drained_batches),
+            coalesced_inserts: load(&self.coalesced_inserts),
+            backpressure_waits: load(&self.backpressure_waits),
+            ops_shed: load(&self.ops_shed),
+            pinned_workers: load(&self.pinned_workers),
+            worker_parks: load(&self.worker_parks),
+            reply_parks: load(&self.reply_parks),
+            producer_parks: load(&self.producer_parks),
+            wakes_sent: load(&self.wakes_sent),
+            overlay_settles: load(&self.overlay_settles),
+            overlay_settle_ns: load(&self.overlay_settle_ns),
         }
     }
 }
@@ -324,7 +385,20 @@ impl MetricSource for CoreRouterStats {
         out.counter("ingress_backpressure_waits", self.backpressure_waits);
         out.counter("ops_shed", self.ops_shed);
         out.gauge("pinned_workers", self.pinned_workers as f64);
+        out.counter("worker_parks", self.worker_parks);
+        out.counter("reply_parks", self.reply_parks);
+        out.counter("producer_parks", self.producer_parks);
+        out.counter("wakes_sent", self.wakes_sent);
+        out.counter("overlay_settles", self.overlay_settles);
+        out.counter("overlay_settle_ns", self.overlay_settle_ns);
     }
+}
+
+/// What the router handle and its workers share besides the queues.
+struct Shared {
+    counters: RouterCounters,
+    /// Polling budget of every wait: [`POLL_BUDGET`] outside the tests.
+    poll: Duration,
 }
 
 /// The thread-per-core dispatch front-end. See the [module docs](self).
@@ -335,7 +409,7 @@ pub struct CoreRouter {
     fences: simd::AlignedKeys,
     queues: Vec<Arc<IngressQueue>>,
     handles: Vec<JoinHandle<()>>,
-    counters: Arc<RouterCounters>,
+    shared: Arc<Shared>,
     policy: OverloadPolicy,
 }
 
@@ -345,12 +419,25 @@ impl CoreRouter {
     /// like the sharded engine's ingest pool, because inner instances bind
     /// epoch slots per thread, a worker-per-call design would exhaust them.
     pub fn new(config: CoreRouterConfig, inner: Arc<dyn ConcurrentMap>) -> Result<Self, PmaError> {
+        Self::with_poll_budget(config, inner, POLL_BUDGET)
+    }
+
+    /// [`CoreRouter::new`] with another polling budget: zero makes every
+    /// wait that is not satisfied at once take the park path.
+    pub(crate) fn with_poll_budget(
+        config: CoreRouterConfig,
+        inner: Arc<dyn ConcurrentMap>,
+        poll: Duration,
+    ) -> Result<Self, PmaError> {
         config.validate()?;
         let fences: Vec<Key> = uniform_bounds(config.workers)
             .into_iter()
             .map(|(lo, _)| lo)
             .collect();
-        let counters = Arc::new(RouterCounters::default());
+        let shared = Arc::new(Shared {
+            counters: RouterCounters::default(),
+            poll,
+        });
         let queues: Vec<Arc<IngressQueue>> = (0..config.workers)
             .map(|_| Arc::new(IngressQueue::new(config.queue_depth)))
             .collect();
@@ -360,11 +447,11 @@ impl CoreRouter {
             .map(|(worker, queue)| {
                 let queue = Arc::clone(queue);
                 let inner = Arc::clone(&inner);
-                let counters = Arc::clone(&counters);
+                let shared = Arc::clone(&shared);
                 let pin = config.pin;
                 std::thread::Builder::new()
                     .name(format!("pma-core-worker-{worker}"))
-                    .spawn(move || worker_loop(worker, pin, &queue, inner.as_ref(), &counters))
+                    .spawn(move || worker_loop(worker, pin, &queue, inner.as_ref(), &shared))
                     .expect("spawning a router worker thread")
             })
             .collect();
@@ -373,7 +460,7 @@ impl CoreRouter {
             fences: simd::AlignedKeys::from_slice(&fences),
             queues,
             handles,
-            counters,
+            shared,
             policy: config.policy,
         })
     }
@@ -392,35 +479,46 @@ impl CoreRouter {
 
     /// A point-in-time copy of the router's counters.
     pub fn stats(&self) -> CoreRouterStats {
-        self.counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// Current total depth across all ingress queues.
     pub fn ingress_depth(&self) -> usize {
-        self.queues.iter().map(|queue| queue.depth()).sum()
+        self.queues.iter().map(|queue| queue.ring.len()).sum()
     }
 
-    fn ship_blocking(&self, worker: usize, op: ShippedOp) {
-        if self.queues[worker].push(op) {
-            self.counters
-                .backpressure_waits
-                .fetch_add(1, Ordering::Relaxed);
+    /// Ships a data op (a point op or a run, counted in `shipped`), waiting
+    /// for space if its worker's ring is full.
+    fn ship_blocking(&self, worker: usize, op: ShippedOp, shipped: &AtomicU64) {
+        if self.queues[worker].push(op, &self.shared) {
+            let counters = &self.shared.counters;
+            counters.backpressure_waits.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.shipped_ops.fetch_add(1, Ordering::Relaxed);
+        shipped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Ships a sync op and waits for its completion under an `OpShip` span.
-    fn ship_and_wait<T>(&self, worker: usize, op: ShippedOp, slot: &Arc<CompletionSlot<T>>) -> T {
+    /// Ships the sync op `op` builds around the calling thread's reply cell
+    /// and waits for the answer, under an `OpShip` span.
+    fn ship_and_wait(
+        &self,
+        worker: usize,
+        op: impl FnOnce(Arc<ReplyCell>) -> ShippedOp,
+    ) -> Option<Value> {
         let _span = obs::span(obs::Category::OpShip, worker as u64);
-        self.ship_blocking(worker, op);
-        slot.wait()
+        REPLY.with(|reply| {
+            reply.pending.store(1, Ordering::Relaxed);
+            let shipped = &self.shared.counters.shipped_ops;
+            self.ship_blocking(worker, op(Arc::clone(reply)), shipped);
+            reply.wait(&self.shared)
+        })
     }
 }
 
 impl ConcurrentMap for CoreRouter {
     fn insert(&self, key: Key, value: Value) {
         let worker = self.route(key);
-        self.ship_blocking(worker, ShippedOp::Insert(key, value));
+        let shipped = &self.shared.counters.shipped_ops;
+        self.ship_blocking(worker, ShippedOp::Insert(key, value), shipped);
     }
 
     fn try_insert(&self, key: Key, value: Value) -> Result<(), PmaError> {
@@ -431,16 +529,18 @@ impl ConcurrentMap for CoreRouter {
             }
             OverloadPolicy::Shed => {
                 let worker = self.route(key);
-                match self.queues[worker].try_push(ShippedOp::Insert(key, value)) {
+                let queue = &self.queues[worker];
+                let counters = &self.shared.counters;
+                match queue.try_push(ShippedOp::Insert(key, value), &self.shared) {
                     Ok(()) => {
-                        self.counters.shipped_ops.fetch_add(1, Ordering::Relaxed);
+                        counters.shipped_ops.fetch_add(1, Ordering::Relaxed);
                         Ok(())
                     }
                     Err(_rejected) => {
-                        self.counters.ops_shed.fetch_add(1, Ordering::Relaxed);
+                        counters.ops_shed.fetch_add(1, Ordering::Relaxed);
                         Err(PmaError::Overloaded {
                             worker,
-                            capacity: self.queues[worker].capacity,
+                            capacity: queue.ring.capacity(),
                         })
                     }
                 }
@@ -449,15 +549,11 @@ impl ConcurrentMap for CoreRouter {
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
-        let worker = self.route(key);
-        let slot = CompletionSlot::new();
-        self.ship_and_wait(worker, ShippedOp::Remove(key, Arc::clone(&slot)), &slot)
+        self.ship_and_wait(self.route(key), |reply| ShippedOp::Remove(key, reply))
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let worker = self.route(key);
-        let slot = CompletionSlot::new();
-        self.ship_and_wait(worker, ShippedOp::Get(key, Arc::clone(&slot)), &slot)
+        self.ship_and_wait(self.route(key), |reply| ShippedOp::Get(key, reply))
     }
 
     // Reads that aggregate across workers bypass the queues and hit the
@@ -497,50 +593,46 @@ impl ConcurrentMap for CoreRouter {
 
     fn insert_batch(&self, items: &[(Key, Value)]) {
         // Split at the worker fences (arrival order per key is preserved:
-        // a key always routes to one worker) and ship whole runs with
-        // completion slots — §3.5's async batch mode across cores. Waiting
-        // for all runs keeps `insert_batch`'s at-return visibility... the
-        // same as shipping the items one by one and flushing.
+        // a key always routes to one worker) and ship whole runs that count
+        // down the caller's reply cell — §3.5's async batch mode across
+        // cores. Waiting for all runs keeps `insert_batch`'s at-return
+        // visibility... the same as shipping the items one by one and
+        // flushing.
         let mut runs: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.queues.len()];
         for &(key, value) in items {
             runs[self.route(key)].push((key, value));
         }
-        let mut pending = Vec::new();
-        for (worker, run) in runs.into_iter().enumerate() {
-            if run.is_empty() {
-                continue;
-            }
-            let slot = CompletionSlot::new();
-            let _span = obs::span(obs::Category::OpShip, worker as u64);
-            if self.queues[worker].push(ShippedOp::Run(run, Arc::clone(&slot))) {
-                self.counters
-                    .backpressure_waits
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.counters.shipped_runs.fetch_add(1, Ordering::Relaxed);
-            pending.push(slot);
+        let shipped = runs.iter().filter(|run| !run.is_empty()).count();
+        if shipped == 0 {
+            return;
         }
-        for slot in pending {
-            slot.wait();
-        }
+        REPLY.with(|reply| {
+            reply.pending.store(shipped as u32, Ordering::Relaxed);
+            for (worker, run) in runs.into_iter().enumerate() {
+                if run.is_empty() {
+                    continue;
+                }
+                let _span = obs::span(obs::Category::OpShip, worker as u64);
+                let reply = Arc::clone(reply);
+                let op = ShippedOp::Run(Box::new(ShippedRun { items: run, reply }));
+                self.ship_blocking(worker, op, &self.shared.counters.shipped_runs);
+            }
+            reply.wait(&self.shared);
+        });
     }
 
     fn flush(&self) {
-        // Barrier every worker (cap-exempt so a saturated queue cannot
-        // deadlock the flusher), wait for all drains, then flush the inner
+        // Barrier every worker, wait for all drains, then flush the inner
         // structure's own deferred machinery.
-        let pending: Vec<_> = self
-            .queues
-            .iter()
-            .map(|queue| {
-                let slot = CompletionSlot::new();
-                queue.push_control(ShippedOp::Barrier(Arc::clone(&slot)));
-                slot
-            })
-            .collect();
-        for slot in pending {
-            slot.wait();
-        }
+        REPLY.with(|reply| {
+            reply
+                .pending
+                .store(self.queues.len() as u32, Ordering::Relaxed);
+            for queue in &self.queues {
+                queue.push(ShippedOp::Barrier(Arc::clone(reply)), &self.shared);
+            }
+            reply.wait(&self.shared);
+        });
         self.inner.flush();
     }
 
@@ -561,7 +653,7 @@ impl ConcurrentMap for CoreRouter {
 
     fn observe_metrics(&self, out: &mut dyn obs::Observe) {
         self.inner.observe_metrics(out);
-        self.counters.snapshot().observe(out);
+        self.stats().observe(out);
         out.gauge("ingress_depth", self.ingress_depth() as f64);
         out.gauge("router_workers", self.queues.len() as f64);
     }
@@ -576,7 +668,7 @@ impl Drop for CoreRouter {
         // `&mut self` proves no producer can still ship; Stop is therefore
         // the last op each worker sees.
         for queue in &self.queues {
-            queue.push_control(ShippedOp::Stop);
+            queue.push(ShippedOp::Stop, &self.shared);
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -602,14 +694,15 @@ fn worker_loop(
     pin: bool,
     queue: &IngressQueue,
     inner: &dyn ConcurrentMap,
-    counters: &RouterCounters,
+    shared: &Shared,
 ) {
+    let counters = &shared.counters;
     if pin && crate::affinity::pin_current_thread(worker) {
         counters.pinned_workers.fetch_add(1, Ordering::Relaxed);
     }
     let mut batch: Vec<ShippedOp> = Vec::with_capacity(DRAIN_RUN);
     let mut run_buf: Vec<(Key, Value)> = Vec::new();
-    let mut run_slots: Vec<Arc<CompletionSlot<()>>> = Vec::new();
+    let mut run_replies: Vec<Arc<ReplyCell>> = Vec::new();
     // Writes acknowledged since the inner last settled (`None` = removed).
     // A batch-mode inner may park an applied run in a combining queue —
     // ordered but not yet chunk-visible — so sync ops answer overlay-first;
@@ -617,8 +710,7 @@ fn worker_loop(
     // overlay authoritative for every key it holds.
     let mut overlay: HashMap<Key, Option<Value>> = HashMap::new();
     loop {
-        batch.clear();
-        queue.pop_run(&mut batch, DRAIN_RUN);
+        queue.pop_run(&mut batch, shared);
         let mut span = obs::span(obs::Category::IngressDrain, worker as u64);
         span.set_payload(batch.len() as u64);
         counters.drained_batches.fetch_add(1, Ordering::Relaxed);
@@ -629,35 +721,36 @@ fn worker_loop(
                     overlay.insert(key, Some(value));
                     run_buf.push((key, value));
                 }
-                ShippedOp::Run(items, slot) => {
+                ShippedOp::Run(run) => {
+                    let ShippedRun { items, reply } = *run;
                     for &(key, value) in &items {
                         overlay.insert(key, Some(value));
                     }
                     run_buf.extend(items);
-                    run_slots.push(slot);
+                    run_replies.push(reply);
                 }
                 // Sync ops flush the pending insert train first so FIFO
                 // ship order is the apply order per key.
-                ShippedOp::Remove(key, slot) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_slots, counters);
+                ShippedOp::Remove(key, reply) => {
+                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
                     let prev = match overlay.insert(key, None) {
                         Some(state) => state,
                         None => inner.get(key),
                     };
                     inner.remove(key);
-                    slot.fill(prev);
+                    reply.complete(prev, shared);
                 }
-                ShippedOp::Get(key, slot) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_slots, counters);
+                ShippedOp::Get(key, reply) => {
+                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
                     let result = match overlay.get(&key) {
                         Some(&state) => state,
                         None => inner.get(key),
                     };
-                    slot.fill(result);
+                    reply.complete(result, shared);
                 }
-                ShippedOp::Barrier(slot) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_slots, counters);
-                    slot.fill(());
+                ShippedOp::Barrier(reply) => {
+                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
+                    reply.done(shared);
                 }
                 ShippedOp::Stop => {
                     stop = true;
@@ -665,60 +758,314 @@ fn worker_loop(
                 }
             }
         }
-        flush_coalesced(inner, &mut run_buf, &mut run_slots, counters);
+        flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
         if stop {
             return;
         }
         // Keep the overlay bounded: settle the inner (its queues drain, so
         // chunk state becomes authoritative again) and start a fresh one.
+        // The ring is not served meanwhile; the two counters say how often
+        // and for how long.
         if overlay.len() >= OVERLAY_SETTLE {
+            let started = Instant::now();
             inner.flush();
             overlay.clear();
+            counters.overlay_settles.fetch_add(1, Ordering::Relaxed);
+            counters
+                .overlay_settle_ns
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 }
 
 /// Applies the coalesced insert train through the inner `insert_batch` fast
 /// path (arrival order preserved — later duplicates win, as with point
-/// inserts) and releases the completion slots of any shipped runs in it.
+/// inserts) and counts down the replies of any shipped runs in it.
 fn flush_coalesced(
     inner: &dyn ConcurrentMap,
     run_buf: &mut Vec<(Key, Value)>,
-    run_slots: &mut Vec<Arc<CompletionSlot<()>>>,
-    counters: &RouterCounters,
+    run_replies: &mut Vec<Arc<ReplyCell>>,
+    shared: &Shared,
 ) {
     if !run_buf.is_empty() {
-        counters
-            .coalesced_inserts
-            .fetch_add(run_buf.len() as u64, Ordering::Relaxed);
+        let coalesced = &shared.counters.coalesced_inserts;
+        coalesced.fetch_add(run_buf.len() as u64, Ordering::Relaxed);
         inner.insert_batch(run_buf);
         run_buf.clear();
     }
-    for slot in run_slots.drain(..) {
-        slot.fill(());
+    for reply in run_replies.drain(..) {
+        reply.done(shared);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::park::tests::until;
+    use parking_lot::Mutex;
     use pma_common::Registry;
+    use std::collections::BTreeMap;
+    use std::sync::mpsc;
+
+    /// A polling budget no wait in a test outlasts: nothing may park.
+    const NEVER_PARK: Duration = Duration::from_secs(3600);
+
+    fn pma() -> Arc<dyn ConcurrentMap> {
+        pma_core::register_backends(Registry::global());
+        Registry::global()
+            .build("pma-batch:1")
+            .expect("inner backend")
+    }
+
+    fn router_over(
+        inner: Arc<dyn ConcurrentMap>,
+        queue_depth: usize,
+        policy: OverloadPolicy,
+        poll: Duration,
+    ) -> CoreRouter {
+        let config = CoreRouterConfig {
+            workers: 1,
+            queue_depth,
+            policy,
+            pin: false,
+        };
+        CoreRouter::with_poll_budget(config, inner, poll).expect("router")
+    }
 
     fn router(workers: usize, queue_depth: usize, policy: OverloadPolicy) -> CoreRouter {
-        pma_core::register_backends(Registry::global());
-        let inner = Registry::global()
-            .build("pma-batch:1")
-            .expect("inner backend");
-        CoreRouter::new(
-            CoreRouterConfig {
-                workers,
-                queue_depth,
+        let config = CoreRouterConfig {
+            workers,
+            queue_depth,
+            policy,
+            pin: true,
+        };
+        CoreRouter::new(config, pma()).expect("router")
+    }
+
+    /// Key whose `insert` and `get` stop inside [`GatedMap`] until the test
+    /// lets them go: holds a worker in the middle of a drain.
+    const HOLD: Key = -7;
+
+    /// A mutex-guarded `BTreeMap` with a gate on [`HOLD`].
+    struct GatedMap {
+        items: Mutex<BTreeMap<Key, Value>>,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl GatedMap {
+        /// The map, the channel that reports a thread stopping at the gate,
+        /// and the channel that lets one through.
+        fn new() -> (Arc<Self>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
+            let map = Arc::new(Self {
+                items: Mutex::new(BTreeMap::from([(HOLD, 0)])),
+                entered: Mutex::new(entered_tx),
+                release: Mutex::new(release_rx),
+            });
+            (map, entered_rx, release_tx)
+        }
+
+        fn gate(&self, key: Key) {
+            if key == HOLD {
+                self.entered.lock().send(()).expect("test is listening");
+                self.release.lock().recv().expect("test lets go");
+            }
+        }
+    }
+
+    impl ConcurrentMap for GatedMap {
+        fn insert(&self, key: Key, value: Value) {
+            self.gate(key);
+            self.items.lock().insert(key, value);
+        }
+
+        fn remove(&self, key: Key) -> Option<Value> {
+            self.items.lock().remove(&key)
+        }
+
+        fn get(&self, key: Key) -> Option<Value> {
+            self.gate(key);
+            self.items.lock().get(&key).copied()
+        }
+
+        fn len(&self) -> usize {
+            self.items.lock().len()
+        }
+
+        fn scan_all(&self) -> ScanStats {
+            let mut stats = ScanStats::default();
+            self.range(Key::MIN, Key::MAX, &mut |key, value| {
+                stats.visit(key, value)
+            });
+            stats
+        }
+
+        fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
+            for (&key, &value) in self.items.lock().range(lo..=hi) {
+                visitor(key, value);
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    /// Stops the router's one worker inside the inner map and fills the
+    /// ring behind it with inserts of `keys` (as many as it holds).
+    fn hold_worker_and_fill(
+        map: &CoreRouter,
+        entered: &mpsc::Receiver<()>,
+        keys: std::ops::Range<Key>,
+    ) {
+        map.insert(HOLD, 0);
+        entered.recv().expect("worker reaches the gate");
+        for key in keys {
+            map.try_insert(key, key).expect("ring has room");
+        }
+        assert_eq!(map.ingress_depth(), map.queues[0].ring.capacity());
+    }
+
+    #[test]
+    fn sync_gets_lose_no_wakeup_when_every_wait_parks() {
+        let map = router_over(pma(), 64, OverloadPolicy::Block, Duration::ZERO);
+        map.insert(1, 10);
+        for _ in 0..10_000 {
+            assert_eq!(map.get(1), Some(10));
+        }
+        let stats = map.stats();
+        assert!(stats.reply_parks > 0 && stats.worker_parks > 0, "{stats:?}");
+        assert!(stats.wakes_sent > 0, "{stats:?}");
+    }
+
+    /// Producer pushes as (or after) the worker parks: the push must wake it.
+    #[test]
+    fn push_wakes_a_parked_worker() {
+        let map = router_over(pma(), 64, OverloadPolicy::Block, Duration::ZERO);
+        until("the idle worker parks", || map.stats().worker_parks >= 1);
+        let wakes = map.stats().wakes_sent;
+        map.insert(5, 50);
+        assert_eq!(map.get(5), Some(50));
+        assert!(map.stats().wakes_sent > wakes);
+    }
+
+    /// Worker replies as (or after) the client parks: the reply must wake it.
+    #[test]
+    fn reply_wakes_a_parked_client() {
+        let (inner, entered, release) = GatedMap::new();
+        let map = router_over(inner, 64, OverloadPolicy::Block, Duration::ZERO);
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| map.get(HOLD));
+            entered.recv().expect("worker reaches the gate");
+            until("the client parks on its reply", || {
+                map.stats().reply_parks == 1
+            });
+            let wakes = map.stats().wakes_sent;
+            release.send(()).expect("worker is waiting");
+            assert_eq!(client.join().expect("client"), Some(0));
+            assert!(map.stats().wakes_sent > wakes);
+        });
+    }
+
+    /// The analogue of core's `quiescent_reads_never_park_or_wake`: while
+    /// nobody outlasts the polling budget (made unreachable here, so that
+    /// the scheduler cannot fail the test), a stream of sync ops makes no
+    /// thread sleep and no notifier wake anybody.
+    #[test]
+    fn steady_stream_never_parks() {
+        let map = router_over(pma(), 64, OverloadPolicy::Block, NEVER_PARK);
+        map.insert(1, 10);
+        for _ in 0..100_000 {
+            assert_eq!(map.get(1), Some(10));
+        }
+        let stats = map.stats();
+        assert_eq!(
+            (stats.worker_parks, stats.reply_parks, stats.producer_parks),
+            (0, 0, 0),
+            "{stats:?}"
+        );
+        assert_eq!(stats.wakes_sent, 0, "{stats:?}");
+    }
+
+    /// With the real polling budget: once traffic stops, the worker stops
+    /// polling and sleeps.
+    #[test]
+    fn idle_worker_parks() {
+        let map = router(1, 64, OverloadPolicy::Block);
+        map.insert(1, 10);
+        assert_eq!(map.get(1), Some(10));
+        until("the worker sleeps on its empty ring", || {
+            map.queues[0].not_empty.has_sleepers()
+        });
+        assert!(map.stats().worker_parks >= 1);
+    }
+
+    #[test]
+    fn flush_and_drop_return_against_a_full_queue() {
+        for policy in [OverloadPolicy::Block, OverloadPolicy::Shed] {
+            let (inner, entered, release) = GatedMap::new();
+            let map = router_over(
+                Arc::clone(&inner) as Arc<dyn ConcurrentMap>,
+                4,
                 policy,
-                pin: true,
-            },
-            inner,
-        )
-        .expect("router")
+                Duration::ZERO,
+            );
+            hold_worker_and_fill(&map, &entered, 0..4);
+            if policy == OverloadPolicy::Shed {
+                assert!(matches!(
+                    map.try_insert(9, 9),
+                    Err(PmaError::Overloaded { capacity: 4, .. })
+                ));
+            }
+            std::thread::scope(|scope| {
+                let flusher = scope.spawn(|| map.flush());
+                until("the barrier parks on the full ring", || {
+                    map.stats().producer_parks == 1
+                });
+                release.send(()).expect("worker is waiting");
+                flusher.join().expect("flush returns");
+            });
+            assert_eq!(map.len(), 5);
+
+            hold_worker_and_fill(&map, &entered, 4..8);
+            let shared = Arc::clone(&map.shared);
+            let dropper = std::thread::spawn(move || drop(map));
+            until("the stop message parks on the full ring", || {
+                shared.counters.producer_parks.load(Ordering::Relaxed) == 2
+            });
+            release.send(()).expect("worker is waiting");
+            dropper.join().expect("drop returns");
+            assert_eq!(inner.len(), 9, "everything shipped before the drop landed");
+        }
+    }
+
+    #[test]
+    fn one_drain_releases_every_parked_block_producer() {
+        let (inner, entered, release) = GatedMap::new();
+        let map = router_over(inner, 4, OverloadPolicy::Block, Duration::ZERO);
+        hold_worker_and_fill(&map, &entered, 0..4);
+        let wakes = std::thread::scope(|scope| {
+            for key in 4..7 {
+                let map = &map;
+                scope.spawn(move || map.insert(key, key));
+            }
+            until("three producers park on the full ring", || {
+                map.stats().producer_parks == 3
+            });
+            let wakes = map.stats().wakes_sent;
+            release.send(()).expect("worker is waiting");
+            wakes
+        });
+        let stats = map.stats();
+        // The worker's next drain empties the ring before it notifies, so
+        // every woken producer finds room: none parks a second time.
+        assert_eq!(stats.producer_parks, 3, "{stats:?}");
+        assert_eq!(stats.backpressure_waits, 3, "{stats:?}");
+        assert!(stats.wakes_sent >= wakes + 3, "{stats:?}");
+        map.flush();
+        assert_eq!(map.len(), 8);
     }
 
     #[test]
@@ -747,7 +1094,7 @@ mod tests {
         let map = router(4, 256, OverloadPolicy::Block);
         let items: Vec<(Key, Value)> = (0..5_000).map(|k| (k as Key, k as Value)).collect();
         map.insert_batch(&items);
-        // Run completion slots make the batch visible at return (plus the
+        // The runs' replies make the batch visible at return (plus the
         // inner flush for its own deferred machinery).
         map.flush();
         assert_eq!(map.len(), 5_000);
@@ -780,10 +1127,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        pma_core::register_backends(Registry::global());
-        let inner = Registry::global()
-            .build("pma-batch:1")
-            .expect("inner backend");
+        let inner = pma();
         for config in [
             CoreRouterConfig {
                 workers: 0,
@@ -795,6 +1139,10 @@ mod tests {
             },
             CoreRouterConfig {
                 queue_depth: 0,
+                ..CoreRouterConfig::default()
+            },
+            CoreRouterConfig {
+                queue_depth: MAX_QUEUE_DEPTH + 1,
                 ..CoreRouterConfig::default()
             },
         ] {
@@ -820,6 +1168,12 @@ mod tests {
             "ingress_depth",
             "router_workers",
             "pinned_workers",
+            "worker_parks",
+            "reply_parks",
+            "producer_parks",
+            "wakes_sent",
+            "overlay_settles",
+            "overlay_settle_ns",
         ] {
             assert!(rendered.contains(metric), "missing {metric}: {rendered}");
         }

@@ -279,3 +279,80 @@ fn router_behind_dyn_arc_forwards_admission_control() {
     map.flush();
     assert!(!map.is_empty());
 }
+
+/// Oversubscription guard: 4 unpinned workers and 8 producers on however
+/// few CPUs the box has, 200 000 mixed sync/async ops against the model. A
+/// client polling for its reply must not starve the worker it waits for
+/// when they share a CPU (the wait protocol yields, then parks), so this
+/// finishes in seconds, far inside the CI job's `timeout 60`.
+#[test]
+fn oversubscribed_workers_and_producers_match_the_model() {
+    const PRODUCERS: i64 = 8;
+    const ROUNDS: i64 = 25_000;
+    // Spread the keys over the whole domain so all four workers serve.
+    const STRIDE: i64 = i64::MAX / (PRODUCERS * ROUNDS / 2);
+    let key_of = |t: i64, i: i64| (i * PRODUCERS + t - PRODUCERS * ROUNDS / 2) * STRIDE;
+
+    ensure_builtin_backends();
+    let inner = Registry::global()
+        .build("sharded:4:pma-batch:1")
+        .expect("inner spec builds");
+    let config = CoreRouterConfig {
+        workers: 4,
+        queue_depth: 256,
+        policy: OverloadPolicy::Block,
+        pin: false,
+    };
+    let map = CoreRouter::new(config, inner).expect("valid router config");
+    std::thread::scope(|scope| {
+        for t in 0..PRODUCERS {
+            let map = &map;
+            scope.spawn(move || {
+                for i in 0..ROUNDS {
+                    let key = key_of(t, i);
+                    match i % 4 {
+                        // Async only.
+                        0 => map.insert(key, i),
+                        // Async, then a sync read of the own write.
+                        1 => {
+                            map.insert(key, i);
+                            assert_eq!(map.get(key), Some(i), "key {key}");
+                        }
+                        // Async, then a sync removal of the own write.
+                        2 => {
+                            map.insert(key, i);
+                            assert_eq!(map.remove(key), Some(i), "key {key}");
+                        }
+                        // A sync miss.
+                        _ => assert_eq!(map.get(key), None, "key {key}"),
+                    }
+                }
+            });
+        }
+    });
+    map.flush();
+
+    let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+    for t in 0..PRODUCERS {
+        for i in (0..ROUNDS).filter(|i| i % 4 < 2) {
+            model.insert(key_of(t, i), i);
+        }
+    }
+    assert_eq!(map.len(), model.len(), "length diverged");
+    let scanned = map.scan_all();
+    assert_eq!(scanned.count as usize, model.len());
+    assert_eq!(
+        scanned.key_sum,
+        model.keys().map(|&k| k as i128).sum::<i128>()
+    );
+    assert_eq!(
+        scanned.value_sum,
+        model.values().map(|&v| v as i128).sum::<i128>()
+    );
+
+    let stats = map.stats();
+    assert_eq!(stats.shipped_ops, (PRODUCERS * ROUNDS * 3 / 2) as u64);
+    assert_eq!(stats.ops_shed, 0, "Block policy never sheds");
+    let combining = map.combining_stats().expect("sharded inner has combining");
+    assert_eq!(combining.late_replays, 0, "{combining:?}");
+}
