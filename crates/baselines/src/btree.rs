@@ -635,7 +635,10 @@ impl ConcurrentMap for BPlusTree {
                 let node = current.read();
                 match &*node {
                     Node::Leaf(l) => {
-                        l.for_each_ordered(&mut |k, v| stats.visit(k, v));
+                        // The fold does not depend on the order inside a
+                        // leaf, so the storage arrays are one run as they
+                        // are — the same kernel the PMA's segments get.
+                        stats.visit_run(&l.keys, &l.values);
                         l.next.clone()
                     }
                     Node::Internal(_) => unreachable!("leaf chain contains an internal node"),

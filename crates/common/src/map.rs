@@ -76,21 +76,15 @@ impl ScanStats {
 
     /// Folds a parallel run of keys and values into the accumulator in one
     /// pass — the bulk counterpart of [`ScanStats::visit`] used by the scan
-    /// paths that walk whole sorted segment runs at a time.
+    /// paths that walk whole sorted segment runs at a time. Each run is
+    /// summed exactly by the vector kernel ([`crate::simd::sum_run`]); like
+    /// `visit`, the accumulation across runs wraps.
     #[inline]
     pub fn visit_run(&mut self, keys: &[Key], values: &[Value]) {
         debug_assert_eq!(keys.len(), values.len());
         self.count += keys.len() as u64;
-        let mut key_sum = 0i128;
-        for &k in keys {
-            key_sum += k as i128;
-        }
-        let mut value_sum = 0i128;
-        for &v in values {
-            value_sum += v as i128;
-        }
-        self.key_sum = self.key_sum.wrapping_add(key_sum);
-        self.value_sum = self.value_sum.wrapping_add(value_sum);
+        self.key_sum = self.key_sum.wrapping_add(crate::simd::sum_run(keys));
+        self.value_sum = self.value_sum.wrapping_add(crate::simd::sum_run(values));
     }
 
     /// Merges another accumulator into this one.
@@ -99,6 +93,42 @@ impl ScanStats {
         self.count += other.count;
         self.key_sum = self.key_sum.wrapping_add(other.key_sum);
         self.value_sum = self.value_sum.wrapping_add(other.value_sum);
+    }
+}
+
+/// Adapts a per-element traversal to a run visitor: `drive` is called once
+/// with an element visitor that packs what it is given into a small buffer,
+/// and `visitor` receives the buffer every time it fills (and once more for
+/// the remainder). The runs concatenate into the traversal's own order.
+pub fn runs_from_elements(
+    drive: impl FnOnce(&mut dyn FnMut(Key, Value)),
+    visitor: &mut dyn FnMut(&[Key], &[Value]),
+) {
+    const BATCH: usize = 64;
+    let (mut keys, mut values, mut len) = ([0; BATCH], [0; BATCH], 0);
+    drive(&mut |key, value| {
+        keys[len] = key;
+        values[len] = value;
+        len += 1;
+        if len == BATCH {
+            visitor(&keys, &values);
+            len = 0;
+        }
+    });
+    if len > 0 {
+        visitor(&keys[..len], &values[..len]);
+    }
+}
+
+/// The inverse of [`runs_from_elements`]: a run visitor that hands every pair
+/// of the runs it is given to `visitor`, in order.
+pub fn elements_from_runs(
+    visitor: &mut dyn FnMut(Key, Value),
+) -> impl FnMut(&[Key], &[Value]) + '_ {
+    move |keys, values| {
+        for (&key, &value) in keys.iter().zip(values) {
+            visitor(key, value);
+        }
     }
 }
 
@@ -248,14 +278,24 @@ pub trait FrozenView: Send + Sync {
         self.scan_range(Key::MIN, Key::MAX)
     }
 
+    /// Hands every frozen element with key in `[lo, hi]` (inclusive) to
+    /// `visitor` in ascending key order, as runs of parallel key/value
+    /// slices that concatenate into the range. The default batches
+    /// [`FrozenView::range`] ([`runs_from_elements`]); views over
+    /// array-shaped storage override it and hand out their own runs.
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        runs_from_elements(|each| self.range(lo, hi, each), visitor);
+    }
+
     /// Scans the frozen elements with key in `[lo, hi]` (inclusive), folding
-    /// into [`ScanStats`]. An inverted range (`lo > hi`) is empty.
+    /// the runs of [`FrozenView::range_runs`] into [`ScanStats`]. An
+    /// inverted range (`lo > hi`) is empty.
     fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         let mut stats = ScanStats::default();
         if lo > hi {
             return stats;
         }
-        self.range(lo, hi, &mut |key, value| stats.visit(key, value));
+        self.range_runs(lo, hi, &mut |keys, values| stats.visit_run(keys, values));
         stats
     }
 
@@ -315,20 +355,28 @@ pub trait ConcurrentMap: Send + Sync {
     /// key order.
     fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value));
 
-    /// Scans every element with key in `[lo, hi]` (inclusive) in ascending
-    /// key order, folding into [`ScanStats`]. An inverted range (`lo > hi`)
-    /// is empty.
+    /// Hands every element with key in `[lo, hi]` (inclusive) to `visitor`
+    /// in ascending key order, as runs of parallel key/value slices that
+    /// concatenate into the range — the bulk counterpart of
+    /// [`ConcurrentMap::range`], for consumers that fold or copy whole runs.
     ///
-    /// The default implementation drives [`ConcurrentMap::range`];
-    /// implementations with a cheaper ranged path (the concurrent PMA routes
-    /// the scan through its static index straight to the first covering gate)
-    /// override it.
+    /// The default batches [`ConcurrentMap::range`] ([`runs_from_elements`]);
+    /// array-shaped structures override it and hand out their own storage
+    /// (the concurrent PMA its segment runs, the sharded engine the output
+    /// of its block merge).
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        runs_from_elements(|each| self.range(lo, hi, each), visitor);
+    }
+
+    /// Scans every element with key in `[lo, hi]` (inclusive) in ascending
+    /// key order, folding the runs of [`ConcurrentMap::range_runs`] into
+    /// [`ScanStats`]. An inverted range (`lo > hi`) is empty.
     fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         let mut stats = ScanStats::default();
         if lo > hi {
             return stats;
         }
-        self.range(lo, hi, &mut |key, value| stats.visit(key, value));
+        self.range_runs(lo, hi, &mut |keys, values| stats.visit_run(keys, values));
         stats
     }
 
@@ -499,6 +547,9 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     }
     fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
         (**self).range(lo, hi, visitor)
+    }
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        (**self).range_runs(lo, hi, visitor)
     }
     fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         (**self).scan_range(lo, hi)

@@ -1,5 +1,5 @@
 //! Hand-rolled hot-path kernels: vectorised search over small sorted key
-//! runs, bulk run copies, and cache-line-aligned key layouts.
+//! runs, bulk run copies, exact run sums, and cache-line-aligned key layouts.
 //!
 //! The structures of this workspace (PMA segments, gate chunks, the static
 //! index, the shard directory) all route probes through short sorted `i64`
@@ -17,9 +17,10 @@
 //! detect CPU features at startup, and setting the environment variable
 //! `PMA_FORCE_SCALAR=1` pins the scalar fallback for debugging and for the
 //! CI job that keeps that path covered. Every kernel is defined to be
-//! bit-identical to its scalar twin on sorted input (duplicates, empty runs
-//! and `i64::MIN`/`MAX` boundaries included) — property-tested in
-//! `tests/simd_kernels.rs`.
+//! bit-identical to its scalar twin — the searches on sorted input
+//! (duplicates, empty runs and `i64::MIN`/`MAX` boundaries included), the
+//! run sum ([`sum_run`], the fold of every ordered scan) on any input —
+//! property-tested in `tests/simd_kernels.rs`.
 //!
 //! Long runs use a hybrid: a scalar binary search narrows the window to at
 //! most [`SMALL_RUN`] elements, then the vector kernel counts the remainder
@@ -311,6 +312,126 @@ unsafe fn append_run_avx2(mut dst: *mut i64, src: &[i64]) {
     for (i, &x) in chunks.remainder().iter().enumerate() {
         *dst.add(i) = x;
     }
+}
+
+// ---------------------------------------------------------------------
+// Run sum
+// ---------------------------------------------------------------------
+
+/// Elements summed between two reductions of the vector accumulators: each
+/// 64-bit lane adds one 32-bit half per element it sees, so it cannot wrap
+/// before 2^32 elements.
+const SUM_BLOCK: usize = 1 << 30;
+
+/// Exact sum of a run as `i128` — identical to
+/// `run.iter().map(|&x| x as i128).sum()`, without that loop's per-element
+/// add/adc carry chain (the fold of every ordered scan).
+///
+/// The vector arms bias each element to unsigned (flip the sign bit) and
+/// accumulate its low and high 32-bit halves in separate 64-bit lanes; the
+/// halves are recombined and the bias removed once per run.
+#[inline]
+pub fn sum_run(run: &[i64]) -> i128 {
+    sum_run_with(active_variant(), run)
+}
+
+/// [`sum_run`] pinned to an explicit variant (bench/test hook).
+///
+/// # Panics
+/// Panics when `variant` is not [`Variant::supported`] on this CPU.
+#[inline]
+pub fn sum_run_with(variant: Variant, run: &[i64]) -> i128 {
+    assert!(variant.supported(), "{variant:?} not supported on this CPU");
+    let mut total = 0i128;
+    for block in run.chunks(SUM_BLOCK) {
+        let (lo, hi, rest) = match variant {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported()` verified AVX2 at runtime above.
+            Variant::Avx2 => unsafe { sum_halves_avx2(block) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            Variant::Sse2 => unsafe { sum_halves_sse2(block) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: NEON is part of the aarch64 baseline.
+            Variant::Neon => unsafe { sum_halves_neon(block) },
+            _ => (0, 0, block),
+        };
+        // `lo`/`hi` are the half sums of the biased elements `x + 2^63`.
+        let vectorised = (block.len() - rest.len()) as i128;
+        total += ((hi as i128) << 32) + lo as i128 - (vectorised << 63);
+        total += rest.iter().map(|&x| x as i128).sum::<i128>();
+    }
+    total
+}
+
+/// Sums of the low and high 32-bit halves of `x ^ i64::MIN` over the whole
+/// vectors of `block` (at most [`SUM_BLOCK`] elements), and the scalar tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sum_halves_avx2(block: &[i64]) -> (u64, u64, &[i64]) {
+    use std::arch::x86_64::*;
+    let sign = _mm256_set1_epi64x(i64::MIN);
+    let low_half = _mm256_set1_epi64x(0xFFFF_FFFF);
+    let mut lo = _mm256_setzero_si256();
+    let mut hi = _mm256_setzero_si256();
+    let mut chunks = block.chunks_exact(4);
+    for chunk in chunks.by_ref() {
+        let v = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+        lo = _mm256_add_epi64(lo, _mm256_and_si256(v, low_half));
+        hi = _mm256_add_epi64(hi, _mm256_srli_epi64::<32>(_mm256_xor_si256(v, sign)));
+    }
+    let mut lanes = [0u64; 8];
+    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, lo);
+    _mm256_storeu_si256(lanes.as_mut_ptr().add(4) as *mut __m256i, hi);
+    // A lane holds at most 2^30 / 4 halves below 2^32: the sums fit.
+    (
+        lanes[..4].iter().sum(),
+        lanes[4..].iter().sum(),
+        chunks.remainder(),
+    )
+}
+
+/// SSE2 twin of [`sum_halves_avx2`], two elements per step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sum_halves_sse2(block: &[i64]) -> (u64, u64, &[i64]) {
+    use std::arch::x86_64::*;
+    let sign = _mm_set1_epi64x(i64::MIN);
+    let low_half = _mm_set1_epi64x(0xFFFF_FFFF);
+    let mut lo = _mm_setzero_si128();
+    let mut hi = _mm_setzero_si128();
+    let mut chunks = block.chunks_exact(2);
+    for chunk in chunks.by_ref() {
+        let v = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
+        lo = _mm_add_epi64(lo, _mm_and_si128(v, low_half));
+        hi = _mm_add_epi64(hi, _mm_srli_epi64::<32>(_mm_xor_si128(v, sign)));
+    }
+    let mut lanes = [0u64; 4];
+    _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, lo);
+    _mm_storeu_si128(lanes.as_mut_ptr().add(2) as *mut __m128i, hi);
+    (lanes[0] + lanes[1], lanes[2] + lanes[3], chunks.remainder())
+}
+
+/// NEON twin of [`sum_halves_avx2`], two elements per step.
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn sum_halves_neon(block: &[i64]) -> (u64, u64, &[i64]) {
+    use std::arch::aarch64::*;
+    let sign = vdupq_n_u64(1 << 63);
+    let low_half = vdupq_n_u64(0xFFFF_FFFF);
+    let mut lo = vdupq_n_u64(0);
+    let mut hi = vdupq_n_u64(0);
+    let mut chunks = block.chunks_exact(2);
+    for chunk in chunks.by_ref() {
+        let v = vreinterpretq_u64_s64(vld1q_s64(chunk.as_ptr()));
+        lo = vaddq_u64(lo, vandq_u64(v, low_half));
+        hi = vaddq_u64(hi, vshrq_n_u64::<32>(veorq_u64(v, sign)));
+    }
+    (
+        vgetq_lane_u64(lo, 0) + vgetq_lane_u64(lo, 1),
+        vgetq_lane_u64(hi, 0) + vgetq_lane_u64(hi, 1),
+        chunks.remainder(),
+    )
 }
 
 // ---------------------------------------------------------------------

@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use crate::sequential::adaptive::AdaptivePredictor;
-use pma_common::{simd, Key, ScanStats, Value, KEY_MIN};
+use pma_common::{simd, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
 
 /// Outcome of [`ChunkData::try_insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,17 +188,98 @@ impl<'a> View<'a> {
         first
     }
 
-    /// The in-range span `[begin, end)` of segment `s` for `[lo, hi]`, cut
-    /// with the counting kernels, and whether the segment holds a key
-    /// greater than `hi`.
+    /// Software-prefetches the occupied cache lines of segment `s`'s key run
+    /// and value run. Each run is short (a fraction of a segment), followed
+    /// by the segment's gap, and the two sit a whole slot array apart — too
+    /// short for the hardware streamer to lock on before the run ends, which
+    /// is why a scan asks for exactly these lines itself.
     #[inline]
-    fn seg_span(&self, s: usize, lo: Key, hi: Key) -> (usize, usize, bool) {
-        let seg = self.seg_keys(s);
-        let begin = simd::count_lt(seg, lo);
-        let end = simd::count_le(seg, hi);
-        (begin, end, end < seg.len())
+    fn prefetch_segment(&self, s: usize) {
+        const LINE: usize = 64 / std::mem::size_of::<Key>();
+        let (start, card) = (self.seg_start(s), self.card(s));
+        if card == 0 {
+            return;
+        }
+        for run in [
+            &self.keys[start..start + card],
+            &self.values[start..start + card],
+        ] {
+            for line in run.chunks(LINE) {
+                simd::prefetch_read(line.as_ptr());
+            }
+            // The run is not line-aligned: its tail may spill into one more.
+            simd::prefetch_read(&run[card - 1]);
+        }
+    }
+
+    /// The one chunk-scan kernel: hands the live elements with key in
+    /// `[lo, hi]` to `visit` in ascending key order, one contiguous segment
+    /// run at a time, as a software pipeline — before segment `s` is
+    /// visited, the occupied lines of every segment up to
+    /// `s + PREFETCH_AHEAD` have been asked for, so the visit finds its own
+    /// lines in flight or in cache and keeps the memory system busy with
+    /// the ones behind it.
+    ///
+    /// The span is cut once per boundary segment with the counting kernels;
+    /// segments in between are handed out whole. A span inside one segment
+    /// (a short range query) issues no prefetch.
+    #[inline]
+    fn runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&'a [Key], &'a [Value])) {
+        if lo > hi {
+            return;
+        }
+        // An end at the edge of the key domain cuts nothing (see
+        // [`open_ends`]): no routing, no count on that side. Otherwise both
+        // ends route to a non-empty segment (or to segment 0 of an empty
+        // chunk), and `lo <= hi` keeps them ordered.
+        let (cut_lo, cut_hi) = (lo != KEY_MIN, hi != KEY_MAX);
+        let first = if cut_lo { self.find_segment(lo) } else { 0 };
+        let last = if cut_hi {
+            self.find_segment(hi)
+        } else {
+            self.num_segments() - 1
+        };
+        let mut asked = first;
+        for s in first..=last {
+            while last > first && asked <= last.min(s + PREFETCH_AHEAD) {
+                self.prefetch_segment(asked);
+                asked += 1;
+            }
+            let (keys, values) = (self.seg_keys(s), self.seg_values(s));
+            let begin = if cut_lo && s == first {
+                simd::count_lt(keys, lo)
+            } else {
+                0
+            };
+            let end = if cut_hi && s == last {
+                simd::count_le(keys, hi)
+            } else {
+                keys.len()
+            };
+            if begin < end {
+                visit(&keys[begin..end], &values[begin..end]);
+            }
+        }
     }
 }
+
+/// `[lo, hi]` as a chunk fenced by `fences` needs to see it: every key of the
+/// chunk lies within its fences, so a bound at or beyond a fence cuts nothing
+/// there and is moved to the edge of the key domain, which
+/// [`ChunkData::runs`] recognises as "hand that side out whole". A range
+/// walk therefore cuts one end of its first chunk and one end of its last,
+/// and nothing in between.
+#[inline]
+pub(crate) fn open_ends(lo: Key, hi: Key, fences: (Key, Key)) -> (Key, Key) {
+    (
+        if lo <= fences.0 { KEY_MIN } else { lo },
+        if hi >= fences.1 { KEY_MAX } else { hi },
+    )
+}
+
+/// How many segments ahead of the one being visited a chunk scan prefetches:
+/// two segment visits cover one trip to memory.
+const PREFETCH_AHEAD: usize = 2;
 
 impl<'a> ViewMut<'a> {
     fn new(slab: &'a mut [i64]) -> Self {
@@ -477,55 +558,18 @@ impl ChunkData {
     /// Folds every element of the chunk (ascending key order) into `stats`,
     /// one whole segment run at a time.
     pub fn scan(&self, stats: &mut ScanStats) {
-        let v = self.view();
-        for s in 0..v.num_segments() {
-            stats.visit_run(v.seg_keys(s), v.seg_values(s));
-        }
+        self.runs(KEY_MIN, KEY_MAX, |keys, values| {
+            stats.visit_run(keys, values)
+        });
     }
 
-    /// Visits every element with key in `[lo, hi]`. Returns `false` when the
-    /// scan ran past `hi` (i.e. the caller can stop at this chunk). The
-    /// in-range span of each segment is cut with the counting kernels so the
-    /// inner loop carries no bound checks.
-    pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) -> bool {
-        let v = self.view();
-        for s in 0..v.num_segments() {
-            let (begin, end, past_hi) = v.seg_span(s, lo, hi);
-            for (k, value) in v.seg_keys(s)[begin..end]
-                .iter()
-                .zip(&v.seg_values(s)[begin..end])
-            {
-                visitor(*k, *value);
-            }
-            if past_hi {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Appends every element with key in `[lo, hi]` (ascending) to the
-    /// output vectors through the bulk run-copy kernel. Returns `false` when
-    /// the chunk holds a key greater than `hi` (the caller can stop).
-    pub fn collect_range_into(
-        &self,
-        lo: Key,
-        hi: Key,
-        keys: &mut Vec<Key>,
-        values: &mut Vec<Value>,
-    ) -> bool {
-        let v = self.view();
-        for s in 0..v.num_segments() {
-            let (begin, end, past_hi) = v.seg_span(s, lo, hi);
-            if begin < end {
-                simd::append_run(keys, &v.seg_keys(s)[begin..end]);
-                simd::append_run(values, &v.seg_values(s)[begin..end]);
-            }
-            if past_hi {
-                return false;
-            }
-        }
-        true
+    /// Hands every element with key in `[lo, hi]` to `visit` in ascending
+    /// key order, as contiguous runs of parallel key/value slices (one per
+    /// segment the range touches). This is the chunk-scan kernel every
+    /// ordered traversal goes through — see `View::runs` for its pipeline.
+    #[inline]
+    pub fn runs(&self, lo: Key, hi: Key, visit: impl FnMut(&[Key], &[Value])) {
+        self.view().runs(lo, hi, visit);
     }
 
     /// Iterates over every element of the chunk in ascending key order.
@@ -793,8 +837,19 @@ mod tests {
         assert_eq!(stats.value_sum, 4);
     }
 
+    /// Collects what `runs(lo, hi)` hands out.
+    fn collect_runs(c: &ChunkData, lo: Key, hi: Key) -> Vec<(Key, Value)> {
+        let mut seen = Vec::new();
+        c.runs(lo, hi, |keys, values| {
+            assert_eq!(keys.len(), values.len());
+            assert!(!keys.is_empty(), "empty runs are not handed out");
+            seen.extend(keys.iter().copied().zip(values.iter().copied()));
+        });
+        seen
+    }
+
     #[test]
-    fn range_respects_bounds_and_signals_stop() {
+    fn runs_respect_bounds_across_segments() {
         let mut c = chunk();
         for k in 0..6i64 {
             assert_eq!(c.try_insert(k, k), ChunkInsert::Inserted);
@@ -806,14 +861,38 @@ mod tests {
             assert_eq!(c.try_insert(k, k), ChunkInsert::Inserted);
         }
         assert_eq!(c.cardinality(), 10);
-        let mut seen = Vec::new();
-        let keep_going = c.range(3, 6, &mut |k, _| seen.push(k));
-        assert_eq!(seen, vec![3, 4, 5, 6]);
-        assert!(!keep_going, "hi bound inside the chunk must stop the scan");
-        let mut seen = Vec::new();
-        let keep_going = c.range(8, 100, &mut |k, _| seen.push(k));
-        assert_eq!(seen, vec![8, 9]);
-        assert!(keep_going, "scan may continue past this chunk");
+        let pairs = |r: std::ops::RangeInclusive<i64>| r.map(|k| (k, k)).collect::<Vec<_>>();
+        assert_eq!(collect_runs(&c, 3, 6), pairs(3..=6));
+        assert_eq!(collect_runs(&c, 8, 100), pairs(8..=9));
+        assert_eq!(collect_runs(&c, -5, 0), pairs(0..=0));
+        assert_eq!(collect_runs(&c, KEY_MIN, KEY_MAX), pairs(0..=9));
+        assert_eq!(collect_runs(&c, 4, 4), pairs(4..=4));
+        assert!(collect_runs(&c, 10, 100).is_empty(), "above every key");
+        assert!(collect_runs(&c, -9, -1).is_empty(), "below every key");
+        assert!(collect_runs(&c, 6, 3).is_empty(), "inverted");
+        assert!(collect_runs(&chunk(), KEY_MIN, KEY_MAX).is_empty());
+    }
+
+    #[test]
+    fn runs_skip_empty_segments_and_uneven_cards() {
+        // Segments: [0, 1, 2] [] [10] [] and every sub-range of the domain.
+        let elements: Vec<(Key, Value)> = vec![(0, 0), (1, -1), (2, -2), (10, -10)];
+        let mut it = elements.iter().copied();
+        let c = ChunkData::from_stream(4, 4, &[3, 0, 1, 0], &mut it);
+        c.check_invariants();
+        for lo in -1..12 {
+            for hi in -1..12 {
+                let expected: Vec<_> = elements
+                    .iter()
+                    .copied()
+                    .filter(|&(k, _)| k >= lo && k <= hi)
+                    .collect();
+                assert_eq!(collect_runs(&c, lo, hi), expected, "[{lo}, {hi}]");
+            }
+        }
+        let mut stats = ScanStats::default();
+        c.scan(&mut stats);
+        assert_eq!((stats.count, stats.key_sum, stats.value_sum), (4, 13, -13));
     }
 
     #[test]

@@ -38,7 +38,8 @@ use std::time::Duration;
 
 use pma_common::obs;
 use pma_common::{
-    CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError, ScanStats, Value,
+    simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError, ScanStats,
+    Value,
 };
 
 use crate::params::{PmaParams, RebalancePolicy, UpdateMode};
@@ -67,8 +68,6 @@ enum Walk {
     Continue,
     /// Stop at this gate boundary and report where the walk would resume.
     Pause,
-    /// The range is exhausted.
-    Done,
 }
 
 /// Result of applying an operation while holding a gate in `Write` mode.
@@ -239,24 +238,12 @@ impl ConcurrentPma {
     }
 
     /// Scans every element in ascending key order, folding it into
-    /// [`ScanStats`]. Scans run concurrently with updates and do not provide
+    /// [`ScanStats`]: [`ConcurrentPma::scan_range`] over the whole key
+    /// domain. Scans run concurrently with updates and do not provide
     /// snapshot isolation (as in the paper): elements moved by a concurrent
     /// rebalance may be observed at their old or new position.
     pub fn scan_all(&self) -> ScanStats {
-        'restart: loop {
-            let _pin = self.shared.pin();
-            // SAFETY: pinned above.
-            let inst = unsafe { self.shared.instance_ref() };
-            let mut stats = ScanStats::default();
-            for gate in inst.gates.iter() {
-                let Some(guard) = gate.acquire_shared(&self.shared.stats) else {
-                    Stats::bump(&self.shared.stats.resize_restarts);
-                    continue 'restart;
-                };
-                guard.chunk().scan(&mut stats);
-            }
-            return stats;
-        }
+        self.scan_range(Key::MIN, Key::MAX)
     }
 
     /// Takes an O(1) point-in-time snapshot with repeatable reads.
@@ -283,13 +270,19 @@ impl ConcurrentPma {
             // SAFETY: pinned above.
             let inst = unsafe { self.shared.instance_ref() };
             let mut pieces = Vec::with_capacity(inst.num_gates());
+            let mut len = 0usize;
             for gate in inst.gates.iter() {
                 let Some(guard) = gate.acquire_shared(&self.shared.stats) else {
                     Stats::bump(&self.shared.stats.resize_restarts);
                     continue 'restart;
                 };
                 let (lo, hi) = guard.fences();
-                pieces.push((lo, hi, guard.version()));
+                let version = guard.version();
+                // Counted here, while the clone's reference-count bump has
+                // the head of the slab in cache (the per-segment counts sit
+                // two lines behind it), not in a second pass over the slabs.
+                len += version.cardinality();
+                pieces.push((lo, hi, version));
             }
             if !version::fences_tile_key_space(&pieces) {
                 // Fences moved between two per-gate captures: the pieces do
@@ -297,7 +290,7 @@ impl ConcurrentPma {
                 Stats::bump(&self.shared.stats.resize_restarts);
                 continue 'restart;
             }
-            let snapshot = FrozenSnapshot::capture(pieces, Arc::clone(&self.shared.cow));
+            let snapshot = FrozenSnapshot::capture(pieces, len, Arc::clone(&self.shared.cow));
             span.set_payload(snapshot.generation());
             return snapshot;
         }
@@ -320,28 +313,34 @@ impl ConcurrentPma {
     /// Visits every element with key in `[lo, hi]` (inclusive) in ascending
     /// key order.
     pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
-        self.walk_gates(lo, hi, |chunk, cursor| {
-            if chunk.range(cursor, hi, visitor) {
-                Walk::Continue
-            } else {
-                Walk::Done
-            }
+        self.range_runs(lo, hi, pma_common::elements_from_runs(visitor));
+    }
+
+    /// Hands every element with key in `[lo, hi]` (inclusive) to `visit` in
+    /// ascending key order, as contiguous runs of parallel key/value slices
+    /// — the segment runs of the array itself, borrowed under the gate's
+    /// shared latch for the duration of the call.
+    ///
+    /// The walk is routed through the static index straight to the first
+    /// gate whose fences cover `lo` and proceeds gate by gate, holding one
+    /// shared latch at a time — it never touches the gates below `lo` or
+    /// above `hi` — and inside each gate the chunk kernel
+    /// ([`ChunkData::runs`]) streams the segments. It runs concurrently with
+    /// updates without snapshot isolation; a resize restarts the walk just
+    /// after the last visited fence, so no element is handed out twice.
+    pub fn range_runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&[Key], &[Value])) {
+        self.walk_gates(lo, hi, |chunk, from, to| {
+            chunk.runs(from, to, &mut visit);
+            Walk::Continue
         });
     }
 
     /// Scans every element with key in `[lo, hi]` (inclusive) in ascending
-    /// key order, folding into [`ScanStats`].
-    ///
-    /// Drives [`ConcurrentPma::range`], whose walk is routed through the
-    /// static index straight to the first gate whose fences cover `lo` and
-    /// then proceeds gate by gate, holding one shared latch at a time — it
-    /// never touches the gates below `lo` or above `hi`. Like
-    /// [`ConcurrentPma::scan_all`] it runs concurrently with updates without
-    /// snapshot isolation; a resize restarts the walk just after the last
-    /// visited key, so no element is counted twice.
+    /// key order, folding the runs of [`ConcurrentPma::range_runs`] into
+    /// [`ScanStats`].
     pub fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         let mut stats = ScanStats::default();
-        self.range(lo, hi, &mut |k, v| stats.visit(k, v));
+        self.range_runs(lo, hi, |keys, values| stats.visit_run(keys, values));
         stats
     }
 
@@ -366,7 +365,9 @@ impl ConcurrentPma {
         } else {
             Vec::new()
         };
-        self.range(lo, hi, &mut |k, v| out.push((k, v)));
+        self.range_runs(lo, hi, |keys, values| {
+            out.extend(keys.iter().copied().zip(values.iter().copied()));
+        });
         out
     }
 
@@ -389,10 +390,12 @@ impl ConcurrentPma {
         values: &mut Vec<Value>,
     ) -> Option<Key> {
         let base = keys.len();
-        self.walk_gates(lo, hi, |chunk, cursor| {
-            if !chunk.collect_range_into(cursor, hi, keys, values) {
-                Walk::Done
-            } else if keys.len() - base >= min_len {
+        self.walk_gates(lo, hi, |chunk, from, to| {
+            chunk.runs(from, to, |ks, vs| {
+                simd::append_run(keys, ks);
+                simd::append_run(values, vs);
+            });
+            if keys.len() - base >= min_len {
                 // Gate boundary reached with a full block: hand the
                 // remainder of the range back to the caller.
                 Walk::Pause
@@ -404,10 +407,11 @@ impl ConcurrentPma {
 
     /// Walks the gates covering `[lo, hi]` in key order, holding one shared
     /// latch at a time, and hands each latched chunk to `visit` together
-    /// with the key the walk has reached. The walk is routed through the
-    /// static index straight to the gate covering `lo`. Returns `Some(next)`
-    /// when `visit` paused the walk at a gate boundary with `[next, hi]`
-    /// still to go, `None` when the range is exhausted.
+    /// with the part of the range still to cover, its ends opened where the
+    /// gate's fences already bound them ([`chunk::open_ends`]). The walk is
+    /// routed through the static index straight to the gate covering `lo`.
+    /// Returns `Some(next)` when `visit` paused the walk at a gate boundary
+    /// with `[next, hi]` still to go, `None` when the range is exhausted.
     ///
     /// If a resize interrupts the walk it restarts from just after the last
     /// covered fence, so no element is visited twice.
@@ -415,7 +419,7 @@ impl ConcurrentPma {
         &self,
         lo: Key,
         hi: Key,
-        mut visit: impl FnMut(&ChunkData, Key) -> Walk,
+        mut visit: impl FnMut(&ChunkData, Key, Key) -> Walk,
     ) -> Option<Key> {
         if lo > hi {
             return None;
@@ -430,16 +434,18 @@ impl ConcurrentPma {
                 continue 'restart;
             };
             loop {
-                let step = visit(guard.chunk(), cursor);
+                let fences = guard.fences();
+                let (from, to) = chunk::open_ends(cursor, hi, fences);
+                let step = visit(guard.chunk(), from, to);
+                drop(guard);
                 // Everything up to this gate's upper fence has been covered
                 // (elements can only live inside their fences).
-                cursor = cursor.max(guard.fences().1.saturating_add(1));
-                drop(guard);
-                match step {
-                    Walk::Done => return None,
-                    _ if cursor > hi || g + 1 >= inst.num_gates() => return None,
-                    Walk::Pause => return Some(cursor),
-                    Walk::Continue => {}
+                cursor = cursor.max(fences.1.saturating_add(1));
+                if cursor > hi || g + 1 >= inst.num_gates() {
+                    return None;
+                }
+                if let Walk::Pause = step {
+                    return Some(cursor);
                 }
                 g += 1;
                 guard = match inst.gates[g].acquire_shared(&self.shared.stats) {
@@ -1198,6 +1204,10 @@ impl ConcurrentMap for ConcurrentPma {
         ConcurrentPma::range(self, lo, hi, visitor)
     }
 
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        ConcurrentPma::range_runs(self, lo, hi, visitor)
+    }
+
     fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         ConcurrentPma::scan_range(self, lo, hi)
     }
@@ -1414,24 +1424,83 @@ mod tests {
         assert_eq!(p.len(), 5000);
     }
 
+    /// Every scan path — `scan_all`, `scan_range`, `range`, `range_runs`,
+    /// `collect_block` and the frozen twins — against a model, on an array
+    /// whose layout exercises the chunk kernel's corners: an empty chunk,
+    /// empty segments next to full ones, uneven per-segment counts.
     #[test]
-    fn scan_range_matches_range_visits() {
+    fn scan_paths_agree_over_empty_chunks_and_uneven_segments() {
+        use std::collections::BTreeMap;
         let p = pma(UpdateMode::Synchronous);
-        for k in 0..4000i64 {
-            p.insert(k * 3, k);
+        let mut model = BTreeMap::new();
+        for k in 0..3_000i64 {
+            p.insert(k * 2, -k);
+            model.insert(k * 2, -k);
         }
-        for (lo, hi) in [
-            (0, 11_999),
-            (100, 101),
-            (5_000, 5_000),
-            (300, 299),
-            (-50, 40),
-        ] {
-            let mut expected = ScanStats::default();
-            p.range(lo, hi, &mut |k, v| expected.visit(k, v));
-            assert_eq!(p.scan_range(lo, hi), expected, "range [{lo}, {hi}]");
+        // A hole several gates wide, a stretch with a survivor every few
+        // segments, and a stretch thinned unevenly.
+        let doomed = (300..500i64)
+            .chain((600..900).filter(|k| k % 23 != 0))
+            .chain((900..1_100).filter(|k| k % 5 != 0 && k % 7 != 0));
+        for k in doomed {
+            assert_eq!(p.remove(k * 2), model.remove(&(k * 2)));
         }
-        assert_eq!(p.scan_range(i64::MIN, i64::MAX).count, 4000);
+        {
+            let _pin = p.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { p.shared.instance_ref() };
+            let (mut empty_chunks, mut empty_segments, mut cards) = (0, 0, Vec::new());
+            for gate in inst.gates.iter() {
+                let guard = gate.acquire_shared(&p.shared.stats).unwrap();
+                let chunk = guard.chunk();
+                empty_chunks += usize::from(chunk.cardinality() == 0);
+                for s in 0..chunk.num_segments() {
+                    empty_segments += usize::from(chunk.card(s) == 0);
+                    cards.push(chunk.card(s));
+                }
+            }
+            cards.sort_unstable();
+            cards.dedup();
+            assert!(empty_chunks > 0, "the layout must include an empty chunk");
+            assert!(empty_segments > 2 * empty_chunks);
+            assert!(cards.len() > 3, "per-segment counts must be uneven");
+        }
+        let frozen = p.frozen();
+        assert_eq!(frozen.len(), model.len());
+        let bounds: Vec<Key> = (-3..2_403)
+            .step_by(7)
+            .chain((2_403..6_003).step_by(331))
+            .chain([Key::MIN, Key::MAX, 598, 599, 600, 1_000, 1_001])
+            .collect();
+        for &lo in &bounds {
+            for &hi in &bounds {
+                let mut expected = ScanStats::default();
+                let mut pairs = Vec::new();
+                if lo <= hi {
+                    for (&k, &v) in model.range(lo..=hi) {
+                        expected.visit(k, v);
+                        pairs.push((k, v));
+                    }
+                }
+                assert_eq!(p.scan_range(lo, hi), expected, "scan_range [{lo}, {hi}]");
+                assert_eq!(frozen.scan_range(lo, hi), expected, "frozen [{lo}, {hi}]");
+                assert_eq!(p.collect_range(lo, hi), pairs, "collect_range [{lo}, {hi}]");
+                let mut seen = Vec::new();
+                frozen.range(lo, hi, &mut |k, v| seen.push((k, v)));
+                assert_eq!(seen, pairs, "frozen range [{lo}, {hi}]");
+            }
+        }
+        let everything: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut expected = ScanStats::default();
+        everything.iter().for_each(|&(k, v)| expected.visit(k, v));
+        assert_eq!(p.scan_all(), expected);
+        assert_eq!(frozen.scan_all(), expected);
+        // Blocks cut at gate boundaries concatenate into the whole range.
+        let (mut keys, mut values, mut next) = (Vec::new(), Vec::new(), Some(Key::MIN));
+        while let Some(lo) = next {
+            next = p.collect_block(lo, Key::MAX, 100, &mut keys, &mut values);
+        }
+        assert_eq!(keys.into_iter().zip(values).collect::<Vec<_>>(), everything);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pma_common::{FrozenView, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
 
-use super::chunk::ChunkData;
+use super::chunk::{open_ends, ChunkData};
 
 /// The global write-generation counter of one PMA, plus the set of
 /// generations pinned by live [`FrozenSnapshot`]s.
@@ -137,13 +137,23 @@ pub struct FrozenSnapshot {
 }
 
 impl FrozenSnapshot {
-    /// Builds a snapshot from validated captured pieces, pinning the current
-    /// write generation. Degenerate pieces (empty gates) are dropped — they
-    /// cover no key.
-    pub(crate) fn capture(pieces: Vec<(Key, Key, ChunkData)>, cow: Arc<CowGen>) -> Self {
+    /// Builds a snapshot from validated captured pieces holding `len`
+    /// elements in total, pinning the current write generation. Degenerate
+    /// pieces (empty gates) are dropped — they cover no key.
+    pub(crate) fn capture(
+        pieces: Vec<(Key, Key, ChunkData)>,
+        len: usize,
+        cow: Arc<CowGen>,
+    ) -> Self {
         debug_assert!(fences_tile_key_space(&pieces));
+        debug_assert_eq!(
+            len,
+            pieces
+                .iter()
+                .map(|(_, _, v)| v.cardinality())
+                .sum::<usize>()
+        );
         let pieces: Vec<_> = pieces.into_iter().filter(|&(lo, hi, _)| lo <= hi).collect();
-        let len = pieces.iter().map(|(_, _, v)| v.cardinality()).sum();
         let gen = cow.pin();
         Self {
             pieces,
@@ -188,30 +198,40 @@ impl FrozenSnapshot {
     /// Visits every frozen element with key in `[lo, hi]` (inclusive) in
     /// ascending key order.
     pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
+        self.range_runs(lo, hi, pma_common::elements_from_runs(visitor));
+    }
+
+    /// Hands every frozen element with key in `[lo, hi]` (inclusive) to
+    /// `visit` in ascending key order, as the captured chunks' own segment
+    /// runs — the same chunk kernel ([`ChunkData::runs`]) the live scans
+    /// stream through, minus the latches.
+    pub fn range_runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&[Key], &[Value])) {
         if lo > hi {
             return;
         }
         let start = self
             .pieces
             .partition_point(|&(_, piece_hi, _)| piece_hi < lo);
-        for (piece_lo, _, version) in &self.pieces[start..] {
-            if *piece_lo > hi {
+        for &(piece_lo, piece_hi, ref version) in &self.pieces[start..] {
+            if piece_lo > hi {
                 break;
             }
-            if !version.range(lo, hi, visitor) {
-                break;
-            }
+            let (from, to) = open_ends(lo, hi, (piece_lo, piece_hi));
+            version.runs(from, to, &mut visit);
         }
     }
 
-    /// Scans the whole frozen state, folding into [`ScanStats`] with the
-    /// chunk-at-a-time kernel (cheaper than driving `range` per element).
-    pub fn scan_all(&self) -> ScanStats {
+    /// Scans the frozen elements with key in `[lo, hi]` (inclusive), folding
+    /// the runs of [`FrozenSnapshot::range_runs`] into [`ScanStats`].
+    pub fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         let mut stats = ScanStats::default();
-        for (_, _, version) in &self.pieces {
-            version.scan(&mut stats);
-        }
+        self.range_runs(lo, hi, |keys, values| stats.visit_run(keys, values));
         stats
+    }
+
+    /// Scans the whole frozen state, folding into [`ScanStats`].
+    pub fn scan_all(&self) -> ScanStats {
+        self.scan_range(KEY_MIN, KEY_MAX)
     }
 }
 
@@ -228,8 +248,12 @@ impl FrozenView for FrozenSnapshot {
         FrozenSnapshot::range(self, lo, hi, visitor)
     }
 
-    fn scan_all(&self) -> ScanStats {
-        FrozenSnapshot::scan_all(self)
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        FrozenSnapshot::range_runs(self, lo, hi, visitor)
+    }
+
+    fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
+        FrozenSnapshot::scan_range(self, lo, hi)
     }
 }
 
@@ -335,7 +359,7 @@ mod tests {
             (10, 5, version_of(&[], 0)),
             (10, KEY_MAX, version_of(&[(10, 100), (20, 200)], 1)),
         ];
-        let snap = FrozenSnapshot::capture(pieces, Arc::clone(&cow));
+        let snap = FrozenSnapshot::capture(pieces, 4, Arc::clone(&cow));
         assert_eq!(snap.generation(), 1);
         assert_eq!(cow.pinned_generations(), 1);
         assert_eq!(snap.len(), 4);
@@ -378,7 +402,7 @@ mod tests {
         gate.release_exclusive(gate.lock(), &stats);
         let cow = Arc::new(CowGen::new());
         let version = gate.acquire_shared(&stats).unwrap().version();
-        let snap = FrozenSnapshot::capture(vec![(KEY_MIN, KEY_MAX, version)], Arc::clone(&cow));
+        let snap = FrozenSnapshot::capture(vec![(KEY_MIN, KEY_MAX, version)], 1, Arc::clone(&cow));
         assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
         // SAFETY: `Write` mode held by this thread.
         unsafe {

@@ -572,6 +572,10 @@ impl ConcurrentMap for CoreRouter {
         self.inner.range(lo, hi, visitor)
     }
 
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        self.inner.range_runs(lo, hi, visitor)
+    }
+
     fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         self.inner.scan_range(lo, hi)
     }

@@ -1180,13 +1180,19 @@ impl ShardSnapshot<'_> {
 
     /// Visits every element with key in `[lo, hi]` in ascending key order
     /// through the pinned directory.
+    pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
+        self.range_runs(lo, hi, &mut pma_common::elements_from_runs(visitor));
+    }
+
+    /// Hands every element with key in `[lo, hi]` to `visitor` in ascending
+    /// key order through the pinned directory, as sorted runs.
     ///
     /// A range confined to one shard is delegated straight to it; a
     /// fence-crossing range runs the loser-tree block merge (`merge.rs`)
     /// over the covered shards, so the per-shard streams are pulled out as
     /// whole sorted runs (SIMD run-copies at gate granularity) instead of
     /// one virtual call per element per layer.
-    pub fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
+    pub fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
         if lo > hi {
             return;
         }
@@ -1194,15 +1200,13 @@ impl ShardSnapshot<'_> {
         let last = self.dir.route(hi);
         if last == first {
             let shard = &self.dir.shards[first];
-            shard.map.range(lo.max(shard.lo), hi.min(shard.hi), visitor);
+            shard
+                .map
+                .range_runs(lo.max(shard.lo), hi.min(shard.hi), visitor);
             return;
         }
         EngineStats::bump(&self.engine.stats.cross_shard_scans);
-        crate::merge::merge_blocks(&self.merge_sources(lo, hi), &mut |keys, values| {
-            for (&k, &v) in keys.iter().zip(values) {
-                visitor(k, v);
-            }
-        });
+        crate::merge::merge_blocks(&self.merge_sources(lo, hi), visitor);
     }
 
     /// Folds the scan of every shard whose range intersects `[lo, hi]`.
@@ -1351,6 +1355,17 @@ impl FrozenShardPiece {
             }
         }
     }
+
+    /// [`FrozenShardPiece::visit_range`] as runs: the base's own when no
+    /// overlay shadows it (the common case — no split was mid-copy at freeze
+    /// time), the merged element stream batched otherwise.
+    fn visit_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        if self.overlay.is_empty() {
+            self.base.range_runs(lo, hi, visitor);
+        } else {
+            pma_common::runs_from_elements(|each| self.visit_range(lo, hi, each), visitor);
+        }
+    }
 }
 
 /// An owned point-in-time view of a [`ShardedMap`] (see
@@ -1372,6 +1387,20 @@ impl ShardedFrozen {
     /// The directory generation this view was captured from.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The pieces intersecting `[lo, hi]` in fence order, each with the
+    /// range clamped to its fences (nothing for an inverted range).
+    fn covering(
+        &self,
+        lo: Key,
+        hi: Key,
+    ) -> impl Iterator<Item = (&FrozenShardPiece, Key, Key)> + '_ {
+        let start = self.pieces.partition_point(|piece| piece.hi < lo);
+        self.pieces[start..]
+            .iter()
+            .take_while(move |piece| lo <= hi && piece.lo <= hi)
+            .map(move |piece| (piece, lo.max(piece.lo), hi.min(piece.hi)))
     }
 }
 
@@ -1402,15 +1431,14 @@ impl FrozenView for ShardedFrozen {
     }
 
     fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
-        if lo > hi {
-            return;
+        for (piece, lo, hi) in self.covering(lo, hi) {
+            piece.visit_range(lo, hi, visitor);
         }
-        let start = self.pieces.partition_point(|piece| piece.hi < lo);
-        for piece in &self.pieces[start..] {
-            if piece.lo > hi {
-                break;
-            }
-            piece.visit_range(lo.max(piece.lo), hi.min(piece.hi), visitor);
+    }
+
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        for (piece, lo, hi) in self.covering(lo, hi) {
+            piece.visit_runs(lo, hi, visitor);
         }
     }
 }
@@ -1730,6 +1758,10 @@ impl ConcurrentMap for ShardedMap {
 
     fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
         self.snapshot().range(lo, hi, visitor)
+    }
+
+    fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
+        self.snapshot().range_runs(lo, hi, visitor)
     }
 
     fn collect_block(

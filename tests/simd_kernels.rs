@@ -147,6 +147,110 @@ proptest! {
     }
 }
 
+/// Unsorted runs for the run-sum kernel, biased toward the values whose
+/// halves carry: the domain's extremes, -1 (all ones) and small magnitudes.
+fn sum_strategy() -> impl Strategy<Value = Vec<i64>> {
+    let value = prop_oneof![
+        4 => any::<i64>(),
+        2 => (-8i64..8).prop_map(|k| k),
+        2 => Just(i64::MIN),
+        2 => Just(i64::MAX),
+        1 => Just(-1i64),
+        1 => Just(u32::MAX as i64),
+        1 => Just(-(1i64 << 32)),
+    ];
+    proptest::collection::vec(value, 0..301)
+}
+
+/// The scalar `i128` definition of the run sum.
+fn reference_sum(run: &[i64]) -> i128 {
+    run.iter().map(|&x| x as i128).sum()
+}
+
+/// Checks every supported `sum_run` arm, and the active one, on `run`.
+fn assert_sum_arms(run: &[i64]) {
+    let expected = reference_sum(run);
+    for variant in [Variant::Avx2, Variant::Sse2, Variant::Neon, Variant::Scalar] {
+        if variant.supported() {
+            assert_eq!(
+                simd::sum_run_with(variant, run),
+                expected,
+                "variant {variant:?} len {}",
+                run.len()
+            );
+        }
+    }
+    assert_eq!(simd::sum_run(run), expected);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `sum_run` is the exact `i128` sum for every supported arm — lengths
+    /// 0..=300 (so every remainder of the 2- and 4-lane widths), and every
+    /// unaligned sub-slice start.
+    #[test]
+    fn sum_run_matches_i128_reference(
+        run in sum_strategy(),
+        skip in 0usize..8,
+        drop_tail in 0usize..8,
+    ) {
+        assert_sum_arms(&run);
+        let start = skip.min(run.len());
+        let end = run.len().saturating_sub(drop_tail).max(start);
+        assert_sum_arms(&run[start..end]);
+    }
+
+    /// `ScanStats::visit_run` is `visit` over the pairs, whatever the run
+    /// boundaries.
+    #[test]
+    fn visit_run_matches_per_element_visit(
+        keys in sum_strategy(),
+        cut in 0usize..301,
+    ) {
+        let values: Vec<i64> = keys.iter().map(|&k| k.wrapping_mul(31) ^ 5).collect();
+        let mut expected = rma_concurrent::common::ScanStats::default();
+        for (&k, &v) in keys.iter().zip(&values) {
+            expected.visit(k, v);
+        }
+        let cut = cut.min(keys.len());
+        let mut runs = rma_concurrent::common::ScanStats::default();
+        runs.visit_run(&keys[..cut], &values[..cut]);
+        runs.visit_run(&keys[cut..], &values[cut..]);
+        prop_assert_eq!(runs, expected);
+    }
+}
+
+/// Runs that overflow a 64-bit accumulator long before they end: a naive
+/// `i64` lane would wrap, the half-split lanes must not.
+#[test]
+fn sum_run_survives_runs_of_extremes() {
+    for variant in [Variant::Avx2, Variant::Sse2, Variant::Neon, Variant::Scalar] {
+        if !variant.supported() {
+            continue;
+        }
+        for len in [
+            0usize, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300,
+        ] {
+            for fill in [i64::MIN, i64::MAX, -1, 0, 1] {
+                assert_eq!(
+                    simd::sum_run_with(variant, &vec![fill; len]),
+                    fill as i128 * len as i128,
+                    "variant {variant:?} fill {fill} len {len}"
+                );
+            }
+            let mixed: Vec<i64> = (0..len)
+                .map(|i| if i % 2 == 0 { i64::MIN } else { i64::MAX })
+                .collect();
+            assert_eq!(
+                simd::sum_run_with(variant, &mixed),
+                reference_sum(&mixed),
+                "variant {variant:?} alternating len {len}"
+            );
+        }
+    }
+}
+
 /// Deterministic spot checks for the exact boundary shapes random testing
 /// can miss: empty runs, all-equal runs, and full-domain separators.
 #[test]

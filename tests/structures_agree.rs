@@ -2,7 +2,10 @@
 //! concurrent PMA in all update modes, B+-tree, ART, Masstree-like,
 //! Bw-Tree-like, plus anything registered later) must agree with a `BTreeMap`
 //! model on the same operation sequence — point operations, full scans, and
-//! ranged scans (`range` and `scan_range`) over random intervals.
+//! ranged scans (`range` and `scan_range`) over random intervals — and every
+//! folded scan path (`scan_all`, `scan_range`, `range_runs`, `frozen()`) must
+//! equal the per-element `range` fold, quiesced and under a concurrent
+//! updater.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -10,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rma_concurrent::common::{ConcurrentMap, Registry};
+use rma_concurrent::common::{ConcurrentMap, Registry, ScanStats};
 use rma_concurrent::workloads::ensure_builtin_backends;
 
 /// Every backend name in the registry, instantiated with its default
@@ -146,6 +149,194 @@ fn structures_handle_bulk_build_then_drain() {
     }
 }
 
+/// The per-element reference every folded scan must equal: `range` visits,
+/// folded one element at a time.
+fn range_fold(range: impl FnOnce(&mut dyn FnMut(i64, i64))) -> ScanStats {
+    let mut stats = ScanStats::default();
+    range(&mut |k, v| stats.visit(k, v));
+    stats
+}
+
+/// Specs for the scan-agreement tests: [`all_specs`] plus a routed stack.
+fn scan_specs() -> Vec<String> {
+    let mut specs = all_specs();
+    specs.push("cores:1:sharded:2:pma-batch:1".to_string());
+    specs
+}
+
+/// `scan_all`, `scan_range`, `range_runs` and the `frozen()` twins equal the
+/// per-element `range` fold for every registry spec — after an insert /
+/// remove phase that, on the PMA-backed specs, leaves uneven per-segment
+/// counts, empty segments and (the contiguous hole is wider than any gate)
+/// empty chunks — over random intervals and the boundary shapes: a single
+/// key, present or not; short spans inside one segment; spans of one and a
+/// few segments' worth of elements from every offset of a stretch longer
+/// than a gate, so some start and end on segment and gate boundaries; the
+/// whole domain; empty and inverted ranges.
+#[test]
+fn every_scan_path_equals_the_per_element_range_fold() {
+    for spec in scan_specs() {
+        let map = build(&spec);
+        let mut rng = SmallRng::seed_from_u64(0x5CA9);
+        let batch: Vec<(i64, i64)> = (0..24_000i64).map(|k| (k * 4, !k)).collect();
+        map.insert_batch(&batch);
+        for k in 8_000..12_500i64 {
+            map.remove(k * 4);
+        }
+        for _ in 0..12_000 {
+            let k = rng.gen_range(0..24_000i64) * 4 + rng.gen_range(0..4i64);
+            if rng.gen_bool(0.4) {
+                map.insert(k, !k);
+            } else {
+                map.remove(k);
+            }
+        }
+        map.flush();
+        let mut keys = Vec::new();
+        map.range(i64::MIN, i64::MAX, &mut |k, _| keys.push(k));
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{spec}: range order");
+        assert_eq!(keys.len(), map.len(), "{spec}");
+
+        let mut intervals = vec![
+            (i64::MIN, i64::MAX),
+            (i64::MIN, 0),
+            (0, i64::MAX),
+            (i64::MAX, i64::MAX),
+            (-10, -1),
+            (32_000, 49_999),
+            (40_000, 39_000),
+            (keys[0], keys[0]),
+            (keys[keys.len() - 1], keys[keys.len() - 1]),
+        ];
+        for _ in 0..200 {
+            let a = rng.gen_range(-100..96_100i64);
+            let b = rng.gen_range(-100..96_100i64);
+            intervals.push((a.min(b), a.max(b)));
+            intervals.push((a, a));
+        }
+        // From every offset of a stretch of 1300 stored keys (more than one
+        // default gate holds), spans of about zero, one and a few segments.
+        // (Debug builds sample the offsets; 29 is coprime to the segment
+        // size, so the sampled starts still drift across the boundaries.)
+        let stretch = &keys[keys.len() / 2..];
+        for i in (0..1_300).step_by(if cfg!(debug_assertions) { 29 } else { 1 }) {
+            for span in [0usize, 1, 40, 77, 128, 129, 500, 1_100] {
+                intervals.push((stretch[i], stretch[i + span]));
+                intervals.push((stretch[i] + 1, stretch[i + span] - 1));
+            }
+        }
+
+        let frozen = map.frozen();
+        for &(lo, hi) in &intervals {
+            let expected = range_fold(|each| map.range(lo, hi, each));
+            assert_eq!(map.scan_range(lo, hi), expected, "{spec}: [{lo}, {hi}]");
+            let mut runs = ScanStats::default();
+            map.range_runs(lo, hi, &mut |ks, vs| runs.visit_run(ks, vs));
+            assert_eq!(runs, expected, "{spec}: range_runs [{lo}, {hi}]");
+            if let Some(frozen) = &frozen {
+                let folded = frozen.scan_range(lo, hi);
+                let visited = range_fold(|each| frozen.range(lo, hi, each));
+                assert_eq!(folded, visited, "{spec}: frozen [{lo}, {hi}]");
+                assert_eq!(folded, expected, "{spec}: frozen vs live [{lo}, {hi}]");
+            }
+        }
+        let everything = range_fold(|each| map.range(i64::MIN, i64::MAX, each));
+        assert_eq!(everything.count as usize, keys.len(), "{spec}");
+        assert_eq!(map.scan_all(), everything, "{spec}: scan_all");
+        if let Some(frozen) = &frozen {
+            assert_eq!(frozen.scan_all(), everything, "{spec}: frozen scan_all");
+            assert_eq!(frozen.len(), keys.len(), "{spec}: frozen len");
+        }
+    }
+}
+
+/// A scanner looping the folded scan paths while one updater inserts and
+/// removes keys of its own, as in the benchmark's `scan-update-large`:
+/// preloaded pairs are `(16p, p)` and never removed, the updater's are
+/// `(16p + r, p)` with `1 <= r <= 15`, so for any scan
+/// `key_sum - 16 * value_sum` is the sum of the residues of the updater's
+/// keys it saw — which bounds it by their count — and the preloaded keys in
+/// range must all be there. `SCAN_AGREE_ITERS` sets the passes per spec.
+#[test]
+fn folded_scans_stay_plausible_under_a_concurrent_updater() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const PRELOADED: i64 = 40_000;
+    let iters: u64 = std::env::var("SCAN_AGREE_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(if cfg!(debug_assertions) { 1 } else { 5 });
+    ensure_builtin_backends();
+    for spec in [
+        "pma-batch:1",
+        "pma-sync",
+        "sharded:4:pma-batch:1",
+        "cores:1:sharded:2:pma-batch:1",
+    ] {
+        for iter in 0..iters {
+            let items: Vec<(i64, i64)> = (0..PRELOADED).map(|p| (16 * p, p)).collect();
+            let map = rma_concurrent::workloads::build_loaded(spec, &items)
+                .unwrap_or_else(|e| panic!("cannot bulk-load `{spec}`: {e}"));
+            let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let mut rng = SmallRng::seed_from_u64(iter);
+                    let mut own: Vec<i64> = Vec::new();
+                    start.wait();
+                    for _ in 0..60_000 {
+                        if own.len() < 2_000 || rng.gen_bool(0.5) {
+                            let p = rng.gen_range(0..PRELOADED);
+                            let key = 16 * p + rng.gen_range(1..16i64);
+                            map.insert(key, p);
+                            own.push(key);
+                        } else {
+                            let victim = own.swap_remove(rng.gen_range(0..own.len()));
+                            map.remove(victim);
+                        }
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                scope.spawn(|| {
+                    let mut rng = SmallRng::seed_from_u64(!iter);
+                    let plausible = |seen: ScanStats, preloaded: i64, what: &str| {
+                        let extras = seen.count as i128 - preloaded as i128;
+                        let residues = seen.key_sum - 16 * seen.value_sum;
+                        assert!(
+                            extras >= 0 && residues >= extras && residues <= 15 * extras,
+                            "{spec}: {what} saw {seen:?} over {preloaded} preloaded keys"
+                        );
+                    };
+                    start.wait();
+                    let mut passes = 0;
+                    while !done.load(Ordering::Acquire) || passes < 3 {
+                        plausible(map.scan_all(), PRELOADED, "scan_all");
+                        for _ in 0..20 {
+                            let a = rng.gen_range(0..PRELOADED);
+                            let b = (a + rng.gen_range(0..3_000i64)).min(PRELOADED - 1);
+                            // [16a, 16b + 15] holds the preloaded a..=b and
+                            // every own key next to them.
+                            plausible(map.scan_range(16 * a, 16 * b + 15), b - a + 1, "scan_range");
+                        }
+                        if let Some(frozen) = map.frozen() {
+                            plausible(frozen.scan_all(), PRELOADED, "frozen scan_all");
+                        }
+                        passes += 1;
+                    }
+                });
+            });
+            map.flush();
+            let settled = map.scan_all();
+            assert_eq!(
+                settled,
+                range_fold(|each| map.range(i64::MIN, i64::MAX, each)),
+                "{spec}: settled scan_all vs range fold"
+            );
+            assert_eq!(settled.count as usize, map.len(), "{spec}");
+        }
+    }
+}
+
 /// `from_sorted` construction (via `Registry::build_loaded`, which dispatches
 /// to each backend's native bulk loader when it has one) must be observably
 /// identical to building the same contents through point inserts — for every
@@ -203,7 +394,6 @@ fn a_backend_registered_at_runtime_is_selectable_by_string() {
     // Simulates a downstream crate adding a structure without touching
     // pma_workloads: register on the global registry, then build by name.
     use pma_common::registry::BackendDef;
-    use pma_common::ScanStats;
 
     #[derive(Default)]
     struct VecMap(std::sync::Mutex<BTreeMap<i64, i64>>);
