@@ -21,6 +21,21 @@
 //! the adaptive-rebalancing predictor state (`f64` bits), only touched by
 //! writers.
 //!
+//! # Two waits for memory per lookup
+//!
+//! Out of cache, what a lookup costs inside a chunk is the number of times
+//! it waits for memory *in series*, not the number of lines it touches.
+//! There are two: the slab head (geometry and routing prefix, adjacent
+//! lines), and then the segment — routing reads nothing but the prefix
+//! (`mins[s]` is the first key of a non-empty segment `s`), and as soon as
+//! it has `s`, [`ChunkData::get`] (and a range inside one segment) asks for
+//! every occupied line of the segment's key run and value run before the
+//! search touches any of them. The search's probes and the value read then
+//! overlap one trip to memory instead of each starting its own when the
+//! previous one returns. Updates route the same way but do not prefetch:
+//! doing so was measured and left out (`docs/INTERNALS.md`, *Read path
+//! budget*).
+//!
 //! The reference count is what carries copy-on-write: cloning a chunk is an
 //! `Arc` bump (that is how a frozen snapshot captures it), and every
 //! mutating method first makes the slab unique, copying it if a clone still
@@ -168,6 +183,9 @@ impl<'a> View<'a> {
         self.seg_keys(s).first().copied()
     }
 
+    /// Routes on the prefix alone: `mins[s]` *is* the first key of a
+    /// non-empty segment, so the slot array is not touched before the caller
+    /// asks for the whole segment ([`View::prefetch_segment`]).
     fn find_segment(&self, key: Key) -> usize {
         let mut s = simd::route(self.mins, key);
         // An empty segment inherits the previous non-empty segment's
@@ -175,24 +193,28 @@ impl<'a> View<'a> {
         while self.cards[s] == 0 && s > 0 {
             s -= 1;
         }
-        if self.cards[s] > 0 && self.keys[self.seg_start(s)] <= key {
-            simd::prefetch_read(&self.keys[self.seg_start(s)]);
+        debug_assert!(
+            self.cards[s] == 0 || self.mins[s] == self.keys[self.seg_start(s)],
+            "routing prefix out of date at segment {s}"
+        );
+        if self.cards[s] > 0 && self.mins[s] <= key {
             return s;
         }
         // No non-empty segment's minimum is `<= key` (or the chunk is
         // empty): fall forward to the first non-empty segment.
-        let first = (0..self.num_segments())
+        (0..self.num_segments())
             .find(|&s| self.cards[s] > 0)
-            .unwrap_or(0);
-        simd::prefetch_read(&self.keys[self.seg_start(first)]);
-        first
+            .unwrap_or(0)
     }
 
     /// Software-prefetches the occupied cache lines of segment `s`'s key run
     /// and value run. Each run is short (a fraction of a segment), followed
     /// by the segment's gap, and the two sit a whole slot array apart — too
     /// short for the hardware streamer to lock on before the run ends, which
-    /// is why a scan asks for exactly these lines itself.
+    /// is why a scan asks for exactly these lines itself. A lookup asks for
+    /// them the moment it knows `s`: the search's probes and the value read
+    /// then wait for memory once, together, instead of once per line they
+    /// happen to touch.
     #[inline]
     fn prefetch_segment(&self, s: usize) {
         const LINE: usize = 64 / std::mem::size_of::<Key>();
@@ -222,7 +244,7 @@ impl<'a> View<'a> {
     ///
     /// The span is cut once per boundary segment with the counting kernels;
     /// segments in between are handed out whole. A span inside one segment
-    /// (a short range query) issues no prefetch.
+    /// (a short range query) asks for that segment like a point lookup does.
     #[inline]
     fn runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&'a [Key], &'a [Value])) {
         if lo > hi {
@@ -241,7 +263,7 @@ impl<'a> View<'a> {
         };
         let mut asked = first;
         for s in first..=last {
-            while last > first && asked <= last.min(s + PREFETCH_AHEAD) {
+            while asked <= last.min(s + PREFETCH_AHEAD) {
                 self.prefetch_segment(asked);
                 asked += 1;
             }
@@ -498,6 +520,7 @@ impl ChunkData {
         let v = self.view();
         // An empty chunk routes to its (empty) segment 0 and misses there.
         let s = v.find_segment(key);
+        v.prefetch_segment(s);
         simd::search(v.seg_keys(s), key)
             .ok()
             .map(|pos| v.seg_values(s)[pos])
@@ -893,6 +916,90 @@ mod tests {
         let mut stats = ScanStats::default();
         c.scan(&mut stats);
         assert_eq!((stats.count, stats.key_sum, stats.value_sum), (4, 13, -13));
+    }
+
+    /// Where the routing rule sends `key`, worked out from the slot array
+    /// alone (never from the `mins` prefix the chunk itself routes on): the
+    /// last non-empty segment whose first key is `<= key`, else the first
+    /// non-empty segment, else segment 0.
+    fn reference_segment(c: &ChunkData, key: Key) -> usize {
+        let occupied = || (0..c.num_segments()).filter(|&s| c.card(s) > 0);
+        occupied()
+            .rfind(|&s| c.seg_keys(s)[0] <= key)
+            .or_else(|| occupied().next())
+            .unwrap_or(0)
+    }
+
+    /// Point operations over every arrangement of empty segments — leading,
+    /// middle, trailing, all — against a model, with the chunk's whole state
+    /// compared after each one.
+    #[test]
+    fn point_ops_agree_with_a_model_around_empty_segments() {
+        use std::collections::BTreeMap;
+        const CAPACITY: usize = 4;
+        let layouts: [&[usize]; 8] = [
+            &[0, 0, 0, 0],
+            &[0, 3, 2, 1],
+            &[0, 0, 4, 4],
+            &[2, 0, 0, 3],
+            &[3, 0, 2, 0],
+            &[4, 4, 0, 0],
+            &[0, 2, 0, 0],
+            &[4, 4, 4, 4],
+        ];
+        for targets in layouts {
+            let total: usize = targets.iter().sum();
+            // Stored keys are multiples of 10; probes also hit the gaps
+            // between them, below the first and above the last.
+            let elements: Vec<(Key, Value)> = (1..=total as i64).map(|i| (i * 10, -i)).collect();
+            let mut c = ChunkData::from_stream(4, CAPACITY, targets, &mut elements.iter().copied());
+            let mut model: BTreeMap<Key, Value> = elements.iter().copied().collect();
+            let check = |c: &ChunkData, model: &BTreeMap<Key, Value>, what: &str| {
+                c.check_invariants();
+                let stored: Vec<(Key, Value)> = c.iter().collect();
+                let expected: Vec<(Key, Value)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(stored, expected, "{targets:?} after {what}");
+            };
+            let probes: Vec<Key> = (-5..=(total as i64 + 1) * 10 + 5).step_by(5).collect();
+            for &key in &probes {
+                assert_eq!(c.find_segment(key), reference_segment(&c, key));
+                assert_eq!(
+                    c.get(key),
+                    model.get(&key).copied(),
+                    "{targets:?} get({key})"
+                );
+            }
+            check(&c, &model, "the lookups");
+            for (i, &key) in probes.iter().enumerate() {
+                let s = reference_segment(&c, key);
+                let expected = match model.get(&key) {
+                    Some(&old) => ChunkInsert::Replaced(old),
+                    None if c.card(s) == CAPACITY => ChunkInsert::SegmentFull(s),
+                    None => ChunkInsert::Inserted,
+                };
+                assert_eq!(c.try_insert(key, i as Value), expected, "{targets:?} {key}");
+                if expected != ChunkInsert::SegmentFull(s) {
+                    model.insert(key, i as Value);
+                }
+                check(&c, &model, "an insert");
+                assert_eq!(c.get(key), model.get(&key).copied());
+            }
+            // The upper half from the top down, then the lower half from the
+            // bottom up: trailing, then leading segments empty out.
+            let (low, high) = probes.split_at(probes.len() / 2);
+            for &key in high.iter().rev().chain(low) {
+                assert_eq!(
+                    c.remove(key),
+                    model.remove(&key),
+                    "{targets:?} remove({key})"
+                );
+                check(&c, &model, "a remove");
+                assert_eq!(c.get(key), None);
+            }
+            assert_eq!(c.cardinality(), 0);
+            assert_eq!(c.try_insert(7, 7), ChunkInsert::Inserted);
+            assert_eq!(c.get(7), Some(7));
+        }
     }
 
     #[test]

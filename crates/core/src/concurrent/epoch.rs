@@ -12,56 +12,143 @@
 //! [`EpochGuard::drop`]: while pinned, the client's slot advertises the epoch
 //! at which its operation started, which prevents reclamation of anything it
 //! can still observe.
+//!
+//! # One index per thread, for every registry
+//!
+//! A thread owns one process-wide *thread index*, claimed the first time it
+//! pins anything and handed back (to a free list) when the thread exits. The
+//! index addresses the thread's slot in **every** registry's slot table, so
+//! `pin` is a thread-local read, a depth test on the thread's own padded
+//! slot and the `SeqCst` store that advertises the epoch — no per-registry
+//! claim, no search, and the cost does not depend on how many registries
+//! (PMAs, shards) the thread has ever touched. Indices are dense (the
+//! smallest free one is reused), so a process that churns through threads
+//! keeps using the same few slots.
+//!
+//! A registry's table is one fixed array of 256 cache lines of four slots.
+//! Index `i` lives in line `i % 256`, so the first 256 live threads — every
+//! realistic set of clients — each have a line to themselves; the other
+//! three slots of a line only fill once more threads than that are alive at
+//! once (an engine with hundreds of shards: every PMA's rebalancer master
+//! holds an index). The collector scans the indices the pool has ever
+//! handed out.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::MutexGuard;
 
 use parking_lot::Mutex;
 
-/// Maximum number of threads that may operate on a single PMA concurrently.
-///
-/// Slots are claimed lazily and never released (a thread keeps its slot for
-/// the lifetime of the registry); 256 comfortably covers the paper's 16-thread
-/// experiments and typical many-core machines.
-pub const MAX_THREADS: usize = 256;
+/// Maximum number of threads that may be pinning (any registry of) the
+/// process at the same time. A thread's index returns to the pool when the
+/// thread exits, so this bounds *live* threads, not threads ever started.
+pub const MAX_THREADS: usize = LINES * SLOTS_PER_LINE;
+
+/// Cache lines per registry table: as many threads pin without sharing one.
+const LINES: usize = 256;
+const SLOTS_PER_LINE: usize = 4;
 
 /// Value advertising "not inside any operation".
 const INACTIVE: u64 = 0;
 
-/// Per-registry table of active epochs, one cache-line-padded slot per thread.
+/// One thread's entry in one registry.
+struct Slot {
+    /// Epoch advertised by the owning thread (0 = inactive); read by the
+    /// collector.
+    epoch: AtomicU64,
+    /// Pin nesting depth. Only the thread that currently owns the slot's
+    /// index touches it, hence plain relaxed loads and stores: pins are
+    /// reentrant, and only the outermost one publishes / clears the epoch,
+    /// so nested operations (e.g. the rebalancer re-applying queued
+    /// updates) stay protected by the original epoch.
+    depth: AtomicU32,
+}
+
+/// One cache line of a registry's table.
+#[repr(align(64))]
+struct Line([Slot; SLOTS_PER_LINE]);
+
+/// The pool of thread indices: the smallest free index is handed out first,
+/// so the set in use stays dense.
+struct IndexPool {
+    limit: usize,
+    /// Indices returned by exited threads, smallest on top.
+    free: Mutex<BinaryHeap<Reverse<usize>>>,
+    /// Indices `0..high_water` have been handed out at least once. Written
+    /// under `free`'s lock; read by collectors, which scan that prefix only.
+    high_water: AtomicUsize,
+}
+
+impl IndexPool {
+    const fn new(limit: usize) -> Self {
+        Self {
+            limit,
+            free: Mutex::new(BinaryHeap::new()),
+            high_water: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims an index for the calling thread.
+    ///
+    /// # Panics
+    /// When `limit` indices are already held by live threads.
+    fn claim(&self) -> usize {
+        let mut free = self.free.lock();
+        if let Some(Reverse(index)) = free.pop() {
+            return index;
+        }
+        let index = self.high_water.load(Ordering::Relaxed);
+        assert!(
+            index < self.limit,
+            "more than {} live threads are pinning epochs in this process",
+            self.limit
+        );
+        // `SeqCst` like the epoch store that follows it in `pin`: a collector
+        // whose load does not cover `index` yet is ordered before both.
+        self.high_water.store(index + 1, Ordering::SeqCst);
+        index
+    }
+
+    fn release(&self, index: usize) {
+        self.free.lock().push(Reverse(index));
+    }
+}
+
+static THREAD_INDICES: IndexPool = IndexPool::new(MAX_THREADS);
+
+/// The calling thread's claim on one index of [`THREAD_INDICES`], returned
+/// by the thread-local's destructor when the thread exits. By then every
+/// guard of the thread is gone (a guard is `!Send` and borrows its
+/// registry), so the slots it leaves behind read depth 0 and `INACTIVE`.
+struct ThreadIndex(usize);
+
+impl Drop for ThreadIndex {
+    fn drop(&mut self) {
+        THREAD_INDICES.release(self.0);
+    }
+}
+
+thread_local! {
+    static THREAD_INDEX: ThreadIndex = ThreadIndex(THREAD_INDICES.claim());
+}
+
+/// Per-registry table of active epochs, one slot per thread index.
 pub struct EpochRegistry {
-    /// Unique id used by the thread-local slot cache.
-    id: usize,
     /// Global epoch counter; starts at 1 so that `INACTIVE` (0) is never a
     /// valid epoch.
     global_epoch: AtomicU64,
-    /// Epoch currently advertised by each registered thread (0 = inactive).
-    slots: Box<[PaddedAtomicU64]>,
-    /// Number of slots that have been claimed so far.
-    claimed: AtomicUsize,
+    lines: Box<[Line]>,
 }
-
-#[repr(align(64))]
-struct PaddedAtomicU64(AtomicU64);
 
 impl std::fmt::Debug for EpochRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochRegistry")
-            .field("id", &self.id)
             .field("global_epoch", &self.global_epoch.load(Ordering::Relaxed))
-            .field("claimed", &self.claimed.load(Ordering::Relaxed))
+            .field("active_threads", &self.active_threads())
             .finish()
     }
-}
-
-static REGISTRY_IDS: AtomicUsize = AtomicUsize::new(1);
-
-thread_local! {
-    /// Maps registry id -> (slot index claimed by this thread, pin nesting
-    /// depth). The depth makes pins reentrant: only the outermost pin
-    /// publishes/clears the epoch, so nested operations (e.g. the rebalancer
-    /// re-applying queued updates) remain protected by the original epoch.
-    static SLOT_CACHE: std::cell::RefCell<Vec<(usize, usize, u32)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl Default for EpochRegistry {
@@ -73,16 +160,23 @@ impl Default for EpochRegistry {
 impl EpochRegistry {
     /// Creates a registry with [`MAX_THREADS`] slots.
     pub fn new() -> Self {
-        let slots = (0..MAX_THREADS)
-            .map(|_| PaddedAtomicU64(AtomicU64::new(INACTIVE)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let slot = || Slot {
+            epoch: AtomicU64::new(INACTIVE),
+            depth: AtomicU32::new(0),
+        };
         Self {
-            id: REGISTRY_IDS.fetch_add(1, Ordering::Relaxed),
             global_epoch: AtomicU64::new(1),
-            slots,
-            claimed: AtomicUsize::new(0),
+            lines: (0..LINES)
+                .map(|_| Line(std::array::from_fn(|_| slot())))
+                .collect(),
         }
+    }
+
+    /// The slot of thread index `index`: neighbouring indices sit on
+    /// different lines.
+    #[inline]
+    fn slot(&self, index: usize) -> &Slot {
+        &self.lines[index % LINES].0[index / LINES]
     }
 
     /// Current value of the global epoch counter.
@@ -101,41 +195,37 @@ impl EpochRegistry {
     /// is alive, memory retired after this call will not be freed. Pins are
     /// reentrant: nested pins from the same thread keep the epoch of the
     /// outermost pin.
+    ///
+    /// # Panics
+    /// When the calling thread has no thread index yet and [`MAX_THREADS`]
+    /// live threads hold one.
+    #[inline]
     pub fn pin(&self) -> EpochGuard<'_> {
-        let slot = SLOT_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(entry) = cache.iter_mut().find(|(id, _, _)| *id == self.id) {
-                if entry.2 == 0 {
-                    let epoch = self.global_epoch.load(Ordering::Acquire);
-                    self.slots[entry.1].0.store(epoch, Ordering::SeqCst);
-                }
-                entry.2 += 1;
-                return entry.1;
-            }
-            let slot = self.claimed.fetch_add(1, Ordering::Relaxed);
-            assert!(
-                slot < MAX_THREADS,
-                "more than {MAX_THREADS} threads registered with one PMA"
-            );
+        let slot = self.slot(THREAD_INDEX.with(|index| index.0));
+        let depth = slot.depth.load(Ordering::Relaxed);
+        if depth == 0 {
             let epoch = self.global_epoch.load(Ordering::Acquire);
-            self.slots[slot].0.store(epoch, Ordering::SeqCst);
-            cache.push((self.id, slot, 1));
-            slot
-        });
-        EpochGuard {
-            registry: self,
-            slot,
+            slot.epoch.store(epoch, Ordering::SeqCst);
         }
+        slot.depth.store(depth + 1, Ordering::Relaxed);
+        EpochGuard {
+            slot,
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// The slots of every thread index handed out so far.
+    fn claimed_slots(&self) -> impl Iterator<Item = &Slot> {
+        (0..THREAD_INDICES.high_water.load(Ordering::SeqCst)).map(|index| self.slot(index))
     }
 
     /// Minimum epoch advertised by any active thread. Retired items stamped
     /// with an epoch *older* than this value can be freed. When no thread is
     /// active nothing is protected and `u64::MAX` is returned.
     pub fn min_active_epoch(&self) -> u64 {
-        let claimed = self.claimed.load(Ordering::Acquire).min(MAX_THREADS);
         let mut min = u64::MAX;
-        for slot in &self.slots[..claimed] {
-            let e = slot.0.load(Ordering::SeqCst);
+        for slot in self.claimed_slots() {
+            let e = slot.epoch.load(Ordering::SeqCst);
             if e != INACTIVE && e < min {
                 min = e;
             }
@@ -145,44 +235,38 @@ impl EpochRegistry {
 
     /// Number of threads currently inside an epoch-protected section.
     pub fn active_threads(&self) -> usize {
-        let claimed = self.claimed.load(Ordering::Acquire).min(MAX_THREADS);
-        self.slots[..claimed]
-            .iter()
-            .filter(|s| s.0.load(Ordering::Relaxed) != INACTIVE)
+        self.claimed_slots()
+            .filter(|slot| slot.epoch.load(Ordering::Relaxed) != INACTIVE)
             .count()
     }
 }
 
-/// RAII guard marking the calling thread as active in the registry.
+/// RAII guard marking the calling thread as active in the registry. It is
+/// bound to the thread that pinned (`!Send`, like a mutex guard — and like
+/// one it stays `Sync`): the nesting depth it unwinds belongs to that
+/// thread's slot.
 #[must_use = "the epoch protection ends when the guard is dropped"]
 pub struct EpochGuard<'a> {
-    registry: &'a EpochRegistry,
-    slot: usize,
+    slot: &'a Slot,
+    _thread_bound: PhantomData<MutexGuard<'static, ()>>,
 }
 
 impl std::fmt::Debug for EpochGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochGuard")
-            .field("slot", &self.slot)
+            .field("epoch", &self.slot.epoch.load(Ordering::Relaxed))
+            .field("depth", &self.slot.depth.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Drop for EpochGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
-        let clear = SLOT_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let entry = cache
-                .iter_mut()
-                .find(|(id, _, _)| *id == self.registry.id)
-                .expect("an EpochGuard exists, so its slot entry must exist");
-            entry.2 -= 1;
-            entry.2 == 0
-        });
-        if clear {
-            self.registry.slots[self.slot]
-                .0
-                .store(INACTIVE, Ordering::SeqCst);
+        let depth = self.slot.depth.load(Ordering::Relaxed) - 1;
+        self.slot.depth.store(depth, Ordering::Relaxed);
+        if depth == 0 {
+            self.slot.epoch.store(INACTIVE, Ordering::SeqCst);
         }
     }
 }
@@ -345,6 +429,88 @@ mod tests {
         drop(outer);
         assert_eq!(reg.active_threads(), 0);
         assert_eq!(bin.collect(&reg), 1);
+    }
+
+    #[test]
+    fn thread_indices_are_handed_out_smallest_first() {
+        let pool = IndexPool::new(4);
+        assert_eq!((pool.claim(), pool.claim(), pool.claim()), (0, 1, 2));
+        pool.release(2);
+        pool.release(0);
+        assert_eq!((pool.claim(), pool.claim(), pool.claim()), (0, 2, 3));
+    }
+
+    /// More short-lived threads than the slot table ever had entries per
+    /// registry: each one's index goes back to the pool when it exits.
+    #[test]
+    fn a_finished_threads_index_is_reused() {
+        const THREADS: usize = 300;
+        let reg = EpochRegistry::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..THREADS {
+            seen.insert(std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _g = reg.pin();
+                    assert_eq!(reg.active_threads(), 1);
+                    THREAD_INDEX.with(|index| index.0)
+                })
+                .join()
+                .unwrap()
+            }));
+        }
+        // Other tests of this process claim and release indices meanwhile,
+        // so the exact set is theirs to perturb; without reuse it would
+        // hold one index per thread.
+        assert!(seen.len() < THREADS / 2, "{} distinct indices", seen.len());
+        assert_eq!(reg.active_threads(), 0);
+    }
+
+    #[test]
+    fn one_live_thread_too_many_panics_instead_of_hanging() {
+        const LIMIT: usize = 3;
+        let pool = IndexPool::new(LIMIT);
+        let holding = std::sync::Barrier::new(LIMIT + 1);
+        let release = std::sync::Barrier::new(LIMIT + 1);
+        std::thread::scope(|s| {
+            for _ in 0..LIMIT {
+                s.spawn(|| {
+                    let index = pool.claim();
+                    holding.wait();
+                    release.wait();
+                    pool.release(index);
+                });
+            }
+            holding.wait();
+            let refused = s.spawn(|| pool.claim()).join().unwrap_err();
+            let message = refused.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("more than 3 live threads"), "{message}");
+            release.wait();
+        });
+        // The pool survived the refusal, and the exits made room again.
+        assert!(pool.claim() < LIMIT);
+    }
+
+    #[test]
+    fn every_index_has_its_own_slot_and_the_first_ones_their_own_line() {
+        let reg = EpochRegistry::new();
+        assert_eq!(std::mem::size_of::<Line>(), 64);
+        let address = |index: usize| reg.slot(index) as *const Slot as usize;
+        let slots: std::collections::BTreeSet<usize> = (0..MAX_THREADS).map(address).collect();
+        assert_eq!(slots.len(), MAX_THREADS);
+        let lines: std::collections::BTreeSet<usize> =
+            (0..LINES).map(|index| address(index) / 64).collect();
+        assert_eq!(lines.len(), LINES);
+    }
+
+    #[test]
+    fn a_guard_can_be_shared_but_not_sent() {
+        fn shared<T: Sync>(_: &T) {}
+        let reg = EpochRegistry::new();
+        let guard = reg.pin();
+        shared(&guard);
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(format!("{:?}", &guard).contains("depth: 1")));
+        });
     }
 
     #[test]

@@ -26,6 +26,25 @@
 //! multiple calls can never observe a key twice or skip a fence-crossing
 //! range when a concurrent split/merge re-publishes under it.
 //!
+//! # Validated lookups
+//!
+//! Updates hold their shard's structural latch in shared mode; that is what
+//! a split's two fences exclude. Lookups do not take it. Every exclusive
+//! acquisition goes through one guard (`Shard::fence`), which counts the hold
+//! in the shard's *version word* and sets the word's low bit for as long as
+//! the shard is unsettled — while the hold lasts, while a delta log is
+//! installed, and for good once the shard is retired. [`ShardedMap::get`]
+//! loads the word, reads the inner map if the word is plain, loads the word
+//! again and returns if it has not changed: the lookup then ran entirely
+//! while acknowledged writes were in the inner map and nowhere else, which
+//! is all the shared latch would have guaranteed. Otherwise it takes the
+//! latched path — overlay first, re-route if retired — exactly as before
+//! (`read_revalidations` counts lookups that had already read when the word
+//! moved). The words a lookup loads share no cache line with the latch or
+//! the per-shard heat counter, and lookups tick that counter one time in
+//! sixteen, by sixteen: a lookup of a settled shard stores to no line
+//! another client reads or writes.
+//!
 //! # Ordered scans
 //!
 //! Because shards partition the key space into *disjoint ascending* ranges,
@@ -84,14 +103,15 @@
 //! (suppressed crossings are counted in `split_thrash_averted`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use pma_common::obs;
+use pma_common::util::CachePadded;
 use pma_common::{
     check_sorted, dedup_sorted_last_wins, simd, CombiningStats, ConcurrentMap, FrozenView, Key,
     MaintenanceStats, PmaError, Registry, ScanStats, Value, KEY_MAX, KEY_MIN,
@@ -222,7 +242,28 @@ struct WriteGate {
     delta: Option<Arc<DeltaLog>>,
 }
 
+/// Bit 0 of [`Shard::version`]: the shard is not in its plain state — a
+/// delta log is installed, an exclusive hold is in progress, or the shard is
+/// retired — so a lookup must take the latch to find out which.
+const UNSETTLED: u64 = 1;
+/// One exclusive hold of the latch, counted in the bits of
+/// [`Shard::version`] above [`UNSETTLED`]: a version that reads plain twice
+/// with the same count saw no hold begin in between.
+const HOLD: u64 = 2;
+
+/// Lookups tick [`ShardLoad::ops`] one time in this many, by this many.
+const READ_HEAT_SAMPLE: u32 = 16;
+
+thread_local! {
+    /// State of the calling thread's xorshift32 draw (never zero).
+    static READ_DRAW: std::cell::Cell<u32> = const { std::cell::Cell::new(0x9E37_79B9) };
+}
+
 /// One shard: a disjoint key range `[lo, hi]` served by one inner instance.
+///
+/// What a lookup loads (`map`, `version`, the fences) shares no cache line
+/// with what clients write ([`ShardLoad`], padded to its own line): a
+/// validated read of a settled shard stores to nothing another thread reads.
 struct Shard {
     /// Inclusive lower fence.
     lo: Key,
@@ -230,18 +271,17 @@ struct Shard {
     hi: Key,
     /// The inner structure holding every element with key in `[lo, hi]`.
     map: Arc<dyn ConcurrentMap>,
-    /// Structural latch: point updates hold it shared while they apply to
-    /// `map`; a split/merge holds it exclusive only for its two short fences
-    /// (delta-log install, final drain + publish) — the copy phase runs with
-    /// writers live.
-    latch: RwLock<WriteGate>,
+    /// Structural version word: [`UNSETTLED`] in bit 0, the number of
+    /// exclusive latch holds so far above it. Written only by
+    /// [`ShardFence`], i.e. under the exclusive latch. A lookup that loads
+    /// it plain, reads `map`, and loads the same value again ran entirely
+    /// while writers were applying to `map` directly — what the shared
+    /// latch would have guaranteed — without touching the latch.
+    version: AtomicU64,
     /// Set (under the exclusive latch, after the new directory is published)
     /// when this shard has been replaced; writers that were blocked on the
     /// latch re-route through the new directory.
     retired: AtomicBool,
-    /// Operations routed to this shard since the monitor's last decay — the
-    /// "heat" signal that picks which oversized shard to split first.
-    ops: AtomicU64,
     /// Consecutive monitor rounds this shard's len exceeded `split_above`
     /// (the split hysteresis streak; reset on every round below threshold).
     split_rounds: AtomicU32,
@@ -252,13 +292,61 @@ struct Shard {
     /// hysteresis window elapses again.
     merge_rounds: AtomicU32,
     /// Whether any write was ever routed to this key range (monotone, set
-    /// with a relaxed store on the write paths). Seed shards of an empty map
-    /// start `false`; bulk-loaded and structurally rebuilt shards inherit
-    /// the flag. The monitor refuses to merge a pair before *both* members
-    /// have seen a write — merging never-written seed shards right after
-    /// startup used to shrink the directory to one shard before the workload
-    /// arrived, starving the split path of candidates.
+    /// once by the first write). Seed shards of an empty map start `false`;
+    /// bulk-loaded and structurally rebuilt shards inherit the flag. The
+    /// monitor refuses to merge a pair before *both* members have seen a
+    /// write — merging never-written seed shards right after startup used
+    /// to shrink the directory to one shard before the workload arrived,
+    /// starving the split path of candidates.
     wrote: AtomicBool,
+    load: CachePadded<ShardLoad>,
+}
+
+/// The words of a [`Shard`] that clients read-modify-write.
+struct ShardLoad {
+    /// Structural latch: point updates hold it shared while they apply to
+    /// `map`; a split/merge holds it exclusive (through [`Shard::fence`])
+    /// only for its two short fences (delta-log install, final drain +
+    /// publish) — the copy phase runs with writers live. Lookups take it
+    /// shared only when the version word says the shard is unsettled.
+    latch: RwLock<WriteGate>,
+    /// Operations routed to this shard since the monitor's last decay — the
+    /// "heat" signal that picks which oversized shard to split first. Exact
+    /// for writes, sampled for lookups ([`Shard::tick_read`]).
+    ops: AtomicU64,
+}
+
+/// An exclusive hold of a shard's latch — the only way to take it, because
+/// the hold has to show in the version word that lookups validate against.
+struct ShardFence<'a> {
+    shard: &'a Shard,
+    gate: RwLockWriteGuard<'a, WriteGate>,
+}
+
+impl std::ops::Deref for ShardFence<'_> {
+    type Target = WriteGate;
+    fn deref(&self) -> &WriteGate {
+        &self.gate
+    }
+}
+
+impl std::ops::DerefMut for ShardFence<'_> {
+    fn deref_mut(&mut self) -> &mut WriteGate {
+        &mut self.gate
+    }
+}
+
+impl Drop for ShardFence<'_> {
+    fn drop(&mut self) {
+        // Back to plain only if the hold leaves the shard settled; `gate`
+        // unlocks after this body.
+        if self.gate.delta.is_none() && !self.shard.retired.load(Ordering::Relaxed) {
+            let version = self.shard.version.load(Ordering::Relaxed);
+            self.shard
+                .version
+                .store(version & !UNSETTLED, Ordering::SeqCst);
+        }
+    }
 }
 
 impl Shard {
@@ -267,13 +355,61 @@ impl Shard {
             lo,
             hi,
             map,
-            latch: RwLock::new(WriteGate { delta: None }),
+            version: AtomicU64::new(0),
             retired: AtomicBool::new(false),
-            ops: AtomicU64::new(0),
             split_rounds: AtomicU32::new(0),
             merge_rounds: AtomicU32::new(0),
             wrote: AtomicBool::new(wrote),
+            load: CachePadded::new(ShardLoad {
+                latch: RwLock::new(WriteGate { delta: None }),
+                ops: AtomicU64::new(0),
+            }),
         })
+    }
+
+    /// Takes the latch exclusively, counting the hold in the version word
+    /// and marking the shard unsettled for as long as it lasts (and beyond,
+    /// if it installs a delta log or retires the shard).
+    fn fence(&self) -> ShardFence<'_> {
+        let gate = self.load.latch.write();
+        // Holds are serialised by the latch: load + store cannot lose one.
+        let version = self.version.load(Ordering::Relaxed);
+        self.version
+            .store((version + HOLD) | UNSETTLED, Ordering::SeqCst);
+        ShardFence { shard: self, gate }
+    }
+
+    /// Accounts one lookup in the heat counter: one lookup in
+    /// [`READ_HEAT_SAMPLE`] adds that many, so the expectation is the exact
+    /// count while fifteen lookups in sixteen store to no shared line. Which
+    /// lookups are sampled is a pseudo-random draw, not a count: a client
+    /// whose access pattern repeats with a period dividing the sample
+    /// interval would otherwise credit all of its heat to one shard.
+    #[inline]
+    fn tick_read(&self) {
+        let draw = READ_DRAW.with(|state| {
+            let mut x = state.get();
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            state.set(x);
+            x
+        });
+        if draw.is_multiple_of(READ_HEAT_SAMPLE) {
+            self.load
+                .ops
+                .fetch_add(u64::from(READ_HEAT_SAMPLE), Ordering::Relaxed);
+        }
+    }
+
+    /// Records that a write reached this key range. Load-then-store: the
+    /// flag shares a line with what lookups read, and after the first write
+    /// there is nothing left to store.
+    #[inline]
+    fn mark_written(&self) {
+        if !self.wrote.load(Ordering::Relaxed) {
+            self.wrote.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Applies an upsert under the caller's shared latch. While a
@@ -283,7 +419,7 @@ impl Shard {
     /// replacements (§3.4's capture half).
     #[inline]
     fn insert_op(&self, gate: &WriteGate, key: Key, value: Value) {
-        self.wrote.store(true, Ordering::Relaxed);
+        self.mark_written();
         match &gate.delta {
             Some(delta) => delta.record_insert(key, value),
             None => self.map.insert(key, value),
@@ -296,7 +432,7 @@ impl Shard {
     /// win) with the quiescent base as fallback.
     #[inline]
     fn remove_op(&self, gate: &WriteGate, key: Key) -> Option<Value> {
-        self.wrote.store(true, Ordering::Relaxed);
+        self.mark_written();
         match &gate.delta {
             Some(delta) => delta.record_remove(key, |key| self.map.get(key)),
             None => self.map.remove(key),
@@ -311,7 +447,7 @@ impl Shard {
     /// appended (zero on the native path), which the caller accounts under
     /// the `delta_runs` engine stat.
     fn batch_op(&self, gate: &WriteGate, run: &[(Key, Value)]) -> u64 {
-        self.wrote.store(true, Ordering::Relaxed);
+        self.mark_written();
         match &gate.delta {
             Some(delta) => delta.record_run(run) as u64,
             None => {
@@ -404,11 +540,10 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A small persistent worker pool for cross-shard fan-out (parallel scans
 /// and batch ingestion), mirroring the rebalancer's master/worker idiom.
 ///
-/// The pool exists because the inner instances reclaim memory with per-thread
-/// epoch slots that are claimed forever ([`EpochRegistry`]): fanning work out
-/// on freshly spawned threads would claim a new slot in every inner registry
-/// per call and exhaust the slot table. A fixed set of long-lived workers
-/// keeps the slot usage bounded (one slot per worker per inner instance).
+/// The pool keeps a fan-out from paying a thread spawn per shard per call.
+/// Freshly spawned threads would be correct too — a thread's epoch slot
+/// index goes back to its pool when the thread exits ([`EpochRegistry`]) —
+/// only slower.
 struct WorkerPool {
     job_tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -572,7 +707,7 @@ impl Engine {
     /// stall. After it returns the inner map is quiescent for the copy.
     fn install_delta(&self, shard: &Shard, delta: &Arc<DeltaLog>) -> Duration {
         let fence = Instant::now();
-        let mut gate = shard.latch.write();
+        let mut gate = shard.fence();
         gate.delta = Some(Arc::clone(delta));
         drop(gate);
         let stall = fence.elapsed();
@@ -589,7 +724,7 @@ impl Engine {
     /// the per-key append order is the linearization order the quiescent
     /// base is caught up with.
     fn uninstall_delta(&self, shard: &Shard) {
-        let mut gate = shard.latch.write();
+        let mut gate = shard.fence();
         if let Some(delta) = gate.delta.take() {
             for op in delta.take_all() {
                 op.apply(shard.map.as_ref());
@@ -603,8 +738,8 @@ impl Engine {
     /// shard's keys). Both latches are held across the drain, so the fold
     /// is complete and writers resume against caught-up live shards.
     fn uninstall_delta_pair(&self, left: &Shard, right: &Shard) {
-        let mut left_gate = left.latch.write();
-        let mut right_gate = right.latch.write();
+        let mut left_gate = left.fence();
+        let mut right_gate = right.fence();
         let delta = left_gate.delta.take();
         right_gate.delta = None;
         if let Some(delta) = delta {
@@ -768,7 +903,7 @@ impl Engine {
         // still exclusively owned, publish, retire.
         let mut fence_span = obs::span(obs::Category::SplitFence, 1);
         let fence = Instant::now();
-        let mut gate = shard.latch.write();
+        let mut gate = shard.fence();
         // One pass drains everything (no append can be in flight under the
         // exclusive latch). The remnant ops land in the halves' combining
         // queues and settle within the inner mode's delay window — the same
@@ -822,7 +957,7 @@ impl Engine {
         }
         let shard = Arc::clone(&dir.shards[idx]);
         let fence = Instant::now();
-        let exclusive = shard.latch.write();
+        let exclusive = shard.fence();
         shard.map.flush();
         let items = shard.map.collect_range(KEY_MIN, KEY_MAX);
         if items.len() < 2 {
@@ -898,8 +1033,8 @@ impl Engine {
         // Chase (writers live), then the final fence over both latches.
         let mut captured = self.chase_delta(&delta, KEY_MIN, merged.as_ref(), merged.as_ref());
         let fence = Instant::now();
-        let mut left_gate = left.latch.write();
-        let mut right_gate = right.latch.write();
+        let mut left_gate = left.fence();
+        let mut right_gate = right.fence();
         captured += Self::fold_delta(&delta, KEY_MIN, merged.as_ref(), merged.as_ref());
         debug_assert!(delta.is_empty(), "a fenced fold must drain the log");
         let left_absorbed = self.absorb_counters(&left, &BTreeMap::new());
@@ -947,8 +1082,8 @@ impl Engine {
             let dir = unsafe { self.dir_ref() };
             let mut split: Option<(usize, u64)> = None;
             for (i, shard) in dir.shards.iter().enumerate() {
-                let heat = shard.ops.load(Ordering::Relaxed);
-                shard.ops.store(heat / 2, Ordering::Relaxed);
+                let heat = shard.load.ops.load(Ordering::Relaxed);
+                shard.load.ops.store(heat / 2, Ordering::Relaxed);
                 if shard.map.len() > self.config.split_above {
                     let streak = shard.split_rounds.fetch_add(1, Ordering::Relaxed) + 1;
                     if streak >= hysteresis && split.is_none_or(|(_, best)| heat > best) {
@@ -1572,7 +1707,7 @@ impl ShardedMap {
             let mut pieces = Vec::with_capacity(dir.shards.len());
             let mut len = 0usize;
             for shard in &dir.shards {
-                let gate = shard.latch.read();
+                let gate = shard.load.latch.read();
                 if shard.retired.load(Ordering::Acquire) {
                     // A split/merge re-published under us; the pieces
                     // captured so far may straddle two generations, so
@@ -1671,7 +1806,7 @@ impl ShardedMap {
                 // SAFETY: pinned above.
                 let dir = unsafe { self.engine.dir_ref() };
                 let shard = &dir.shards[dir.route(key)];
-                let gate = shard.latch.read();
+                let gate = shard.load.latch.read();
                 if shard.retired.load(Ordering::Acquire) {
                     EngineStats::bump(&self.engine.stats.retired_retries);
                     continue;
@@ -1686,7 +1821,7 @@ impl ShardedMap {
                         true
                     }
                     _ => {
-                        shard.ops.fetch_add(1, Ordering::Relaxed);
+                        shard.load.ops.fetch_add(1, Ordering::Relaxed);
                         self.engine.stats.routed_ops.add(1);
                         return apply(shard, &gate);
                     }
@@ -1721,24 +1856,41 @@ impl ConcurrentMap for ShardedMap {
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        // Lookups hold the shard's shared latch like updates do: during a
-        // split/merge they must consult the delta overlay (acknowledged
-        // writes live there, not in the quiescent base), and the overlay is
-        // reachable through the latch-guarded write gate. A lookup that
-        // raced the final fence re-routes through the fresh directory like
-        // any writer. Lookups never append to the log, so they are exempt
-        // from the delta backpressure writers are subject to.
         loop {
             let _pin = self.engine.epoch.pin();
             // SAFETY: pinned above.
             let dir = unsafe { self.engine.dir_ref() };
             let shard = &dir.shards[dir.route(key)];
-            let gate = shard.latch.read();
+            // Validated read: a plain version word means no delta log is
+            // installed, no exclusive hold is in progress and the shard is
+            // not retired, so `map` is where acknowledged writes are. If
+            // the word reads the same afterwards, no hold began while the
+            // lookup ran, and the shared latch would have bought nothing.
+            let version = shard.version.load(Ordering::Acquire);
+            if version & UNSETTLED == 0 {
+                let value = shard.map.get(key);
+                fence(Ordering::Acquire);
+                if shard.version.load(Ordering::Relaxed) == version {
+                    shard.tick_read();
+                    self.engine.stats.routed_ops.add(1);
+                    return value;
+                }
+                EngineStats::bump(&self.engine.stats.read_revalidations);
+            }
+            // Unsettled: take the shared latch like an update does. During
+            // a split/merge the lookup must consult the delta overlay
+            // (acknowledged writes live there, not in the quiescent base),
+            // and the overlay is reachable through the latch-guarded write
+            // gate. A lookup that raced the final fence re-routes through
+            // the fresh directory like any writer. Lookups never append to
+            // the log, so they are exempt from the delta backpressure
+            // writers are subject to.
+            let gate = shard.load.latch.read();
             if shard.retired.load(Ordering::Acquire) {
                 EngineStats::bump(&self.engine.stats.retired_retries);
                 continue;
             }
-            shard.ops.fetch_add(1, Ordering::Relaxed);
+            shard.tick_read();
             self.engine.stats.routed_ops.add(1);
             return shard.get_op(&gate, key);
         }
@@ -1821,7 +1973,7 @@ impl ConcurrentMap for ShardedMap {
             ) -> Option<Vec<(Key, Value)>> {
                 let mut start = 0usize;
                 while start < run.len() {
-                    let gate = shard.latch.read();
+                    let gate = shard.load.latch.read();
                     if shard.retired.load(Ordering::Acquire) {
                         return Some(run[start..].to_vec());
                     }
@@ -1835,7 +1987,10 @@ impl ConcurrentMap for ShardedMap {
                         Some(_) => &run[start..run.len().min(start + BATCH_DELTA_CHUNK)],
                         None => &run[start..],
                     };
-                    shard.ops.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                    shard
+                        .load
+                        .ops
+                        .fetch_add(chunk.len() as u64, Ordering::Relaxed);
                     let run_records = shard.batch_op(&gate, chunk);
                     if run_records > 0 {
                         EngineStats::add(&engine.stats.delta_runs, run_records);
@@ -1979,6 +2134,7 @@ impl ConcurrentMap for ShardedMap {
         let stats = self.engine.stats.snapshot();
         own.counter("routed_ops", stats.routed_ops);
         own.counter("retired_retries", stats.retired_retries);
+        own.counter("read_revalidations", stats.read_revalidations);
         own.counter("delta_ops", stats.delta_ops);
         own.counter("batch_runs", stats.batch_runs);
         own.counter("cross_shard_scans", stats.cross_shard_scans);
@@ -2279,6 +2435,10 @@ mod tests {
         assert_eq!(before.generation(), 0);
         assert_eq!(before.num_shards(), 1);
         assert_eq!(before.scan_all().count, 2_000);
+        // ...from other threads too: a snapshot is shared by reference.
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert_eq!(before.scan_all().count, 2_000));
+        });
         let mut last = Key::MIN;
         let mut seen = 0u64;
         before.range(KEY_MIN, KEY_MAX, &mut |k, _| {
@@ -2511,6 +2671,228 @@ mod tests {
     }
 
     #[test]
+    fn lookup_words_share_no_line_with_client_written_words() {
+        let map = ShardedMap::new(config(1), registry()).unwrap();
+        let _pin = map.engine.epoch.pin();
+        // SAFETY: pinned above.
+        let shard = &unsafe { map.engine.dir_ref() }.shards[0];
+        let line = |word: *const u8| word as usize / 64;
+        let read = [
+            line(std::ptr::from_ref(&shard.version).cast()),
+            line(std::ptr::from_ref(&shard.map).cast()),
+            line(std::ptr::from_ref(&shard.lo).cast()),
+            line(std::ptr::from_ref(&shard.hi).cast()),
+            line(std::ptr::from_ref(&shard.wrote).cast()),
+        ];
+        for written in [
+            line(std::ptr::from_ref(&shard.load.latch).cast()),
+            line(std::ptr::from_ref(&shard.load.ops).cast()),
+        ] {
+            assert!(!read.contains(&written), "{read:?} vs {written}");
+        }
+    }
+
+    #[test]
+    fn version_word_tracks_holds_delta_logs_and_retirement() {
+        let map = ShardedMap::new(config(1), registry()).unwrap();
+        for k in 0..100i64 {
+            map.insert(k, k);
+        }
+        map.flush();
+        let shard = {
+            let _pin = map.engine.epoch.pin();
+            // SAFETY: pinned above.
+            Arc::clone(&unsafe { map.engine.dir_ref() }.shards[0])
+        };
+        let version = || shard.version.load(Ordering::SeqCst);
+        assert_eq!(version(), 0, "a fresh shard is plain");
+        {
+            let _hold = shard.fence();
+            assert_eq!(version(), HOLD | UNSETTLED, "a hold is counted and shows");
+        }
+        assert_eq!(
+            version(),
+            HOLD,
+            "a hold that changed nothing leaves it plain"
+        );
+        shard.fence().delta = Some(Arc::new(DeltaLog::with_cap(DELTA_BACKPRESSURE)));
+        assert_eq!(
+            version(),
+            (2 * HOLD) | UNSETTLED,
+            "a delta log keeps it unsettled"
+        );
+        map.engine.uninstall_delta(&shard);
+        assert_eq!(version(), 3 * HOLD);
+        assert_eq!(map.stats().read_revalidations, 0);
+        assert!(map.split_shard(0).unwrap());
+        assert_eq!(version() & UNSETTLED, UNSETTLED, "retired for good");
+        assert_eq!(map.get(7), Some(7), "re-routed through the new directory");
+    }
+
+    /// The interleaving a validated lookup exists for, forced: the lookup is
+    /// stopped inside the inner map (after its first version load), a delta
+    /// log is installed and a write acknowledged into it, and the lookup is
+    /// let go. Its second version load must send it to the latched path,
+    /// which finds the acknowledged write in the overlay.
+    #[test]
+    fn delta_log_installed_mid_lookup_sends_the_lookup_to_the_latch() {
+        use pma_common::registry::{BackendDef, BackendSpec};
+        use std::sync::Barrier;
+
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        static ENTERED: Barrier = Barrier::new(2);
+        static RELEASE: Barrier = Barrier::new(2);
+
+        /// A PMA whose next `get` after arming stops between two barriers.
+        struct StoppableGet(pma_core::ConcurrentPma);
+        impl ConcurrentMap for StoppableGet {
+            fn insert(&self, key: Key, value: Value) {
+                self.0.insert(key, value);
+            }
+            fn remove(&self, key: Key) -> Option<Value> {
+                self.0.remove(key)
+            }
+            fn get(&self, key: Key) -> Option<Value> {
+                if ARMED.swap(false, Ordering::SeqCst) {
+                    ENTERED.wait();
+                    RELEASE.wait();
+                }
+                self.0.get(key)
+            }
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn scan_all(&self) -> ScanStats {
+                self.0.scan_all()
+            }
+            fn range(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(Key, Value)) {
+                self.0.range(lo, hi, visitor);
+            }
+            fn flush(&self) {
+                self.0.flush();
+            }
+            fn name(&self) -> &'static str {
+                "stoppable"
+            }
+        }
+        fn build(
+            _registry: &Registry,
+            _spec: &BackendSpec<'_>,
+        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
+            let pma = pma_core::ConcurrentPma::new(pma_core::PmaParams::small())?;
+            Ok(Arc::new(StoppableGet(pma)))
+        }
+        fn label(_spec: &BackendSpec<'_>) -> String {
+            "Stoppable".to_string()
+        }
+
+        let local = Registry::new();
+        local.register(BackendDef {
+            name: "stoppable",
+            description: "test backend whose get can be stopped mid-call",
+            label,
+            build,
+            build_loaded: None,
+        });
+        let cfg = ShardedConfig {
+            shards: 1,
+            inner_spec: "stoppable".to_string(),
+            auto_manage: false,
+            monitor_interval: Duration::ZERO,
+            ..ShardedConfig::default()
+        };
+        let map = ShardedMap::new(cfg, &local).unwrap();
+        map.insert(5, 50);
+        map.flush();
+        assert_eq!(map.get(5), Some(50));
+        assert_eq!(
+            map.stats().read_revalidations,
+            0,
+            "settled lookups validate"
+        );
+
+        let shard = {
+            let _pin = map.engine.epoch.pin();
+            // SAFETY: pinned above.
+            Arc::clone(&unsafe { map.engine.dir_ref() }.shards[0])
+        };
+        ARMED.store(true, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| map.get(5));
+            ENTERED.wait();
+            // The reader holds no latch: the install fence goes straight in.
+            let delta = Arc::new(DeltaLog::with_cap(DELTA_BACKPRESSURE));
+            shard.fence().delta = Some(Arc::clone(&delta));
+            map.insert(5, 51);
+            assert_eq!(delta.len(), 1, "acknowledged into the log, not the map");
+            assert_eq!(shard.map.get(5), Some(50));
+            RELEASE.wait();
+            assert_eq!(
+                reader.join().unwrap(),
+                Some(51),
+                "the lookup returned the quiescent base's stale value"
+            );
+        });
+        assert_eq!(map.stats().read_revalidations, 1);
+        // With the log installed lookups go straight to the latch: nothing
+        // more to revalidate.
+        assert_eq!(map.get(5), Some(51));
+        assert_eq!(map.stats().read_revalidations, 1);
+        map.engine.uninstall_delta(&shard);
+        assert_eq!(map.get(5), Some(51));
+    }
+
+    #[test]
+    fn read_only_heat_still_picks_the_split_candidate() {
+        // Two bulk-loaded shards (no write heat), both over the threshold;
+        // only lookups tell them apart, and those are sampled.
+        let items: Vec<(Key, Value)> = (0..4_000i64).map(|k| (k, k)).collect();
+        let cfg = ShardedConfig {
+            shards: 2,
+            split_above: 1_000,
+            merge_below: 64,
+            hysteresis_rounds: 1,
+            monitor_interval: Duration::ZERO,
+            ..config(2)
+        };
+        let map = ShardedMap::from_sorted(cfg, registry(), &items).unwrap();
+        let before = map.shard_layout();
+        assert_eq!(before.len(), 2);
+        let (cold, hot) = (before[0], before[1]);
+        // Fifteen lookups of the hot shard, then one of the cold one: a
+        // period equal to the sample interval, which a sample taken on every
+        // sixteenth lookup would credit to one shard alone.
+        const ROUNDS: i64 = 500;
+        for round in 0..ROUNDS {
+            for i in 0..15 {
+                let key = hot.0 + (round * 15 + i) % 1_000;
+                assert_eq!(map.get(key), Some(key));
+            }
+            assert_eq!(map.get(round), Some(round));
+        }
+        assert_eq!(
+            map.stats().routed_ops,
+            16 * ROUNDS as u64,
+            "the engine counter is exact"
+        );
+        let heat = |idx: usize| {
+            let _pin = map.engine.epoch.pin();
+            // SAFETY: pinned above.
+            let dir = unsafe { map.engine.dir_ref() };
+            dir.shards[idx].load.ops.load(Ordering::Relaxed)
+        };
+        // 7500 and 500 lookups, each sampled one time in sixteen.
+        let (cold_heat, hot_heat) = (heat(0), heat(1));
+        assert!((6_000..9_000).contains(&hot_heat), "hot shard: {hot_heat}");
+        assert!((100..1_500).contains(&cold_heat), "cold shard: {cold_heat}");
+        map.maintain_once();
+        let after = map.shard_layout();
+        assert_eq!(after.len(), 3, "one split per round");
+        assert_eq!(after[0], cold, "the cold shard was left alone");
+        assert_eq!((after[1].0, after[2].1), (hot.0, hot.1));
+    }
+
+    #[test]
     fn maintenance_stats_surface_engine_counters() {
         let map = ShardedMap::new(config(1), registry()).unwrap();
         for k in 0..2_000i64 {
@@ -2619,7 +3001,7 @@ mod tests {
             Arc::clone(&dir.shards[dir.route(0)])
         };
         let delta = Arc::new(DeltaLog::with_cap(DELTA_BACKPRESSURE));
-        shard.latch.write().delta = Some(Arc::clone(&delta));
+        shard.fence().delta = Some(Arc::clone(&delta));
 
         map.insert(1, -1); // new key, pending in the log
         map.insert(0, -2); // overwrites a base key
@@ -2645,7 +3027,7 @@ mod tests {
 
         // Fold the log back like an aborted split would, so the map drops
         // consistent.
-        shard.latch.write().delta = None;
+        shard.fence().delta = None;
         for op in delta.take_all() {
             op.apply(shard.map.as_ref());
         }
@@ -2668,7 +3050,7 @@ mod tests {
             Arc::clone(&dir.shards[dir.route(0)])
         };
         let delta = Arc::new(DeltaLog::with_cap(DELTA_BACKPRESSURE));
-        shard.latch.write().delta = Some(Arc::clone(&delta));
+        shard.fence().delta = Some(Arc::clone(&delta));
 
         // A whole batch arriving mid-split must land as run records (one
         // stripe pass), not decay to one delta record per item.
@@ -2689,7 +3071,7 @@ mod tests {
 
         // Fold the log back like an aborted split would and verify nothing
         // was lost or duplicated.
-        shard.latch.write().delta = None;
+        shard.fence().delta = None;
         for rec in delta.take_all() {
             rec.apply(shard.map.as_ref());
         }

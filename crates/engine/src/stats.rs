@@ -22,6 +22,11 @@ pub struct EngineStats {
     /// Operations that retried because they reached a shard retired by a
     /// concurrent split or merge.
     pub retired_retries: AtomicU64,
+    /// Lookups whose shard's version word changed while they read the inner
+    /// map unlatched (an exclusive hold began: a delta-log install, a final
+    /// fence), and which therefore read again under the shared latch. Zero
+    /// on a settled engine.
+    pub read_revalidations: AtomicU64,
     /// Shard splits performed (hot shard rebuilt into two halves).
     pub shard_splits: AtomicU64,
     /// Shard merges performed (two cold neighbours rebuilt into one).
@@ -84,6 +89,7 @@ impl EngineStats {
         ShardedStats {
             routed_ops: self.routed_ops.sum(),
             retired_retries: self.retired_retries.load(Ordering::Relaxed),
+            read_revalidations: self.read_revalidations.load(Ordering::Relaxed),
             shard_splits: self.shard_splits.load(Ordering::Relaxed),
             shard_merges: self.shard_merges.load(Ordering::Relaxed),
             split_stall_ns: self.split_stall_ns.load(Ordering::Relaxed),
@@ -106,6 +112,9 @@ pub struct ShardedStats {
     pub routed_ops: u64,
     /// Operations retried after reaching a retired shard.
     pub retired_retries: u64,
+    /// Unlatched lookups redone under the latch because a structural hold
+    /// began while they ran.
+    pub read_revalidations: u64,
     /// Shard splits performed.
     pub shard_splits: u64,
     /// Shard merges performed.
@@ -137,6 +146,7 @@ impl pma_common::obs::MetricSource for ShardedStats {
     fn observe(&self, out: &mut dyn pma_common::obs::Observe) {
         out.counter("routed_ops", self.routed_ops);
         out.counter("retired_retries", self.retired_retries);
+        out.counter("read_revalidations", self.read_revalidations);
         out.counter("shard_splits", self.shard_splits);
         out.counter("shard_merges", self.shard_merges);
         out.counter("split_stall_ns", self.split_stall_ns);

@@ -233,3 +233,34 @@ fn mixed_concurrent_inserts_deletes_and_gets() {
         }
     }
 }
+
+/// Thread churn: far more distinct threads than any slot table ever had
+/// entries touch one PMA over its lifetime, a few at a time. A thread's
+/// epoch slot index goes back to the pool when the thread exits, so the
+/// thousandth thread pins like the first. (Slots used to be claimed per
+/// registry and never released: the 257th thread panicked.)
+#[test]
+fn a_thousand_short_lived_threads_share_one_pma() {
+    let map = pma(UpdateMode::Batch {
+        t_delay: Duration::from_millis(100),
+    });
+    for k in 0..1_000i64 {
+        map.insert(k, -k);
+    }
+    map.flush();
+    for wave in 0..250i64 {
+        std::thread::scope(|scope| {
+            for t in 0..4i64 {
+                let map = &map;
+                scope.spawn(move || {
+                    let k = wave * 4 + t;
+                    assert_eq!(map.get(k), Some(-k));
+                    map.insert(1_000 + k, k);
+                });
+            }
+        });
+    }
+    map.flush();
+    assert_eq!(map.len(), 2_000);
+    assert_eq!(map.scan_all().count, 2_000);
+}

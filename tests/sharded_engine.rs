@@ -286,6 +286,141 @@ fn scans_stay_snapshot_consistent_across_splits() {
     }
 }
 
+/// One round of the read-your-acknowledged-write stress: every `insert` that
+/// returned is handed to a reader over a channel, and the reader's `get`
+/// must find it (or a later value of the same key) — while the shard under
+/// both of them is split, merged and split again, once with the blocking
+/// protocol. Lookups are validated, not latched: one that overlaps an
+/// install or a final fence has to notice and go through the latch, where
+/// the delta overlay and the re-route are. The inner maps are synchronous,
+/// so "acknowledged" means "applied".
+fn read_your_writes_round(round: i64) {
+    const WRITERS: i64 = 2;
+    const KEYS_PER_WRITER: i64 = 512;
+    const MIN_OPS: i64 = 4_000;
+
+    let config = ShardedConfig {
+        auto_manage: false,
+        shards: 1,
+        inner_spec: "pma-sync".to_string(),
+        monitor_interval: Duration::ZERO,
+        ..stress_config()
+    };
+    let map = ShardedMap::new(config, Registry::global()).unwrap();
+    let preload: Vec<(i64, i64)> = (0..4_000).map(|i| (i * 4, round)).collect();
+    map.insert_batch(&preload);
+    map.flush();
+
+    let structural_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (map, structural_done) = (&map, &structural_done);
+        let mut readers = Vec::new();
+        for t in 0..WRITERS {
+            // Bounded, so a reader checks a write soon after it was
+            // acknowledged rather than long after the structure settled.
+            let (acked_tx, acked_rx) = std::sync::mpsc::sync_channel::<(i64, i64)>(8);
+            scope.spawn(move || {
+                // Odd keys, disjoint per writer, each overwritten with
+                // ascending values: a key's value only ever grows.
+                let mut op = 0i64;
+                while op < MIN_OPS || !structural_done.load(Ordering::Relaxed) {
+                    let key = ((op % KEYS_PER_WRITER) * WRITERS + t) * 2 + 1;
+                    map.insert(key, op);
+                    acked_tx
+                        .send((key, op))
+                        .expect("the reader outlives its writer");
+                    op += 1;
+                }
+            });
+            readers.push(scope.spawn(move || {
+                let mut checked = 0u64;
+                for (key, acknowledged) in acked_rx {
+                    let seen = map.get(key);
+                    assert!(
+                        seen.is_some_and(|value| value >= acknowledged),
+                        "get({key}) = {seen:?} after insert({key}, {acknowledged}) returned"
+                    );
+                    checked += 1;
+                }
+                checked
+            }));
+        }
+        assert!(map.split_shard(0).unwrap());
+        assert!(map.split_shard(1).unwrap());
+        assert!(map.merge_shards(0).unwrap());
+        assert!(map.split_shard_blocking(0).unwrap());
+        assert!(map.split_shard(map.num_shards() - 1).unwrap());
+        assert!(map.merge_shards(1).unwrap());
+        structural_done.store(true, Ordering::Relaxed);
+        for reader in readers {
+            assert!(reader.join().expect("a reader failed") >= MIN_OPS as u64);
+        }
+    });
+
+    map.flush();
+    let stats = map.stats();
+    assert_eq!(stats.directory_swaps(), 6, "{stats:?}");
+    assert_eq!(map.len() as i64, 4_000 + WRITERS * KEYS_PER_WRITER);
+    for i in (0..4_000).step_by(331) {
+        assert_eq!(map.get(i * 4), Some(round), "preloaded key lost");
+    }
+    let combining = map
+        .combining_stats()
+        .expect("pma-backed shards report combining stats");
+    assert_eq!(combining.late_replays, 0, "late replay during a split");
+}
+
+/// Read-your-acknowledged-write across forced splits and merges; looped by
+/// `SHARDED_STRESS_ITERS` like the snapshot-consistency case (the acceptance
+/// bar for the validated lookup is 50 clean release iterations).
+#[test]
+fn readers_see_acknowledged_writes_across_splits() {
+    ensure_builtin_backends();
+    let iters: i64 = std::env::var("SHARDED_STRESS_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1);
+    for round in 0..iters {
+        read_your_writes_round(round);
+    }
+}
+
+/// More shards than an epoch table has cache lines: every shard's PMA runs a
+/// rebalancer master that holds a process-wide thread index from its first
+/// pin on, so with one slot per line and index a 300-shard engine would run
+/// out of indices where the per-registry slots of old did not (the masters
+/// panic and the writers wait for them for ever — a hang, not a failure).
+#[test]
+fn a_directory_wider_than_the_epoch_lines_serves_contended_writers() {
+    ensure_builtin_backends();
+    let config = ShardedConfig {
+        shards: 300,
+        auto_manage: false,
+        ..ShardedConfig::default()
+    };
+    let map = ShardedMap::new(config, Registry::global()).unwrap();
+    // Keys spread over the whole domain, four writers colliding on gates so
+    // that every shard's master gets delegated work.
+    let key = |i: i64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64);
+    std::thread::scope(|scope| {
+        for writer in 0..4 {
+            let map = &map;
+            scope.spawn(move || {
+                for i in 0..100_000 {
+                    map.insert(key(i * 4 + writer), i);
+                }
+            });
+        }
+    });
+    map.flush();
+    assert_eq!(map.len(), 400_000);
+    for i in 0..100_000 {
+        assert_eq!(map.remove(key(i * 4)), Some(i));
+    }
+    map.flush();
+    assert_eq!(map.len(), 300_000);
+}
+
 /// Regression for the 0-split stress flake: the monitor used to merge the
 /// two *never-written* seed shards within its first rounds (their combined
 /// len of 0 sits below any merge threshold), occasionally spending the whole
