@@ -21,20 +21,22 @@
 //! the adaptive-rebalancing predictor state (`f64` bits), only touched by
 //! writers.
 //!
-//! # Two waits for memory per lookup
+//! # Two waits for memory per point operation
 //!
-//! Out of cache, what a lookup costs inside a chunk is the number of times
-//! it waits for memory *in series*, not the number of lines it touches.
-//! There are two: the slab head (geometry and routing prefix, adjacent
-//! lines), and then the segment — routing reads nothing but the prefix
-//! (`mins[s]` is the first key of a non-empty segment `s`), and as soon as
-//! it has `s`, [`ChunkData::get`] (and a range inside one segment) asks for
-//! every occupied line of the segment's key run and value run before the
-//! search touches any of them. The search's probes and the value read then
-//! overlap one trip to memory instead of each starting its own when the
-//! previous one returns. Updates route the same way but do not prefetch:
-//! doing so was measured and left out (`docs/INTERNALS.md`, *Read path
-//! budget*).
+//! Out of cache, what a point operation costs inside a chunk is the number
+//! of times it waits for memory *in series*, not the number of lines it
+//! touches. There are two: the slab head (geometry and routing prefix,
+//! adjacent lines), and then the segment — routing reads nothing but the
+//! prefix (`mins[s]` is the first key of a non-empty segment `s`), and as
+//! soon as it has `s`, [`ChunkData::get`] (and a range inside one segment)
+//! asks for every occupied line of the segment's key run and value run
+//! before the search touches any of them. The search's probes and the value
+//! read then overlap one trip to memory instead of each starting its own
+//! when the previous one returns. [`ChunkData::try_insert`] and
+//! [`ChunkData::remove`] do the same and add the slot an insertion shifts
+//! into and `activity[s]`, which sits a whole slot array away at the end of
+//! the slab: the search, the two shifts and the activity record share that
+//! one trip (`docs/INTERNALS.md`, *Update path budget*).
 //!
 //! The reference count is what carries copy-on-write: cloning a chunk is an
 //! `Arc` bump (that is how a frozen snapshot captures it), and every
@@ -211,26 +213,32 @@ impl<'a> View<'a> {
     /// and value run. Each run is short (a fraction of a segment), followed
     /// by the segment's gap, and the two sit a whole slot array apart — too
     /// short for the hardware streamer to lock on before the run ends, which
-    /// is why a scan asks for exactly these lines itself. A lookup asks for
-    /// them the moment it knows `s`: the search's probes and the value read
-    /// then wait for memory once, together, instead of once per line they
-    /// happen to touch.
+    /// is why a scan asks for exactly these lines itself. A point operation
+    /// asks for them the moment it knows `s`: the search's probes and the
+    /// value read (or an update's two shifts) then wait for memory once,
+    /// together, instead of once per line they happen to touch.
     #[inline]
     fn prefetch_segment(&self, s: usize) {
+        self.prefetch_slots(self.seg_start(s), self.card(s));
+    }
+
+    /// Asks for the lines of `keys[start..start + len]` and of the same
+    /// slots of `values`.
+    #[inline]
+    fn prefetch_slots(&self, start: usize, len: usize) {
         const LINE: usize = 64 / std::mem::size_of::<Key>();
-        let (start, card) = (self.seg_start(s), self.card(s));
-        if card == 0 {
+        if len == 0 {
             return;
         }
         for run in [
-            &self.keys[start..start + card],
-            &self.values[start..start + card],
+            &self.keys[start..start + len],
+            &self.values[start..start + len],
         ] {
             for line in run.chunks(LINE) {
                 simd::prefetch_read(line.as_ptr());
             }
             // The run is not line-aligned: its tail may spill into one more.
-            simd::prefetch_read(&run[card - 1]);
+            simd::prefetch_read(&run[len - 1]);
         }
     }
 
@@ -342,6 +350,20 @@ impl<'a> ViewMut<'a> {
             }
             self.mins[s] = current;
         }
+    }
+
+    /// Asks for everything an update of segment `s` can touch, the moment
+    /// routing names `s`: the occupied key and value lines the search probes
+    /// and the shift moves, the slot an insertion shifts into (when the
+    /// segment has one left), and `activity[s]`, a whole slot array away at
+    /// the end of the slab. Search, both shifts and
+    /// [`ViewMut::record_activity`] then share one trip to memory.
+    #[inline]
+    fn prefetch_for_update(&self, s: usize) {
+        let v = self.view();
+        let slots = (v.card(s) + 1).min(self.segment_capacity);
+        v.prefetch_slots(v.seg_start(s), slots);
+        simd::prefetch_read(&self.activity[s]);
     }
 
     /// Adds `delta` to segment `s`'s recorded activity.
@@ -531,6 +553,7 @@ impl ChunkData {
     pub fn try_insert(&mut self, key: Key, value: Value) -> ChunkInsert {
         let mut v = self.unique();
         let s = v.view().find_segment(key);
+        v.prefetch_for_update(s);
         let start = s * v.segment_capacity;
         let card = v.cards[s] as usize;
         match simd::search(&v.keys[start..start + card], key) {
@@ -561,6 +584,7 @@ impl ChunkData {
     pub fn remove(&mut self, key: Key) -> Option<Value> {
         let mut v = self.unique();
         let s = v.view().find_segment(key);
+        v.prefetch_for_update(s);
         let start = s * v.segment_capacity;
         let card = v.cards[s] as usize;
         let pos = simd::search(&v.keys[start..start + card], key).ok()?;
@@ -930,14 +954,17 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// Point operations over every arrangement of empty segments — leading,
-    /// middle, trailing, all — against a model, with the chunk's whole state
+    /// Point operations over every arrangement of empty and full segments —
+    /// leading, middle, trailing, all; a full segment with room elsewhere; a
+    /// full *last* segment, whose key and value runs end where the slab's
+    /// slot arrays end (an update asks for the slot behind the run only when
+    /// the segment has one) — against a model, with the chunk's whole state
     /// compared after each one.
     #[test]
     fn point_ops_agree_with_a_model_around_empty_segments() {
         use std::collections::BTreeMap;
         const CAPACITY: usize = 4;
-        let layouts: [&[usize]; 8] = [
+        let layouts: [&[usize]; 12] = [
             &[0, 0, 0, 0],
             &[0, 3, 2, 1],
             &[0, 0, 4, 4],
@@ -946,7 +973,19 @@ mod tests {
             &[4, 4, 0, 0],
             &[0, 2, 0, 0],
             &[4, 4, 4, 4],
+            &[0, 0, 0, 4],
+            &[1, 0, 0, 4],
+            &[4, 1, 0, 0],
+            &[3, 4, 3, 0],
         ];
+        // Where every key sits, segment by segment, and the values: what a
+        // refused or missed operation must leave exactly as it was.
+        let placement = |c: &ChunkData| {
+            let runs: Vec<Vec<Key>> = (0..c.num_segments())
+                .map(|s| c.seg_keys(s).to_vec())
+                .collect();
+            (runs, c.iter().collect::<Vec<_>>())
+        };
         for targets in layouts {
             let total: usize = targets.iter().sum();
             // Stored keys are multiples of 10; probes also hit the gaps
@@ -970,6 +1009,15 @@ mod tests {
                 );
             }
             check(&c, &model, "the lookups");
+            // Removing what is not there — between, below and above the
+            // stored keys, from full, partial and empty segments — finds
+            // nothing and moves nothing.
+            let before = placement(&c);
+            for &key in probes.iter().filter(|&&key| !model.contains_key(&key)) {
+                assert_eq!(c.remove(key), None, "{targets:?} remove({key}), absent");
+                assert_eq!(placement(&c), before, "{targets:?} remove({key}), absent");
+            }
+            let mut refused = 0;
             for (i, &key) in probes.iter().enumerate() {
                 let s = reference_segment(&c, key);
                 let expected = match model.get(&key) {
@@ -977,12 +1025,22 @@ mod tests {
                     None if c.card(s) == CAPACITY => ChunkInsert::SegmentFull(s),
                     None => ChunkInsert::Inserted,
                 };
+                let before = placement(&c);
                 assert_eq!(c.try_insert(key, i as Value), expected, "{targets:?} {key}");
-                if expected != ChunkInsert::SegmentFull(s) {
+                if expected == ChunkInsert::SegmentFull(s) {
+                    refused += 1;
+                    assert_eq!(placement(&c), before, "{targets:?} {key} refused");
+                } else {
                     model.insert(key, i as Value);
                 }
                 check(&c, &model, "an insert");
                 assert_eq!(c.get(key), model.get(&key).copied());
+            }
+            // A full last segment refuses every key above its minimum that
+            // it does not hold.
+            if targets[3] == CAPACITY {
+                assert!(refused > 0, "{targets:?}");
+                assert_eq!(c.card(3), CAPACITY);
             }
             // The upper half from the top down, then the lower half from the
             // bottom up: trailing, then leading segments empty out.
@@ -997,6 +1055,10 @@ mod tests {
                 assert_eq!(c.get(key), None);
             }
             assert_eq!(c.cardinality(), 0);
+            for &key in &probes {
+                assert_eq!(c.remove(key), None, "{targets:?} drained, remove({key})");
+            }
+            check(&c, &model, "removes from a drained chunk");
             assert_eq!(c.try_insert(7, 7), ChunkInsert::Inserted);
             assert_eq!(c.get(7), Some(7));
         }

@@ -15,15 +15,16 @@
 //!
 //! # One index per thread, for every registry
 //!
-//! A thread owns one process-wide *thread index*, claimed the first time it
-//! pins anything and handed back (to a free list) when the thread exits. The
-//! index addresses the thread's slot in **every** registry's slot table, so
-//! `pin` is a thread-local read, a depth test on the thread's own padded
-//! slot and the `SeqCst` store that advertises the epoch — no per-registry
-//! claim, no search, and the cost does not depend on how many registries
-//! (PMAs, shards) the thread has ever touched. Indices are dense (the
-//! smallest free one is reused), so a process that churns through threads
-//! keeps using the same few slots.
+//! A thread owns one process-wide *thread index*
+//! ([`pma_common::util::thread_index`]: claimed on first use, handed back to
+//! a free list when the thread exits; the counter stripes are dealt from it
+//! too). The index addresses the thread's slot in **every** registry's slot
+//! table, so `pin` is a thread-local read, a depth test on the thread's own
+//! padded slot and the `SeqCst` store that advertises the epoch — no
+//! per-registry claim, no search, and the cost does not depend on how many
+//! registries (PMAs, shards) the thread has ever touched. Indices are dense
+//! (the smallest free one is reused), so a process that churns through
+//! threads keeps using the same few slots.
 //!
 //! A registry's table is one fixed array of 256 cache lines of four slots.
 //! Index `i` lives in line `i % 256`, so the first 256 live threads — every
@@ -33,27 +34,32 @@
 //! holds an index). The collector scans the indices the pool has ever
 //! handed out.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::MutexGuard;
 
 use parking_lot::Mutex;
+use pma_common::util::{thread_index, thread_index_high_water, MAX_THREAD_INDICES};
 
 /// Maximum number of threads that may be pinning (any registry of) the
 /// process at the same time. A thread's index returns to the pool when the
 /// thread exits, so this bounds *live* threads, not threads ever started.
-pub const MAX_THREADS: usize = LINES * SLOTS_PER_LINE;
+pub const MAX_THREADS: usize = MAX_THREAD_INDICES;
 
 /// Cache lines per registry table: as many threads pin without sharing one.
 const LINES: usize = 256;
-const SLOTS_PER_LINE: usize = 4;
+const SLOTS_PER_LINE: usize = MAX_THREADS / LINES;
+const _: () = assert!(
+    LINES * SLOTS_PER_LINE == MAX_THREADS,
+    "a slot for every index"
+);
 
 /// Value advertising "not inside any operation".
 const INACTIVE: u64 = 0;
 
-/// One thread's entry in one registry.
+/// One thread's entry in one registry. When its thread exits, every guard
+/// of the thread is gone (a guard is `!Send` and borrows its registry), so
+/// the slot the next owner of the index finds reads depth 0 and `INACTIVE`.
 struct Slot {
     /// Epoch advertised by the owning thread (0 = inactive); read by the
     /// collector.
@@ -69,70 +75,6 @@ struct Slot {
 /// One cache line of a registry's table.
 #[repr(align(64))]
 struct Line([Slot; SLOTS_PER_LINE]);
-
-/// The pool of thread indices: the smallest free index is handed out first,
-/// so the set in use stays dense.
-struct IndexPool {
-    limit: usize,
-    /// Indices returned by exited threads, smallest on top.
-    free: Mutex<BinaryHeap<Reverse<usize>>>,
-    /// Indices `0..high_water` have been handed out at least once. Written
-    /// under `free`'s lock; read by collectors, which scan that prefix only.
-    high_water: AtomicUsize,
-}
-
-impl IndexPool {
-    const fn new(limit: usize) -> Self {
-        Self {
-            limit,
-            free: Mutex::new(BinaryHeap::new()),
-            high_water: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims an index for the calling thread.
-    ///
-    /// # Panics
-    /// When `limit` indices are already held by live threads.
-    fn claim(&self) -> usize {
-        let mut free = self.free.lock();
-        if let Some(Reverse(index)) = free.pop() {
-            return index;
-        }
-        let index = self.high_water.load(Ordering::Relaxed);
-        assert!(
-            index < self.limit,
-            "more than {} live threads are pinning epochs in this process",
-            self.limit
-        );
-        // `SeqCst` like the epoch store that follows it in `pin`: a collector
-        // whose load does not cover `index` yet is ordered before both.
-        self.high_water.store(index + 1, Ordering::SeqCst);
-        index
-    }
-
-    fn release(&self, index: usize) {
-        self.free.lock().push(Reverse(index));
-    }
-}
-
-static THREAD_INDICES: IndexPool = IndexPool::new(MAX_THREADS);
-
-/// The calling thread's claim on one index of [`THREAD_INDICES`], returned
-/// by the thread-local's destructor when the thread exits. By then every
-/// guard of the thread is gone (a guard is `!Send` and borrows its
-/// registry), so the slots it leaves behind read depth 0 and `INACTIVE`.
-struct ThreadIndex(usize);
-
-impl Drop for ThreadIndex {
-    fn drop(&mut self) {
-        THREAD_INDICES.release(self.0);
-    }
-}
-
-thread_local! {
-    static THREAD_INDEX: ThreadIndex = ThreadIndex(THREAD_INDICES.claim());
-}
 
 /// Per-registry table of active epochs, one slot per thread index.
 pub struct EpochRegistry {
@@ -201,7 +143,7 @@ impl EpochRegistry {
     /// live threads hold one.
     #[inline]
     pub fn pin(&self) -> EpochGuard<'_> {
-        let slot = self.slot(THREAD_INDEX.with(|index| index.0));
+        let slot = self.slot(thread_index());
         let depth = slot.depth.load(Ordering::Relaxed);
         if depth == 0 {
             let epoch = self.global_epoch.load(Ordering::Acquire);
@@ -216,7 +158,7 @@ impl EpochRegistry {
 
     /// The slots of every thread index handed out so far.
     fn claimed_slots(&self) -> impl Iterator<Item = &Slot> {
-        (0..THREAD_INDICES.high_water.load(Ordering::SeqCst)).map(|index| self.slot(index))
+        (0..thread_index_high_water()).map(|index| self.slot(index))
     }
 
     /// Minimum epoch advertised by any active thread. Retired items stamped
@@ -431,15 +373,6 @@ mod tests {
         assert_eq!(bin.collect(&reg), 1);
     }
 
-    #[test]
-    fn thread_indices_are_handed_out_smallest_first() {
-        let pool = IndexPool::new(4);
-        assert_eq!((pool.claim(), pool.claim(), pool.claim()), (0, 1, 2));
-        pool.release(2);
-        pool.release(0);
-        assert_eq!((pool.claim(), pool.claim(), pool.claim()), (0, 2, 3));
-    }
-
     /// More short-lived threads than the slot table ever had entries per
     /// registry: each one's index goes back to the pool when it exits.
     #[test]
@@ -452,7 +385,7 @@ mod tests {
                 s.spawn(|| {
                     let _g = reg.pin();
                     assert_eq!(reg.active_threads(), 1);
-                    THREAD_INDEX.with(|index| index.0)
+                    thread_index()
                 })
                 .join()
                 .unwrap()
@@ -463,31 +396,6 @@ mod tests {
         // hold one index per thread.
         assert!(seen.len() < THREADS / 2, "{} distinct indices", seen.len());
         assert_eq!(reg.active_threads(), 0);
-    }
-
-    #[test]
-    fn one_live_thread_too_many_panics_instead_of_hanging() {
-        const LIMIT: usize = 3;
-        let pool = IndexPool::new(LIMIT);
-        let holding = std::sync::Barrier::new(LIMIT + 1);
-        let release = std::sync::Barrier::new(LIMIT + 1);
-        std::thread::scope(|s| {
-            for _ in 0..LIMIT {
-                s.spawn(|| {
-                    let index = pool.claim();
-                    holding.wait();
-                    release.wait();
-                    pool.release(index);
-                });
-            }
-            holding.wait();
-            let refused = s.spawn(|| pool.claim()).join().unwrap_err();
-            let message = refused.downcast_ref::<String>().expect("a formatted panic");
-            assert!(message.contains("more than 3 live threads"), "{message}");
-            release.wait();
-        });
-        // The pool survived the refusal, and the exits made room again.
-        assert!(pool.claim() < LIMIT);
     }
 
     #[test]

@@ -172,9 +172,13 @@ impl ConcurrentPma {
 
     /// Number of stored elements.
     ///
-    /// With an asynchronous update mode, operations still sitting in
-    /// combining queues are not counted yet; call [`ConcurrentPma::flush`]
-    /// first for an exact answer.
+    /// The count is kept per thread and summed here, so it is exact when no
+    /// update is in flight (after [`ConcurrentPma::flush`], or once the
+    /// writing threads are joined) and, while updates run, off by at most
+    /// the operations that complete during the call plus one not yet counted
+    /// per writer — it never goes below zero. With an asynchronous update
+    /// mode, operations still sitting in combining queues are not counted
+    /// yet; call `flush` first for an exact answer.
     pub fn len(&self) -> usize {
         self.shared.element_count()
     }
@@ -220,7 +224,7 @@ impl ConcurrentPma {
 
     /// Looks up `key`.
     pub fn get(&self, key: Key) -> Option<Value> {
-        self.shared.stats.lookups.add(1);
+        self.shared.stats.count_lookup();
         loop {
             let _pin = self.shared.pin();
             // SAFETY: pinned above.
@@ -520,8 +524,7 @@ impl ConcurrentPma {
                         if fits {
                             let added = chunk.merge_batch(run);
                             if added > 0 {
-                                self.shared.len.fetch_add(added, Ordering::Relaxed);
-                                Stats::add(&self.shared.stats.inserts, added as u64);
+                                self.shared.stats.inserted(added);
                             }
                             advance = run_end - i;
                             // Drain anything forwarded to us while we held the
@@ -672,13 +675,11 @@ impl ConcurrentPma {
         gate.release_exclusive(st, &self.shared.stats);
         match (op, outcome) {
             (UpdateOp::Delete(_), Some(Some(_))) => {
-                self.shared.len.fetch_sub(1, Ordering::Relaxed);
-                Stats::bump(&self.shared.stats.deletes);
+                self.shared.stats.removed(1);
                 self.maybe_request_downsize(inst);
             }
             (UpdateOp::Insert(..), Some(None)) => {
-                self.shared.len.fetch_add(1, Ordering::Relaxed);
-                Stats::bump(&self.shared.stats.inserts);
+                self.shared.stats.inserted(1);
             }
             _ => {}
         }
@@ -816,8 +817,7 @@ impl ConcurrentPma {
                 // SAFETY: the caller holds the gate in `Write` mode.
                 let old = unsafe { self.shared.chunk_mut(gate) }.remove(key);
                 if old.is_some() {
-                    self.shared.len.fetch_sub(1, Ordering::Relaxed);
-                    Stats::bump(&self.shared.stats.deletes);
+                    self.shared.stats.removed(1);
                     self.maybe_request_downsize(inst);
                 }
                 ApplyResult::Done(old)
@@ -829,8 +829,7 @@ impl ConcurrentPma {
                 loop {
                     match chunk.try_insert(key, value) {
                         ChunkInsert::Inserted => {
-                            self.shared.len.fetch_add(1, Ordering::Relaxed);
-                            Stats::bump(&self.shared.stats.inserts);
+                            self.shared.stats.inserted(1);
                             return ApplyResult::Done(None);
                         }
                         ChunkInsert::Replaced(old) => return ApplyResult::Done(Some(old)),
@@ -1016,14 +1015,13 @@ impl ConcurrentPma {
                     UpdateOp::Delete(k) => {
                         if chunk.remove(k).is_some() {
                             removed += 1;
-                            Stats::bump(&self.shared.stats.deletes);
                         }
                     }
                     UpdateOp::Insert(k, v) => inserts.push((k, v)),
                 }
             }
             if removed > 0 {
-                self.shared.len.fetch_sub(removed, Ordering::Relaxed);
+                self.shared.stats.removed(removed);
             }
             if inserts.is_empty() {
                 continue;
@@ -1043,8 +1041,7 @@ impl ConcurrentPma {
             if fits_locally {
                 let added = chunk.merge_batch(&inserts);
                 if added > 0 {
-                    self.shared.len.fetch_add(added, Ordering::Relaxed);
-                    Stats::add(&self.shared.stats.inserts, added as u64);
+                    self.shared.stats.inserted(added);
                 }
                 Stats::bump(&self.shared.stats.local_rebalances);
                 continue;

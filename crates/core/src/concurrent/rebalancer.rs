@@ -14,7 +14,6 @@
 //! delegated batches (section 3.5), downsize checks and epoch-based garbage
 //! collection.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -461,14 +460,13 @@ impl Master {
                     // SAFETY: gate is service-owned.
                     if unsafe { self.shared.chunk_mut(gate) }.remove(k).is_some() {
                         removed += 1;
-                        Stats::bump(&self.shared.stats.deletes);
                     }
                 }
                 UpdateOp::Insert(k, v) => inserts.push((k, v)),
             }
         }
         if removed > 0 {
-            self.shared.len.fetch_sub(removed, Ordering::Relaxed);
+            self.shared.stats.removed(removed);
         }
         // Stable sort so duplicate-key upserts resolve to the entry appended
         // last (the dedup above already guarantees unique keys, but keep the
@@ -631,8 +629,7 @@ impl Master {
                 UpdateOp::Delete(k) => {
                     // SAFETY: gate is service-owned.
                     if unsafe { self.shared.chunk_mut(gate) }.remove(k).is_some() {
-                        self.shared.len.fetch_sub(1, Ordering::Relaxed);
-                        Stats::bump(&self.shared.stats.deletes);
+                        self.shared.stats.removed(1);
                     }
                 }
                 UpdateOp::Insert(k, v) => {
@@ -648,8 +645,7 @@ impl Master {
                     }
                     match result {
                         ChunkInsert::Inserted => {
-                            self.shared.len.fetch_add(1, Ordering::Relaxed);
-                            Stats::bump(&self.shared.stats.inserts);
+                            self.shared.stats.inserted(1);
                         }
                         ChunkInsert::Replaced(_) => {}
                         ChunkInsert::SegmentFull(_) => unplaced.push(op),
@@ -758,7 +754,7 @@ impl Master {
             inst.index.update_separator(g, lo);
         }
         if new_keys > 0 {
-            self.shared.len.fetch_add(new_keys, Ordering::Relaxed);
+            self.shared.stats.adjust_len(new_keys as i64);
         }
     }
 
@@ -883,26 +879,16 @@ impl Master {
         // Covers publication plus the invalidate/retire epilogue below.
         let _publish_span = obs::span(obs::Category::ResizePublish, num_gates as u64);
         let old = self.shared.publish_instance(new_instance);
-        // Adjust the element counter by the delta the batch and the folded
-        // queue operations produced, NOT with a `store(new_len)`: the instant
-        // the new instance is published, clients can pin it and apply updates
-        // — an absolute store would overwrite their concurrent
-        // `fetch_add`/`fetch_sub`, leaving the counter permanently off by the
-        // lost updates. From the moment every old gate was service-owned
-        // until publication the counter could not move, so it equalled
-        // `keys.len()` and a relative adjustment is race-free.
-        match new_len.cmp(&keys.len()) {
-            std::cmp::Ordering::Greater => {
-                self.shared
-                    .len
-                    .fetch_add(new_len - keys.len(), Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Less => {
-                self.shared
-                    .len
-                    .fetch_sub(keys.len() - new_len, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Equal => {}
+        // Adjust the element count by the delta the batch and the folded
+        // queue operations produced, never to an absolute `new_len`: the
+        // instant the new instance is published, clients can pin it and
+        // apply updates, and their concurrent deltas must not be lost. From
+        // the moment every old gate was service-owned until publication the
+        // count could not move, so it equalled `keys.len()`.
+        if new_len != keys.len() {
+            self.shared
+                .stats
+                .adjust_len(new_len as i64 - keys.len() as i64);
         }
 
         // Invalidate the old gates and wake everyone blocked on them (both
@@ -970,12 +956,14 @@ impl Master {
                 if fits_locally {
                     let added = chunk.merge_batch(&inserts);
                     if added > 0 {
-                        self.shared.len.fetch_add(added, Ordering::Relaxed);
+                        self.shared.stats.inserted(added);
                     }
-                    Stats::add(&self.shared.stats.inserts, added as u64);
                     self.release_gates(inst, gate_id, gate_id + 1);
                 } else {
-                    Stats::add(&self.shared.stats.inserts, inserts.len() as u64);
+                    // Counted as insertions here, upserts included; the
+                    // rebuild adds the keys that are really new to the
+                    // element count.
+                    self.shared.stats.count_inserts(inserts.len());
                     self.rebalance_from(inst, gate_id, 0, inserts);
                 }
             }

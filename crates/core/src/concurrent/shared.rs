@@ -1,7 +1,7 @@
 //! State shared between the client-facing [`super::ConcurrentPma`] handle and
 //! the rebalancer service threads.
 
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crate::params::PmaParams;
@@ -14,24 +14,34 @@ use super::instance::PmaInstance;
 use super::version::CowGen;
 
 /// Everything the clients, the rebalancer master and the workers share.
+///
+/// Laid out (`repr(C)`, in declaration order) around the line every
+/// operation of every client starts from: `pin` reads the registry head,
+/// `instance_ref` the entry pointer, and the update mode comes out of
+/// `params` — all read-only to clients. No client operation stores to those
+/// lines: the counters an operation bumps are in its own thread's stripe
+/// of `stats`, the remaining counters behind them, and there is no shared
+/// element counter ([`Shared::element_count`] sums the stripes). Only the
+/// rebalancer master writes near the entry pointer — the pointer itself and
+/// the epoch when it publishes a resized instance, the garbage list when it
+/// retires one.
+#[repr(C)]
 pub(crate) struct Shared {
-    /// Immutable configuration.
-    pub params: PmaParams,
+    /// Operation counters, the per-thread stripes first. Cache-line aligned
+    /// and a whole number of lines long.
+    pub stats: Stats,
     /// The single entry pointer to the current instance (paper section 3.4).
     pub instance: AtomicPtr<PmaInstance>,
-    /// Number of elements currently stored (maintained by whoever applies an
-    /// update).
-    pub len: AtomicUsize,
-    /// Operation counters.
-    pub stats: Stats,
     /// Epoch registry protecting retired instances.
     pub registry: EpochRegistry,
-    /// Retired instances awaiting reclamation.
-    pub garbage: GarbageBin<Box<PmaInstance>>,
     /// Write-generation counter and snapshot pin set for chunk-level
     /// copy-on-write versioning. `Arc` so [`super::version::FrozenSnapshot`]s
     /// can outlive the map handle.
     pub cow: Arc<CowGen>,
+    /// Immutable configuration.
+    pub params: PmaParams,
+    /// Retired instances awaiting reclamation.
+    pub garbage: GarbageBin<Box<PmaInstance>>,
 }
 
 impl Shared {
@@ -44,14 +54,15 @@ impl Shared {
     /// Creates the shared state around a pre-built instance holding `len`
     /// elements (the bulk-load construction path).
     pub fn with_instance(params: PmaParams, instance: Box<PmaInstance>, len: usize) -> Self {
+        let stats = Stats::new();
+        stats.adjust_len(len as i64);
         Self {
-            params,
+            stats,
             instance: AtomicPtr::new(Box::into_raw(instance)),
-            len: AtomicUsize::new(len),
-            stats: Stats::new(),
             registry: EpochRegistry::new(),
-            garbage: GarbageBin::new(),
             cow: Arc::new(CowGen::new()),
+            params,
+            garbage: GarbageBin::new(),
         }
     }
 
@@ -103,10 +114,13 @@ impl Shared {
         unsafe { Box::from_raw(old) }
     }
 
-    /// Number of stored elements.
+    /// Number of stored elements: what the instance was built with plus
+    /// every thread's additions minus its removals. Exact once the writers
+    /// are quiescent (after `flush` / a join), within the number of in-flight
+    /// operations — and never negative — while they run; see [`Stats::len`].
     #[inline]
     pub fn element_count(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.stats.len()
     }
 
     /// Whether `inst`, holding `len` elements, is under-full *and* a rebuild
@@ -147,6 +161,49 @@ impl std::fmt::Debug for Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::{offset_of, size_of};
+
+    /// Every operation of every client starts from the entry pointer and
+    /// the registry head and reads `params`; nothing a client operation
+    /// stores to may share a cache line with them. The only stores a client
+    /// makes to `Shared` are counter bumps, and all counters live in `stats`.
+    /// (`garbage`, behind `params`, is the rebalancer master's.)
+    #[test]
+    fn the_entry_pointer_line_is_written_by_no_client_operation() {
+        use crate::stats::OpStripe;
+        let lines = |offset: usize, size: usize| offset / 64..=(offset + size - 1) / 64;
+        let counters = lines(offset_of!(Shared, stats), size_of::<Stats>());
+        for (field, read_only) in [
+            ("instance", lines(offset_of!(Shared, instance), 8)),
+            (
+                "registry",
+                lines(offset_of!(Shared, registry), size_of::<EpochRegistry>()),
+            ),
+            ("cow", lines(offset_of!(Shared, cow), 8)),
+            (
+                "params",
+                lines(offset_of!(Shared, params), size_of::<PmaParams>()),
+            ),
+        ] {
+            assert!(
+                read_only.start() > counters.end() || read_only.end() < counters.start(),
+                "`{field}` (lines {read_only:?}) shares a line with the counters ({counters:?})"
+            );
+        }
+        // One line starts an operation: the pin and the entry-pointer load
+        // do not wait for memory twice.
+        assert_eq!(
+            lines(offset_of!(Shared, instance), 8),
+            lines(offset_of!(Shared, registry), size_of::<EpochRegistry>())
+        );
+        // The stripes are whole lines of a line-aligned struct.
+        assert_eq!(std::mem::align_of::<Shared>(), 64);
+        assert_eq!(offset_of!(Shared, stats) % 64, 0);
+        assert!(size_of::<OpStripe>() <= 64);
+        // No larger than before the element counter left (allocation sizes
+        // next to the bulk-load buffers have moved `setup_s` before).
+        assert!(size_of::<Shared>() <= 1408, "{}", size_of::<Shared>());
+    }
 
     #[test]
     fn new_shared_has_empty_single_gate_instance() {

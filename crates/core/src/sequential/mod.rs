@@ -269,7 +269,7 @@ where
                 self.values[start] = value;
                 self.cards[0] = 1;
                 self.len = 1;
-                Stats::bump(&self.stats.inserts);
+                self.stats.count_inserts(1);
                 return None;
             }
             let s = self.find_segment(&key);
@@ -299,7 +299,7 @@ where
                     if self.params.rebalance_policy == RebalancePolicy::Adaptive {
                         self.predictor.record_insert(s);
                     }
-                    Stats::bump(&self.stats.inserts);
+                    self.stats.count_inserts(1);
                     return None;
                 }
             }
@@ -328,7 +328,7 @@ where
         if self.params.rebalance_policy == RebalancePolicy::Adaptive {
             self.predictor.record_delete(s);
         }
-        Stats::bump(&self.stats.deletes);
+        self.stats.count_deletes(1);
         self.after_delete(s);
         Some(old)
     }
@@ -338,7 +338,7 @@ where
         if self.len == 0 {
             return None;
         }
-        self.stats.lookups.add(1);
+        self.stats.count_lookup();
         let s = self.find_segment(key);
         let start = self.seg_start(s);
         K::search_run(self.seg_keys(s), key)

@@ -4,23 +4,34 @@
 //! global rebalances or resizes a workload triggered) and by tests that assert
 //! a specific code path was exercised.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use pma_common::util::StripedCounter;
+use pma_common::util::{stripe, CachePadded, STRIPES};
+
+/// The counters an applied point operation bumps, all four in one cache
+/// line that belongs to the calling thread's stripe. Every `get`, `insert`
+/// and `remove` of every client counts itself, and a plain counter would
+/// make each of them a read-modify-write on a line all clients share — two
+/// clients updating one PMA then pass that line back and forth once per
+/// operation. Here an operation adds to its own thread's line and readers
+/// sum the stripes; all accesses are relaxed.
+#[derive(Debug, Default)]
+pub(crate) struct OpStripe {
+    lookups: AtomicU64,
+    inserts: AtomicU64,
+    deletes: AtomicU64,
+    /// Elements added minus elements removed through this stripe. Signed:
+    /// the thread that removes a key need not be the one that inserted it.
+    len: AtomicI64,
+}
 
 /// Internal atomic counters. All increments use relaxed ordering: the counters
 /// are diagnostics, not synchronisation.
 #[derive(Debug, Default)]
 pub struct Stats {
-    /// Successful insertions applied to the array.
-    pub inserts: AtomicU64,
-    /// Successful deletions applied to the array.
-    pub deletes: AtomicU64,
-    /// Point lookups served. Striped per thread: every `get` of every
-    /// client bumps it, and a plain counter here would put a store to a
-    /// line all clients share (the one `inserts` and `deletes` live on) on
-    /// the read path.
-    pub lookups: StripedCounter,
+    /// Point lookups served, insertions and deletions applied, and the
+    /// element count they add up to — see [`OpStripe`].
+    ops: [CachePadded<OpStripe>; STRIPES],
     /// Rebalances fully contained in one gate, executed by the writer itself.
     pub local_rebalances: AtomicU64,
     /// Rebalances spanning multiple gates, executed by the rebalancer service.
@@ -73,6 +84,77 @@ impl Stats {
         Self::default()
     }
 
+    /// The calling thread's stripe.
+    #[inline]
+    fn stripe(&self) -> &OpStripe {
+        &self.ops[stripe()]
+    }
+
+    /// Counts one point lookup.
+    #[inline]
+    pub(crate) fn count_lookup(&self) {
+        self.stripe().lookups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts `n` insertions without moving the element count: upserts that
+    /// travel on through a rebuild (which reports the keys it really added
+    /// with [`Stats::adjust_len`]), and the sequential PMA, which keeps its own
+    /// count.
+    #[inline]
+    pub(crate) fn count_inserts(&self, n: usize) {
+        self.stripe().inserts.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Counts `n` deletions without moving the element count.
+    #[inline]
+    pub(crate) fn count_deletes(&self, n: usize) {
+        self.stripe().deletes.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Moves the element count alone: the elements a bulk load or a rebuild
+    /// installed, as a difference.
+    #[inline]
+    pub(crate) fn adjust_len(&self, delta: i64) {
+        self.stripe().len.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// `n` new elements were stored: counted as insertions and in the
+    /// element count, on one line.
+    #[inline]
+    pub(crate) fn inserted(&self, n: usize) {
+        let stripe = self.stripe();
+        stripe.inserts.fetch_add(n as u64, Ordering::Relaxed);
+        stripe.len.fetch_add(n as i64, Ordering::Relaxed);
+    }
+
+    /// `n` stored elements were removed.
+    #[inline]
+    pub(crate) fn removed(&self, n: usize) {
+        let stripe = self.stripe();
+        stripe.deletes.fetch_add(n as u64, Ordering::Relaxed);
+        stripe.len.fetch_sub(n as i64, Ordering::Relaxed);
+    }
+
+    /// Number of stored elements: the sum of the stripes' deltas. A sum of
+    /// stripes is not a snapshot of them — while updates are in flight, a
+    /// key's removal can be read on one stripe and its insertion missed on
+    /// another — so the sum is taken signed and clamped at zero. Exact at
+    /// quiescence (after `flush` / joining the writers), within the number
+    /// of in-flight operations otherwise.
+    pub(crate) fn len(&self) -> usize {
+        let sum = self.ops.iter().fold(0i64, |sum, stripe| {
+            sum.wrapping_add(stripe.len.load(Ordering::Relaxed))
+        });
+        sum.max(0) as usize
+    }
+
+    /// Wrapping sum of one counter over the stripes.
+    fn sum(&self, counter: impl Fn(&OpStripe) -> u64) -> u64 {
+        self.ops
+            .iter()
+            .fold(0, |sum, stripe| sum.wrapping_add(counter(stripe)))
+    }
+
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -86,9 +168,9 @@ impl Stats {
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            inserts: self.inserts.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            lookups: self.lookups.sum(),
+            inserts: self.sum(|stripe| stripe.inserts.load(Ordering::Relaxed)),
+            deletes: self.sum(|stripe| stripe.deletes.load(Ordering::Relaxed)),
+            lookups: self.sum(|stripe| stripe.lookups.load(Ordering::Relaxed)),
             local_rebalances: self.local_rebalances.load(Ordering::Relaxed),
             global_rebalances: self.global_rebalances.load(Ordering::Relaxed),
             resizes: self.resizes.load(Ordering::Relaxed),
@@ -186,18 +268,78 @@ mod tests {
     #[test]
     fn snapshot_reflects_increments() {
         let s = Stats::new();
-        Stats::bump(&s.inserts);
-        Stats::bump(&s.inserts);
-        s.lookups.add(3);
+        s.inserted(2);
+        s.count_inserts(1);
+        (0..3).for_each(|_| s.count_lookup());
         Stats::add(&s.combined_ops, 5);
         Stats::bump(&s.resizes);
         let snap = s.snapshot();
-        assert_eq!(snap.inserts, 2);
+        assert_eq!(snap.inserts, 3);
         assert_eq!(snap.lookups, 3);
         assert_eq!(snap.combined_ops, 5);
         assert_eq!(snap.resizes, 1);
         assert_eq!(snap.deletes, 0);
         assert_eq!(snap.total_rebalances(), 1);
+        assert_eq!(s.len(), 2, "upserts counted as insertions add no element");
+    }
+
+    #[test]
+    fn len_sums_signed_deltas_across_threads_and_never_goes_negative() {
+        let s = Stats::new();
+        s.adjust_len(10);
+        std::thread::scope(|scope| {
+            scope.spawn(|| s.inserted(5)).join().unwrap();
+            scope.spawn(|| s.removed(12)).join().unwrap();
+        });
+        assert_eq!(s.len(), 3);
+        assert_eq!((s.snapshot().inserts, s.snapshot().deletes), (5, 12));
+        // What a reader can see mid-flight: a removal whose insertion, on
+        // another thread's stripe, it read too early.
+        s.removed(4);
+        assert_eq!(s.len(), 0);
+        s.inserted(4);
+        assert_eq!(s.len(), 3);
+        s.adjust_len(-3);
+        assert_eq!(s.len(), 0);
+    }
+
+    /// One operation, one counter line: the four per-operation words of a
+    /// thread share a cache line, and a second live thread has another
+    /// (as long as their thread indices differ modulo `STRIPES`, which
+    /// `util::tests::live_threads_get_distinct_stripes_after_thread_churn`
+    /// pins for up to `STRIPES` live threads; this test binary runs more).
+    #[test]
+    fn a_thread_touches_one_counter_line_per_operation() {
+        use pma_common::util::thread_index;
+        use std::mem::{align_of, offset_of, size_of};
+        assert!(size_of::<OpStripe>() <= 64);
+        assert_eq!(size_of::<CachePadded<OpStripe>>(), 64);
+        assert_eq!(align_of::<Stats>(), 64);
+        let s = Stats::new();
+        let lines_of = |stripe: &OpStripe| {
+            let base = stripe as *const OpStripe as usize;
+            [
+                offset_of!(OpStripe, lookups),
+                offset_of!(OpStripe, inserts),
+                offset_of!(OpStripe, deletes),
+                offset_of!(OpStripe, len),
+            ]
+            .map(|offset| (base + offset) / 64)
+        };
+        let every_line: std::collections::BTreeSet<usize> =
+            s.ops.iter().flat_map(|stripe| lines_of(stripe)).collect();
+        assert_eq!(every_line.len(), STRIPES, "one line per stripe");
+        let on_this_thread = || (thread_index(), lines_of(s.stripe()));
+        let (my_index, mine) = on_this_thread();
+        assert!(mine.iter().all(|&line| line == mine[0]), "{mine:?}");
+        let (their_index, theirs) =
+            std::thread::scope(|scope| scope.spawn(on_this_thread).join().unwrap());
+        assert_ne!(my_index, their_index, "two live threads, one index");
+        assert_eq!(
+            my_index % STRIPES == their_index % STRIPES,
+            mine[0] == theirs[0],
+            "a thread's line is its index modulo the stripe count"
+        );
     }
 
     #[test]

@@ -264,3 +264,121 @@ fn a_thousand_short_lived_threads_share_one_pma() {
     assert_eq!(map.len(), 2_000);
     assert_eq!(map.scan_all().count, 2_000);
 }
+
+/// `len()` is a sum of per-thread deltas, and a sum of stripes is not a
+/// snapshot of them: with the count at zero, one thread's `+1` for a key and
+/// another thread's `-1` for the same key can be read as `0, -1`. The sum is
+/// taken signed and clamped, so a poller never sees the count wrap around;
+/// what it can see is the true count plus the removals that completed while
+/// it was summing (and one uncounted operation per writer).
+#[test]
+fn len_stays_bounded_while_two_threads_insert_and_remove_the_same_keys() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const KEYS: i64 = 64;
+    const ROUNDS: i64 = 2_000;
+    const WRITERS: u64 = 2;
+    // Synchronous: every operation is applied and counted by its own thread
+    // before it returns.
+    let map = pma(UpdateMode::Synchronous);
+    let removals = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let polls = std::thread::scope(|scope| {
+        let inserter = scope.spawn(|| {
+            for round in 0..ROUNDS {
+                (0..KEYS).for_each(|k| map.insert(k, round));
+            }
+        });
+        let remover = scope.spawn(|| {
+            for _ in 0..ROUNDS {
+                for k in 0..KEYS {
+                    if map.remove(k).is_some() {
+                        removals.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        });
+        let poller = scope.spawn(|| {
+            let mut polls = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let before = removals.load(Ordering::SeqCst);
+                let len = map.len() as u64;
+                let meanwhile = removals.load(Ordering::SeqCst) - before;
+                assert!(
+                    len <= KEYS as u64 + WRITERS + meanwhile,
+                    "len() read {len} with {KEYS} keys in play ({meanwhile} removals meanwhile)"
+                );
+                polls += 1;
+            }
+            polls
+        });
+        inserter.join().unwrap();
+        remover.join().unwrap();
+        done.store(true, Ordering::Release);
+        poller.join().unwrap()
+    });
+    assert!(polls > 0);
+    map.flush();
+    assert_eq!(map.len() as u64, map.scan_all().count, "exact once joined");
+    assert!(map.len() <= KEYS as usize);
+}
+
+/// More live writers than counter stripes, so stripes are shared; inserts,
+/// removes, upserts and batches, on private keys (modelled) and on keys all
+/// threads fight over. Joined and flushed, `len()` is exact.
+#[test]
+fn len_is_exact_after_join_with_more_threads_than_stripes() {
+    const THREADS: i64 = 24;
+    const OWN: i64 = 600;
+    const SHARED: i64 = 64;
+    let own_base = |tid: i64| (tid + 1) * 1_000_000;
+    for (mode, label) in modes() {
+        let map = pma(mode);
+        let all_alive = std::sync::Barrier::new(THREADS as usize);
+        let modelled: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|tid| {
+                    let (map, all_alive) = (&map, &all_alive);
+                    scope.spawn(move || {
+                        all_alive.wait();
+                        let base = own_base(tid);
+                        let mut model = std::collections::BTreeSet::new();
+                        for i in 0..OWN {
+                            map.insert(base + i, i);
+                            model.insert(base + i);
+                            // Everybody inserts or removes the same few keys.
+                            if tid % 2 == 0 {
+                                map.insert(i % SHARED, tid);
+                            } else {
+                                map.remove(i % SHARED);
+                            }
+                        }
+                        // Upserts: the count must not move.
+                        (0..OWN).step_by(2).for_each(|i| map.insert(base + i, -i));
+                        for i in (0..OWN).step_by(3) {
+                            map.remove(base + i);
+                            model.remove(&(base + i));
+                        }
+                        // Removes of absent keys, then a batch that is part
+                        // upsert, part re-insert, part new.
+                        for i in (0..OWN).step_by(3) {
+                            map.remove(base + i);
+                        }
+                        let batch: Vec<(i64, i64)> =
+                            (OWN / 2..OWN + 200).map(|i| (base + i, i)).collect();
+                        map.insert_batch(&batch);
+                        model.extend(batch.iter().map(|&(k, _)| k));
+                        model.len()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        map.flush();
+        let scanned = map.scan_all().count as usize;
+        assert_eq!(map.len(), scanned, "[{label}] len() vs a full scan");
+        let own = map.scan_range(own_base(0), i64::MAX).count as usize;
+        assert_eq!(own, modelled, "[{label}] private keys vs the models");
+        assert!(scanned - own <= SHARED as usize, "[{label}]");
+        assert_eq!(map.stats().late_replays, 0, "[{label}]");
+    }
+}
