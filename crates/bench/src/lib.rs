@@ -1,11 +1,7 @@
-//! Shared helpers for the experiment binaries (`fig3`, `fig4`, `ablation`,
-//! `bench_smoke`) and the Criterion micro-benchmarks: a tiny command-line
-//! parser, the common experiment-loop plumbing, and the bench-smoke
-//! report/baseline machinery ([`smoke`]).
+//! Shared helpers for the experiment binaries (`fig3`, `fig4`, `ablation`):
+//! a tiny command-line parser and the common experiment-loop plumbing.
 
 #![warn(missing_docs)]
-
-pub mod smoke;
 
 use pma_workloads::{Distribution, ThreadSplit, UpdatePattern, WorkloadSpec};
 

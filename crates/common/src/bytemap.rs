@@ -14,8 +14,8 @@
 //!   across backends (order-sensitive, so it also proves scan *order*).
 //! * [`ByteMemoryStats`] is the bytes/key accounting record: every byte-keyed
 //!   backend that can measure its own heap reports through it, and the
-//!   bench-smoke URL-corpus cell publishes `heap_bytes / entries` from it
-//!   (see `docs/INTERNALS.md` for the methodology).
+//!   benchmark's `core.bpma_bytes_per_key` row publishes `heap_bytes /
+//!   entries` from it (see `docs/INTERNALS.md` for the methodology).
 //! * [`ByteView64`] adapts any registered u64 backend to the byte surface via
 //!   the order-preserving fixed 8-byte encoding, so the whole existing fleet
 //!   (PMA variants, trees, `sharded:*`, `cores:*`) serves byte traffic too.

@@ -2,8 +2,8 @@
 //!
 //! Every data structure evaluated in the workspace registers itself here as a
 //! `(name, description, labeler, builder)` entry; consumers — the workload
-//! drivers, the `fig3`/`fig4`/`ablation` experiment binaries, the Criterion
-//! benches, the examples and the cross-structure tests — construct instances
+//! drivers, the `fig3`/`fig4`/`ablation` experiment binaries, the benchmark,
+//! the examples and the cross-structure tests — construct instances
 //! exclusively through [`Registry::build`] with a *backend spec* string.
 //! Adding a new structure (or a new ablation of an existing one) is therefore
 //! one `register` call at startup, not a new enum variant matched across

@@ -605,45 +605,6 @@ impl std::ops::Deref for AlignedAtomicKeys {
 }
 
 // ---------------------------------------------------------------------
-// Generic dispatch for the sequential PMA
-// ---------------------------------------------------------------------
-
-/// Sorted-run probes for PMA key types. Every integer primitive gets the
-/// scalar defaults; `i64` — the key type of the concurrent structures —
-/// overrides them with the vector kernels, so the *generic* sequential PMA
-/// transparently uses the same kernels as the concurrent mirror.
-pub trait RunSearch: Ord + Sized {
-    /// `slice::binary_search`-compatible probe over a sorted run.
-    #[inline]
-    fn search_run(run: &[Self], key: &Self) -> Result<usize, usize> {
-        run.binary_search(key)
-    }
-
-    /// `run.partition_point(|x| x <= key)` over a sorted run.
-    #[inline]
-    fn count_le_run(run: &[Self], key: &Self) -> usize {
-        run.partition_point(|x| x <= key)
-    }
-}
-
-macro_rules! scalar_run_search {
-    ($($t:ty),*) => {$(impl RunSearch for $t {})*};
-}
-scalar_run_search!(i8, i16, i32, i128, isize, u8, u16, u32, u64, u128, usize);
-
-impl RunSearch for i64 {
-    #[inline]
-    fn search_run(run: &[Self], key: &Self) -> Result<usize, usize> {
-        search(run, *key)
-    }
-
-    #[inline]
-    fn count_le_run(run: &[Self], key: &Self) -> usize {
-        count_le(run, *key)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Byte-key fence routing
 // ---------------------------------------------------------------------
 
@@ -858,16 +819,6 @@ mod tests {
                 assert_eq!(aligned.as_slice().as_ptr() as usize % 64, 0);
             }
         }
-    }
-
-    #[test]
-    fn run_search_trait_dispatches_per_type() {
-        let run64: Vec<i64> = vec![1, 3, 5];
-        assert_eq!(<i64 as RunSearch>::search_run(&run64, &3), Ok(1));
-        assert_eq!(<i64 as RunSearch>::count_le_run(&run64, &4), 2);
-        let run32: Vec<i32> = vec![1, 3, 5];
-        assert_eq!(<i32 as RunSearch>::search_run(&run32, &4), Err(2));
-        assert_eq!(<i32 as RunSearch>::count_le_run(&run32, &4), 2);
     }
 
     #[test]

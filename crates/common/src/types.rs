@@ -3,7 +3,7 @@
 //! The paper's evaluation stores 8-byte key / 8-byte value integer pairs; the
 //! concurrent data structures in this workspace use these concrete aliases so
 //! that the shared-mutation storage of the PMA can be kept simple and its
-//! safety argument auditable. The *sequential* PMA in `pma-core` is generic.
+//! safety argument auditable.
 
 /// The key type used by the concurrent data structures (8-byte signed integer).
 pub type Key = i64;

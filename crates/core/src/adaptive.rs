@@ -32,17 +32,6 @@ impl AdaptivePredictor {
         }
     }
 
-    /// Number of segments currently tracked.
-    pub fn num_segments(&self) -> usize {
-        self.activity.len()
-    }
-
-    /// Resets the predictor for a new segment count (after a resize).
-    pub fn reset(&mut self, num_segments: usize) {
-        self.activity.clear();
-        self.activity.resize(num_segments, 0.0);
-    }
-
     /// Records an insertion into `segment`.
     #[inline]
     pub fn record_insert(&mut self, segment: usize) {
@@ -192,15 +181,6 @@ mod tests {
         assert_eq!(p.activity(0), 8.0);
         let _ = p.targets(0, 2, 2, 4);
         assert!(p.activity(0) < 8.0);
-    }
-
-    #[test]
-    fn reset_changes_segment_count() {
-        let mut p = AdaptivePredictor::new(2);
-        p.record_insert(1);
-        p.reset(8);
-        assert_eq!(p.num_segments(), 8);
-        assert_eq!(p.activity(1), 0.0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! rebalancing logic asks of it: what is the window of a given segment at a
 //! given level, what are the density thresholds at that level, and, walking
 //! bottom-up from a segment, which is the first window whose density is within
-//! threshold.
+//! threshold. `even_targets` is the traditional redistribution a rebalance of
+//! such a window applies.
 
 use crate::params::DensityThresholds;
 use pma_common::util::{is_power_of_two, log2_exact};
@@ -229,6 +230,40 @@ impl CalibratorTree {
     }
 }
 
+/// Even (traditional) distribution of `total` elements over `count` segments
+/// of the given capacity: every segment receives `total / count` elements and
+/// the first `total % count` segments one more.
+///
+/// Whenever the elements fit with at least one gap per segment, the
+/// distribution leaves that gap (no segment is filled to capacity). This
+/// guarantees that the insertion which triggered the rebalance finds room in
+/// whichever segment its key routes to, so rebalance/retry loops always make
+/// progress.
+pub(crate) fn even_targets(total: usize, count: usize, capacity: usize) -> Vec<usize> {
+    debug_assert!(total <= count * capacity);
+    let effective_capacity = if total <= count * (capacity - 1) {
+        capacity - 1
+    } else {
+        capacity
+    };
+    let base = total / count;
+    let extra = total % count;
+    let mut targets: Vec<usize> = (0..count)
+        .map(|i| (base + usize::from(i < extra)).min(effective_capacity))
+        .collect();
+    // Redistribute anything clipped by the capacity cap.
+    let mut assigned: usize = targets.iter().sum();
+    let mut i = 0;
+    while assigned < total {
+        if targets[i] < effective_capacity {
+            targets[i] += 1;
+            assigned += 1;
+        }
+        i = (i + 1) % count;
+    }
+    targets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,5 +417,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_segments_panics() {
         let _ = strict_tree(3, 4);
+    }
+
+    #[test]
+    fn even_targets_distribution() {
+        assert_eq!(even_targets(10, 4, 8), vec![3, 3, 2, 2]);
+        assert_eq!(even_targets(0, 3, 8), vec![0, 0, 0]);
+        assert_eq!(even_targets(8, 2, 4), vec![4, 4]);
     }
 }

@@ -50,7 +50,7 @@
 
 use std::sync::Arc;
 
-use crate::sequential::adaptive::AdaptivePredictor;
+use crate::adaptive::AdaptivePredictor;
 use pma_common::{simd, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
 
 /// Outcome of [`ChunkData::try_insert`].
@@ -678,7 +678,7 @@ impl ChunkData {
             }
             targets
         } else {
-            crate::sequential::even_targets(total, num_segs, segment_capacity)
+            crate::calibrator::even_targets(total, num_segs, segment_capacity)
         };
         v.place(start_seg, &targets, &staged_keys, &staged_values);
     }
@@ -745,7 +745,7 @@ impl ChunkData {
         let total = merged_keys.len();
         assert!(total <= self.capacity(), "batch does not fit in the chunk");
         let targets =
-            crate::sequential::even_targets(total, self.num_segments(), self.segment_capacity());
+            crate::calibrator::even_targets(total, self.num_segments(), self.segment_capacity());
         self.unique()
             .place(0, &targets, &merged_keys, &merged_values);
         added

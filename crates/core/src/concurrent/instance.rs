@@ -9,9 +9,8 @@
 
 use pma_common::{Key, Value, KEY_MAX, KEY_MIN};
 
-use crate::calibrator::CalibratorTree;
+use crate::calibrator::{even_targets, CalibratorTree};
 use crate::params::PmaParams;
-use crate::sequential::even_targets;
 
 use super::chunk::ChunkData;
 use super::gate::Gate;

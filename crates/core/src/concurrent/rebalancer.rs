@@ -686,7 +686,7 @@ impl Master {
         let total = elements.len();
         let new_keys = total - cardinality;
         debug_assert!(total <= num_segments * seg_cap);
-        let targets = crate::sequential::even_targets(total, num_segments, seg_cap);
+        let targets = crate::calibrator::even_targets(total, num_segments, seg_cap);
 
         let (reply_tx, reply_rx) = unbounded();
         let mut elem_start = 0usize;

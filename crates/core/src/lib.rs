@@ -1,13 +1,13 @@
-//! # Packed Memory Arrays — sequential and concurrent
+//! # Packed Memory Arrays with concurrent reads and updates
 //!
-//! This crate implements the data structures of the paper *Fast Concurrent
+//! This crate implements the data structure of the paper *Fast Concurrent
 //! Reads and Updates with PMAs* (Dean De Leo and Peter Boncz, GRADES-NDA
 //! 2019):
 //!
-//! * [`sequential::PackedMemoryArray`] — the classic single-threaded PMA
-//!   (paper section 2): a sorted array with gaps, a calibrator tree with
-//!   interpolated density thresholds, traditional and adaptive rebalancing,
-//!   and resizing.
+//! * The classic PMA of paper section 2 — a sorted array with gaps, a
+//!   calibrator tree with interpolated density thresholds, traditional and
+//!   adaptive rebalancing — lives in [`calibrator`], [`adaptive`] and one
+//!   *chunk* of the concurrent array (`concurrent/chunk.rs`).
 //! * [`concurrent::ConcurrentPma`] — the paper's contribution (section 3): the
 //!   PMA is split into chunks protected by *gates*, point operations hold at
 //!   most one gate latch, a *static index* routes lookups to gates in
@@ -17,7 +17,7 @@
 //!   writers combine their updates asynchronously (one-by-one or batched with
 //!   a `t_delay` throttle).
 //!
-//! Both PMAs additionally ship a bulk-load constructor (`from_sorted`) that
+//! The PMA additionally ships a bulk-load constructor (`from_sorted`) that
 //! presizes the array from the calibrated density bounds
 //! ([`params::PmaParams::presized_segments`]) and lays the sorted input out
 //! in one pass with zero rebalances — see `docs/ARCHITECTURE.md` for the full
@@ -40,12 +40,12 @@
 
 #![warn(missing_docs)]
 
+pub mod adaptive;
 pub mod backends;
 pub mod bytepma;
 pub mod calibrator;
 pub mod concurrent;
 pub mod params;
-pub mod sequential;
 pub mod stats;
 
 pub use backends::{register_backends, register_byte_backends};
@@ -53,5 +53,4 @@ pub use bytepma::{BytePma, BytePmaConfig};
 pub use concurrent::delta::{DeltaLog, DeltaOp};
 pub use concurrent::ConcurrentPma;
 pub use params::{DensityThresholds, PmaParams, RebalancePolicy, UpdateMode};
-pub use sequential::PackedMemoryArray;
 pub use stats::{Stats, StatsSnapshot};

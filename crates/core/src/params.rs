@@ -83,8 +83,7 @@ impl Default for DensityThresholds {
 
 impl DensityThresholds {
     /// The strict textbook thresholds (`rho_1 = 0.5`) described in section 2,
-    /// used by the sequential PMA tests to exercise lower-threshold
-    /// rebalancing.
+    /// used by the tests to exercise lower-threshold rebalancing.
     pub fn strict() -> Self {
         Self {
             rho_leaf: 0.5,
@@ -116,7 +115,7 @@ impl DensityThresholds {
     }
 }
 
-/// Full configuration of a (sequential or concurrent) PMA.
+/// Full configuration of a PMA.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PmaParams {
     /// Number of element slots per segment. Must be a power of two >= 4.

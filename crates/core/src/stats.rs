@@ -98,17 +98,10 @@ impl Stats {
 
     /// Counts `n` insertions without moving the element count: upserts that
     /// travel on through a rebuild (which reports the keys it really added
-    /// with [`Stats::adjust_len`]), and the sequential PMA, which keeps its own
-    /// count.
+    /// with [`Stats::adjust_len`]).
     #[inline]
     pub(crate) fn count_inserts(&self, n: usize) {
         self.stripe().inserts.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Counts `n` deletions without moving the element count.
-    #[inline]
-    pub(crate) fn count_deletes(&self, n: usize) {
-        self.stripe().deletes.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Moves the element count alone: the elements a bulk load or a rebuild

@@ -58,4 +58,4 @@ pub use backends::register_backends;
 pub use bytesharded::{ByteShardConfig, ShardedByteMap};
 pub use router::{CoreRouter, CoreRouterConfig, CoreRouterStats, OverloadPolicy};
 pub use sharded::{ShardSnapshot, ShardedConfig, ShardedFrozen, ShardedMap};
-pub use stats::{EngineStats, EngineStatsSnapshot, ShardedStats};
+pub use stats::{EngineStats, ShardedStats};

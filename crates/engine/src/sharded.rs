@@ -91,10 +91,8 @@
 //!
 //! Only the two short fences block writers; the copy and chase phases — the
 //! bulk of the rebuild — run with writers live. The cumulative fence time is
-//! surfaced as `split_stall_ns` and must be a small fraction of what the old
-//! stop-the-shard protocol (kept as [`ShardedMap::split_shard_blocking`] for
-//! comparison) charged to the write path. Merging two cold neighbours is the
-//! same protocol over two latches and one shared log.
+//! surfaced as `split_stall_ns`. Merging two cold neighbours is the same
+//! protocol over two latches and one shared log.
 //!
 //! A lightweight monitor thread drives both from per-shard op/len counters,
 //! with **hysteresis**: a threshold crossing must persist for
@@ -942,56 +940,6 @@ impl Engine {
         Ok(true)
     }
 
-    /// The pre-incremental stop-the-shard split: holds the exclusive latch
-    /// across the whole flush + collect + rebuild. Kept as the baseline the
-    /// incremental protocol is measured against (`benches/split_latency.rs`)
-    /// and as a fallback for callers that want the simplest possible
-    /// publication. The entire hold time is counted as write stall.
-    fn split_shard_blocking(&self, idx: usize) -> Result<bool, PmaError> {
-        let _structural = self.maintenance.lock();
-        let _pin = self.epoch.pin();
-        // SAFETY: pinned above.
-        let dir = unsafe { self.dir_ref() };
-        if idx >= dir.shards.len() {
-            return Ok(false);
-        }
-        let shard = Arc::clone(&dir.shards[idx]);
-        let fence = Instant::now();
-        let exclusive = shard.fence();
-        shard.map.flush();
-        let items = shard.map.collect_range(KEY_MIN, KEY_MAX);
-        if items.len() < 2 {
-            return Ok(false);
-        }
-        let mid = items.len() / 2;
-        let boundary = items[mid].0;
-        debug_assert!(boundary > shard.lo && boundary <= shard.hi);
-        let left = self
-            .inner
-            .build_loaded(&self.config.inner_spec, &items[..mid])?;
-        let right = self
-            .inner
-            .build_loaded(&self.config.inner_spec, &items[mid..])?;
-
-        let wrote = shard.wrote.load(Ordering::Relaxed);
-        let mut shards = Vec::with_capacity(dir.shards.len() + 1);
-        shards.extend(dir.shards[..idx].iter().cloned());
-        shards.push(Shard::new(shard.lo, boundary - 1, left, wrote));
-        shards.push(Shard::new(boundary, shard.hi, right, wrote));
-        shards.extend(dir.shards[idx + 1..].iter().cloned());
-        self.absorb_counters(&shard, &BTreeMap::new());
-        self.publish(dir.generation + 1, shards);
-        shard.retired.store(true, Ordering::Release);
-        drop(exclusive);
-        EngineStats::bump(&self.stats.shard_splits);
-        EngineStats::add(
-            &self.stats.split_stall_ns,
-            fence.elapsed().as_nanos() as u64,
-        );
-        self.garbage.collect(&self.epoch);
-        Ok(true)
-    }
-
     /// Merges the shards at directory indices `idx` and `idx + 1` into one,
     /// copy-on-write over two latches and one shared delta log (keys are
     /// disjoint between the two shards, so one log preserves the per-key
@@ -1781,13 +1729,6 @@ impl ShardedMap {
         self.engine.split_shard(idx)
     }
 
-    /// The old stop-the-shard split: holds the shard's exclusive latch
-    /// across the whole rebuild, blocking writers throughout. Kept as the
-    /// baseline [`ShardedMap::split_shard`] is measured against.
-    pub fn split_shard_blocking(&self, idx: usize) -> Result<bool, PmaError> {
-        self.engine.split_shard_blocking(idx)
-    }
-
     /// Merges the shards at directory indices `idx` and `idx + 1`,
     /// publishing a new directory. Copy-on-write like
     /// [`ShardedMap::split_shard`]. Returns `Ok(false)` when out of bounds.
@@ -2336,33 +2277,12 @@ mod tests {
         assert_eq!(stats.shard_merges, 2);
         // Every fence (install + final, splits and merges) counts as stall.
         assert!(stats.split_stall_ns > 0);
-        // Splitting an empty or single-element shard is a no-op.
+        // Splitting an empty or single-element shard, or a stale index, is
+        // a no-op.
         let empty = ShardedMap::new(config(1), registry()).unwrap();
         assert!(!empty.split_shard(0).unwrap());
+        assert!(!map.split_shard(99).unwrap());
         assert!(!empty.merge_shards(0).unwrap());
-    }
-
-    #[test]
-    fn blocking_split_is_equivalent_and_counts_stall() {
-        let map = ShardedMap::new(config(1), registry()).unwrap();
-        for k in 0..4_000i64 {
-            map.insert(k, k + 7);
-        }
-        map.flush();
-        assert!(map.split_shard_blocking(0).unwrap());
-        assert_eq!(map.num_shards(), 2);
-        assert_eq!(map.len(), 4_000);
-        assert_eq!(map.scan_all().count, 4_000);
-        for k in (0..4_000i64).step_by(131) {
-            assert_eq!(map.get(k), Some(k + 7));
-        }
-        let stats = map.stats();
-        assert_eq!(stats.shard_splits, 1);
-        assert!(stats.split_stall_ns > 0);
-        // The blocking path captures no delta (writers are fenced out).
-        assert_eq!(stats.delta_ops, 0);
-        // Out-of-range and too-small shards are no-ops on this path too.
-        assert!(!map.split_shard_blocking(99).unwrap());
     }
 
     #[test]

@@ -161,17 +161,13 @@ impl pma_common::obs::MetricSource for ShardedStats {
     }
 }
 
-/// Former name of [`ShardedStats`], kept for source compatibility.
-pub type EngineStatsSnapshot = ShardedStats;
-
 impl ShardedStats {
     /// Total directory re-publications (splits + merges).
     pub fn directory_swaps(&self) -> u64 {
         self.shard_splits + self.shard_merges
     }
 
-    /// Microseconds writers were fenced out by structural changes (the unit
-    /// the bench-smoke pipeline records).
+    /// Microseconds writers were fenced out by structural changes.
     pub fn split_stall_us(&self) -> u64 {
         self.split_stall_ns / 1_000
     }

@@ -1,7 +1,7 @@
 //! Registry-backed construction of the structures compared in the paper's
 //! evaluation.
 //!
-//! The experiment binaries, benches, examples and tests select structures by
+//! The experiment binaries, examples and tests select structures by
 //! *backend spec string* (see [`pma_common::registry`]) — e.g.
 //! `"pma-batch:100"`, `"btree:8k"` — and this module provides:
 //!

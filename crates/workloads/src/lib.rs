@@ -15,8 +15,7 @@
 //! * [`harness`] — median-of-repeats measurement and paper-style tables.
 //! * [`factory`] — registry-backed construction of every structure of the
 //!   evaluation by spec string (see [`pma_common::registry`]).
-//! * [`urlcorpus`] — deterministic shared-prefix-heavy URL key corpus and
-//!   the byte-keyed ingest driver reporting bytes/key next to throughput.
+//! * [`urlcorpus`] — deterministic shared-prefix-heavy URL key corpus.
 
 #![warn(missing_docs)]
 
@@ -45,4 +44,4 @@ pub use open_loop::{
     run_open_loop, saturation_sweep, OpenLoopMeasurement, OpenLoopSpec, SweepConfig,
 };
 pub use spec::{ThreadSplit, UpdatePattern, WorkloadSpec};
-pub use urlcorpus::{run_byte_ingest, ByteIngestMeasurement, UrlCorpus};
+pub use urlcorpus::UrlCorpus;

@@ -15,17 +15,19 @@ pub struct ThreadSplit {
 
 impl ThreadSplit {
     /// The three splits used by Figure 3 for a given total thread count:
-    /// all-updates, 3/4 updates, and half updates.
+    /// all-updates, 3/4 updates, and half updates. The two mixed splits keep
+    /// at least one scanner and one updater however few threads there are.
     pub fn paper_splits(total_threads: usize) -> Vec<ThreadSplit> {
         let total = total_threads.max(2);
+        let quarter = (total / 4).max(1);
         vec![
             ThreadSplit {
                 update_threads: total,
                 scan_threads: 0,
             },
             ThreadSplit {
-                update_threads: total - total / 4,
-                scan_threads: total / 4,
+                update_threads: total - quarter,
+                scan_threads: quarter,
             },
             ThreadSplit {
                 update_threads: total / 2,
@@ -144,9 +146,13 @@ mod tests {
 
     #[test]
     fn paper_splits_for_small_machines() {
-        let splits = ThreadSplit::paper_splits(4);
-        assert!(splits.iter().all(|s| s.total() == 4));
-        assert!(splits.iter().all(|s| s.update_threads >= 1));
+        for total in [2, 3, 4] {
+            let splits = ThreadSplit::paper_splits(total);
+            assert!(splits.iter().all(|s| s.total() == total));
+            assert!(splits.iter().all(|s| s.update_threads >= 1));
+            assert_eq!(splits[0].scan_threads, 0);
+            assert!(splits[1..].iter().all(|s| s.scan_threads >= 1), "{total}");
+        }
         let splits = ThreadSplit::paper_splits(1);
         assert!(splits.iter().all(|s| s.total() == 2));
     }

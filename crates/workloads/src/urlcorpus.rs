@@ -1,4 +1,4 @@
-//! Deterministic URL-corpus generator and the byte-keyed ingest driver.
+//! Deterministic URL-corpus generator.
 //!
 //! Variable-length keys change *which* costs dominate: with u64 keys every
 //! slot is 8 bytes and layout economics reduce to fill factors, while a URL
@@ -12,19 +12,13 @@
 //!   keys;
 //! * a numeric tail that makes every key unique.
 //!
-//! [`run_byte_ingest`] is the measurement driver behind the bench-smoke
-//! URL-corpus cell: bulk-load the corpus, probe random members, run prefix
-//! scans over a popular host, and report throughput next to the structure's
-//! **bytes/key** (from [`ConcurrentByteMap::memory_stats`]) — the column
-//! `docs/INTERNALS.md`'s layout-economics table is built from.
-
-use std::sync::Arc;
-use std::time::Instant;
+//! `examples/byte_keys.rs` loads it into the byte-keyed backends and prints
+//! each structure's **bytes/key** — the column `docs/INTERNALS.md`'s
+//! layout-economics table is built from.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pma_common::bytemap::ConcurrentByteMap;
 use pma_common::Value;
 
 /// Host pool of the corpus: a handful of "big" sites plus a tail, so the
@@ -98,72 +92,9 @@ impl UrlCorpus {
     }
 }
 
-/// What [`run_byte_ingest`] measured.
-#[derive(Debug, Clone, Copy)]
-pub struct ByteIngestMeasurement {
-    /// Corpus size actually loaded (distinct keys).
-    pub entries: usize,
-    /// Bulk-load rate in million keys/second.
-    pub load_mps: f64,
-    /// Point-probe rate in million gets/second (all hits).
-    pub probe_mps: f64,
-    /// Prefix-scan rate in million entries visited/second.
-    pub prefix_scan_eps: f64,
-    /// Resident heap bytes per key (0.0 when the backend cannot report
-    /// memory stats).
-    pub bytes_per_key: f64,
-}
-
-/// Loads a `count`-key URL corpus into `map` through its native bulk path,
-/// then measures point probes and hot-host prefix scans. Deterministic for a
-/// given `(seed, count, probes)`.
-pub fn run_byte_ingest(
-    map: &Arc<dyn ConcurrentByteMap>,
-    seed: u64,
-    count: usize,
-    probes: usize,
-) -> ByteIngestMeasurement {
-    let mut corpus = UrlCorpus::new(seed);
-    let items = corpus.sorted_corpus(count);
-
-    let start = Instant::now();
-    map.insert_batch(&items);
-    map.flush();
-    let load_secs = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(map.len(), items.len(), "bulk load lost keys");
-
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let start = Instant::now();
-    let mut hits = 0usize;
-    for _ in 0..probes {
-        let (key, value) = &items[rng.gen_range(0..items.len())];
-        if map.get(key) == Some(*value) {
-            hits += 1;
-        }
-    }
-    let probe_secs = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(hits, probes, "probe misses on loaded members");
-
-    let start = Instant::now();
-    let stats = map.prefix_stats(UrlCorpus::hot_prefix());
-    let scan_secs = start.elapsed().as_secs_f64().max(1e-9);
-    assert!(stats.count > 0, "hot host prefix matched nothing");
-
-    let bytes_per_key = map.memory_stats().map(|m| m.bytes_per_key()).unwrap_or(0.0);
-
-    ByteIngestMeasurement {
-        entries: items.len(),
-        load_mps: items.len() as f64 / load_secs / 1e6,
-        probe_mps: probes as f64 / probe_secs / 1e6,
-        prefix_scan_eps: stats.count as f64 / scan_secs / 1e6,
-        bytes_per_key,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factory;
 
     #[test]
     fn corpus_is_deterministic_and_sorted() {
@@ -188,21 +119,5 @@ mod tests {
         // Average key length is URL-like: tens of bytes, not 8.
         let total: usize = items.iter().map(|(k, _)| k.len()).sum();
         assert!(total / items.len() > 25, "keys too short to be URLs");
-    }
-
-    #[test]
-    fn ingest_driver_reports_consistent_numbers() {
-        for spec in ["bpma:64", "bbtree", "bsharded:4:bpma:64"] {
-            let map = factory::build_bytes(spec).unwrap();
-            let m = run_byte_ingest(&map, 42, 3_000, 500);
-            assert_eq!(m.entries, 3_000, "{spec}");
-            assert!(m.load_mps > 0.0 && m.probe_mps > 0.0, "{spec}");
-            assert!(m.prefix_scan_eps > 0.0, "{spec}");
-            assert!(
-                m.bytes_per_key > 8.0,
-                "{spec}: URL corpus cannot fit in {} bytes/key",
-                m.bytes_per_key
-            );
-        }
     }
 }

@@ -1,40 +1,19 @@
-//! Quickstart: the sequential PMA, the concurrent PMA, and the backend
-//! registry that makes every structure addressable by string.
+//! Quickstart: the concurrent PMA and the backend registry that makes every
+//! structure addressable by string.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use rma_concurrent::common::{ConcurrentMap, Registry};
-use rma_concurrent::core::{ConcurrentPma, PackedMemoryArray, PmaParams};
+use rma_concurrent::core::{ConcurrentPma, PmaParams};
 use rma_concurrent::workloads::ensure_builtin_backends;
 
 fn main() {
     // ---------------------------------------------------------------
-    // 1. The sequential PMA: a sorted array with gaps (paper section 2).
-    // ---------------------------------------------------------------
-    let mut pma = PackedMemoryArray::<i64, i64>::with_defaults();
-    for k in (0..1_000i64).rev() {
-        pma.insert(k, k * 10);
-    }
-    println!(
-        "sequential PMA: {} elements in {} slots ({} segments, density {:.2})",
-        pma.len(),
-        pma.capacity(),
-        pma.num_segments(),
-        pma.density()
-    );
-    let first_five: Vec<i64> = pma.iter().take(5).map(|(k, _)| k).collect();
-    println!("  first five keys (always sorted): {first_five:?}");
-    println!(
-        "  range 10..=15 -> {:?}",
-        pma.range(10, 15).collect::<Vec<_>>()
-    );
-
-    // ---------------------------------------------------------------
-    // 2. The concurrent PMA (paper section 3): gates, a static index, a
-    //    rebalancer service and asynchronous updates, all behind a simple
-    //    thread-safe map API.
+    // 1. The concurrent PMA (paper section 3): a sorted array with gaps
+    //    behind gates, a static index, a rebalancer service and asynchronous
+    //    updates, all behind a simple thread-safe map API.
     // ---------------------------------------------------------------
     let pma = ConcurrentPma::new(PmaParams::default()).expect("valid parameters");
     // Batch insertion: sorted per-gate runs are merged with one latch
@@ -80,7 +59,7 @@ fn main() {
     println!("  scan_range(1000, 2000) -> {} elements", window.count);
 
     // ---------------------------------------------------------------
-    // 3. The backend registry: every structure of the evaluation is
+    // 2. The backend registry: every structure of the evaluation is
     //    constructible by spec string, and new backends plug in with one
     //    `register` call — no enum edits anywhere.
     // ---------------------------------------------------------------

@@ -289,11 +289,10 @@ fn scans_stay_snapshot_consistent_across_splits() {
 /// One round of the read-your-acknowledged-write stress: every `insert` that
 /// returned is handed to a reader over a channel, and the reader's `get`
 /// must find it (or a later value of the same key) — while the shard under
-/// both of them is split, merged and split again, once with the blocking
-/// protocol. Lookups are validated, not latched: one that overlaps an
-/// install or a final fence has to notice and go through the latch, where
-/// the delta overlay and the re-route are. The inner maps are synchronous,
-/// so "acknowledged" means "applied".
+/// both of them is split, merged and split again. Lookups are validated,
+/// not latched: one that overlaps an install or a final fence has to notice
+/// and go through the latch, where the delta overlay and the re-route are.
+/// The inner maps are synchronous, so "acknowledged" means "applied".
 fn read_your_writes_round(round: i64) {
     const WRITERS: i64 = 2;
     const KEYS_PER_WRITER: i64 = 512;
@@ -348,7 +347,7 @@ fn read_your_writes_round(round: i64) {
         assert!(map.split_shard(0).unwrap());
         assert!(map.split_shard(1).unwrap());
         assert!(map.merge_shards(0).unwrap());
-        assert!(map.split_shard_blocking(0).unwrap());
+        assert!(map.split_shard(0).unwrap());
         assert!(map.split_shard(map.num_shards() - 1).unwrap());
         assert!(map.merge_shards(1).unwrap());
         structural_done.store(true, Ordering::Relaxed);

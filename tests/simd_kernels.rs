@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use rma_concurrent::common::simd::{self, RunSearch, Variant};
+use rma_concurrent::common::simd::{self, Variant};
 
 /// Sorted runs biased toward duplicates and the extremes of the key domain.
 fn run_strategy(max_len: usize) -> impl Strategy<Value = Vec<i64>> {
@@ -127,23 +127,6 @@ proptest! {
         if !run.is_empty() {
             prop_assert_eq!(aligned.as_slice().as_ptr() as usize % 64, 0);
         }
-    }
-
-    /// The generic `RunSearch` entry points (used by the sequential PMA for
-    /// any key type) agree with the dedicated i64 kernels.
-    #[test]
-    fn run_search_trait_matches_kernels(
-        run in run_strategy(300),
-        key in probe_strategy(),
-    ) {
-        prop_assert_eq!(i64::search_run(&run, &key), simd::search(&run, key));
-        prop_assert_eq!(i64::count_le_run(&run, &key), simd::count_le(&run, key));
-        // A non-i64 type goes through the scalar default impl.
-        let narrow: Vec<i32> = run.iter().map(|&x| (x % 1000) as i32).collect();
-        let mut sorted = narrow.clone();
-        sorted.sort_unstable();
-        let probe = (key % 1000) as i32;
-        prop_assert_eq!(i32::search_run(&sorted, &probe), sorted.binary_search(&probe));
     }
 }
 
