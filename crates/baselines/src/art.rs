@@ -600,7 +600,7 @@ impl ArtIndex {
     /// load is a single O(N) pass instead of N root-to-leaf descents.
     pub fn from_sorted(items: &[(Key, Value)]) -> Result<Self, pma_common::PmaError> {
         pma_common::check_sorted(items)?;
-        let items = pma_common::dedup_sorted_last_wins(items);
+        let items: Vec<_> = pma_common::dedup_sorted_last_wins(items).collect();
         let tree = ArtTree {
             root: if items.is_empty() {
                 None

@@ -335,7 +335,7 @@ impl BPlusTree {
     ) -> Result<Self, PmaError> {
         let config = config.validated();
         pma_common::check_sorted(items)?;
-        let items = pma_common::dedup_sorted_last_wins(items);
+        let items: Vec<_> = pma_common::dedup_sorted_last_wins(items).collect();
         if items.is_empty() {
             return Ok(Self::with_name(config, name));
         }

@@ -184,7 +184,7 @@ impl BwTreeLike {
     /// consolidations, no splits during the load.
     pub fn from_sorted(config: BwTreeConfig, items: &[(Key, Value)]) -> Result<Self, PmaError> {
         pma_common::check_sorted(items)?;
-        let items = pma_common::dedup_sorted_last_wins(items);
+        let items: Vec<_> = pma_common::dedup_sorted_last_wins(items).collect();
         if items.is_empty() {
             return Ok(Self::with_config(config));
         }

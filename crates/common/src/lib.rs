@@ -29,8 +29,8 @@ pub use bytemap::{
 };
 pub use error::PmaError;
 pub use map::{
-    check_sorted, dedup_sorted_last_wins, elements_from_runs, runs_from_elements, CombiningStats,
-    ConcurrentMap, FrozenView, MaintenanceStats, ScanStats,
+    check_sorted, count_distinct_sorted, dedup_sorted_last_wins, elements_from_runs,
+    runs_from_elements, CombiningStats, ConcurrentMap, FrozenView, MaintenanceStats, ScanStats,
 };
 pub use registry::{BackendDef, BackendSpec, ByteBackendDef, Registry};
 pub use types::{ByteKey, Key, KeyValue, Value, KEY_MAX, KEY_MIN};

@@ -33,21 +33,39 @@ pub fn check_sorted(items: &[(Key, Value)]) -> Result<(), PmaError> {
     Ok(())
 }
 
-/// Reduces a sorted run to strictly-increasing keys, keeping the **last**
+/// [`check_sorted`] and the number of distinct keys, in one read-only pass:
+/// what a native loader needs to size its structure before it streams
+/// [`dedup_sorted_last_wins`] into it.
+pub fn count_distinct_sorted(items: &[(Key, Value)]) -> Result<usize, PmaError> {
+    // Branch-free so the pass vectorises; the diagnosis is the cold path.
+    let (mut steps, mut unsorted) = (0usize, false);
+    for w in items.windows(2) {
+        steps += usize::from(w[0].0 != w[1].0);
+        unsorted |= w[0].0 > w[1].0;
+    }
+    if unsorted {
+        check_sorted(items)?;
+    }
+    Ok(steps + usize::from(!items.is_empty()))
+}
+
+/// Streams a sorted run as strictly-increasing keys, keeping the **last**
 /// entry of every equal-key group (upsert semantics). Shared by the native
-/// `from_sorted` implementations, which all want a duplicate-free stream.
+/// `from_sorted` implementations, which all want a duplicate-free stream;
+/// it borrows the run, so a loader that lays its structure out from the
+/// stream never holds a second copy of its input.
 ///
 /// The input must already be sorted (see [`check_sorted`]).
-pub fn dedup_sorted_last_wins(items: &[(Key, Value)]) -> Vec<(Key, Value)> {
+pub fn dedup_sorted_last_wins(items: &[(Key, Value)]) -> impl Iterator<Item = (Key, Value)> + '_ {
     debug_assert!(items.windows(2).all(|w| w[0].0 <= w[1].0));
-    let mut out: Vec<(Key, Value)> = Vec::with_capacity(items.len());
-    for &(k, v) in items {
-        match out.last_mut() {
-            Some(last) if last.0 == k => last.1 = v,
-            _ => out.push((k, v)),
-        }
-    }
-    out
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let (&(key, _), _) = rest.split_first()?;
+        let group = rest.iter().take_while(|item| item.0 == key).count();
+        let last = rest[group - 1];
+        rest = &rest[group..];
+        Some(last)
+    })
 }
 
 /// Aggregate statistics produced by an ordered scan.
@@ -789,11 +807,18 @@ mod tests {
 
     #[test]
     fn dedup_sorted_keeps_last_duplicate() {
+        let run = [(1, 10), (1, 11), (2, 20), (2, 21), (3, 30)];
         assert_eq!(
-            dedup_sorted_last_wins(&[(1, 10), (1, 11), (2, 20), (2, 21), (3, 30)]),
+            dedup_sorted_last_wins(&run).collect::<Vec<_>>(),
             vec![(1, 11), (2, 21), (3, 30)]
         );
-        assert!(dedup_sorted_last_wins(&[]).is_empty());
+        assert_eq!(count_distinct_sorted(&run).unwrap(), 3);
+        assert_eq!(dedup_sorted_last_wins(&[]).count(), 0);
+        assert_eq!(count_distinct_sorted(&[]).unwrap(), 0);
+        assert_eq!(count_distinct_sorted(&[(7, 0), (7, 1)]).unwrap(), 1);
+        // Same diagnosis as `check_sorted`.
+        let err = count_distinct_sorted(&[(1, 0), (3, 0), (2, 0)]).unwrap_err();
+        assert!(err.to_string().contains("items[1]"), "{err}");
     }
 
     #[test]

@@ -302,7 +302,7 @@ impl DeltaLog {
                 continue;
             }
             items.sort_by_key(|&(key, _)| key);
-            let shared: Arc<[(Key, Value)]> = dedup_sorted_last_wins(&items).into();
+            let shared: Arc<[(Key, Value)]> = dedup_sorted_last_wins(&items).collect();
             self.len.fetch_add(shared.len(), Ordering::Relaxed);
             let mut stripe = self.stripes[idx].lock();
             stripe.seq += 1;

@@ -37,30 +37,24 @@ pub struct PmaInstance {
 impl PmaInstance {
     /// Creates an empty instance with a single gate.
     pub fn empty(params: &PmaParams) -> Self {
-        Self::from_sorted(&[], &[], 1, params)
+        Self::from_sorted_gen(std::iter::empty(), 0, 1, params, 0)
     }
 
-    /// Builds an instance holding the given sorted elements, spread evenly
-    /// over `num_gates` gates (the traditional post-resize distribution).
+    /// Builds an instance holding the `len` elements of `stream` (strictly
+    /// increasing keys), spread evenly over `num_gates` gates (the
+    /// traditional post-resize distribution), in one pass over the stream:
+    /// every element is written once, into its final slot. Every chunk is
+    /// stamped with write generation `gen`; resizes pass a freshly advanced
+    /// generation so frozen snapshots can tell pre-resize chunk versions
+    /// from post-resize ones, a bulk load passes 0.
     ///
     /// # Panics
-    /// Panics if `num_gates` is not a power of two, the keys are not strictly
-    /// increasing, or the elements do not fit.
-    pub fn from_sorted(
-        keys: &[Key],
-        values: &[Value],
-        num_gates: usize,
-        params: &PmaParams,
-    ) -> Self {
-        Self::from_sorted_gen(keys, values, num_gates, params, 0)
-    }
-
-    /// [`Self::from_sorted`], stamping every chunk with write generation
-    /// `gen`. Resizes use this with a freshly advanced generation so frozen
-    /// snapshots can tell pre-resize chunk versions from post-resize ones.
+    /// Panics if `num_gates` is not a power of two, `stream` does not yield
+    /// exactly `len` elements, or they do not fit; debug builds also check
+    /// the key order.
     pub fn from_sorted_gen(
-        keys: &[Key],
-        values: &[Value],
+        mut stream: impl Iterator<Item = (Key, Value)>,
+        len: usize,
         num_gates: usize,
         params: &PmaParams,
         gen: u64,
@@ -69,19 +63,13 @@ impl PmaInstance {
             num_gates.is_power_of_two(),
             "num_gates must be a power of two"
         );
-        assert_eq!(keys.len(), values.len());
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted");
         let segments_per_gate = params.segments_per_gate;
         let segment_capacity = params.segment_capacity;
         let num_segments = num_gates * segments_per_gate;
         let capacity = num_segments * segment_capacity;
-        assert!(
-            keys.len() <= capacity,
-            "elements do not fit in the instance"
-        );
+        assert!(len <= capacity, "elements do not fit in the instance");
 
-        let targets = even_targets(keys.len(), num_segments, segment_capacity);
-        let mut stream = keys.iter().copied().zip(values.iter().copied());
+        let targets = even_targets(len, num_segments, segment_capacity);
 
         // Build each gate's chunk from its slice of the per-segment targets.
         let mut chunks = Vec::with_capacity(num_gates);
@@ -94,7 +82,16 @@ impl PmaInstance {
                 &mut stream,
             ));
         }
-        assert!(stream.next().is_none());
+        assert!(stream.next().is_none(), "stream longer than `len`");
+        #[cfg(debug_assertions)]
+        {
+            let mut prev = None;
+            for chunk in chunks.iter().filter(|c| c.cardinality() > 0) {
+                chunk.check_invariants();
+                assert!(prev < chunk.min_key(), "keys must be strictly increasing");
+                prev = chunk.max_key();
+            }
+        }
 
         let mins: Vec<Option<Key>> = chunks.iter().map(|c| c.min_key()).collect();
         let fences = compute_window_fences(KEY_MIN, KEY_MAX, &mins);
@@ -212,9 +209,7 @@ mod tests {
     #[test]
     fn from_sorted_distributes_evenly_and_sets_fences() {
         let params = PmaParams::small(); // 2 segments of 8 per gate
-        let keys: Vec<Key> = (0..40).collect();
-        let values: Vec<Value> = (0..40).map(|k| k * 2).collect();
-        let inst = PmaInstance::from_sorted(&keys, &values, 4, &params);
+        let inst = PmaInstance::from_sorted_gen((0..40).map(|k| (k, k * 2)), 40, 4, &params, 0);
         assert_eq!(inst.num_gates(), 4);
         assert_eq!(inst.capacity(), 64);
 
@@ -255,9 +250,7 @@ mod tests {
     #[test]
     fn gate_and_segment_mapping() {
         let params = PmaParams::small();
-        let keys: Vec<Key> = (0..10).collect();
-        let values = keys.clone();
-        let inst = PmaInstance::from_sorted(&keys, &values, 2, &params);
+        let inst = PmaInstance::from_sorted_gen((0..10).map(|k| (k, k)), 10, 2, &params, 0);
         assert_eq!(inst.gate_of_segment(0), 0);
         assert_eq!(inst.gate_of_segment(1), 0);
         assert_eq!(inst.gate_of_segment(2), 1);
@@ -311,6 +304,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_gate_count_panics() {
         let params = PmaParams::small();
-        let _ = PmaInstance::from_sorted(&[], &[], 3, &params);
+        let _ = PmaInstance::from_sorted_gen(std::iter::empty(), 0, 3, &params, 0);
     }
 }

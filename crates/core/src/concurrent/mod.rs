@@ -154,13 +154,18 @@ impl ConcurrentPma {
     /// ```
     pub fn from_sorted(params: PmaParams, items: &[(Key, Value)]) -> Result<Self, PmaError> {
         params.validate()?;
-        pma_common::check_sorted(items)?;
-        let items = pma_common::dedup_sorted_last_wins(items);
-        let (keys, values): (Vec<Key>, Vec<Value>) = items.into_iter().unzip();
-        let num_gates = params.presized_gates(keys.len());
-        let instance = Box::new(PmaInstance::from_sorted(&keys, &values, num_gates, &params));
-        let shared = Arc::new(Shared::with_instance(params, instance, keys.len()));
-        Stats::add(&shared.stats.bulk_loaded_keys, keys.len() as u64);
+        // One read-only pass validates the order and sizes the array; the
+        // second streams every distinct key into its final slot.
+        let len = pma_common::count_distinct_sorted(items)?;
+        let instance = Box::new(PmaInstance::from_sorted_gen(
+            pma_common::dedup_sorted_last_wins(items),
+            len,
+            params.presized_gates(len),
+            &params,
+            0,
+        ));
+        let shared = Arc::new(Shared::with_instance(params, instance, len));
+        Stats::add(&shared.stats.bulk_loaded_keys, len as u64);
         let rebalancer = RebalancerHandle::start(Arc::clone(&shared));
         Ok(Self { shared, rebalancer })
     }
@@ -1562,12 +1567,30 @@ mod tests {
             ConcurrentPma::from_sorted(PmaParams::small(), &[(1, 10), (1, 11), (2, 20)]).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.get(1), Some(11), "later duplicates must win");
-        assert!(ConcurrentPma::from_sorted(PmaParams::small(), &[(2, 0), (1, 0)]).is_err());
+        // The order is validated by the sizing pass — the first thing the
+        // loader does, before an instance or a service thread exists.
+        let err =
+            ConcurrentPma::from_sorted(PmaParams::small(), &[(1, 0), (3, 0), (2, 0)]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PmaError::InvalidParameter {
+                    name: "sorted_items",
+                    ..
+                }
+            ),
+            "{err}"
+        );
         let empty = ConcurrentPma::from_sorted(PmaParams::small(), &[]).unwrap();
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.num_gates(), 1);
+        assert_eq!(empty.stats().bulk_loaded_keys, 0);
         empty.insert(5, 5);
         assert_eq!(empty.get(5), Some(5));
+        let single = ConcurrentPma::from_sorted(PmaParams::small(), &[(7, 1), (7, 2)]).unwrap();
+        assert_eq!(single.len(), 1);
+        assert_eq!(single.stats().bulk_loaded_keys, 1);
+        assert_eq!(single.collect_range(Key::MIN, Key::MAX), vec![(7, 2)]);
     }
 
     #[test]

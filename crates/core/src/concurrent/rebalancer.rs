@@ -870,8 +870,8 @@ impl Master {
         // the old instance's chunk versions keep them alive through their own
         // Arc clones, independent of the epoch retirement below.
         let new_instance = Box::new(PmaInstance::from_sorted_gen(
-            &final_keys,
-            &final_values,
+            final_keys.iter().copied().zip(final_values.iter().copied()),
+            new_len,
             num_gates,
             &self.shared.params,
             self.shared.cow.advance(),

@@ -218,11 +218,12 @@ mod tests {
     #[test]
     fn publish_instance_swaps_and_returns_old() {
         let shared = Shared::new(PmaParams::small());
-        let new_inst = Box::new(PmaInstance::from_sorted(
-            &[1, 2, 3],
-            &[10, 20, 30],
+        let new_inst = Box::new(PmaInstance::from_sorted_gen(
+            [(1, 10), (2, 20), (3, 30)].into_iter(),
+            3,
             1,
             &PmaParams::small(),
+            0,
         ));
         let old = shared.publish_instance(new_inst);
         assert_eq!(old.num_gates(), 1);

@@ -10,8 +10,9 @@
 //! cores[:<n>[:<inner-spec>]]
 //! ```
 //!
-//! For `sharded`, `<n>` is the initial shard count (default 8) and
-//! `<inner-spec>` is the registry spec each shard instantiates (default
+//! For `sharded`, `<n>` is the shard count an empty map starts with and the
+//! minimum a bulk load opens with (default 8; a load plans as many shards as
+//! keep each at or under `split_above`) and `<inner-spec>` is the registry spec each shard instantiates (default
 //! `pma-batch:100`; it may itself contain colons, e.g.
 //! `sharded:8:pma-batch:100` or `sharded:4:btree:8k`). For `cores`, `<n>`
 //! is the pinned worker count (default: available parallelism, capped at 8)
@@ -77,8 +78,8 @@ fn build_sharded(
     Ok(Arc::new(ShardedMap::new(parse_config(spec)?, registry)?))
 }
 
-/// Native bulk loader: fences adapt to the data and every shard is built
-/// through its inner backend's native loader in one presized pass.
+/// Native bulk loader: fan-out and fences adapt to the data and the shards
+/// are built side by side, each through its inner backend's native loader.
 fn build_loaded_sharded(
     registry: &Registry,
     spec: &BackendSpec<'_>,

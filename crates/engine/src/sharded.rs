@@ -111,8 +111,8 @@ use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use pma_common::obs;
 use pma_common::util::CachePadded;
 use pma_common::{
-    check_sorted, dedup_sorted_last_wins, simd, CombiningStats, ConcurrentMap, FrozenView, Key,
-    MaintenanceStats, PmaError, Registry, ScanStats, Value, KEY_MAX, KEY_MIN,
+    check_sorted, simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError,
+    Registry, ScanStats, Value, KEY_MAX, KEY_MIN,
 };
 use pma_core::concurrent::delta::{DeltaLog, DeltaOp};
 use pma_core::concurrent::epoch::{EpochGuard, EpochRegistry, GarbageBin};
@@ -154,10 +154,17 @@ const CLOSING_TARGET: usize = 64;
 /// overshoot the cap by its full size in one latch hold.
 const BATCH_DELTA_CHUNK: usize = 4096;
 
+/// Widest directory a configuration may ask for, and the widest a bulk load
+/// plans on its own.
+const MAX_SHARDS: usize = 4096;
+
 /// Configuration of a [`ShardedMap`].
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Number of shards the directory starts with (≥ 1).
+    /// Number of shards an empty directory starts with (≥ 1), and the
+    /// *minimum* fan-out of a bulk load: under `auto_manage`,
+    /// [`ShardedMap::from_sorted`] doubles it while a shard would open above
+    /// `split_above`.
     pub shards: usize,
     /// Registry spec of the inner structure each shard instantiates
     /// (e.g. `"pma-batch:100"`). Resolved through the registry handed to the
@@ -201,8 +208,11 @@ impl ShardedConfig {
         if self.shards == 0 {
             return Err(PmaError::invalid("shards", "must be at least 1"));
         }
-        if self.shards > 4096 {
-            return Err(PmaError::invalid("shards", "more than 4096 shards"));
+        if self.shards > MAX_SHARDS {
+            return Err(PmaError::invalid(
+                "shards",
+                format!("more than {MAX_SHARDS} shards"),
+            ));
         }
         let inner_name = self.inner_spec.split(':').next().unwrap_or("").trim();
         if inner_name.is_empty() {
@@ -1028,11 +1038,14 @@ impl Engine {
             let _pin = self.epoch.pin();
             // SAFETY: pinned above.
             let dir = unsafe { self.dir_ref() };
+            // One `len()` per shard per round: each call sums the inner
+            // map's per-thread counter lines.
+            let lens: Vec<usize> = dir.shards.iter().map(|s| s.map.len()).collect();
             let mut split: Option<(usize, u64)> = None;
             for (i, shard) in dir.shards.iter().enumerate() {
                 let heat = shard.load.ops.load(Ordering::Relaxed);
                 shard.load.ops.store(heat / 2, Ordering::Relaxed);
-                if shard.map.len() > self.config.split_above {
+                if lens[i] > self.config.split_above {
                     let streak = shard.split_rounds.fetch_add(1, Ordering::Relaxed) + 1;
                     if streak >= hysteresis && split.is_none_or(|(_, best)| heat > best) {
                         split = Some((i, heat));
@@ -1056,7 +1069,7 @@ impl Engine {
                     // this guard.
                     let eligible = pair_left.wrote.load(Ordering::Relaxed)
                         && dir.shards[i + 1].wrote.load(Ordering::Relaxed);
-                    let sum = pair_left.map.len() + dir.shards[i + 1].map.len();
+                    let sum = lens[i] + lens[i + 1];
                     if eligible && sum < self.config.merge_below {
                         let streak = pair_left.merge_rounds.fetch_add(1, Ordering::Relaxed) + 1;
                         if streak >= hysteresis && merge.is_none_or(|(_, best)| sum < best) {
@@ -1125,6 +1138,20 @@ pub(crate) fn uniform_bounds(n: usize) -> Vec<(Key, Key)> {
         .collect()
 }
 
+/// The fan-out a bulk load of `len` keys opens with: `config.shards`, doubled
+/// until no planned run exceeds `split_above` — the directory the monitor's
+/// median splits would converge to, laid out once instead of reached through
+/// a cascade of copy-on-write rebuilds. Stops at the 4096 shards
+/// [`ShardedConfig::validate`] allows. With `auto_manage` off the monitor
+/// would split nothing, so the settled layout is `config.shards` as given.
+fn planned_fanout(config: &ShardedConfig, len: usize) -> usize {
+    let mut n = config.shards;
+    while config.auto_manage && len.div_ceil(n) > config.split_above && n * 2 <= MAX_SHARDS {
+        n *= 2;
+    }
+    n
+}
+
 /// Plans the shard layout of a bulk load: up to `n` contiguous runs of
 /// roughly equal size, cut at key boundaries so the fences stay strictly
 /// increasing. Returns `(lo, hi, start, end)` per shard with `items[start..
@@ -1169,6 +1196,54 @@ fn plan_shards(items: &[(Key, Value)], n: usize) -> Vec<(Key, Key, usize, usize)
         plan.push((lo, hi, start, end));
     }
     plan
+}
+
+/// Runs `build` over `plan` on as many scoped threads as the machine has cores
+/// (at most 8, the size of the engine's worker pool), each taking one
+/// contiguous stretch of the plan — a bulk load's runs are equally long — and
+/// returns the results in plan order. After the first error no further entry
+/// is started, that error is returned and whatever was built is dropped.
+fn build_side_by_side<P: Sync, T: Send>(
+    plan: &[P],
+    build: impl Fn(&P) -> Result<T, PmaError> + Sync,
+) -> Result<Vec<T>, PmaError> {
+    let failed = AtomicBool::new(false);
+    let build_stretch = |stretch: &[P]| {
+        let mut built = Vec::with_capacity(stretch.len());
+        for entry in stretch {
+            if failed.load(Ordering::Relaxed) {
+                break;
+            }
+            built.push(build(entry).inspect_err(|_| failed.store(true, Ordering::Relaxed))?);
+        }
+        Ok(built)
+    };
+    let per_thread = plan.len().div_ceil(fanout_parallelism()).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = plan
+            .chunks(per_thread)
+            .map(|stretch| scope.spawn(|| build_stretch(stretch)))
+            .collect();
+        let mut all = Vec::with_capacity(plan.len());
+        let mut first_error = None;
+        for handle in handles {
+            match handle.join().expect("a shard loader thread panicked") {
+                Ok(built) => all.extend(built),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        first_error.map_or(Ok(all), Err)
+    })
+}
+
+/// Threads a cross-shard fan-out may use: one per core, at most 8.
+fn fanout_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(8)
 }
 
 /// A consistent view of one shard-directory generation.
@@ -1561,10 +1636,17 @@ impl ShardedMap {
     }
 
     /// Builds a sharded map pre-populated with `items` (sorted by key, last
-    /// entry wins on duplicates): the run is cut into `config.shards`
-    /// roughly equal sub-runs at key boundaries — so the fences adapt to the
-    /// data instead of assuming a uniform key domain — and each shard is
-    /// constructed through the inner backend's native bulk loader.
+    /// entry wins on duplicates), in the layout the monitor would settle on:
+    /// the run is cut at key boundaries into `config.shards` roughly equal
+    /// sub-runs — twice that, four times, … while a sub-run would exceed
+    /// `split_above` (exactly `config.shards` when `auto_manage` is off) — so
+    /// the fences adapt to the data and no split follows the load. The shards are built side by side, each through the inner
+    /// backend's native bulk loader, which de-duplicates its own run.
+    ///
+    /// # Errors
+    /// An invalid `config`, unsorted `items`, or the first error a shard's
+    /// loader returned — the shards already built are dropped and nothing is
+    /// published.
     pub fn from_sorted(
         config: ShardedConfig,
         registry: &Registry,
@@ -1573,14 +1655,11 @@ impl ShardedMap {
         config.validate()?;
         check_sorted(items)?;
         let inner = Self::capture_inner(&config, registry)?;
-        let items = dedup_sorted_last_wins(items);
-        let shards = plan_shards(&items, config.shards)
-            .into_iter()
-            .map(|(lo, hi, start, end)| {
-                let map = inner.build_loaded(&config.inner_spec, &items[start..end])?;
-                Ok(Shard::new(lo, hi, map, true))
-            })
-            .collect::<Result<Vec<_>, PmaError>>()?;
+        let plan = plan_shards(items, planned_fanout(&config, items.len()));
+        let shards = build_side_by_side(&plan, |&(lo, hi, start, end)| {
+            let map = inner.build_loaded(&config.inner_spec, &items[start..end])?;
+            Ok(Shard::new(lo, hi, map, true))
+        })?;
         Self::start(config, inner, shards)
     }
 
@@ -1590,10 +1669,6 @@ impl ShardedMap {
         shards: Vec<Arc<Shard>>,
     ) -> Result<Self, PmaError> {
         let spawn_monitor = config.monitor_interval > Duration::ZERO;
-        let pool_size = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(8);
         let engine = Arc::new(Engine {
             config,
             inner,
@@ -1601,7 +1676,7 @@ impl ShardedMap {
             epoch: EpochRegistry::new(),
             garbage: GarbageBin::new(),
             maintenance: Mutex::new(()),
-            pool: WorkerPool::new(pool_size),
+            pool: WorkerPool::new(fanout_parallelism()),
             stats: EngineStats::new(),
             retired_counters: Mutex::new(BTreeMap::new()),
             stop: AtomicBool::new(false),
@@ -2136,6 +2211,60 @@ mod tests {
         }
     }
 
+    /// `flaky`: a small PMA whose loader fails while [`FAIL_LOADS`] is set, so
+    /// split/merge rebuilds abort *after* the delta log captured concurrent
+    /// ops. `flaky:<key>` ignores the switch and fails exactly the loads whose
+    /// run holds `<key>`, recording every instance it did build in
+    /// [`FLAKY_BUILT`].
+    static FAIL_LOADS: AtomicBool = AtomicBool::new(false);
+    static FLAKY_BUILT: Mutex<Vec<(Key, std::sync::Weak<pma_core::ConcurrentPma>)>> =
+        Mutex::new(Vec::new());
+
+    fn flaky_registry() -> Registry {
+        use pma_common::registry::{BackendDef, BackendSpec};
+
+        fn build_flaky(
+            _registry: &Registry,
+            _spec: &BackendSpec<'_>,
+        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
+            Ok(Arc::new(pma_core::ConcurrentPma::new(
+                pma_core::PmaParams::small(),
+            )?))
+        }
+        fn load_flaky(
+            _registry: &Registry,
+            spec: &BackendSpec<'_>,
+            items: &[(Key, Value)],
+        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
+            let poison = spec.arg.map(|key| key.parse::<Key>().expect("flaky:<key>"));
+            let fail = match poison {
+                Some(key) => items.binary_search_by_key(&key, |item| item.0).is_ok(),
+                None => FAIL_LOADS.load(Ordering::Relaxed),
+            };
+            if fail {
+                return Err(PmaError::invalid("flaky", "load failure injected"));
+            }
+            let map = Arc::new(pma_core::ConcurrentPma::from_sorted(
+                pma_core::PmaParams::small(),
+                items,
+            )?);
+            if let Some(key) = poison {
+                FLAKY_BUILT.lock().push((key, Arc::downgrade(&map)));
+            }
+            Ok(map)
+        }
+
+        let local = Registry::new();
+        local.register(BackendDef {
+            name: "flaky",
+            description: "test backend with injectable load failures",
+            label: |_| "Flaky".to_string(),
+            build: build_flaky,
+            build_loaded: Some(load_flaky),
+        });
+        local
+    }
+
     #[test]
     fn uniform_bounds_tile_the_domain() {
         for n in [1, 2, 3, 8, 17] {
@@ -2398,6 +2527,147 @@ mod tests {
         assert!(ShardedMap::from_sorted(config(2), registry(), &[(2, 0), (1, 0)]).is_err());
     }
 
+    /// A hand-driven engine over small PMAs: `shards` is the minimum fan-out,
+    /// shards split above 1000 keys.
+    fn bulk_load_config(shards: usize, inner_spec: &str) -> ShardedConfig {
+        ShardedConfig {
+            shards,
+            inner_spec: inner_spec.to_string(),
+            split_above: 1_000,
+            merge_below: 64,
+            monitor_interval: Duration::ZERO,
+            ..ShardedConfig::default()
+        }
+    }
+
+    /// The fences tile the key domain in strictly increasing order.
+    fn assert_fences_tile(layout: &[(Key, Key, usize)]) {
+        assert_eq!(layout[0].0, KEY_MIN);
+        assert_eq!(layout[layout.len() - 1].1, KEY_MAX);
+        for w in layout.windows(2) {
+            assert!(w[0].0 <= w[0].1 && w[0].1 < w[1].0, "{w:?}");
+            assert_eq!(w[0].1 + 1, w[1].0);
+        }
+    }
+
+    #[test]
+    fn bulk_load_opens_in_the_layout_the_monitor_would_settle_on() {
+        let model: BTreeMap<Key, Value> = (0..10_000i64).map(|k| (k * 3, -k)).collect();
+        let items: Vec<(Key, Value)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        let cfg = bulk_load_config(2, "pma-batch:1");
+        let rounds = cfg.hysteresis_rounds + 1;
+        let map = ShardedMap::from_sorted(cfg, registry(), &items).unwrap();
+        // 2 -> 4 -> 8 -> 16: the first fan-out with no shard above 1000.
+        let layout = map.shard_layout();
+        assert_eq!(layout.len(), 16);
+        assert_fences_tile(&layout);
+        for &(lo, hi, len) in &layout {
+            assert!((501..=1_000).contains(&len), "[{lo}, {hi}]: {len} keys");
+        }
+        // Nothing is left for the monitor to repair.
+        let generation = map.snapshot().generation();
+        for _ in 0..rounds {
+            map.maintain_once();
+        }
+        let stats = map.stats();
+        assert_eq!((stats.shard_splits, stats.shard_merges), (0, 0));
+        assert_eq!(map.snapshot().generation(), generation);
+        assert_eq!(map.len(), model.len());
+        assert_eq!(map.collect_range(KEY_MIN, KEY_MAX), items);
+    }
+
+    #[test]
+    fn bulk_load_at_or_under_the_threshold_keeps_the_configured_fanout() {
+        let cfg = bulk_load_config(4, "pma-batch:1");
+        assert_eq!(planned_fanout(&cfg, 0), 4);
+        assert_eq!(planned_fanout(&cfg, 4_000), 4);
+        assert_eq!(planned_fanout(&cfg, 4_001), 8);
+        // Never wider than a configuration may ask for.
+        assert_eq!(planned_fanout(&cfg, usize::MAX), MAX_SHARDS);
+        let wide = bulk_load_config(3, "pma-batch:1");
+        assert_eq!(planned_fanout(&wide, usize::MAX), 3 << 10);
+        // A hand-managed engine keeps the shape it was given.
+        let manual = ShardedConfig {
+            auto_manage: false,
+            ..wide
+        };
+        assert_eq!(planned_fanout(&manual, usize::MAX), 3);
+
+        let items: Vec<(Key, Value)> = (0..4_000i64).map(|k| (k, k)).collect();
+        let at = ShardedMap::from_sorted(cfg.clone(), registry(), &items).unwrap();
+        assert_eq!(at.num_shards(), 4);
+        assert!(at.shard_layout().iter().all(|&(_, _, len)| len == 1_000));
+        let empty = ShardedMap::from_sorted(cfg, registry(), &[]).unwrap();
+        assert_eq!(empty.num_shards(), 4);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn bulk_load_duplicate_runs_straddling_cuts_keep_last_wins() {
+        // Every key comes 1..=7 times in a row, later entries carrying
+        // larger values; the planned cuts are percentiles of the raw run.
+        let mut items: Vec<(Key, Value)> = Vec::new();
+        for k in 0..3_000i64 {
+            for _ in 0..=k % 7 {
+                items.push((k * 5, items.len() as Value));
+            }
+        }
+        let model: BTreeMap<Key, Value> = items.iter().copied().collect();
+        let cfg = bulk_load_config(2, "pma-batch:1");
+        let n = planned_fanout(&cfg, items.len());
+        assert!(
+            (1..n).any(|i| {
+                let cut = i * items.len() / n;
+                items[cut].0 == items[cut - 1].0
+            }),
+            "no percentile cut lands inside a run of equal keys"
+        );
+        let map = ShardedMap::from_sorted(cfg, registry(), &items).unwrap();
+        let layout = map.shard_layout();
+        assert_eq!(layout.len(), n);
+        assert_fences_tile(&layout);
+        assert_eq!(layout.iter().map(|l| l.2).sum::<usize>(), model.len());
+        assert_eq!(
+            map.collect_range(KEY_MIN, KEY_MAX),
+            model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+        );
+        // Point reads route by the same fences the runs were cut at.
+        for (&k, &v) in model.iter().step_by(37) {
+            assert_eq!(map.get(k), Some(v), "key {k}");
+        }
+    }
+
+    #[test]
+    fn bulk_load_failing_shard_loader_returns_its_error_and_drops_what_was_built() {
+        let local = flaky_registry();
+        let items: Vec<(Key, Value)> = (0..10_000i64).map(|k| (k, k)).collect();
+        // Key 9990 sits in the last of the 16 planned runs.
+        const POISON: Key = 9_990;
+        let cfg = bulk_load_config(2, &format!("flaky:{POISON}"));
+        let err = ShardedMap::from_sorted(cfg, &local, &items).unwrap_err();
+        assert!(
+            matches!(err, PmaError::InvalidParameter { name: "flaky", .. }),
+            "{err}"
+        );
+        // The loaders ran side by side, so shards were built before the
+        // failure; each was dropped — a PMA's drop joins its `pma-*` service
+        // threads — and no directory, monitor or worker pool ever existed.
+        let built: Vec<_> = FLAKY_BUILT
+            .lock()
+            .iter()
+            .filter(|(poison, _)| *poison == POISON)
+            .map(|(_, instance)| instance.clone())
+            .collect();
+        assert!(!built.is_empty(), "no shard was built before the failure");
+        assert!(built.len() < 16);
+        assert!(built.iter().all(|instance| instance.upgrade().is_none()));
+        // The same load without the poisoned key goes through.
+        let clean = bulk_load_config(2, "flaky:-1");
+        let map = ShardedMap::from_sorted(clean, &local, &items).unwrap();
+        assert_eq!(map.num_shards(), 16);
+        assert_eq!(map.len(), items.len());
+    }
+
     #[test]
     fn batches_split_at_shard_fences() {
         let map = ShardedMap::new(config(4), registry()).unwrap();
@@ -2509,45 +2779,7 @@ mod tests {
 
     #[test]
     fn aborted_split_folds_captured_ops_back_into_the_live_shard() {
-        use pma_common::registry::{BackendDef, BackendSpec};
-
-        // A loader that can be told to fail: split/merge rebuilds then
-        // abort *after* the delta log captured concurrent ops, exercising
-        // the fold-back path (dropping the log would lose those writes).
-        static FAIL_LOADS: AtomicBool = AtomicBool::new(false);
-        fn build_flaky(
-            _registry: &Registry,
-            _spec: &BackendSpec<'_>,
-        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
-            Ok(Arc::new(pma_core::ConcurrentPma::new(
-                pma_core::PmaParams::small(),
-            )?))
-        }
-        fn load_flaky(
-            _registry: &Registry,
-            _spec: &BackendSpec<'_>,
-            items: &[(Key, Value)],
-        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
-            if FAIL_LOADS.load(Ordering::Relaxed) {
-                return Err(PmaError::invalid("flaky", "load failure injected"));
-            }
-            Ok(Arc::new(pma_core::ConcurrentPma::from_sorted(
-                pma_core::PmaParams::small(),
-                items,
-            )?))
-        }
-        fn label_flaky(_spec: &BackendSpec<'_>) -> String {
-            "Flaky".to_string()
-        }
-
-        let local = Registry::new();
-        local.register(BackendDef {
-            name: "flaky",
-            description: "test backend with injectable load failures",
-            label: label_flaky,
-            build: build_flaky,
-            build_loaded: Some(load_flaky),
-        });
+        let local = flaky_registry();
         let cfg = ShardedConfig {
             shards: 1,
             inner_spec: "flaky".to_string(),
@@ -2764,9 +2996,13 @@ mod tests {
 
     #[test]
     fn read_only_heat_still_picks_the_split_candidate() {
-        // Two bulk-loaded shards (no write heat), both over the threshold;
-        // only lookups tell them apart, and those are sampled.
-        let items: Vec<(Key, Value)> = (0..4_000i64).map(|k| (k, k)).collect();
+        // Two shards loaded under the threshold and grown past it by one
+        // batch (a load that opens oversized is fanned out wider instead);
+        // with the batch's write heat cleared, only lookups tell them apart,
+        // and those are sampled.
+        let (seed, growth): (Vec<_>, Vec<_>) = (0..4_000i64)
+            .map(|k| (k, k))
+            .partition(|&(k, _)| k % 4 == 0);
         let cfg = ShardedConfig {
             shards: 2,
             split_above: 1_000,
@@ -2775,9 +3011,19 @@ mod tests {
             monitor_interval: Duration::ZERO,
             ..config(2)
         };
-        let map = ShardedMap::from_sorted(cfg, registry(), &items).unwrap();
+        let map = ShardedMap::from_sorted(cfg, registry(), &seed).unwrap();
+        map.insert_batch(&growth);
+        map.flush();
+        {
+            let _pin = map.engine.epoch.pin();
+            // SAFETY: pinned above.
+            for shard in &unsafe { map.engine.dir_ref() }.shards {
+                shard.load.ops.store(0, Ordering::Relaxed);
+            }
+        }
         let before = map.shard_layout();
         assert_eq!(before.len(), 2);
+        assert!(before.iter().all(|&(_, _, len)| len == 2_000));
         let (cold, hot) = (before[0], before[1]);
         // Fifteen lookups of the hot shard, then one of the cold one: a
         // period equal to the sample interval, which a sample taken on every

@@ -1,6 +1,7 @@
 //! Bulk loading: build a concurrent PMA pre-populated with one million
 //! sorted pairs in a single presized pass (zero rebalances), verify the
-//! ordered scan, then keep using the loaded structure under mixed updates.
+//! ordered scan, then keep using the loaded structure under mixed updates;
+//! last, load the same run into the other backends and the sharded engine.
 //!
 //! ```text
 //! cargo run --release --example bulk_load
@@ -8,8 +9,9 @@
 
 use std::time::Instant;
 
-use rma_concurrent::common::ConcurrentMap;
+use rma_concurrent::common::{ConcurrentMap, Registry};
 use rma_concurrent::core::{ConcurrentPma, PmaParams};
+use rma_concurrent::engine::{ShardedConfig, ShardedMap};
 use rma_concurrent::workloads::build_loaded;
 
 const N: i64 = 1_000_000;
@@ -114,5 +116,27 @@ fn main() {
             start.elapsed().as_secs_f64()
         );
     }
+
+    // The sharded engine plans its fan-out from the run: `shards` is the
+    // minimum, doubled until no shard opens above `split_above`, and the
+    // shards are built side by side — the monitor finds nothing to split.
+    let config = ShardedConfig {
+        shards: 2,
+        ..ShardedConfig::default()
+    };
+    let split_above = config.split_above;
+    let start = Instant::now();
+    let sharded = ShardedMap::from_sorted(config, Registry::global(), &items).expect("sorted");
+    println!(
+        "  ShardedMap::from_sorted(shards: 2, split_above: {split_above}): {} elements in {:.3} s, \
+         opened with {} shards",
+        sharded.len(),
+        start.elapsed().as_secs_f64(),
+        sharded.num_shards()
+    );
+    assert!(sharded
+        .shard_layout()
+        .iter()
+        .all(|&(_, _, len)| len <= split_above));
     println!("bulk_load example finished successfully");
 }

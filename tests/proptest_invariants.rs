@@ -195,6 +195,41 @@ proptest! {
         }
     }
 
+    /// The streamed bulk loader sizes the array from a count of the distinct
+    /// keys and lays out a last-wins stream over the borrowed run: for sorted
+    /// input with random runs of equal keys it must hold exactly what a
+    /// `BTreeMap` fed the same pairs in order holds, loaded without one
+    /// rebalance.
+    #[test]
+    fn bulk_load_with_duplicate_runs_matches_btreemap_last_wins(
+        steps in proptest::collection::vec((0i64..3, any::<i64>()), 0..3_000),
+        seg_capacity_log in 2u32..6,
+    ) {
+        // A step of 0 repeats the previous key.
+        let mut key = -1_000i64;
+        let items: Vec<(i64, i64)> = steps
+            .iter()
+            .map(|&(step, value)| {
+                key += step;
+                (key, value)
+            })
+            .collect();
+        let model: BTreeMap<i64, i64> = items.iter().copied().collect();
+        let params = PmaParams {
+            segment_capacity: 1usize << seg_capacity_log,
+            ..PmaParams::small()
+        };
+        let pma = ConcurrentPma::from_sorted(params, &items).unwrap();
+        prop_assert_eq!(pma.len(), model.len());
+        prop_assert_eq!(
+            pma.collect_range(i64::MIN, i64::MAX),
+            model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+        );
+        let stats = pma.stats();
+        prop_assert_eq!(stats.bulk_loaded_keys, model.len() as u64);
+        prop_assert_eq!(stats.total_rebalances(), 0);
+    }
+
     /// The sharded engine's cross-shard `scan_range` — a k-way merge of the
     /// per-shard ordered streams — is observably identical to scanning a
     /// single inner instance holding the same contents, for ranges that fall
