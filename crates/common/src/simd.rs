@@ -24,8 +24,13 @@
 //!
 //! Long runs use a hybrid: a scalar binary search narrows the window to at
 //! most [`SMALL_RUN`] elements, then the vector kernel counts the remainder
-//! branchlessly, so the kernels stay cheap on both 8-element segment runs
-//! and multi-thousand-entry separator arrays.
+//! branchlessly, so the kernels stay cheap on multi-thousand-entry separator
+//! arrays. Runs of at most [`SHORT_RUN`] keys — a chunk's routing prefix, an
+//! index node — never reach a vector kernel: the kernels are
+//! `#[target_feature]` functions, which cannot be inlined into their
+//! callers, and a call plus a horizontal reduction costs more than the eight
+//! compares it would replace. They are counted inline, in portable code
+//! (bit-identical by construction, whatever the active variant).
 
 use crate::types::Key;
 use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
@@ -33,6 +38,10 @@ use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
 /// Window size below which the count is fully vectorised; above it a scalar
 /// binary search narrows the window first.
 pub const SMALL_RUN: usize = 64;
+
+/// Runs up to this long are counted inline, compare by compare, without
+/// reaching a vector kernel.
+pub const SHORT_RUN: usize = 16;
 
 // ---------------------------------------------------------------------
 // Dispatch
@@ -139,7 +148,11 @@ pub fn kernel_variant() -> &'static str {
 /// `run.partition_point(|&x| x <= key)`.
 #[inline]
 pub fn count_le(run: &[Key], key: Key) -> usize {
-    count_le_with(active_variant(), run, key)
+    if run.len() <= SHORT_RUN {
+        count_le_inline(run, |&x| x <= key)
+    } else {
+        count_le_dispatch(active_variant(), run, key)
+    }
 }
 
 /// Number of elements `< key` in the sorted run — identical to
@@ -180,6 +193,14 @@ pub fn route(separators: &[Key], key: Key) -> usize {
 /// Panics when `variant` is not [`Variant::supported`] on this CPU.
 pub fn count_le_with(variant: Variant, run: &[Key], key: Key) -> usize {
     assert!(variant.supported(), "{variant:?} not supported on this CPU");
+    count_le_dispatch(variant, run, key)
+}
+
+/// The narrowing search and the window count of `variant`, which the caller
+/// vouches for: [`active_variant`] only ever returns a supported variant,
+/// [`count_le_with`] checks the one it is handed.
+#[inline]
+fn count_le_dispatch(variant: Variant, run: &[Key], key: Key) -> usize {
     // Narrow long runs with a branchless (cmov) binary search first: the
     // vector kernel then counts a window of at most SMALL_RUN elements.
     // Data-dependent branches here would mispredict on ~half the probes.
@@ -194,7 +215,7 @@ pub fn count_le_with(variant: Variant, run: &[Key], key: Key) -> usize {
     let window = &run[lo..hi];
     lo + match variant {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `supported()` verified AVX2 at runtime above.
+        // SAFETY: the caller vouches that the CPU has AVX2 (see above).
         Variant::Avx2 => unsafe { count_le_avx2(window, key) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
@@ -204,6 +225,36 @@ pub fn count_le_with(variant: Variant, run: &[Key], key: Key) -> usize {
         Variant::Neon => unsafe { count_le_neon(window, key) },
         _ => count_le_scalar(window, key),
     }
+}
+
+/// Length of the leading run of elements that satisfy `le` — on a sorted
+/// run and `le = (x <= key)`, the count of elements `<= key` — worked out
+/// inline, eight compares at a time: each block's outcomes are gathered
+/// into a bit mask and its trailing ones counted. (A sum of the eight
+/// outcomes is what one would write; LLVM turns that sum into a vector mask
+/// plus a software popcount, several times the cost of the compares.) A
+/// block that is not all hits ends the scan.
+#[inline(always)]
+fn count_le_inline<T>(run: &[T], le: impl Fn(&T) -> bool) -> usize {
+    let leading_hits = |block: &[T]| -> usize {
+        let mut mask = 0u32;
+        for (i, x) in block.iter().enumerate() {
+            mask |= u32::from(le(x)) << i;
+        }
+        (!mask).trailing_zeros() as usize
+    };
+    let mut count = 0usize;
+    let mut blocks = run.chunks_exact(8);
+    for block in blocks.by_ref() {
+        // A fixed-size block: the eight compares unroll.
+        let block: &[T; 8] = block.try_into().expect("chunks_exact(8)");
+        let n = leading_hits(block);
+        count += n;
+        if n < 8 {
+            return count;
+        }
+    }
+    count + leading_hits(blocks.remainder())
 }
 
 /// Scalar twin of the vector window count (branchless popcount loop).
@@ -226,9 +277,14 @@ unsafe fn count_le_avx2(window: &[Key], key: Key) -> usize {
         let v = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
         acc = _mm256_add_epi64(acc, _mm256_cmpgt_epi64(v, vkey));
     }
-    let mut lanes = [0i64; 4];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let gt = (-lanes.iter().sum::<i64>()) as usize;
+    // Reduced in registers: a store and four scalar loads would stall on
+    // store forwarding for longer than the compares above took.
+    let halves = _mm_add_epi64(
+        _mm256_castsi256_si128(acc),
+        _mm256_extracti128_si256::<1>(acc),
+    );
+    let sum = _mm_add_epi64(halves, _mm_unpackhi_epi64(halves, halves));
+    let gt = (-_mm_cvtsi128_si64(sum)) as usize;
     (window.len() - chunks.remainder().len() - gt) + count_le_scalar(chunks.remainder(), key)
 }
 
@@ -251,9 +307,8 @@ unsafe fn count_le_sse2(window: &[Key], key: Key) -> usize {
         let gt = _mm_or_si128(_mm_and_si128(flip, vkey), _mm_andnot_si128(flip, sub));
         acc = _mm_add_epi64(acc, _mm_srli_epi64::<63>(gt));
     }
-    let mut lanes = [0i64; 2];
-    _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, acc);
-    let gt = (lanes[0] + lanes[1]) as usize;
+    let sum = _mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc));
+    let gt = _mm_cvtsi128_si64(sum) as usize;
     (window.len() - chunks.remainder().len() - gt) + count_le_scalar(chunks.remainder(), key)
 }
 
@@ -332,21 +387,27 @@ const SUM_BLOCK: usize = 1 << 30;
 /// halves are recombined and the bias removed once per run.
 #[inline]
 pub fn sum_run(run: &[i64]) -> i128 {
-    sum_run_with(active_variant(), run)
+    sum_run_dispatch(active_variant(), run)
 }
 
 /// [`sum_run`] pinned to an explicit variant (bench/test hook).
 ///
 /// # Panics
 /// Panics when `variant` is not [`Variant::supported`] on this CPU.
-#[inline]
 pub fn sum_run_with(variant: Variant, run: &[i64]) -> i128 {
     assert!(variant.supported(), "{variant:?} not supported on this CPU");
+    sum_run_dispatch(variant, run)
+}
+
+/// [`sum_run`] with `variant`, which the caller vouches for (see
+/// [`count_le_dispatch`]).
+#[inline]
+fn sum_run_dispatch(variant: Variant, run: &[i64]) -> i128 {
     let mut total = 0i128;
     for block in run.chunks(SUM_BLOCK) {
         let (lo, hi, rest) = match variant {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `supported()` verified AVX2 at runtime above.
+            // SAFETY: the caller vouches that the CPU has AVX2.
             Variant::Avx2 => unsafe { sum_halves_avx2(block) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is part of the x86_64 baseline.
@@ -456,27 +517,16 @@ pub fn prefetch_read(ptr: *const Key) {
 // Atomic separator scan (static index)
 // ---------------------------------------------------------------------
 
-/// [`count_le`] over a run of atomically-updated separators.
-///
-/// The entries are snapshotted with `Relaxed` loads into a small stack
-/// buffer (so racing separator updates stay well-defined — the caller's
-/// protocol tolerates stale values) and each filled buffer is counted with
-/// the vector kernel. Early-exits between buffers: the run is sorted, so a
-/// partial buffer count ends the scan.
+/// [`count_le`] over a run of atomically-updated separators, counted
+/// straight from the atomics with `Relaxed` loads (racing separator updates
+/// stay well-defined — the caller's protocol tolerates stale values): eight
+/// compares per eight-entry block, no staging buffer and no kernel call,
+/// whatever the length (an index node is `fanout` entries). Identical to
+/// `partition_point(x <= key)` on a sorted run; on a run a racing update has
+/// left momentarily unsorted, the length of its leading run of hits.
+#[inline]
 pub fn count_le_atomic(entries: &[AtomicI64], key: Key) -> usize {
-    let mut count = 0usize;
-    let mut buf = [0i64; 8];
-    for chunk in entries.chunks(8) {
-        for (slot, entry) in buf.iter_mut().zip(chunk) {
-            *slot = entry.load(Ordering::Relaxed);
-        }
-        let n = count_le(&buf[..chunk.len()], key);
-        count += n;
-        if n < chunk.len() {
-            break;
-        }
-    }
-    count
+    count_le_inline(entries, |entry| entry.load(Ordering::Relaxed) <= key)
 }
 
 // ---------------------------------------------------------------------

@@ -71,6 +71,9 @@ const GEN: usize = 0;
 const GEOMETRY: usize = 1;
 /// First word of the routing prefix.
 const MINS: usize = 2;
+/// Bytes of `Arc`'s two reference counts, which sit in front of the slab's
+/// words in the same allocation.
+const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
 
 /// The elements of one chunk (one gate's worth of segments).
 ///
@@ -455,6 +458,22 @@ impl ChunkData {
     #[inline]
     pub(crate) fn is_shared(&mut self) -> bool {
         Arc::get_mut(&mut self.slab).is_none()
+    }
+
+    /// Where the slab's allocation starts (the reference counts; the words
+    /// follow), as a number: what the static index keeps as this chunk's
+    /// prefetch hint. Not a pointer — nothing may be read through it.
+    #[inline]
+    pub fn head_addr(&self) -> usize {
+        (Arc::as_ptr(&self.slab) as *const i64 as usize).wrapping_sub(ARC_HEADER)
+    }
+
+    /// Bytes from [`ChunkData::head_addr`] through `cards` for a chunk of
+    /// `num_segments` segments: everything a point operation reads (and a
+    /// writer's uniqueness check writes) before it knows its segment.
+    #[inline]
+    pub fn head_bytes(num_segments: usize) -> usize {
+        ARC_HEADER + (MINS + 2 * num_segments) * std::mem::size_of::<i64>()
     }
 
     /// The write generation that installed this version of the chunk.

@@ -208,6 +208,11 @@ impl Drop for EpochGuard<'_> {
         let depth = self.slot.depth.load(Ordering::Relaxed) - 1;
         self.slot.depth.store(depth, Ordering::Relaxed);
         if depth == 0 {
+            // `Release` would do: nothing follows the unpin that it must
+            // be ordered before, and a collector that sees the clear late
+            // only reclaims later. `SeqCst` (an `xchg` on x86) stays until
+            // the 9 ns show end to end (`docs/INTERNALS.md`, *The epoch
+            // slot table*).
             self.slot.epoch.store(INACTIVE, Ordering::SeqCst);
         }
     }
@@ -419,6 +424,83 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| assert!(format!("{:?}", &guard).contains("depth: 1")));
         });
+    }
+
+    /// A collector may run at any point of another thread's pin / unpin /
+    /// re-pin sequence — what it may never do is free something a pinned
+    /// thread can still reach. One thread publishes a new "instance" (a number behind
+    /// an entry word), retires the old one and collects, in a loop; the
+    /// other pins, loads the entry and, still pinned, checks that the
+    /// instance it reached has not been dropped, then unpins — so collects
+    /// race unpins (and re-pins) continuously. Nothing retired is ever
+    /// dereferenced: a retired instance is its number, and dropping it sets
+    /// that number's flag in a side table.
+    #[test]
+    fn a_collect_racing_unpins_never_frees_a_reachable_instance() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+        const ROUNDS: usize = 50_000;
+        struct Retired<'a>(usize, &'a [AtomicBool]);
+        impl Drop for Retired<'_> {
+            fn drop(&mut self) {
+                self.1[self.0].store(true, Ordering::SeqCst);
+            }
+        }
+        let freed: Vec<AtomicBool> = (0..=ROUNDS).map(|_| AtomicBool::new(false)).collect();
+        let reg = EpochRegistry::new();
+        let bin: GarbageBin<Retired<'_>> = GarbageBin::new();
+        let entry = AtomicUsize::new(0);
+        let pins = AtomicUsize::new(0);
+        // Counted, not asserted on the spot: the retiring thread waits for
+        // this one's progress and must not be left waiting for a panic.
+        let freed_under_a_pin = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                let mut seen = 0;
+                for next in 1..=ROUNDS {
+                    // Unlink, then retire: the order `retire` requires.
+                    let old = entry.swap(next, Ordering::AcqRel);
+                    bin.retire(&reg, Retired(old, &freed));
+                    bin.collect(&reg);
+                    // Keep the two loops overlapped: every so often, wait
+                    // for the other thread to have pinned since last time.
+                    if next % 256 == 0 {
+                        while pins.load(Ordering::Relaxed) == seen {
+                            std::thread::yield_now();
+                        }
+                        seen = pins.load(Ordering::Relaxed);
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            s.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    let guard = reg.pin();
+                    let current = entry.load(Ordering::Acquire);
+                    for _ in 0..4 {
+                        if freed[current].load(Ordering::SeqCst) {
+                            freed_under_a_pin.fetch_add(1, Ordering::Relaxed);
+                        }
+                        std::hint::spin_loop();
+                    }
+                    drop(guard);
+                    pins.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        });
+        assert_eq!(freed_under_a_pin.load(Ordering::Relaxed), 0);
+        assert!(pins.load(Ordering::Relaxed) >= ROUNDS / 256);
+        // Nobody is pinned: everything but the live instance goes.
+        bin.collect(&reg);
+        assert!(bin.is_empty());
+        let live = entry.load(Ordering::Relaxed);
+        assert_eq!(live, ROUNDS);
+        assert!(freed[..live].iter().all(|f| f.load(Ordering::Relaxed)));
+        assert!(!freed[live].load(Ordering::Relaxed));
     }
 
     #[test]

@@ -96,12 +96,20 @@ impl PmaInstance {
         let mins: Vec<Option<Key>> = chunks.iter().map(|c| c.min_key()).collect();
         let fences = compute_window_fences(KEY_MIN, KEY_MAX, &mins);
         let separators: Vec<Key> = fences.iter().map(|&(lo, _)| lo).collect();
-        let index = StaticIndex::new(params.index_node_fanout, &separators);
+        let index = StaticIndex::with_slab_hints(
+            params.index_node_fanout,
+            &separators,
+            ChunkData::head_bytes(segments_per_gate),
+        );
 
         let gates: Box<[Gate]> = chunks
             .into_iter()
             .enumerate()
-            .map(|(g, chunk)| Gate::with_chunk_gen(g, chunk, gen, fences[g].0, fences[g].1))
+            .map(|(g, chunk)| {
+                // Stamping a fresh (unshared) slab does not move it.
+                index.set_slab_hint(g, chunk.head_addr());
+                Gate::with_chunk_gen(g, chunk, gen, fences[g].0, fences[g].1)
+            })
             .collect();
 
         let calibrator = CalibratorTree::new(num_segments, segment_capacity, params.thresholds);
@@ -115,6 +123,36 @@ impl PmaInstance {
             calibrator,
             gate_level,
         }
+    }
+
+    /// Exclusive, copy-on-write access to gate `g`'s chunk
+    /// ([`Gate::chunk_mut_cow`]); a copy moves the slab, so its new address
+    /// goes into the index's hint for `g`.
+    ///
+    /// # Safety
+    /// Same contract as [`Gate::chunk_mut_cow`]: the caller holds gate `g`'s
+    /// latch exclusively, or owns the gate through the rebalancer service.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // exclusivity comes from the gate latch, not the borrow
+    pub unsafe fn chunk_mut_cow(&self, g: usize, stamp: u64) -> (&mut ChunkData, bool) {
+        let (chunk, copied) = self.gates[g].chunk_mut_cow(stamp);
+        if copied {
+            self.index.set_slab_hint(g, chunk.head_addr());
+        }
+        (chunk, copied)
+    }
+
+    /// Installs `new` (stamped `gen`) as gate `g`'s chunk
+    /// ([`Gate::install_chunk`]) and points the index's hint for `g` at it.
+    /// Returns the previous version.
+    ///
+    /// # Safety
+    /// Same contract as [`PmaInstance::chunk_mut_cow`].
+    pub unsafe fn install_chunk(&self, g: usize, new: ChunkData, gen: u64) -> ChunkData {
+        let old = self.gates[g].install_chunk(new, gen);
+        self.index
+            .set_slab_hint(g, self.gates[g].chunk().head_addr());
+        old
     }
 
     /// Number of gates.

@@ -512,7 +512,7 @@ impl ConcurrentPma {
                         let run_end = i + batch[i..].partition_point(|&(k, _)| k <= fence_hi);
                         let run = &batch[i..run_end];
                         // SAFETY: the gate is held in `Write` mode.
-                        let chunk = unsafe { self.shared.chunk_mut(gate) };
+                        let chunk = unsafe { self.shared.chunk_mut(inst, g) };
                         let gate_capacity = inst.gate_capacity();
                         let tau_gate = inst.calibrator.upper_threshold(inst.gate_level);
                         let max_total =
@@ -655,7 +655,8 @@ impl ConcurrentPma {
     /// target segment is full and needs a rebalance).
     fn try_fast_update(&self, inst: &PmaInstance, op: UpdateOp) -> Option<Option<Value>> {
         let key = op.key();
-        let gate = &inst.gates[inst.index.find_gate(key)];
+        let g = inst.index.find_gate(key);
+        let gate = &inst.gates[g];
         let st = gate.lock();
         if st.delegated
             || st.queue_open
@@ -666,7 +667,7 @@ impl ConcurrentPma {
             return None;
         }
         // SAFETY: the gate is held in `Write` mode (just acquired).
-        let chunk = unsafe { self.shared.chunk_mut(gate) };
+        let chunk = unsafe { self.shared.chunk_mut(inst, g) };
         let outcome = match op {
             UpdateOp::Delete(key) => Some(chunk.remove(key)),
             UpdateOp::Insert(key, value) => match chunk.try_insert(key, value) {
@@ -816,11 +817,10 @@ impl ConcurrentPma {
 
     /// Applies `op` to gate `g`, which the caller holds in `Write` mode.
     fn apply_on_gate(&self, inst: &PmaInstance, g: usize, op: UpdateOp) -> ApplyResult {
-        let gate = &inst.gates[g];
         match op {
             UpdateOp::Delete(key) => {
                 // SAFETY: the caller holds the gate in `Write` mode.
-                let old = unsafe { self.shared.chunk_mut(gate) }.remove(key);
+                let old = unsafe { self.shared.chunk_mut(inst, g) }.remove(key);
                 if old.is_some() {
                     self.shared.stats.removed(1);
                     self.maybe_request_downsize(inst);
@@ -829,7 +829,7 @@ impl ConcurrentPma {
             }
             UpdateOp::Insert(key, value) => {
                 // SAFETY: the caller holds the gate in `Write` mode.
-                let chunk = unsafe { self.shared.chunk_mut(gate) };
+                let chunk = unsafe { self.shared.chunk_mut(inst, g) };
                 let adaptive = self.shared.params.rebalance_policy == RebalancePolicy::Adaptive;
                 loop {
                     match chunk.try_insert(key, value) {
@@ -1014,7 +1014,7 @@ impl ConcurrentPma {
             let mut inserts: Vec<(Key, Value)> = Vec::new();
             let mut removed = 0usize;
             // SAFETY: the gate is held in `Write` mode by this writer.
-            let chunk = unsafe { self.shared.chunk_mut(gate) };
+            let chunk = unsafe { self.shared.chunk_mut(inst, g) };
             for op in ops {
                 match op {
                     UpdateOp::Delete(k) => {
@@ -1723,6 +1723,111 @@ mod tests {
         let stats = p.stats();
         assert_eq!(stats.lookups, 100_000);
         assert_eq!((stats.gate_parks, stats.gate_wakes), (0, 0), "{stats:?}");
+    }
+
+    /// At quiescence, every gate's slab hint in the static index is the
+    /// address of the slab the gate holds.
+    fn assert_slab_hints_current(p: &ConcurrentPma) {
+        let _pin = p.shared.pin();
+        // SAFETY: pinned above.
+        let inst = unsafe { p.shared.instance_ref() };
+        for (g, gate) in inst.gates.iter().enumerate() {
+            let guard = gate.acquire_shared(&p.shared.stats).unwrap();
+            assert_eq!(
+                inst.index.slab_hint(g),
+                Some(guard.chunk().head_addr()),
+                "gate {g} of {}",
+                inst.num_gates()
+            );
+        }
+    }
+
+    #[test]
+    fn slab_hints_are_current_after_a_bulk_load() {
+        let items: Vec<(i64, i64)> = (0..100_000i64).map(|k| (k * 16, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::default(), &items).unwrap();
+        assert!(p.num_gates() > 64);
+        assert_slab_hints_current(&p);
+        assert_slab_hints_current(&pma(UpdateMode::Synchronous));
+    }
+
+    /// Growing from empty goes through every way a slab reaches a gate
+    /// short of copy-on-write: instance construction at each resize and
+    /// `install_chunk` at each multi-gate rebalance.
+    #[test]
+    fn slab_hints_are_current_after_growing_through_rebalances_and_resizes() {
+        for mode in [
+            UpdateMode::Synchronous,
+            UpdateMode::Batch {
+                t_delay: Duration::from_millis(1),
+            },
+        ] {
+            let p = pma(mode);
+            // Odd keys first, then the evens in between: the second pass
+            // lands in settled gates and forces multi-gate rebalances.
+            for k in (1..8_000i64).step_by(2).chain((0..8_000).step_by(2)) {
+                p.insert(k, -k);
+                if k % 1_999 == 0 {
+                    p.flush();
+                    assert_slab_hints_current(&p);
+                }
+            }
+            p.flush();
+            let stats = p.stats();
+            assert!(stats.resizes >= 3, "{stats:?}");
+            assert!(stats.global_rebalances >= 3, "{stats:?}");
+            assert_eq!(p.len(), 8_000);
+            assert_slab_hints_current(&p);
+            // And back down: downsizes build instances too.
+            for k in 0..7_900i64 {
+                p.remove(k);
+            }
+            p.flush();
+            assert_slab_hints_current(&p);
+        }
+    }
+
+    /// The first write to a gate after `frozen()` copies the slab the
+    /// snapshot still holds: the gate's slab moves, and its hint with it.
+    #[test]
+    fn slab_hints_follow_copy_on_write() {
+        let items: Vec<(i64, i64)> = (0..20_000i64).map(|k| (k * 4, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::small(), &items).unwrap();
+        let gates = p.num_gates();
+        assert!(gates > 100);
+        let hints_of = |p: &ConcurrentPma| -> Vec<usize> {
+            let _pin = p.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { p.shared.instance_ref() };
+            (0..inst.num_gates())
+                .map(|g| inst.index.slab_hint(g).unwrap())
+                .collect()
+        };
+        let before = hints_of(&p);
+        let frozen = p.frozen();
+        // Overwrites of settled keys: no rebalance, one CoW copy per gate.
+        for &(k, v) in &items {
+            p.insert(k, v + 1);
+        }
+        p.flush();
+        assert_eq!(p.num_gates(), gates);
+        assert_eq!(p.stats().cow_copies, gates as u64);
+        assert_slab_hints_current(&p);
+        let after = hints_of(&p);
+        assert!(
+            before.iter().zip(&after).all(|(b, a)| b != a),
+            "the snapshot still owns every pre-freeze slab"
+        );
+        assert_eq!(frozen.get(8), Some(2));
+        assert_eq!(p.get(8), Some(3));
+        drop(frozen);
+        // Unshared again: the next writes stay in place.
+        for &(k, v) in &items {
+            p.insert(k, v);
+        }
+        p.flush();
+        assert_eq!(hints_of(&p), after);
+        assert_slab_hints_current(&p);
     }
 
     #[test]

@@ -458,7 +458,10 @@ impl Master {
             match op {
                 UpdateOp::Delete(k) => {
                     // SAFETY: gate is service-owned.
-                    if unsafe { self.shared.chunk_mut(gate) }.remove(k).is_some() {
+                    if unsafe { self.shared.chunk_mut(inst, gate_id) }
+                        .remove(k)
+                        .is_some()
+                    {
                         removed += 1;
                     }
                 }
@@ -624,17 +627,20 @@ impl Master {
                 unplaced.push(op);
                 continue;
             };
-            let gate = &inst.gates[g_lo + rel];
+            let g = g_lo + rel;
             match op {
                 UpdateOp::Delete(k) => {
                     // SAFETY: gate is service-owned.
-                    if unsafe { self.shared.chunk_mut(gate) }.remove(k).is_some() {
+                    if unsafe { self.shared.chunk_mut(inst, g) }
+                        .remove(k)
+                        .is_some()
+                    {
                         self.shared.stats.removed(1);
                     }
                 }
                 UpdateOp::Insert(k, v) => {
                     // SAFETY: gate is service-owned.
-                    let chunk = unsafe { self.shared.chunk_mut(gate) };
+                    let chunk = unsafe { self.shared.chunk_mut(inst, g) };
                     let mut result = chunk.try_insert(k, v);
                     if matches!(result, ChunkInsert::SegmentFull(_))
                         && chunk.cardinality() < chunk.capacity()
@@ -744,7 +750,7 @@ impl Master {
             let chunk = staged_chunk.expect("every partition must be staged");
             mins.push(chunk.min_key());
             // SAFETY: gate is service-owned.
-            let _old = unsafe { inst.gates[g_lo + i].install_chunk(chunk, install_gen) };
+            let _old = unsafe { inst.install_chunk(g_lo + i, chunk, install_gen) };
         }
         let fences = compute_window_fences(outer_lo, outer_hi, &mins);
         for (i, &(lo, hi)) in fences.iter().enumerate() {
@@ -945,7 +951,7 @@ impl Master {
                     return;
                 }
                 // SAFETY: gate is service-owned.
-                let chunk = unsafe { self.shared.chunk_mut(gate) };
+                let chunk = unsafe { self.shared.chunk_mut(inst, gate_id) };
                 let gate_capacity = inst.gate_capacity();
                 let fits_locally = {
                     let level = inst.gate_level;

@@ -9,7 +9,6 @@ use crate::stats::Stats;
 
 use super::chunk::ChunkData;
 use super::epoch::{EpochGuard, EpochRegistry, GarbageBin};
-use super::gate::Gate;
 use super::instance::PmaInstance;
 use super::version::CowGen;
 
@@ -66,18 +65,19 @@ impl Shared {
         }
     }
 
-    /// Exclusive access to a gate's chunk for in-place mutation, copying the
-    /// payload first if a frozen snapshot still holds the current version
-    /// (and counting the copy in `stats.cow_copies`).
+    /// Exclusive access to the chunk of gate `g` of `inst` for in-place
+    /// mutation, copying the payload first if a frozen snapshot still holds
+    /// the current version (counting the copy in `stats.cow_copies`, and
+    /// re-pointing the index's slab hint at it).
     ///
     /// # Safety
-    /// Same contract as [`Gate::chunk_mut_cow`]: the caller must hold the
-    /// gate's latch in an exclusive mode (`Write`/`Rebalance`) or otherwise
-    /// own the gate (service-owned during a window claim).
+    /// Same contract as [`super::gate::Gate::chunk_mut_cow`]: the caller
+    /// must hold the gate's latch in an exclusive mode (`Write`/`Rebalance`)
+    /// or otherwise own the gate (service-owned during a window claim).
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusivity comes from the gate latch, not the borrow
-    pub unsafe fn chunk_mut<'a>(&self, gate: &'a Gate) -> &'a mut ChunkData {
-        let (chunk, copied) = gate.chunk_mut_cow(self.cow.current());
+    pub unsafe fn chunk_mut<'a>(&self, inst: &'a PmaInstance, g: usize) -> &'a mut ChunkData {
+        let (chunk, copied) = inst.chunk_mut_cow(g, self.cow.current());
         if copied {
             Stats::bump(&self.stats.cow_copies);
         }

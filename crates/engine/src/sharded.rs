@@ -41,9 +41,9 @@
 //! latched path — overlay first, re-route if retired — exactly as before
 //! (`read_revalidations` counts lookups that had already read when the word
 //! moved). The words a lookup loads share no cache line with the latch or
-//! the per-shard heat counter, and lookups tick that counter one time in
-//! sixteen, by sixteen: a lookup of a settled shard stores to no line
-//! another client reads or writes.
+//! the per-shard heat counter, and point operations — lookups and updates
+//! alike — tick that counter one time in sixteen, by sixteen: a lookup of a
+//! settled shard stores to no line another client reads or writes.
 //!
 //! # Ordered scans
 //!
@@ -259,12 +259,13 @@ const UNSETTLED: u64 = 1;
 /// with the same count saw no hold begin in between.
 const HOLD: u64 = 2;
 
-/// Lookups tick [`ShardLoad::ops`] one time in this many, by this many.
-const READ_HEAT_SAMPLE: u32 = 16;
+/// Point operations tick [`ShardLoad::ops`] one time in this many, by this
+/// many.
+const HEAT_SAMPLE: u32 = 16;
 
 thread_local! {
     /// State of the calling thread's xorshift32 draw (never zero).
-    static READ_DRAW: std::cell::Cell<u32> = const { std::cell::Cell::new(0x9E37_79B9) };
+    static HEAT_DRAW: std::cell::Cell<u32> = const { std::cell::Cell::new(0x9E37_79B9) };
 }
 
 /// One shard: a disjoint key range `[lo, hi]` served by one inner instance.
@@ -319,8 +320,8 @@ struct ShardLoad {
     /// shared only when the version word says the shard is unsettled.
     latch: RwLock<WriteGate>,
     /// Operations routed to this shard since the monitor's last decay — the
-    /// "heat" signal that picks which oversized shard to split first. Exact
-    /// for writes, sampled for lookups ([`Shard::tick_read`]).
+    /// "heat" signal that picks which oversized shard to split first.
+    /// Sampled ([`Shard::tick`]): exact in expectation.
     ops: AtomicU64,
 }
 
@@ -387,15 +388,16 @@ impl Shard {
         ShardFence { shard: self, gate }
     }
 
-    /// Accounts one lookup in the heat counter: one lookup in
-    /// [`READ_HEAT_SAMPLE`] adds that many, so the expectation is the exact
-    /// count while fifteen lookups in sixteen store to no shared line. Which
-    /// lookups are sampled is a pseudo-random draw, not a count: a client
-    /// whose access pattern repeats with a period dividing the sample
-    /// interval would otherwise credit all of its heat to one shard.
+    /// Accounts one point operation in the heat counter: one operation in
+    /// [`HEAT_SAMPLE`] adds that many, so the expectation is the exact
+    /// count while fifteen operations in sixteen store nothing to the line
+    /// every client of the shard shares. Which ones are sampled is a
+    /// pseudo-random draw, not a count: a client whose access pattern
+    /// repeats with a period dividing the sample interval would otherwise
+    /// credit all of its heat to one shard.
     #[inline]
-    fn tick_read(&self) {
-        let draw = READ_DRAW.with(|state| {
+    fn tick(&self) {
+        let draw = HEAT_DRAW.with(|state| {
             let mut x = state.get();
             x ^= x << 13;
             x ^= x >> 17;
@@ -403,10 +405,10 @@ impl Shard {
             state.set(x);
             x
         });
-        if draw.is_multiple_of(READ_HEAT_SAMPLE) {
+        if draw.is_multiple_of(HEAT_SAMPLE) {
             self.load
                 .ops
-                .fetch_add(u64::from(READ_HEAT_SAMPLE), Ordering::Relaxed);
+                .fetch_add(u64::from(HEAT_SAMPLE), Ordering::Relaxed);
         }
     }
 
@@ -1837,7 +1839,7 @@ impl ShardedMap {
                         true
                     }
                     _ => {
-                        shard.load.ops.fetch_add(1, Ordering::Relaxed);
+                        shard.tick();
                         self.engine.stats.routed_ops.add(1);
                         return apply(shard, &gate);
                     }
@@ -1887,7 +1889,7 @@ impl ConcurrentMap for ShardedMap {
                 let value = shard.map.get(key);
                 fence(Ordering::Acquire);
                 if shard.version.load(Ordering::Relaxed) == version {
-                    shard.tick_read();
+                    shard.tick();
                     self.engine.stats.routed_ops.add(1);
                     return value;
                 }
@@ -1906,7 +1908,7 @@ impl ConcurrentMap for ShardedMap {
                 EngineStats::bump(&self.engine.stats.retired_retries);
                 continue;
             }
-            shard.tick_read();
+            shard.tick();
             self.engine.stats.routed_ops.add(1);
             return shard.get_op(&gate, key);
         }
@@ -2995,11 +2997,18 @@ mod tests {
     }
 
     #[test]
-    fn read_only_heat_still_picks_the_split_candidate() {
+    fn sampled_heat_still_picks_the_split_candidate() {
+        // Lookups and updates tick the heat counter the same way
+        // (overwrites here: the lengths must not move).
+        heat_picks_the_split_candidate("lookups", |map, key| assert_eq!(map.get(key), Some(key)));
+        heat_picks_the_split_candidate("updates", |map, key| map.insert(key, key));
+    }
+
+    fn heat_picks_the_split_candidate(what: &str, op: fn(&ShardedMap, Key)) {
         // Two shards loaded under the threshold and grown past it by one
         // batch (a load that opens oversized is fanned out wider instead);
-        // with the batch's write heat cleared, only lookups tell them apart,
-        // and those are sampled.
+        // with the batch's write heat cleared, only the point operations
+        // that follow tell them apart, and those are sampled.
         let (seed, growth): (Vec<_>, Vec<_>) = (0..4_000i64)
             .map(|k| (k, k))
             .partition(|&(k, _)| k % 4 == 0);
@@ -3021,25 +3030,26 @@ mod tests {
                 shard.load.ops.store(0, Ordering::Relaxed);
             }
         }
+        let routed_before = map.stats().routed_ops;
         let before = map.shard_layout();
         assert_eq!(before.len(), 2);
         assert!(before.iter().all(|&(_, _, len)| len == 2_000));
         let (cold, hot) = (before[0], before[1]);
-        // Fifteen lookups of the hot shard, then one of the cold one: a
+        // Fifteen operations on the hot shard, then one on the cold one: a
         // period equal to the sample interval, which a sample taken on every
-        // sixteenth lookup would credit to one shard alone.
+        // sixteenth operation would credit to one shard alone.
         const ROUNDS: i64 = 500;
         for round in 0..ROUNDS {
             for i in 0..15 {
-                let key = hot.0 + (round * 15 + i) % 1_000;
-                assert_eq!(map.get(key), Some(key));
+                op(&map, hot.0 + (round * 15 + i) % 1_000);
             }
-            assert_eq!(map.get(round), Some(round));
+            op(&map, round);
         }
+        map.flush();
         assert_eq!(
-            map.stats().routed_ops,
+            map.stats().routed_ops - routed_before,
             16 * ROUNDS as u64,
-            "the engine counter is exact"
+            "{what}: the engine counter is exact"
         );
         let heat = |idx: usize| {
             let _pin = map.engine.epoch.pin();
@@ -3047,14 +3057,20 @@ mod tests {
             let dir = unsafe { map.engine.dir_ref() };
             dir.shards[idx].load.ops.load(Ordering::Relaxed)
         };
-        // 7500 and 500 lookups, each sampled one time in sixteen.
+        // 7500 and 500 operations, each sampled one time in sixteen.
         let (cold_heat, hot_heat) = (heat(0), heat(1));
-        assert!((6_000..9_000).contains(&hot_heat), "hot shard: {hot_heat}");
-        assert!((100..1_500).contains(&cold_heat), "cold shard: {cold_heat}");
+        assert!(
+            (6_000..9_000).contains(&hot_heat),
+            "{what}, hot shard: {hot_heat}"
+        );
+        assert!(
+            (100..1_500).contains(&cold_heat),
+            "{what}, cold shard: {cold_heat}"
+        );
         map.maintain_once();
         let after = map.shard_layout();
-        assert_eq!(after.len(), 3, "one split per round");
-        assert_eq!(after[0], cold, "the cold shard was left alone");
+        assert_eq!(after.len(), 3, "{what}: one split per round");
+        assert_eq!(after[0], cold, "{what}: the cold shard was left alone");
         assert_eq!((after[1].0, after[2].1), (hot.0, hot.1));
     }
 

@@ -6,6 +6,12 @@
 //! CI also runs the whole suite under `PMA_FORCE_SCALAR=1`, so the scalar
 //! fallback gets exercised as the *active* kernel too, not only as the
 //! reference here.
+//!
+//! Runs of at most `simd::SHORT_RUN` keys — a chunk's routing prefix, a
+//! static-index node — are counted inline and never reach a vector kernel;
+//! the short-run cases below walk every length around that boundary, for
+//! plain runs and for the atomic separators of an index level, against the
+//! same `partition_point` reference.
 
 use proptest::prelude::*;
 
@@ -261,6 +267,139 @@ fn boundary_spot_checks() {
     assert_eq!(simd::count_lt(&[i64::MIN, 0], i64::MIN), 0);
     assert_eq!(simd::route(&[], 5), 0);
     assert_eq!(simd::route(&[10], 5), 0);
+}
+
+/// Sorted runs of every length `0..=17` (both sides of `simd::SHORT_RUN`,
+/// every remainder of the inline path's eight-compare block), heavy on
+/// duplicates and on the ends of the key domain.
+fn short_runs() -> Vec<Vec<i64>> {
+    let palette = [
+        i64::MIN,
+        i64::MIN + 1,
+        -3,
+        -1,
+        0,
+        1,
+        2,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    let mut runs = Vec::new();
+    for len in 0..=17usize {
+        for fill in [i64::MIN, 0, i64::MAX] {
+            runs.push(vec![fill; len]);
+        }
+        runs.push((0..len as i64).map(|i| i * 3 - 20).collect());
+        // Each palette value `repeat` times in a row, from `offset` on.
+        for repeat in 1..=3usize {
+            for offset in 0..palette.len() {
+                let mut run: Vec<i64> = (0..len)
+                    .map(|i| palette[(offset + i / repeat).min(palette.len() - 1)])
+                    .collect();
+                run.sort_unstable();
+                runs.push(run);
+            }
+        }
+        // The extremes at both ends of an otherwise ordinary run.
+        if len >= 2 {
+            let mut run: Vec<i64> = (0..len as i64).map(|i| i / 2).collect();
+            run[0] = i64::MIN;
+            run[len - 1] = i64::MAX;
+            runs.push(run);
+        }
+    }
+    runs
+}
+
+/// Every key of `run`, its two neighbours, and the ends of the domain.
+fn probes_around(run: &[i64]) -> Vec<i64> {
+    let mut probes = vec![i64::MIN, -2, 0, i64::MAX];
+    for &x in run {
+        probes.extend([x.saturating_sub(1), x, x.saturating_add(1)]);
+    }
+    probes.sort_unstable();
+    probes.dedup();
+    probes
+}
+
+/// The inline short-run count behind `count_le` / `count_lt` / `search` /
+/// `route`, and the atomic one behind a static-index node, against
+/// `partition_point` — whichever variant is active (`PMA_FORCE_SCALAR=1`
+/// included: the inline path is the same code either way, and the runs of
+/// 17 cross into the dispatched kernels).
+#[test]
+fn short_runs_match_the_scalar_reference() {
+    assert!(
+        (8..=16).contains(&simd::SHORT_RUN),
+        "the lengths below straddle the boundary"
+    );
+    for run in short_runs() {
+        let atomic = simd::AlignedAtomicKeys::from_slice(&run);
+        for key in probes_around(&run) {
+            let le = run.partition_point(|&x| x <= key);
+            let lt = run.partition_point(|&x| x < key);
+            assert_eq!(simd::count_le(&run, key), le, "count_le {run:?} {key}");
+            assert_eq!(
+                simd::count_le_atomic(atomic.as_slice(), key),
+                le,
+                "count_le_atomic {run:?} {key}"
+            );
+            assert_eq!(simd::count_lt(&run, key), lt, "count_lt {run:?} {key}");
+            assert_eq!(
+                simd::route(&run, key),
+                le.saturating_sub(1),
+                "route {run:?} {key}"
+            );
+            let found = simd::search(&run, key);
+            if lt < le {
+                assert_eq!(found, Ok(lt), "search {run:?} {key}");
+            } else {
+                assert_eq!(found, Err(lt), "search {run:?} {key}");
+            }
+            for variant in [Variant::Avx2, Variant::Sse2, Variant::Neon, Variant::Scalar] {
+                if variant.supported() {
+                    assert_eq!(simd::count_le_with(variant, &run, key), le);
+                }
+            }
+        }
+    }
+}
+
+/// A static-index level is scanned one node at a time: `fanout` atomics
+/// starting at a multiple of `fanout` — mid cache line for the narrow
+/// fanouts, several lines for the wide ones — the last node cut short by the
+/// end of the level. Every node window of every fanout counts like
+/// `partition_point`, and the index built on top routes like a linear search.
+#[test]
+fn index_nodes_of_every_fanout_match_the_scalar_reference() {
+    use rma_concurrent::core::concurrent::static_index::StaticIndex;
+    // Duplicates and both extremes, as a level whose gates are partly empty
+    // has them.
+    let mut separators: Vec<i64> = (0..75i64).map(|i| (i / 3) * 10 - 100).collect();
+    separators[0] = i64::MIN;
+    separators.extend([i64::MAX - 1, i64::MAX, i64::MAX]);
+    let level = simd::AlignedAtomicKeys::from_slice(&separators);
+    let probes = probes_around(&separators);
+    for fanout in [2usize, 4, 8, 16, 32] {
+        for start in (0..separators.len()).step_by(fanout) {
+            let end = (start + fanout).min(separators.len());
+            for &key in &probes {
+                assert_eq!(
+                    simd::count_le_atomic(&level.as_slice()[start..end], key),
+                    separators[start..end].partition_point(|&x| x <= key),
+                    "fanout {fanout}, node at {start}, key {key}"
+                );
+            }
+        }
+        let index = StaticIndex::new(fanout, &separators);
+        for &key in &probes {
+            assert_eq!(
+                index.find_gate(key),
+                separators.partition_point(|&x| x <= key).saturating_sub(1),
+                "fanout {fanout}, key {key}"
+            );
+        }
+    }
 }
 
 /// Strictly-ascending byte fence sets from a tiny alphabet, so many fences

@@ -126,6 +126,30 @@ fn every_registry_backend_matches_the_model_on_a_second_seed() {
     }
 }
 
+/// The static index keeps each gate's slab address as a prefetch hint, and
+/// a hint may change timing only. With every hint stored from here on
+/// forced to zero, then to a garbage address, the model check above —
+/// `get`, `scan_range`, `range`, `insert`, `remove`, through growth,
+/// rebalances and resizes, for every registry spec (the PMAs directly,
+/// and inside the sharded engine and the router) — answers as it always
+/// does. The override is process-wide, so the other tests of this binary may
+/// run under it too: by the property under test, they cannot tell.
+#[test]
+fn poisoned_slab_hints_change_no_answer() {
+    use rma_concurrent::core::concurrent::static_index::{poison_slab_hints, StaticIndex};
+    for poison in [0usize, 0xDEAD_BEEF_F00D_0008, usize::MAX - 1] {
+        poison_slab_hints(Some(poison));
+        // The override is live: a store of a real address lands as poison.
+        let index = StaticIndex::with_slab_hints(8, &[i64::MIN, 0], 160);
+        index.set_slab_hint(1, &index as *const StaticIndex as usize);
+        assert_eq!(index.slab_hint(1), Some(poison));
+        for spec in all_specs() {
+            run_model_check(&spec, 0xDEADBEEF ^ poison as u64, 4_000);
+        }
+    }
+    poison_slab_hints(None);
+}
+
 #[test]
 fn structures_handle_bulk_build_then_drain() {
     for spec in all_specs() {
