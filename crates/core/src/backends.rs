@@ -18,17 +18,10 @@ use crate::concurrent::ConcurrentPma;
 use crate::params::{PmaParams, RebalancePolicy, UpdateMode};
 
 /// The paper's PMA configuration with a configurable segment capacity and
-/// update mode, sized for laptop-scale runs (the worker count adapts to the
-/// available cores instead of being fixed at 8).
+/// update mode.
 pub fn paper_pma_params(update_mode: UpdateMode, segment_capacity: usize) -> PmaParams {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get().min(8))
-        .unwrap_or(4)
-        .max(1);
     PmaParams {
         segment_capacity,
-        segments_per_gate: 8,
-        rebalancer_workers: workers,
         update_mode,
         ..PmaParams::default()
     }

@@ -258,8 +258,12 @@ impl<T> GarbageBin<T> {
 
     /// Frees every retired item whose epoch strictly precedes the minimum
     /// epoch of all active threads (every thread still pinned at the item's
-    /// retirement epoch keeps it alive). Returns how many items were dropped.
+    /// retirement epoch keeps it alive). Returns how many items were dropped;
+    /// an empty bin returns 0 without scanning the registry's slots.
     pub fn collect(&self, registry: &EpochRegistry) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
         let min = registry.min_active_epoch();
         let mut items = self.items.lock();
         let before = items.len();

@@ -118,7 +118,7 @@ impl ConcurrentPma {
 
     /// Creates a concurrent PMA with the paper's default configuration
     /// (128-element segments, 8 segments per gate, batch updates with
-    /// `t_delay` = 100 ms, 8 rebalancer workers).
+    /// `t_delay` = 100 ms).
     pub fn with_defaults() -> Self {
         Self::new(PmaParams::default()).expect("default parameters are valid")
     }

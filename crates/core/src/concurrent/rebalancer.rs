@@ -4,15 +4,19 @@
 //! triggered them. Everything larger is delegated to this service: a single
 //! *master* thread receives requests, computes the window to rebalance by
 //! walking the calibrator tree over gates (acquiring their latches along the
-//! way), splits the window into per-gate partitions and hands them to a pool
-//! of *worker* threads. Each worker rebuilds one gate's chunk into a staging
-//! buffer; the master then installs the staged chunks ("memory rewiring" — a
-//! pointer swap per chunk), updates fence keys and the static index, and
-//! wakes the waiting clients.
+//! way), rebuilds every gate's chunk of the window into a staging buffer,
+//! installs the staged chunks ("memory rewiring" — a pointer swap per chunk),
+//! updates fence keys and the static index, and wakes the waiting clients.
+//!
+//! The paper fans the per-gate rebuilds out to a pool of *worker* threads.
+//! That is not modelled: one gate's chunk is ~1024 slots, cheaper to build
+//! than a channel round trip to hand it out, and the widest rebuild — a
+//! resize — runs on the master anyway (`docs/ARCHITECTURE.md`, §3.3 row).
 //!
 //! The master also owns resizes (section 3.4), the `t_delay` parking of
 //! delegated batches (section 3.5), downsize checks and epoch-based garbage
-//! collection.
+//! collection. It is the only thread that retires instances, so with nothing
+//! parked and nothing retired it sleeps until the next request.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -70,28 +74,6 @@ pub(crate) enum Request {
     Shutdown,
 }
 
-/// A staging job for one worker: rebuild one gate's chunk from its partition
-/// of the window's merged element stream.
-struct BuildJob {
-    /// The window's merged elements, materialised once by the master; each
-    /// job covers the disjoint slice `[elem_start, elem_start + sum(targets))`.
-    elements: Arc<Vec<(Key, Value)>>,
-    /// Segment capacity of the chunk being built.
-    segment_capacity: usize,
-    /// Rank (within the merged stream) of the first element of this chunk.
-    elem_start: usize,
-    /// Per-segment element counts for the chunk being built.
-    targets: Vec<usize>,
-    /// Window-relative index of the output gate.
-    out_idx: usize,
-    reply: Sender<(usize, ChunkData)>,
-}
-
-enum WorkerMsg {
-    Build(BuildJob),
-    Shutdown,
-}
-
 /// Outcome of draining a service-owned gate's combining queue
 /// ([`Master::settle_gate_ops`]).
 enum QueueDrain {
@@ -104,64 +86,6 @@ enum QueueDrain {
     Stranded(Vec<UpdateOp>),
 }
 
-/// Merges the chunks of a window with a sorted, deduplicated batch of
-/// insertions into one ascending element stream (upsert semantics: the batch
-/// value wins on key collisions).
-///
-/// The master materialises the merged window exactly once before fanning the
-/// per-gate build jobs out to the workers — each job then slices its disjoint
-/// partition in O(1). (An earlier design handed the workers a lazily merged
-/// iterator with a `skip(rank)` per job, which made wide redistributes
-/// quadratic in the window size and effectively stalled root-window
-/// rebalances.)
-pub(crate) fn merge_window(chunks: &[&ChunkData], batch: Vec<(Key, Value)>) -> Vec<(Key, Value)> {
-    debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0));
-    let cardinality: usize = chunks.iter().map(|c| c.cardinality()).sum();
-    let mut merged = Vec::with_capacity(cardinality + batch.len());
-    merged.extend(MergeIter {
-        a: chunks.iter().flat_map(|c| c.iter()).peekable(),
-        b: batch.into_iter().peekable(),
-    });
-    merged
-}
-
-/// Merge of two ascending streams with upsert semantics (`b` wins ties).
-struct MergeIter<A, B>
-where
-    A: Iterator<Item = (Key, Value)>,
-    B: Iterator<Item = (Key, Value)>,
-{
-    a: std::iter::Peekable<A>,
-    b: std::iter::Peekable<B>,
-}
-
-impl<A, B> Iterator for MergeIter<A, B>
-where
-    A: Iterator<Item = (Key, Value)>,
-    B: Iterator<Item = (Key, Value)>,
-{
-    type Item = (Key, Value);
-
-    fn next(&mut self) -> Option<(Key, Value)> {
-        match (self.a.peek().copied(), self.b.peek().copied()) {
-            (None, None) => None,
-            (Some(_), None) => self.a.next(),
-            (None, Some(_)) => self.b.next(),
-            (Some((ka, _)), Some((kb, _))) => {
-                if ka < kb {
-                    self.a.next()
-                } else if kb < ka {
-                    self.b.next()
-                } else {
-                    // Same key: the batch element replaces the stored one.
-                    self.a.next();
-                    self.b.next()
-                }
-            }
-        }
-    }
-}
-
 /// Handle owned by [`super::ConcurrentPma`] to reach the service.
 pub(crate) struct RebalancerHandle {
     tx: Sender<Request>,
@@ -169,7 +93,7 @@ pub(crate) struct RebalancerHandle {
 }
 
 impl RebalancerHandle {
-    /// Starts the master thread (which in turn starts the worker pool).
+    /// Starts the master thread.
     pub fn start(shared: Arc<Shared>) -> Self {
         let (tx, rx) = unbounded();
         let req_tx = tx.clone();
@@ -198,7 +122,7 @@ impl RebalancerHandle {
         }
     }
 
-    /// Stops the master and the workers.
+    /// Stops the master.
     pub fn shutdown(&mut self) {
         let _ = self.tx.send(Request::Shutdown);
         if let Some(handle) = self.master.take() {
@@ -226,48 +150,40 @@ struct Master {
     /// Loop-back sender used to re-enqueue follow-up work for the master
     /// itself (the post-release combining-queue drain).
     req_tx: Sender<Request>,
-    workers: Vec<JoinHandle<()>>,
-    job_tx: Sender<WorkerMsg>,
     /// Delegated batches waiting for their `t_delay` to elapse.
     parked: Vec<(Instant, usize)>,
 }
 
 impl Master {
     fn new(shared: Arc<Shared>, rx: Receiver<Request>, req_tx: Sender<Request>) -> Self {
-        let (job_tx, job_rx) = unbounded::<WorkerMsg>();
-        let workers = (0..shared.params.rebalancer_workers)
-            .map(|i| {
-                let job_rx = job_rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("pma-rebalancer-worker-{i}"))
-                    .spawn(move || worker_loop(job_rx))
-                    .expect("failed to spawn a rebalancer worker")
-            })
-            .collect();
         Self {
             shared,
             rx,
             req_tx,
-            workers,
-            job_tx,
             parked: Vec::new(),
+        }
+    }
+
+    /// Waits for the next request: until the earliest parked batch is due,
+    /// every 50 ms while the garbage bin holds something a pinned client may
+    /// still see, and otherwise for as long as it takes. A channel with no
+    /// sender left reads as `Shutdown`.
+    fn next_request(&self) -> Option<Request> {
+        let timeout = match self.parked.iter().map(|(due, _)| *due).min() {
+            Some(due) => due.saturating_duration_since(Instant::now()),
+            None if !self.shared.garbage.is_empty() => Duration::from_millis(50),
+            None => return Some(self.rx.recv().unwrap_or(Request::Shutdown)),
+        };
+        match self.rx.recv_timeout(timeout.max(Duration::from_millis(1))) {
+            Ok(r) => Some(r),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Request::Shutdown),
         }
     }
 
     fn run(mut self) {
         loop {
-            let timeout = self
-                .parked
-                .iter()
-                .map(|(due, _)| due.saturating_duration_since(Instant::now()))
-                .min()
-                .unwrap_or(Duration::from_millis(50));
-            let request = match self.rx.recv_timeout(timeout.max(Duration::from_millis(1))) {
-                Ok(r) => Some(r),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            match request {
+            match self.next_request() {
                 Some(Request::Shutdown) => break,
                 Some(Request::GlobalRebalance {
                     gate_id,
@@ -312,12 +228,6 @@ impl Master {
         let parked = std::mem::take(&mut self.parked);
         for (_, gate_id) in parked {
             self.process_delegated_batch(gate_id);
-        }
-        for _ in &self.workers {
-            let _ = self.job_tx.send(WorkerMsg::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 
@@ -473,7 +383,7 @@ impl Master {
         }
         // Stable sort so duplicate-key upserts resolve to the entry appended
         // last (the dedup above already guarantees unique keys, but keep the
-        // ordering contract explicit for `merge_batch`/`merge_window`).
+        // ordering contract explicit for `merge_batch`/`merge_sorted`).
         inserts.sort_by_key(|&(k, _)| k);
         QueueDrain::Inserts(inserts)
     }
@@ -663,8 +573,8 @@ impl Master {
     }
 
     /// Redistributes the elements of gates `[g_lo, g_hi)` evenly over their
-    /// segments, merging `batch`, using the worker pool. The caller owns all
-    /// the gates and releases them afterwards.
+    /// segments, merging `batch`. The caller owns all the gates and releases
+    /// them afterwards.
     fn redistribute(
         &self,
         inst: &PmaInstance,
@@ -679,47 +589,29 @@ impl Master {
         let num_gates = g_hi - g_lo;
         let num_segments = num_gates * spg;
 
+        // The window is merged once — the even targets need its length — and
+        // streamed through the window's gates in order, the way a resize
+        // streams the whole array.
         let batch = normalise_batch(batch);
-        // Materialise the merged window once; the workers slice it. The merge
-        // dedupes colliding keys, so the number of *new* keys (for the element
-        // counter) falls out of the length difference.
-        let chunks: Vec<&ChunkData> = (g_lo..g_hi)
+        let mut keys = Vec::with_capacity(cardinality);
+        let mut values = Vec::with_capacity(cardinality);
+        for g in g_lo..g_hi {
             // SAFETY: gates are service-owned by the caller.
-            .map(|g| unsafe { inst.gates[g].chunk() })
-            .collect();
-        let elements = Arc::new(merge_window(&chunks, batch));
-        drop(chunks);
-        let total = elements.len();
+            unsafe { inst.gates[g].chunk() }.collect_into(&mut keys, &mut values);
+        }
+        let (keys, values) = merge_sorted(keys, values, &batch);
+        // The merge dedupes colliding keys, so the number of *new* keys (for
+        // the element counter) falls out of the length difference.
+        let total = keys.len();
         let new_keys = total - cardinality;
         debug_assert!(total <= num_segments * seg_cap);
         let targets = crate::calibrator::even_targets(total, num_segments, seg_cap);
-
-        let (reply_tx, reply_rx) = unbounded();
-        let mut elem_start = 0usize;
-        for out_idx in 0..num_gates {
-            let gate_targets = targets[out_idx * spg..(out_idx + 1) * spg].to_vec();
-            let gate_total: usize = gate_targets.iter().sum();
-            let job = BuildJob {
-                elements: Arc::clone(&elements),
-                segment_capacity: seg_cap,
-                elem_start,
-                targets: gate_targets,
-                out_idx,
-                reply: reply_tx.clone(),
-            };
-            elem_start += gate_total;
-            let _ = self.job_tx.send(WorkerMsg::Build(job));
-        }
-        drop(reply_tx);
-        debug_assert_eq!(elem_start, total);
-
-        let mut staged: Vec<Option<ChunkData>> = (0..num_gates).map(|_| None).collect();
-        for _ in 0..num_gates {
-            let (idx, chunk) = reply_rx
-                .recv()
-                .expect("a rebalancer worker died while building a partition");
-            staged[idx] = Some(chunk);
-        }
+        let mut stream = keys.iter().copied().zip(values.iter().copied());
+        let staged: Vec<ChunkData> = targets
+            .chunks(spg)
+            .map(|gate_targets| ChunkData::from_stream(spg, seg_cap, gate_targets, &mut stream))
+            .collect();
+        debug_assert!(stream.next().is_none());
 
         // Freeze the window's combining queues before any fence moves. While
         // two adjacent gates are mid-update a key can transiently be covered
@@ -746,8 +638,7 @@ impl Master {
         // it. Old versions pinned by a frozen snapshot survive through the
         // snapshot's Arc clones; unpinned ones are freed here.
         let install_gen = self.shared.cow.advance();
-        for (i, staged_chunk) in staged.into_iter().enumerate() {
-            let chunk = staged_chunk.expect("every partition must be staged");
+        for (i, chunk) in staged.into_iter().enumerate() {
             mins.push(chunk.min_key());
             // SAFETY: gate is service-owned.
             let _old = unsafe { inst.install_chunk(g_lo + i, chunk, install_gen) };
@@ -811,10 +702,11 @@ impl Master {
             // SAFETY: every gate is now service-owned.
             unsafe { inst.gates[g].chunk() }.collect_into(&mut keys, &mut values);
         }
+        let old_len = keys.len();
 
         if shrink_check {
             debug_assert!(batch.is_empty() && pre_ops.is_empty());
-            if !self.shared.should_downsize(inst, keys.len()) {
+            if !self.shared.should_downsize(inst, old_len) {
                 // Abort: the combining queues are left untouched —
                 // `release_gates` schedules a drain for any gate holding
                 // queued operations, preserving their FIFO position.
@@ -849,7 +741,7 @@ impl Master {
         // reduced to the last one per key and applied as one upsert-merge
         // plus one delete-filter pass.
         let batch = normalise_batch(batch);
-        let (merged_keys, merged_values) = merge_sorted(&keys, &values, &batch);
+        let (keys, values) = merge_sorted(keys, values, &batch);
         let ops = super::dedup_last_op_per_key(pending_ops);
         let mut deletes: Vec<Key> = Vec::new();
         let mut inserts: Vec<(Key, Value)> = Vec::new();
@@ -861,8 +753,8 @@ impl Master {
         }
         inserts.sort_by_key(|&(k, _)| k);
         deletes.sort_unstable();
-        let (merged_keys, merged_values) = merge_sorted(&merged_keys, &merged_values, &inserts);
-        let (final_keys, final_values) = filter_deleted(merged_keys, merged_values, &deletes);
+        let (keys, values) = merge_sorted(keys, values, &inserts);
+        let (final_keys, final_values) = filter_deleted(keys, values, &deletes);
         let new_len = final_keys.len();
 
         // Paper: C' = 2 N / (rho_h + tau_h), rounded up to a power-of-two
@@ -890,11 +782,11 @@ impl Master {
         // instant the new instance is published, clients can pin it and
         // apply updates, and their concurrent deltas must not be lost. From
         // the moment every old gate was service-owned until publication the
-        // count could not move, so it equalled `keys.len()`.
-        if new_len != keys.len() {
+        // count could not move, so it equalled `old_len`.
+        if new_len != old_len {
             self.shared
                 .stats
-                .adjust_len(new_len as i64 - keys.len() as i64);
+                .adjust_len(new_len as i64 - old_len as i64);
         }
 
         // Invalidate the old gates and wake everyone blocked on them (both
@@ -1033,8 +925,16 @@ fn filter_deleted(keys: Vec<Key>, values: Vec<Value>, deletes: &[Key]) -> (Vec<K
 }
 
 /// Merges sorted `(keys, values)` with a sorted, deduplicated batch; batch
-/// entries win on key collisions.
-fn merge_sorted(keys: &[Key], values: &[Value], batch: &[(Key, Value)]) -> (Vec<Key>, Vec<Value>) {
+/// entries win on key collisions. An empty batch hands the input back.
+fn merge_sorted(
+    keys: Vec<Key>,
+    values: Vec<Value>,
+    batch: &[(Key, Value)],
+) -> (Vec<Key>, Vec<Value>) {
+    debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0));
+    if batch.is_empty() {
+        return (keys, values);
+    }
     let mut out_k = Vec::with_capacity(keys.len() + batch.len());
     let mut out_v = Vec::with_capacity(keys.len() + batch.len());
     let (mut i, mut j) = (0usize, 0usize);
@@ -1057,27 +957,6 @@ fn merge_sorted(keys: &[Key], values: &[Value], batch: &[(Key, Value)]) -> (Vec<
     (out_k, out_v)
 }
 
-fn worker_loop(rx: Receiver<WorkerMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Shutdown => break,
-            WorkerMsg::Build(job) => {
-                let gate_total: usize = job.targets.iter().sum();
-                let mut stream = job.elements[job.elem_start..job.elem_start + gate_total]
-                    .iter()
-                    .copied();
-                let chunk = ChunkData::from_stream(
-                    job.targets.len(),
-                    job.segment_capacity,
-                    &job.targets,
-                    &mut stream,
-                );
-                let _ = job.reply.send((job.out_idx, chunk));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,36 +970,48 @@ mod tests {
 
     #[test]
     fn merge_sorted_upserts() {
-        let (k, v) = merge_sorted(&[1, 3, 5], &[10, 30, 50], &[(2, 20), (3, 33), (9, 90)]);
+        let (k, v) = merge_sorted(
+            vec![1, 3, 5],
+            vec![10, 30, 50],
+            &[(2, 20), (3, 33), (9, 90)],
+        );
         assert_eq!(k, vec![1, 2, 3, 5, 9]);
         assert_eq!(v, vec![10, 20, 33, 50, 90]);
     }
 
     #[test]
     fn merge_sorted_with_empty_sides() {
-        let (k, v) = merge_sorted(&[], &[], &[(1, 1)]);
+        let (k, v) = merge_sorted(vec![], vec![], &[(1, 1)]);
         assert_eq!(k, vec![1]);
         assert_eq!(v, vec![1]);
-        let (k, v) = merge_sorted(&[1, 2], &[10, 20], &[]);
+        let (k, v) = merge_sorted(vec![1, 2], vec![10, 20], &[]);
         assert_eq!(k, vec![1, 2]);
         assert_eq!(v, vec![10, 20]);
     }
 
+    /// The master sleeps in `recv()` only while its bin is empty: the
+    /// instances a resize retired under a pin are reclaimed once the pin is
+    /// gone, with no further request, no flush, no later write.
     #[test]
-    fn merge_window_merges_chunks_and_batch() {
-        let mut c1 = ChunkData::new(2, 4);
-        for k in [1i64, 3, 5] {
-            c1.try_insert(k, k * 10);
+    fn an_idle_master_still_reclaims_what_a_resize_retired() {
+        let pma =
+            super::super::ConcurrentPma::new(crate::PmaParams::small().synchronous()).unwrap();
+        let pin = pma.shared.pin();
+        for k in 0..5_000i64 {
+            pma.insert(k, k);
         }
-        let mut c2 = ChunkData::new(2, 4);
-        for k in [7i64, 9] {
-            c2.try_insert(k, k * 10);
+        // Each resize retires its predecessor before the next one starts.
+        assert!(pma.stats().resizes >= 2, "{:?}", pma.stats());
+        assert!(!pma.shared.garbage.is_empty(), "the pin holds them back");
+        drop(pin);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !pma.shared.garbage.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "{} retired instances still pending after 1 s",
+                pma.shared.garbage.len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
-        let merged = merge_window(&[&c1, &c2], vec![(4, 400), (7, 777)]);
-        assert_eq!(
-            merged,
-            vec![(1, 10), (3, 30), (4, 400), (5, 50), (7, 777), (9, 90)]
-        );
-        assert_eq!(merge_window(&[&c1], vec![]).len(), 3);
     }
 }

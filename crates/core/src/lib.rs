@@ -11,7 +11,7 @@
 //! * [`concurrent::ConcurrentPma`] — the paper's contribution (section 3): the
 //!   PMA is split into chunks protected by *gates*, point operations hold at
 //!   most one gate latch, a *static index* routes lookups to gates in
-//!   `O(log_B N)`, a master/worker *rebalancer service* executes rebalances
+//!   `O(log_B N)`, a *rebalancer service* thread executes rebalances
 //!   that span multiple gates, resizes are published through a single entry
 //!   pointer and reclaimed with epoch-based garbage collection, and contended
 //!   writers combine their updates asynchronously (one-by-one or batched with

@@ -2,8 +2,13 @@
 //!
 //! The defaults follow the configuration used in the paper's evaluation
 //! (section 4): segments of 128 elements, gates of 8 segments, density
-//! thresholds `rho_1 = 0 (relaxed), tau_1 = 1, rho_h = tau_h = 0.75`,
-//! 8 rebalancer workers and batch processing with `t_delay = 100 ms`.
+//! thresholds `rho_1 = 0 (relaxed), tau_1 = 1, rho_h = tau_h = 0.75` and
+//! batch processing with `t_delay = 100 ms`.
+//!
+//! The paper's 8 rebalancer workers are not modelled: the rebalancer master
+//! builds a window's chunks itself. A worker's job would be one gate's chunk
+//! of ~1024 slots, cheaper than the channel round trip that hands it out, and
+//! the widest rebuild, a resize, never used the workers.
 
 use std::time::Duration;
 
@@ -126,8 +131,6 @@ pub struct PmaParams {
     pub segments_per_gate: usize,
     /// Density thresholds of the calibrator tree.
     pub thresholds: DensityThresholds,
-    /// Number of worker threads in the rebalancer service. Paper default: 8.
-    pub rebalancer_workers: usize,
     /// How contended updates are processed.
     pub update_mode: UpdateMode,
     /// Element-distribution policy used by rebalances.
@@ -145,7 +148,6 @@ impl Default for PmaParams {
             segment_capacity: 128,
             segments_per_gate: 8,
             thresholds: DensityThresholds::default(),
-            rebalancer_workers: 8,
             update_mode: UpdateMode::default(),
             rebalance_policy: RebalancePolicy::Traditional,
             downsize_at: 0.5,
@@ -161,7 +163,6 @@ impl PmaParams {
         Self {
             segment_capacity: 8,
             segments_per_gate: 2,
-            rebalancer_workers: 2,
             ..Self::default()
         }
     }
@@ -248,12 +249,6 @@ impl PmaParams {
                 format!("must be a power of two, got {}", self.segments_per_gate),
             ));
         }
-        if self.rebalancer_workers == 0 {
-            return Err(PmaError::invalid(
-                "rebalancer_workers",
-                "must be at least 1".to_string(),
-            ));
-        }
         if !(0.0..1.0).contains(&self.downsize_at) {
             return Err(PmaError::invalid(
                 "downsize_at",
@@ -280,7 +275,6 @@ mod tests {
         assert_eq!(p.segment_capacity, 128);
         assert_eq!(p.segments_per_gate, 8);
         assert_eq!(p.gate_capacity(), 1024);
-        assert_eq!(p.rebalancer_workers, 8);
         assert_eq!(
             p.update_mode,
             UpdateMode::Batch {
@@ -334,12 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_workers_and_fanout_rejected() {
-        let p = PmaParams {
-            rebalancer_workers: 0,
-            ..PmaParams::default()
-        };
-        assert!(p.validate().is_err());
+    fn invalid_fanout_and_downsize_rejected() {
         let p = PmaParams {
             index_node_fanout: 1,
             ..PmaParams::default()

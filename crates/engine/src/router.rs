@@ -415,9 +415,9 @@ pub struct CoreRouter {
 
 impl CoreRouter {
     /// Spawns the worker threads and wraps `inner` behind the shard-affine
-    /// dispatch layer. Workers are persistent for the router's lifetime —
-    /// like the sharded engine's ingest pool, because inner instances bind
-    /// epoch slots per thread, a worker-per-call design would exhaust them.
+    /// dispatch layer. Workers are persistent for the router's lifetime
+    /// because they are the serving threads: each owns its ingress ring and
+    /// its key range for as long as the router lives.
     pub fn new(config: CoreRouterConfig, inner: Arc<dyn ConcurrentMap>) -> Result<Self, PmaError> {
         Self::with_poll_budget(config, inner, POLL_BUDGET)
     }

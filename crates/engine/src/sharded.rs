@@ -52,10 +52,13 @@
 //! shards in directory order — each shard's stream is already sorted and the
 //! fences guarantee stream `i` ends strictly below stream `i+1`.
 //! [`ShardedMap::scan_all`]/[`ShardedMap::scan_range`] fold the per-shard
-//! streams concurrently (the merge of [`ScanStats`] is order-insensitive)
-//! while [`ShardedMap::range`] walks the covering shards sequentially so the
+//! streams side by side on scoped threads once the range covers a whole
+//! interior shard (the merge of [`ScanStats`] is order-insensitive), while
+//! [`ShardedMap::range`] walks the covering shards sequentially so the
 //! visitor observes the global ascending order. All three pin one directory
-//! generation end to end.
+//! generation end to end. The engine keeps no thread pool: the bulk load,
+//! those scans and large batches share one fan-out helper (`side_by_side`)
+//! whose threads live as long as the call.
 //!
 //! # Incremental splits and merges
 //!
@@ -100,13 +103,14 @@
 //! so load hovering at a boundary cannot trigger split→merge→split thrash
 //! (suppressed crossings are counted in `split_thrash_averted`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use pma_common::obs;
 use pma_common::util::CachePadded;
@@ -544,66 +548,6 @@ impl Directory {
     }
 }
 
-/// A unit of work executed by the engine's worker pool.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A small persistent worker pool for cross-shard fan-out (parallel scans
-/// and batch ingestion), mirroring the rebalancer's master/worker idiom.
-///
-/// The pool keeps a fan-out from paying a thread spawn per shard per call.
-/// Freshly spawned threads would be correct too — a thread's epoch slot
-/// index goes back to its pool when the thread exits ([`EpochRegistry`]) —
-/// only slower.
-struct WorkerPool {
-    job_tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(size: usize) -> Self {
-        let (job_tx, job_rx) = unbounded::<Job>();
-        let workers = (0..size.max(1))
-            .map(|i| {
-                let job_rx = job_rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("pma-shard-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = job_rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("failed to spawn a shard worker thread")
-            })
-            .collect();
-        Self {
-            job_tx: Some(job_tx),
-            workers,
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        if let Some(tx) = &self.job_tx {
-            let _ = tx.send(job);
-        }
-    }
-
-    /// Number of worker threads — the fan-out paths fall back to in-thread
-    /// execution when the pool cannot actually run jobs in parallel.
-    fn parallelism(&self) -> usize {
-        self.workers.len()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Disconnect the channel; the workers drain it and exit.
-        self.job_tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// State shared between the public handle and the monitor thread.
 struct Engine {
     config: ShardedConfig,
@@ -623,8 +567,6 @@ struct Engine {
     /// Serialises structural changes (splits, merges) so at most one
     /// directory re-publication is in flight.
     maintenance: Mutex<()>,
-    /// Workers executing cross-shard fan-out (scans, batch runs).
-    pool: WorkerPool,
     stats: EngineStats,
     /// Counters absorbed from shards retired by splits/merges (their inner
     /// instances die with their counters), by metric name: added to the
@@ -1200,37 +1142,50 @@ fn plan_shards(items: &[(Key, Value)], n: usize) -> Vec<(Key, Key, usize, usize)
     plan
 }
 
-/// Runs `build` over `plan` on as many scoped threads as the machine has cores
-/// (at most 8, the size of the engine's worker pool), each taking one
-/// contiguous stretch of the plan — a bulk load's runs are equally long — and
-/// returns the results in plan order. After the first error no further entry
-/// is started, that error is returned and whatever was built is dropped.
-fn build_side_by_side<P: Sync, T: Send>(
+/// Folds every entry of `plan` into an `A` with `f`: the engine's one
+/// fan-out (bulk load, whole-shard scans, large batches). The plan is cut
+/// into contiguous stretches, at most `threads` of them; every stretch but
+/// the last folds on a scoped thread, the last on the caller — so a single
+/// stretch spawns nothing and allocates nothing — and the stretches' folds
+/// are combined with `merge` in plan order. After the first error no further
+/// entry is started, the first error in plan order is returned and whatever
+/// was folded is dropped.
+fn side_by_side<P: Sync, A: Default + Send, E: Send>(
     plan: &[P],
-    build: impl Fn(&P) -> Result<T, PmaError> + Sync,
-) -> Result<Vec<T>, PmaError> {
+    threads: usize,
+    f: impl Fn(&mut A, &P) -> Result<(), E> + Sync,
+    merge: impl Fn(&mut A, A),
+) -> Result<A, E> {
     let failed = AtomicBool::new(false);
-    let build_stretch = |stretch: &[P]| {
-        let mut built = Vec::with_capacity(stretch.len());
+    let run = |stretch: &[P]| {
+        let mut acc = A::default();
         for entry in stretch {
             if failed.load(Ordering::Relaxed) {
                 break;
             }
-            built.push(build(entry).inspect_err(|_| failed.store(true, Ordering::Relaxed))?);
+            f(&mut acc, entry).inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
         }
-        Ok(built)
+        Ok(acc)
     };
-    let per_thread = plan.len().div_ceil(fanout_parallelism()).max(1);
+    let mut stretches = plan.chunks(plan.len().div_ceil(threads.max(1)).max(1));
+    let Some(last) = stretches.next_back() else {
+        return Ok(A::default());
+    };
+    if stretches.len() == 0 {
+        return run(last);
+    }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .chunks(per_thread)
-            .map(|stretch| scope.spawn(|| build_stretch(stretch)))
-            .collect();
-        let mut all = Vec::with_capacity(plan.len());
+        let spawned: Vec<_> = stretches.map(|s| scope.spawn(move || run(s))).collect();
+        let mine = run(last);
+        let mut all = A::default();
         let mut first_error = None;
-        for handle in handles {
-            match handle.join().expect("a shard loader thread panicked") {
-                Ok(built) => all.extend(built),
+        let joined = spawned.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        for result in joined.chain([mine]) {
+            match result {
+                Ok(part) => merge(&mut all, part),
                 Err(e) => {
                     first_error.get_or_insert(e);
                 }
@@ -1240,12 +1195,16 @@ fn build_side_by_side<P: Sync, T: Send>(
     })
 }
 
-/// Threads a cross-shard fan-out may use: one per core, at most 8.
+/// Threads a fan-out may use: one per core, at most 8. Resolved once per
+/// process — `available_parallelism` is a syscall plus cgroup reads.
 fn fanout_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(8)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+            .min(8)
+    })
 }
 
 /// A consistent view of one shard-directory generation.
@@ -1371,59 +1330,30 @@ impl ShardSnapshot<'_> {
 
     /// Folds the scan of every shard whose range intersects `[lo, hi]`.
     ///
-    /// With a parallel worker pool the per-shard streams run concurrently
-    /// and their [`ScanStats`] are merged (correct because the streams are
-    /// disjoint and the merge is order-insensitive). On a single-core host
-    /// the fan-out would only add channel handoffs and context switches —
-    /// and an order-insensitive fold needs no element buffering at all, so
-    /// the k-way merge degenerates to draining the covered shards in
-    /// directory order through their native bulk scans. (Paths that must
-    /// *emit* elements in global order — [`Self::range`], `collect_block` —
-    /// run the real loser-tree block merge in `merge.rs`.)
+    /// [`ScanStats::merge`] is order-insensitive and the per-shard streams
+    /// are disjoint, so no element is buffered: a range that covers a whole
+    /// interior shard folds its shards side by side, a range that touches
+    /// only one shard or two neighbouring edges folds them in directory
+    /// order on the caller — a spawn costs more than an edge's scan (paths
+    /// that must *emit* elements in global order — [`Self::range`],
+    /// `collect_block` — run the loser-tree block merge in `merge.rs`).
     fn fold_scan(&self, lo: Key, hi: Key) -> ScanStats {
-        let mut total = ScanStats::default();
         if lo > hi {
-            return total;
+            return ScanStats::default();
         }
         let first = self.dir.route(lo);
         let last = self.dir.route(hi);
-        let covered = &self.dir.shards[first..=last];
-        let busy: Vec<&Arc<Shard>> = covered.iter().filter(|s| !s.map.is_empty()).collect();
-        match busy.len() {
-            0 => {}
-            1 => {
-                let s = busy[0];
-                total.merge(&s.map.scan_range(lo.max(s.lo), hi.min(s.hi)));
-            }
-            _ if self.engine.pool.parallelism() > 1 => {
-                EngineStats::bump(&self.engine.stats.cross_shard_scans);
-                // Fan the per-shard streams out to the persistent worker
-                // pool (never to fresh threads — see [`WorkerPool`]) and
-                // fold the replies; ScanStats::merge is order-insensitive,
-                // so completion order does not matter.
-                let (reply_tx, reply_rx) = unbounded();
-                let mut jobs = 0usize;
-                for s in &busy {
-                    let shard = Arc::clone(s);
-                    let reply = reply_tx.clone();
-                    let (lo, hi) = (lo.max(s.lo), hi.min(s.hi));
-                    self.engine.pool.submit(Box::new(move || {
-                        let _ = reply.send(shard.map.scan_range(lo, hi));
-                    }));
-                    jobs += 1;
-                }
-                drop(reply_tx);
-                for _ in 0..jobs {
-                    total.merge(&reply_rx.recv().expect("a shard scan worker died"));
-                }
-            }
-            _ => {
-                EngineStats::bump(&self.engine.stats.cross_shard_scans);
-                for s in &busy {
-                    total.merge(&s.map.scan_range(lo.max(s.lo), hi.min(s.hi)));
-                }
-            }
+        if last > first {
+            EngineStats::bump(&self.engine.stats.cross_shard_scans);
         }
+        let threads = (last - first >= 2).then(fanout_parallelism).unwrap_or(1);
+        let scan = |total: &mut ScanStats, s: &Arc<Shard>| {
+            total.merge(&s.map.scan_range(lo.max(s.lo), hi.min(s.hi)));
+            Ok::<_, Infallible>(())
+        };
+        let Ok(total) = side_by_side(&self.dir.shards[first..=last], threads, scan, |a, b| {
+            a.merge(&b)
+        });
         total
     }
 }
@@ -1658,10 +1588,12 @@ impl ShardedMap {
         check_sorted(items)?;
         let inner = Self::capture_inner(&config, registry)?;
         let plan = plan_shards(items, planned_fanout(&config, items.len()));
-        let shards = build_side_by_side(&plan, |&(lo, hi, start, end)| {
+        let build = |shards: &mut Vec<_>, &(lo, hi, start, end): &_| {
             let map = inner.build_loaded(&config.inner_spec, &items[start..end])?;
-            Ok(Shard::new(lo, hi, map, true))
-        })?;
+            shards.push(Shard::new(lo, hi, map, true));
+            Ok(())
+        };
+        let shards = side_by_side(&plan, fanout_parallelism(), build, Extend::extend)?;
         Self::start(config, inner, shards)
     }
 
@@ -1678,7 +1610,6 @@ impl ShardedMap {
             epoch: EpochRegistry::new(),
             garbage: GarbageBin::new(),
             maintenance: Mutex::new(()),
-            pool: WorkerPool::new(fanout_parallelism()),
             stats: EngineStats::new(),
             retired_counters: Mutex::new(BTreeMap::new()),
             stop: AtomicBool::new(false),
@@ -1963,16 +1894,17 @@ impl ConcurrentMap for ShardedMap {
         // (their shard retired under them) are re-split against the fresh
         // directory and retried — the loop terminates because structural ops
         // are serialised and each retry observes a newer directory.
-        let mut remaining: Vec<(Key, Value)> = items.to_vec();
+        let mut remaining = Cow::Borrowed(items);
         while !remaining.is_empty() {
             let _pin = self.engine.epoch.pin();
             // SAFETY: pinned above.
             let dir = unsafe { self.engine.dir_ref() };
-            let mut runs: Vec<Vec<(Key, Value)>> = vec![Vec::new(); dir.shards.len()];
-            for &(k, v) in &remaining {
-                runs[dir.route(k)].push((k, v));
+            let mut plan: Vec<(&Shard, Vec<(Key, Value)>)> =
+                dir.shards.iter().map(|s| (&**s, Vec::new())).collect();
+            for &(k, v) in remaining.iter() {
+                plan[dir.route(k)].1.push((k, v));
             }
-            let occupied = runs.iter().filter(|r| !r.is_empty()).count();
+            let occupied = plan.iter().filter(|(_, run)| !run.is_empty()).count();
             EngineStats::add(&self.engine.stats.batch_runs, occupied as u64);
             // Applies one run under its shard's shared latch; hands the
             // unapplied remainder back when the shard was retired by a
@@ -1987,7 +1919,7 @@ impl ConcurrentMap for ShardedMap {
             fn apply_run(
                 engine: &Engine,
                 shard: &Shard,
-                run: Vec<(Key, Value)>,
+                run: &[(Key, Value)],
             ) -> Option<Vec<(Key, Value)>> {
                 let mut start = 0usize;
                 while start < run.len() {
@@ -2017,46 +1949,24 @@ impl ConcurrentMap for ShardedMap {
                 }
                 None
             }
-            let mut leftovers: Vec<(Key, Value)> = Vec::new();
-            if occupied > 1 && remaining.len() >= 2048 {
-                // Ingest per-shard runs in parallel on the persistent worker
-                // pool (the §3.5 batch path of each inner instance runs
-                // independently per shard).
-                let (reply_tx, reply_rx) = unbounded();
-                let mut jobs = 0usize;
-                for (i, run) in runs.into_iter().enumerate() {
-                    if run.is_empty() {
-                        continue;
-                    }
-                    let shard = Arc::clone(&dir.shards[i]);
-                    let reply = reply_tx.clone();
-                    let engine = Arc::clone(&self.engine);
-                    self.engine.pool.submit(Box::new(move || {
-                        let _ = reply.send(apply_run(&engine, &shard, run));
-                    }));
-                    jobs += 1;
+            // The §3.5 batch path of each inner instance runs independently
+            // per shard: large batches over several shards apply side by
+            // side.
+            let large = occupied > 1 && remaining.len() >= 2048;
+            let threads = large.then(fanout_parallelism).unwrap_or(1);
+            let engine = &*self.engine;
+            let apply = |leftovers: &mut Vec<_>, (shard, run): &(&Shard, Vec<_>)| {
+                if let Some(rest) = apply_run(engine, shard, run) {
+                    EngineStats::bump(&engine.stats.retired_retries);
+                    leftovers.extend(rest);
                 }
-                drop(reply_tx);
-                for _ in 0..jobs {
-                    if let Some(run) = reply_rx.recv().expect("a batch worker died") {
-                        EngineStats::bump(&self.engine.stats.retired_retries);
-                        leftovers.extend(run);
-                    }
-                }
-            } else {
-                for (i, run) in runs.into_iter().enumerate() {
-                    if !run.is_empty() {
-                        if let Some(run) = apply_run(&self.engine, &dir.shards[i], run) {
-                            EngineStats::bump(&self.engine.stats.retired_retries);
-                            leftovers.extend(run);
-                        }
-                    }
-                }
-            }
+                Ok::<_, Infallible>(())
+            };
+            let Ok(leftovers) = side_by_side(&plan, threads, apply, Extend::extend);
             // Leftovers from distinct shards stay internally ordered per key
             // (same-key entries always land in the same shard), so upsert
             // semantics are preserved across retries.
-            remaining = leftovers;
+            remaining = Cow::Owned(leftovers);
         }
     }
 
@@ -2653,7 +2563,7 @@ mod tests {
         );
         // The loaders ran side by side, so shards were built before the
         // failure; each was dropped — a PMA's drop joins its `pma-*` service
-        // threads — and no directory, monitor or worker pool ever existed.
+        // thread — and no directory or monitor ever existed.
         let built: Vec<_> = FLAKY_BUILT
             .lock()
             .iter()
@@ -2668,6 +2578,135 @@ mod tests {
         let map = ShardedMap::from_sorted(clean, &local, &items).unwrap();
         assert_eq!(map.num_shards(), 16);
         assert_eq!(map.len(), items.len());
+    }
+
+    #[test]
+    fn side_by_side_keeps_plan_order_and_runs_the_last_stretch_on_the_caller() {
+        use std::thread::current;
+        for threads in 1..=3usize {
+            for n in [0, 1, threads, threads + 1, 3 * threads] {
+                let plan: Vec<usize> = (0..n).collect();
+                let record = |out: &mut Vec<_>, &i: &usize| {
+                    out.push((i, current().id()));
+                    Ok::<_, Infallible>(())
+                };
+                let Ok(out) = side_by_side(&plan, threads, record, Extend::extend);
+                let what = format!("{n} entries on {threads} threads");
+                assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), plan, "{what}");
+                // Contiguous stretches, each on its own thread, the last on
+                // the caller's: a single stretch spawns nothing.
+                let stretches: Vec<_> = out.chunks(n.div_ceil(threads).max(1)).collect();
+                let ids: Vec<_> = stretches.iter().map(|s| s[0].1).collect();
+                let distinct = ids.iter().enumerate().all(|(i, id)| !ids[..i].contains(id));
+                assert!(ids.len() <= threads && distinct, "{what}");
+                assert!(
+                    stretches.iter().all(|s| s.iter().all(|o| o.1 == s[0].1)),
+                    "{what}"
+                );
+                assert!(n == 0 || ids[ids.len() - 1] == current().id(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn side_by_side_starts_nothing_after_the_first_error() {
+        // One stretch: the entries behind the failing one never start.
+        let started = AtomicU64::new(0);
+        let plan: Vec<usize> = (0..10).collect();
+        let fail_at_4 = |_: &mut (), &i: &usize| {
+            started.fetch_add(1, Ordering::Relaxed);
+            (i != 4).then_some(()).ok_or(i)
+        };
+        let result = side_by_side(&plan, 1, fail_at_4, |_, _| {});
+        assert_eq!(result, Err(4));
+        assert_eq!(started.load(Ordering::Relaxed), 5);
+
+        // Two stretches: the spawned one fails on its first entry, and the
+        // caller's first waits until that thread has exited — its
+        // thread-local's destructor runs after the failure was recorded — so
+        // the caller starts no other.
+        static EXITED: AtomicBool = AtomicBool::new(false);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.store(true, Ordering::Release);
+            }
+        }
+        thread_local!(static ON_EXIT: OnExit = const { OnExit });
+        let started = AtomicU64::new(0);
+        let plan: Vec<usize> = (0..100).collect();
+        let fail_first = |_: &mut (), &i: &usize| {
+            started.fetch_add(1, Ordering::Relaxed);
+            if i == 0 {
+                ON_EXIT.with(|_| {});
+                return Err(i);
+            }
+            while i == 50 && !EXITED.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            Ok(())
+        };
+        let result = side_by_side(&plan, 2, fail_first, |_, _| {});
+        assert_eq!(result, Err(0));
+        assert_eq!(started.load(Ordering::Relaxed), 2);
+    }
+
+    /// The three callers of the fan-out on a 6-shard engine: a range inside
+    /// one shard, across two edges only (folded inline), across whole
+    /// shards (folded side by side), and batches large enough to apply side
+    /// by side — all against a `BTreeMap`.
+    #[test]
+    fn side_by_side_scans_and_batches_agree_with_a_btreemap() {
+        let cfg = ShardedConfig {
+            monitor_interval: Duration::ZERO,
+            ..config(6)
+        };
+        let map = ShardedMap::new(cfg, registry()).unwrap();
+        let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+        let step = KEY_MAX / 2_048;
+        for round in 0..2i64 {
+            // 4096 keys over the whole domain; the second round overwrites
+            // every other one of the first and adds as many new ones.
+            let items: Vec<(Key, Value)> = (0..4_096i64)
+                .map(|i| ((i - 2_048) * step + round * (i % 2) * 7, i * 10 + round))
+                .collect();
+            let runs_before = map.stats().batch_runs;
+            map.insert_batch(&items);
+            assert!(
+                map.stats().batch_runs - runs_before >= 3,
+                "{:?}",
+                map.stats()
+            );
+            model.extend(items.iter().copied());
+        }
+        map.flush();
+        assert_eq!(map.len(), model.len());
+        let layout = map.shard_layout();
+        assert_eq!(layout.len(), 6);
+        let expect = |lo: Key, hi: Key| {
+            let mut stats = ScanStats::default();
+            for (&k, &v) in model.range(lo..=hi) {
+                stats.visit(k, v);
+            }
+            stats
+        };
+        let margin = 100 * step;
+        let ranges = [
+            ("one shard", layout[2].0 + margin, layout[2].1 - margin),
+            ("two edges", layout[1].1 - margin, layout[2].0 + margin),
+            ("whole shards", layout[0].1 - margin, layout[4].0 + margin),
+            ("everything", KEY_MIN, KEY_MAX),
+        ];
+        for (what, lo, hi) in ranges {
+            let expected = expect(lo, hi);
+            assert!(expected.count > 0, "{what}");
+            assert_eq!(map.scan_range(lo, hi), expected, "{what}");
+        }
+        assert_eq!(map.scan_all(), expect(KEY_MIN, KEY_MAX));
+        assert_eq!(
+            map.collect_range(KEY_MIN, KEY_MAX),
+            model.into_iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]

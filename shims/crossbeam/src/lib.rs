@@ -2,9 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so this in-workspace shim
 //! provides the subset of `crossbeam::channel` the workspace uses: an
-//! unbounded MPMC channel with cloneable senders *and* receivers (std's
-//! `mpsc::Receiver` cannot be cloned, which the rebalancer worker pool needs),
-//! plus `recv_timeout` with `crossbeam`-compatible error types — and, in
+//! unbounded MPMC channel with cloneable senders *and* receivers, as the
+//! crate has them (std's `mpsc::Receiver` cannot be cloned), plus
+//! `recv_timeout` with `crossbeam`-compatible error types — and, in
 //! [`queue`], the bounded lock-free `ArrayQueue` the thread-per-core router's
 //! ingress is built on.
 

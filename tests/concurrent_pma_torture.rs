@@ -13,7 +13,6 @@ fn pma(mode: UpdateMode) -> Arc<ConcurrentPma> {
     let params = PmaParams {
         segment_capacity: 16,
         segments_per_gate: 4,
-        rebalancer_workers: 2,
         update_mode: mode,
         ..PmaParams::default()
     };
