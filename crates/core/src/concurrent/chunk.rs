@@ -21,22 +21,29 @@
 //! the adaptive-rebalancing predictor state (`f64` bits), only touched by
 //! writers.
 //!
-//! # Two waits for memory per point operation
+//! # Waits for memory per point operation
 //!
 //! Out of cache, what a point operation costs inside a chunk is the number
 //! of times it waits for memory *in series*, not the number of lines it
-//! touches. There are two: the slab head (geometry and routing prefix,
-//! adjacent lines), and then the segment — routing reads nothing but the
-//! prefix (`mins[s]` is the first key of a non-empty segment `s`), and as
-//! soon as it has `s`, [`ChunkData::get`] (and a range inside one segment)
-//! asks for every occupied line of the segment's key run and value run
-//! before the search touches any of them. The search's probes and the value
-//! read then overlap one trip to memory instead of each starting its own
-//! when the previous one returns. [`ChunkData::try_insert`] and
-//! [`ChunkData::remove`] do the same and add the slot an insertion shifts
-//! into and `activity[s]`, which sits a whole slot array away at the end of
-//! the slab: the search, the two shifts and the activity record share that
-//! one trip (`docs/INTERNALS.md`, *Update path budget*).
+//! touches. A chunk alone would cost two: the slab head (geometry and
+//! routing prefix, adjacent lines), and then the segment — routing reads
+//! nothing but the prefix (`mins[s]` is the first key of a non-empty
+//! segment `s`), and as soon as it has `s`, [`ChunkData::get`] (and a range
+//! inside one segment) asks for every occupied line of the segment's key run
+//! and value run before the search touches any of them. The search's probes
+//! and the value read then overlap one trip to memory instead of each
+//! starting its own when the previous one returns. [`ChunkData::try_insert`]
+//! and [`ChunkData::remove`] do the same and add the slot an insertion
+//! shifts into and `activity[s]`, which sits a whole slot array away at the
+//! end of the slab: the search, the two shifts and the activity record
+//! share that one trip (`docs/INTERNALS.md`, *Update path budget*).
+//!
+//! Behind the static index neither is a wait of its own: the index keeps a
+//! copy of each gate's prefix ([`ChunkData::slab_hint`]) and asks for the
+//! slab head and the segment the copy names while the caller waits for the
+//! gate's line (`static_index`, *Slab and segment hints*). The chunk's own
+//! segment prefetch stays as the fallback for a copy a writer has since
+//! made stale.
 //!
 //! The reference count is what carries copy-on-write: cloning a chunk is an
 //! `Arc` bump (that is how a frozen snapshot captures it), and every
@@ -52,6 +59,8 @@ use std::sync::Arc;
 
 use crate::adaptive::AdaptivePredictor;
 use pma_common::{simd, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
+
+use super::static_index::{SlabHint, SlabLayout};
 
 /// Outcome of [`ChunkData::try_insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -468,12 +477,32 @@ impl ChunkData {
         (Arc::as_ptr(&self.slab) as *const i64 as usize).wrapping_sub(ARC_HEADER)
     }
 
-    /// Bytes from [`ChunkData::head_addr`] through `cards` for a chunk of
-    /// `num_segments` segments: everything a point operation reads (and a
-    /// writer's uniqueness check writes) before it knows its segment.
+    /// What the static index keeps of this chunk: [`ChunkData::head_addr`]
+    /// and the routing prefix (`mins`: the first key of every non-empty
+    /// segment, an empty one inheriting its left neighbour's, leading
+    /// empties [`KEY_MIN`]; `cards`).
     #[inline]
-    pub fn head_bytes(num_segments: usize) -> usize {
-        ARC_HEADER + (MINS + 2 * num_segments) * std::mem::size_of::<i64>()
+    pub fn slab_hint(&self) -> SlabHint<'_> {
+        let v = self.view();
+        SlabHint {
+            addr: self.head_addr(),
+            mins: v.mins,
+            cards: v.cards,
+        }
+    }
+
+    /// Where a chunk of `num_segments` segments of `segment_capacity` slots
+    /// keeps its pieces, from [`ChunkData::head_addr`] on: the head (through
+    /// `cards`: everything a point operation reads, and a writer's
+    /// uniqueness check writes, before it knows its segment), then the key
+    /// slots, then the value slots.
+    pub fn slab_layout(num_segments: usize, segment_capacity: usize) -> SlabLayout {
+        let word = std::mem::size_of::<i64>();
+        SlabLayout {
+            segments: num_segments,
+            head_bytes: ARC_HEADER + (MINS + 2 * num_segments) * word,
+            segment_bytes: segment_capacity * word,
+        }
     }
 
     /// The write generation that installed this version of the chunk.

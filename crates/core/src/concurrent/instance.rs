@@ -99,7 +99,7 @@ impl PmaInstance {
         let index = StaticIndex::with_slab_hints(
             params.index_node_fanout,
             &separators,
-            ChunkData::head_bytes(segments_per_gate),
+            ChunkData::slab_layout(segments_per_gate, segment_capacity),
         );
 
         let gates: Box<[Gate]> = chunks
@@ -107,7 +107,7 @@ impl PmaInstance {
             .enumerate()
             .map(|(g, chunk)| {
                 // Stamping a fresh (unshared) slab does not move it.
-                index.set_slab_hint(g, chunk.head_addr());
+                index.set_slab_hint(g, chunk.slab_hint());
                 Gate::with_chunk_gen(g, chunk, gen, fences[g].0, fences[g].1)
             })
             .collect();
@@ -127,7 +127,7 @@ impl PmaInstance {
 
     /// Exclusive, copy-on-write access to gate `g`'s chunk
     /// ([`Gate::chunk_mut_cow`]); a copy moves the slab, so its new address
-    /// goes into the index's hint for `g`.
+    /// (and its routing prefix) goes into the index's hint for `g`.
     ///
     /// # Safety
     /// Same contract as [`Gate::chunk_mut_cow`]: the caller holds gate `g`'s
@@ -137,7 +137,7 @@ impl PmaInstance {
     pub unsafe fn chunk_mut_cow(&self, g: usize, stamp: u64) -> (&mut ChunkData, bool) {
         let (chunk, copied) = self.gates[g].chunk_mut_cow(stamp);
         if copied {
-            self.index.set_slab_hint(g, chunk.head_addr());
+            self.index.set_slab_hint(g, chunk.slab_hint());
         }
         (chunk, copied)
     }
@@ -151,7 +151,7 @@ impl PmaInstance {
     pub unsafe fn install_chunk(&self, g: usize, new: ChunkData, gen: u64) -> ChunkData {
         let old = self.gates[g].install_chunk(new, gen);
         self.index
-            .set_slab_hint(g, self.gates[g].chunk().head_addr());
+            .set_slab_hint(g, self.gates[g].chunk().slab_hint());
         old
     }
 

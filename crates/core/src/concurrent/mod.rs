@@ -1742,6 +1742,35 @@ mod tests {
         }
     }
 
+    /// The gates whose segment row in the static index differs from their
+    /// chunk's minima after the first — or, with `occupancy`, from its
+    /// per-segment counts.
+    fn stale_segment_rows(p: &ConcurrentPma, occupancy: bool) -> Vec<usize> {
+        let _pin = p.shared.pin();
+        // SAFETY: pinned above.
+        let inst = unsafe { p.shared.instance_ref() };
+        (0..inst.num_gates())
+            .filter(|&g| {
+                let guard = inst.gates[g].acquire_shared(&p.shared.stats).unwrap();
+                let prefix = guard.chunk().slab_hint();
+                let (mins, counts) = inst.index.segment_hint(g).unwrap();
+                let cards = prefix.cards.iter().map(|&c| c as usize);
+                mins != prefix.mins[1..] || (occupancy && !counts.into_iter().eq(cards))
+            })
+            .collect()
+    }
+
+    /// At a point where no write has moved a segment minimum since the
+    /// gates' slabs were put in place, every gate's segment row is current.
+    fn assert_segment_hints_current(p: &ConcurrentPma, occupancy: bool) {
+        let stale = stale_segment_rows(p, occupancy);
+        assert!(
+            stale.is_empty(),
+            "stale rows of gates {stale:?} of {}",
+            p.num_gates()
+        );
+    }
+
     #[test]
     fn slab_hints_are_current_after_a_bulk_load() {
         let items: Vec<(i64, i64)> = (0..100_000i64).map(|k| (k * 16, k)).collect();
@@ -1749,6 +1778,96 @@ mod tests {
         assert!(p.num_gates() > 64);
         assert_slab_hints_current(&p);
         assert_slab_hints_current(&pma(UpdateMode::Synchronous));
+    }
+
+    /// After a bulk load — eight segments of 128 slots to a gate, and two
+    /// of eight — every row is its chunk's prefix, and for every probe
+    /// (stored keys, the gaps between them, below and above them all) the
+    /// segment the index asks for is the one the chunk routes to.
+    #[test]
+    fn segment_hints_are_current_after_a_bulk_load() {
+        let items: Vec<(i64, i64)> = (0..100_000i64).map(|k| (k * 16, k)).collect();
+        for params in [PmaParams::default(), PmaParams::small()] {
+            let p = ConcurrentPma::from_sorted(params, &items).unwrap();
+            assert!(p.num_gates() > 64);
+            assert_segment_hints_current(&p, true);
+            let _pin = p.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { p.shared.instance_ref() };
+            let probes = (-20..1_600_020i64).step_by(4).chain([Key::MIN, Key::MAX]);
+            for key in probes {
+                let (g, s) = inst.index.hinted_segment(key).unwrap();
+                let (routed, guard) = p.acquire_read(inst, key).unwrap();
+                assert_eq!(g, routed, "key {key}");
+                assert_eq!(s, guard.chunk().find_segment(key), "key {key}");
+            }
+        }
+        assert_segment_hints_current(&pma(UpdateMode::Synchronous), true);
+    }
+
+    /// A write that moves a segment minimum leaves the gate's row stale; a
+    /// copy-on-write copy stores its slab's prefix along with its address,
+    /// so once `frozen()` and a write to every gate have copied every slab,
+    /// every row is current again.
+    #[test]
+    fn segment_hints_follow_copy_on_write() {
+        // Dense enough (0.57) that the removes below leave no room for a
+        // downsize, which would rebuild every row.
+        let items: Vec<(i64, i64)> = (0..150_000i64).map(|k| (k * 16, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::default().synchronous(), &items).unwrap();
+        let heads: Vec<Key> = {
+            let _pin = p.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { p.shared.instance_ref() };
+            (0..inst.num_gates())
+                .flat_map(|g| inst.index.segment_hint(g).unwrap().0)
+                .collect()
+        };
+        // Removing the first key of every segment but each gate's first
+        // moves every minimum after the first, and stores no row.
+        for &head in &heads {
+            assert!(p.remove(head).is_some());
+        }
+        assert_eq!(p.stats().total_rebalances(), 0);
+        assert_eq!(stale_segment_rows(&p, false).len(), p.num_gates());
+        let frozen = p.frozen();
+        // Overwrites of the keys left: one copy per gate, and no minimum or
+        // count moves after it.
+        let removed: std::collections::HashSet<Key> = heads.into_iter().collect();
+        for &(k, v) in items.iter().filter(|(k, _)| !removed.contains(k)) {
+            p.insert(k, v + 1);
+        }
+        assert_eq!(p.stats().cow_copies, p.num_gates() as u64);
+        assert_segment_hints_current(&p, true);
+        assert_eq!(frozen.get(16), Some(1));
+        assert_eq!(p.get(16), Some(2));
+    }
+
+    /// Ascending inserts never move a segment minimum (each lands behind
+    /// the last key of its segment), so right after each resize and each
+    /// multi-gate rebalance every row must be current: the instance
+    /// construction and the rebalance's `install_chunk` store them.
+    #[test]
+    fn segment_hints_are_current_after_resizes_and_global_rebalances() {
+        for mode in [
+            UpdateMode::Synchronous,
+            UpdateMode::Batch {
+                t_delay: Duration::from_millis(1),
+            },
+        ] {
+            let p = pma(mode);
+            let (mut resizes, mut rebalances) = (0, 0);
+            for k in 0..8_000i64 {
+                p.insert(k, -k);
+                let stats = p.stats();
+                if (stats.resizes, stats.global_rebalances) != (resizes, rebalances) {
+                    (resizes, rebalances) = (stats.resizes, stats.global_rebalances);
+                    assert_segment_hints_current(&p, false);
+                }
+            }
+            assert!(resizes >= 3 && rebalances >= 3, "{mode:?}: {:?}", p.stats());
+            assert_eq!(p.len(), 8_000);
+        }
     }
 
     /// Growing from empty goes through every way a slab reaches a gate
@@ -1813,6 +1932,9 @@ mod tests {
         assert_eq!(p.num_gates(), gates);
         assert_eq!(p.stats().cow_copies, gates as u64);
         assert_slab_hints_current(&p);
+        // Overwrites move no minimum and change no count: the rows the
+        // copies stored are their chunks' prefixes.
+        assert_segment_hints_current(&p, true);
         let after = hints_of(&p);
         assert!(
             before.iter().zip(&after).all(|(b, a)| b != a),

@@ -126,23 +126,32 @@ fn every_registry_backend_matches_the_model_on_a_second_seed() {
     }
 }
 
-/// The static index keeps each gate's slab address as a prefetch hint, and
-/// a hint may change timing only. With every hint stored from here on
-/// forced to zero, then to a garbage address, the model check above —
-/// `get`, `scan_range`, `range`, `insert`, `remove`, through growth,
-/// rebalances and resizes, for every registry spec (the PMAs directly,
-/// and inside the sharded engine and the router) — answers as it always
-/// does. The override is process-wide, so the other tests of this binary may
+/// The static index keeps each gate's slab address and a copy of its
+/// segment minima and occupancy as prefetch hints, and a hint may change
+/// timing only. With every hint word stored from here on forced to zero,
+/// then to garbage (minima and occupancy included: `usize::MAX - 1` reads
+/// as `mins == -2` and 254 or 255 elements in every segment), the model
+/// check above — `get`, `scan_range`, `range`, `insert`, `remove`, through
+/// growth, rebalances and resizes, for every registry spec (the PMAs
+/// directly, and inside the sharded engine and the router) — answers as it
+/// always does. The override is process-wide, so the other tests of this binary may
 /// run under it too: by the property under test, they cannot tell.
 #[test]
 fn poisoned_slab_hints_change_no_answer() {
+    use rma_concurrent::core::concurrent::chunk::ChunkData;
     use rma_concurrent::core::concurrent::static_index::{poison_slab_hints, StaticIndex};
     for poison in [0usize, 0xDEAD_BEEF_F00D_0008, usize::MAX - 1] {
         poison_slab_hints(Some(poison));
-        // The override is live: a store of a real address lands as poison.
-        let index = StaticIndex::with_slab_hints(8, &[i64::MIN, 0], 160);
-        index.set_slab_hint(1, &index as *const StaticIndex as usize);
+        // The override is live: a store of a real hint lands as poison, the
+        // address and every word of the segment row.
+        let index = StaticIndex::with_slab_hints(8, &[i64::MIN, 0], ChunkData::slab_layout(8, 128));
+        let chunk = ChunkData::from_stream(8, 128, &[1; 8], &mut (0..8).map(|k| (k, k)));
+        index.set_slab_hint(1, chunk.slab_hint());
         assert_eq!(index.slab_hint(1), Some(poison));
+        let (mins, occupancy) = index.segment_hint(1).unwrap();
+        assert_eq!(mins, vec![poison as i64; 7]);
+        let bytes: Vec<usize> = (0..8).map(|b| (poison >> (8 * b)) & 0xFF).collect();
+        assert_eq!(occupancy, bytes);
         for spec in all_specs() {
             run_model_check(&spec, 0xDEADBEEF ^ poison as u64, 4_000);
         }
