@@ -1843,10 +1843,15 @@ mod tests {
         assert_eq!(p.get(16), Some(2));
     }
 
-    /// Ascending inserts never move a segment minimum (each lands behind
-    /// the last key of its segment), so right after each resize and each
-    /// multi-gate rebalance every row must be current: the instance
-    /// construction and the rebalance's `install_chunk` store them.
+    /// Ascending inserts all land in the last gate, and every resize and
+    /// every multi-gate rebalance rebuilds that gate (it is the one that
+    /// overflowed), storing its row through the instance construction or
+    /// the rebalance's `install_chunk`. The writer's own local rebalances
+    /// move that gate's minima between two such events and store no row,
+    /// so an event must be seen before the writer's next insert: the master
+    /// counts a rebalance or a resize before it lets the writer that waited
+    /// for it go on, and that writer's retry has room without a local
+    /// rebalance. Right after each event, then, every row is current.
     #[test]
     fn segment_hints_are_current_after_resizes_and_global_rebalances() {
         for mode in [

@@ -452,8 +452,10 @@ impl Master {
                 let hi = g_hi.max(owned_hi);
                 let leftover = self.settle_window_queues(inst, g_lo, g_hi);
                 if leftover.is_empty() {
-                    self.release_gates(inst, lo, hi);
+                    // Counted before the release: a writer that waited for
+                    // this rebalance sees it counted when it resumes.
                     Stats::bump(&self.shared.stats.global_rebalances);
+                    self.release_gates(inst, lo, hi);
                 } else {
                     // A gate filled past its local-rebalance headroom while
                     // the service held the window, so a settled insertion
@@ -788,6 +790,9 @@ impl Master {
                 .stats
                 .adjust_len(new_len as i64 - old_len as i64);
         }
+        // Counted before the wake-ups below, so a writer that waited for
+        // this resize sees it counted when it resumes.
+        Stats::bump(&self.shared.stats.resizes);
 
         // Invalidate the old gates and wake everyone blocked on them (both
         // ordinary waiters and the writers parked by `queue_closed`), then
@@ -801,7 +806,6 @@ impl Master {
             gate.invalidate(st, &self.shared.stats);
         }
         self.shared.garbage.retire(&self.shared.registry, old);
-        Stats::bump(&self.shared.stats.resizes);
     }
 
     /// Handles a delegated combining queue once its `t_delay` has elapsed:

@@ -50,6 +50,7 @@ pub mod backends;
 pub mod bytesharded;
 mod merge;
 mod park;
+mod ring;
 pub mod router;
 pub mod sharded;
 pub mod stats;

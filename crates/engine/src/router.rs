@@ -16,22 +16,26 @@
 //!
 //! * **route** — the client probes the worker fences with the SIMD kernel
 //!   (`O(log W)`, branch-free tail) to find the owning worker;
-//! * **ship** — one push onto the worker's lock-free ring
-//!   ([`crossbeam::queue::ArrayQueue`]: a CAS and a store). Point inserts
-//!   are fire-and-forget (§3.5's batch mode: the ring *is* the combining
-//!   buffer), `get`/`remove` carry the client thread's reply cell and
-//!   wait on it (one-by-one mode), and `insert_batch` splits at the worker
-//!   fences and ships whole runs that all answer to the same cell;
+//! * **ship** — one push onto the worker's lock-free MPSC ring (`ring.rs`:
+//!   a CAS on `tail`, which only producers touch, the value, and a stamp
+//!   store into the slot the worker pops next). Point inserts are
+//!   fire-and-forget (§3.5's batch mode: the ring *is* the combining
+//!   buffer), `get`/`remove` carry the address of the client thread's reply
+//!   cell and wait on it (one-by-one mode), and `insert_batch` splits at
+//!   the worker fences and ships whole runs that all answer to the same
+//!   cell;
 //! * **poll** — nobody sleeps while traffic flows. Every wait (worker on an
 //!   empty ring, client on its reply, `Block`-policy producer on a full
 //!   ring) is the one routine of `park.rs`: spin, then yield between
 //!   checks, and only past its polling budget park; whoever ends a wait
 //!   checks one flag and makes the `futex` call only if somebody is parked,
 //!   so an idle router costs no CPU and a busy one no sleeps or wake-ups;
-//! * **drain** — each worker pops runs (up to [`DRAIN_RUN`] ops per pass),
-//!   coalescing consecutive inserts and shipped runs into one buffer that
-//!   is applied through the inner map's `insert_batch` fast path before
-//!   any read/remove/barrier in the run.
+//! * **drain** — each worker owns its ring's consumer end and pops runs
+//!   (up to [`DRAIN_RUN`] ops per pass; an empty poll reads one stamp and
+//!   writes nothing), coalescing consecutive inserts and shipped runs into
+//!   one buffer that is applied through the inner map's `insert_batch` fast
+//!   path before any read/remove/barrier in the run. Producers waiting for
+//!   room hear about it once the pass has sent its replies.
 //!   All mutations go through the inner structure's normal latched paths,
 //!   so the engine's linearizability invariant (`late_replays == 0`) holds
 //!   unchanged; the router adds ordering on top: a worker's ring is FIFO
@@ -39,7 +43,11 @@
 //!   apply in ship order, and a `get` shipped after an insert of the same
 //!   key observes it;
 //! * **reply** — the worker stores the answer in the client's cell and
-//!   counts it down; no allocation, no lock.
+//!   counts it down; no allocation, no lock, no reference count. A sync op
+//!   moves two cache lines between the client's core and the worker's: the
+//!   ring slot out and the reply cell back. Nothing else written per op is
+//!   read by the other side: producers alone touch `tail`, the worker alone
+//!   `head` and its counters.
 //!
 //! **Visibility**: shipped `get`/`remove` give genuine read-your-writes.
 //! FIFO shipping alone is not enough — a batch-mode inner may *park* a
@@ -65,12 +73,12 @@
 //! is queued it occupies one of the `queue_depth` slots.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::queue::ArrayQueue;
+use parking_lot::Mutex;
 use pma_common::obs::{MetricSource, Observe};
 use pma_common::{
     obs, simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError,
@@ -78,6 +86,7 @@ use pma_common::{
 };
 
 use crate::park::{Parker, POLL_BUDGET};
+use crate::ring::{Consumer, Ring};
 use crate::sharded::uniform_bounds;
 
 /// Maximum ops a worker takes out of its ingress ring per drain pass.
@@ -161,9 +170,11 @@ impl CoreRouterConfig {
 
 /// Where the replies to a client thread's sync ships arrive: a countdown of
 /// outstanding replies and the value of the last `get`/`remove`. Each client
-/// thread owns one (see [`REPLY`]) and reuses it for every op; a shipped op
-/// carries a clone of the `Arc`, so the worker can never outlive the cell.
+/// thread holds one (see [`REPLY`]) and reuses it for every op; a shipped op
+/// carries its address. On a line of its own: the client writes it before
+/// it ships and the worker when it replies, and nothing else may ride along.
 #[derive(Default)]
+#[repr(align(64))]
 struct ReplyCell {
     /// Replies still to come. The client sets it before it ships; a
     /// worker's `Release` decrement publishes `found`/`value`.
@@ -173,9 +184,53 @@ struct ReplyCell {
     waiter: Parker,
 }
 
+/// Reply cells of exited client threads, for the next thread that ships a
+/// sync op. A cell is never freed: a worker may still be inside the
+/// `notify` of its last reply when the client has already returned, exited
+/// and handed the cell on. The worst that late `notify` does is wake the
+/// cell's next owner early, and [`Parker::wait`] checks again.
+static FREE_CELLS: Mutex<Vec<&'static ReplyCell>> = Mutex::new(Vec::new());
+
+/// What [`reply_cells_made`] reports.
+static CELLS_MADE: AtomicUsize = AtomicUsize::new(0);
+
+/// A client thread's hold on a reply cell: taken from [`FREE_CELLS`] (or
+/// made) on the thread's first sync op, given back when the thread exits.
+struct CellLease(&'static ReplyCell);
+
+impl CellLease {
+    fn take() -> Self {
+        let free = FREE_CELLS.lock().pop();
+        Self(free.unwrap_or_else(|| {
+            CELLS_MADE.fetch_add(1, Ordering::Relaxed);
+            Box::leak(Box::default())
+        }))
+    }
+}
+
+impl Drop for CellLease {
+    fn drop(&mut self) {
+        FREE_CELLS.lock().push(self.0);
+    }
+}
+
 thread_local! {
     /// The calling thread's reply cell.
-    static REPLY: Arc<ReplyCell> = Arc::default();
+    static REPLY: CellLease = CellLease::take();
+}
+
+/// The calling thread's reply cell.
+fn reply_cell() -> &'static ReplyCell {
+    REPLY.with(|lease| lease.0)
+}
+
+/// Reply cells made so far in this process. They are pooled and never
+/// freed, so this is at most the most client threads that were ever alive
+/// at once; a count that grows with the number of threads that have come
+/// and gone is a leak.
+#[doc(hidden)]
+pub fn reply_cells_made() -> usize {
+    CELLS_MADE.load(Ordering::Relaxed)
 }
 
 impl ReplyCell {
@@ -216,15 +271,15 @@ enum ShippedOp {
     /// Sync removal: the worker replies with the previous value (resolved
     /// against its read overlay, so it is exact even when the inner
     /// structure would have delegated the delete).
-    Remove(Key, Arc<ReplyCell>),
+    Remove(Key, &'static ReplyCell),
     /// Sync lookup: FIFO behind earlier same-worker inserts and answered
     /// overlay-first, so it reads its own worker's writes even while the
     /// inner structure still holds them parked in a combining queue.
-    Get(Key, Arc<ReplyCell>),
+    Get(Key, &'static ReplyCell),
     /// A whole per-worker batch run. Boxed so a ring slot stays at 32 bytes.
     Run(Box<ShippedRun>),
     /// Drain barrier: replies once everything shipped before it is applied.
-    Barrier(Arc<ReplyCell>),
+    Barrier(&'static ReplyCell),
     /// Worker shutdown (sent by `Drop`, after all producers are gone).
     Stop,
 }
@@ -235,13 +290,13 @@ const _: () = assert!(std::mem::size_of::<ShippedOp>() <= 24);
 /// applied.
 struct ShippedRun {
     items: Vec<(Key, Value)>,
-    reply: Arc<ReplyCell>,
+    reply: &'static ReplyCell,
 }
 
-/// A worker's bounded MPSC ingress: the lock-free ring and the two places
-/// threads wait on it.
+/// A worker's bounded MPSC ingress: the lock-free ring (whose consumer end
+/// the worker takes) and the two places threads wait on it.
 struct IngressQueue {
-    ring: ArrayQueue<ShippedOp>,
+    ring: Ring<ShippedOp>,
     /// The worker, on an empty ring.
     not_empty: Parker,
     /// Producers that must not shed, on a full ring.
@@ -251,7 +306,7 @@ struct IngressQueue {
 impl IngressQueue {
     fn new(capacity: usize) -> Self {
         Self {
-            ring: ArrayQueue::new(capacity),
+            ring: Ring::new(capacity),
             not_empty: Parker::default(),
             not_full: Parker::default(),
         }
@@ -283,40 +338,60 @@ impl IngressQueue {
         true
     }
 
-    /// Waits until at least one op is queued, then moves up to
-    /// [`DRAIN_RUN`] ops into `out` in FIFO order.
-    fn pop_run(&self, out: &mut Vec<ShippedOp>, shared: &Shared) {
-        let parks = &shared.counters.worker_parks;
-        out.push(self.not_empty.wait(shared.poll, parks, || self.ring.pop()));
+    /// Worker side: waits until at least one op is queued, then moves up to
+    /// [`DRAIN_RUN`] ops from `ring`, this queue's consumer end, into `out`
+    /// in FIFO order.
+    fn pop_run(
+        &self,
+        ring: &mut Consumer<'_, ShippedOp>,
+        out: &mut Vec<ShippedOp>,
+        poll: Duration,
+        parks: &AtomicU64,
+    ) {
+        out.push(self.not_empty.wait(poll, parks, || ring.pop()));
         while out.len() < DRAIN_RUN {
-            match self.ring.pop() {
+            match ring.pop() {
                 Some(op) => out.push(op),
                 None => break,
             }
         }
-        // Many producers can be parked on distinct slots freed by one
-        // drain; this wakes them all.
-        self.not_full.notify(&shared.counters.wakes_sent);
     }
 }
 
-/// Shared atomic counters of a [`CoreRouter`] (lock-free, relaxed: they are
-/// diagnostics, not synchronisation).
+/// Counters of events that are rare while traffic flows — sheds, waits,
+/// parks and wake-ups — written by whichever thread has one (relaxed: they
+/// are diagnostics, not synchronisation). Per-op counts are the workers'
+/// ([`WorkerCounters`]).
 #[derive(Default)]
+#[repr(align(64))]
 struct RouterCounters {
+    backpressure_waits: AtomicU64,
+    ops_shed: AtomicU64,
+    pinned_workers: AtomicU64,
+    reply_parks: AtomicU64,
+    producer_parks: AtomicU64,
+    wakes_sent: AtomicU64,
+}
+
+/// One worker's counters, on a line only that worker writes: each one a
+/// load and a plain store (see [`bump`]), never an RMW. A point op is
+/// counted when the worker pops it, before anything answers it, so the
+/// counts are exact once `flush` returns.
+#[derive(Default)]
+#[repr(align(64))]
+struct WorkerCounters {
     shipped_ops: AtomicU64,
     shipped_runs: AtomicU64,
     drained_batches: AtomicU64,
     coalesced_inserts: AtomicU64,
-    backpressure_waits: AtomicU64,
-    ops_shed: AtomicU64,
-    pinned_workers: AtomicU64,
     worker_parks: AtomicU64,
-    reply_parks: AtomicU64,
-    producer_parks: AtomicU64,
-    wakes_sent: AtomicU64,
     overlay_settles: AtomicU64,
     overlay_settle_ns: AtomicU64,
+}
+
+/// Adds `by` to a counter that only the calling thread writes.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
 }
 
 /// A point-in-time copy of a router's counters.
@@ -355,27 +430,6 @@ pub struct CoreRouterStats {
     pub overlay_settle_ns: u64,
 }
 
-impl RouterCounters {
-    fn snapshot(&self) -> CoreRouterStats {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        CoreRouterStats {
-            shipped_ops: load(&self.shipped_ops),
-            shipped_runs: load(&self.shipped_runs),
-            drained_batches: load(&self.drained_batches),
-            coalesced_inserts: load(&self.coalesced_inserts),
-            backpressure_waits: load(&self.backpressure_waits),
-            ops_shed: load(&self.ops_shed),
-            pinned_workers: load(&self.pinned_workers),
-            worker_parks: load(&self.worker_parks),
-            reply_parks: load(&self.reply_parks),
-            producer_parks: load(&self.producer_parks),
-            wakes_sent: load(&self.wakes_sent),
-            overlay_settles: load(&self.overlay_settles),
-            overlay_settle_ns: load(&self.overlay_settle_ns),
-        }
-    }
-}
-
 impl MetricSource for CoreRouterStats {
     fn observe(&self, out: &mut dyn Observe) {
         out.counter("shipped_ops", self.shipped_ops);
@@ -397,8 +451,37 @@ impl MetricSource for CoreRouterStats {
 /// What the router handle and its workers share besides the queues.
 struct Shared {
     counters: RouterCounters,
+    /// Indexed by worker.
+    workers: Box<[WorkerCounters]>,
     /// Polling budget of every wait: [`POLL_BUDGET`] outside the tests.
     poll: Duration,
+}
+
+impl Shared {
+    /// The rare counters plus every worker's.
+    fn snapshot(&self) -> CoreRouterStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let rare = &self.counters;
+        let mut stats = CoreRouterStats {
+            backpressure_waits: load(&rare.backpressure_waits),
+            ops_shed: load(&rare.ops_shed),
+            pinned_workers: load(&rare.pinned_workers),
+            reply_parks: load(&rare.reply_parks),
+            producer_parks: load(&rare.producer_parks),
+            wakes_sent: load(&rare.wakes_sent),
+            ..CoreRouterStats::default()
+        };
+        for worker in self.workers.iter() {
+            stats.shipped_ops += load(&worker.shipped_ops);
+            stats.shipped_runs += load(&worker.shipped_runs);
+            stats.drained_batches += load(&worker.drained_batches);
+            stats.coalesced_inserts += load(&worker.coalesced_inserts);
+            stats.worker_parks += load(&worker.worker_parks);
+            stats.overlay_settles += load(&worker.overlay_settles);
+            stats.overlay_settle_ns += load(&worker.overlay_settle_ns);
+        }
+        stats
+    }
 }
 
 /// The thread-per-core dispatch front-end. See the [module docs](self).
@@ -436,6 +519,7 @@ impl CoreRouter {
             .collect();
         let shared = Arc::new(Shared {
             counters: RouterCounters::default(),
+            workers: (0..config.workers).map(|_| Default::default()).collect(),
             poll,
         });
         let queues: Vec<Arc<IngressQueue>> = (0..config.workers)
@@ -477,9 +561,10 @@ impl CoreRouter {
         self.queues.len()
     }
 
-    /// A point-in-time copy of the router's counters.
+    /// A point-in-time copy of the router's counters. The per-op counts are
+    /// taken as the workers pop the ops: exact once `flush` returns.
     pub fn stats(&self) -> CoreRouterStats {
-        self.shared.counters.snapshot()
+        self.shared.snapshot()
     }
 
     /// Current total depth across all ingress queues.
@@ -487,14 +572,13 @@ impl CoreRouter {
         self.queues.iter().map(|queue| queue.ring.len()).sum()
     }
 
-    /// Ships a data op (a point op or a run, counted in `shipped`), waiting
-    /// for space if its worker's ring is full.
-    fn ship_blocking(&self, worker: usize, op: ShippedOp, shipped: &AtomicU64) {
+    /// Ships a data op (a point op or a run), waiting for space if its
+    /// worker's ring is full.
+    fn ship_blocking(&self, worker: usize, op: ShippedOp) {
         if self.queues[worker].push(op, &self.shared) {
             let counters = &self.shared.counters;
             counters.backpressure_waits.fetch_add(1, Ordering::Relaxed);
         }
-        shipped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Ships the sync op `op` builds around the calling thread's reply cell
@@ -502,23 +586,19 @@ impl CoreRouter {
     fn ship_and_wait(
         &self,
         worker: usize,
-        op: impl FnOnce(Arc<ReplyCell>) -> ShippedOp,
+        op: impl FnOnce(&'static ReplyCell) -> ShippedOp,
     ) -> Option<Value> {
         let _span = obs::span(obs::Category::OpShip, worker as u64);
-        REPLY.with(|reply| {
-            reply.pending.store(1, Ordering::Relaxed);
-            let shipped = &self.shared.counters.shipped_ops;
-            self.ship_blocking(worker, op(Arc::clone(reply)), shipped);
-            reply.wait(&self.shared)
-        })
+        let reply = reply_cell();
+        reply.pending.store(1, Ordering::Relaxed);
+        self.ship_blocking(worker, op(reply));
+        reply.wait(&self.shared)
     }
 }
 
 impl ConcurrentMap for CoreRouter {
     fn insert(&self, key: Key, value: Value) {
-        let worker = self.route(key);
-        let shipped = &self.shared.counters.shipped_ops;
-        self.ship_blocking(worker, ShippedOp::Insert(key, value), shipped);
+        self.ship_blocking(self.route(key), ShippedOp::Insert(key, value));
     }
 
     fn try_insert(&self, key: Key, value: Value) -> Result<(), PmaError> {
@@ -530,13 +610,10 @@ impl ConcurrentMap for CoreRouter {
             OverloadPolicy::Shed => {
                 let worker = self.route(key);
                 let queue = &self.queues[worker];
-                let counters = &self.shared.counters;
                 match queue.try_push(ShippedOp::Insert(key, value), &self.shared) {
-                    Ok(()) => {
-                        counters.shipped_ops.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    }
+                    Ok(()) => Ok(()),
                     Err(_rejected) => {
+                        let counters = &self.shared.counters;
                         counters.ops_shed.fetch_add(1, Ordering::Relaxed);
                         Err(PmaError::Overloaded {
                             worker,
@@ -610,33 +687,30 @@ impl ConcurrentMap for CoreRouter {
         if shipped == 0 {
             return;
         }
-        REPLY.with(|reply| {
-            reply.pending.store(shipped as u32, Ordering::Relaxed);
-            for (worker, run) in runs.into_iter().enumerate() {
-                if run.is_empty() {
-                    continue;
-                }
-                let _span = obs::span(obs::Category::OpShip, worker as u64);
-                let reply = Arc::clone(reply);
-                let op = ShippedOp::Run(Box::new(ShippedRun { items: run, reply }));
-                self.ship_blocking(worker, op, &self.shared.counters.shipped_runs);
+        let reply = reply_cell();
+        reply.pending.store(shipped as u32, Ordering::Relaxed);
+        for (worker, run) in runs.into_iter().enumerate() {
+            if run.is_empty() {
+                continue;
             }
-            reply.wait(&self.shared);
-        });
+            let _span = obs::span(obs::Category::OpShip, worker as u64);
+            let op = ShippedOp::Run(Box::new(ShippedRun { items: run, reply }));
+            self.ship_blocking(worker, op);
+        }
+        reply.wait(&self.shared);
     }
 
     fn flush(&self) {
         // Barrier every worker, wait for all drains, then flush the inner
         // structure's own deferred machinery.
-        REPLY.with(|reply| {
-            reply
-                .pending
-                .store(self.queues.len() as u32, Ordering::Relaxed);
-            for queue in &self.queues {
-                queue.push(ShippedOp::Barrier(Arc::clone(reply)), &self.shared);
-            }
-            reply.wait(&self.shared);
-        });
+        let reply = reply_cell();
+        reply
+            .pending
+            .store(self.queues.len() as u32, Ordering::Relaxed);
+        for queue in &self.queues {
+            queue.push(ShippedOp::Barrier(reply), &self.shared);
+        }
+        reply.wait(&self.shared);
         self.inner.flush();
     }
 
@@ -700,13 +774,15 @@ fn worker_loop(
     inner: &dyn ConcurrentMap,
     shared: &Shared,
 ) {
-    let counters = &shared.counters;
     if pin && crate::affinity::pin_current_thread(worker) {
+        let counters = &shared.counters;
         counters.pinned_workers.fetch_add(1, Ordering::Relaxed);
     }
+    let mine = &shared.workers[worker];
+    let mut ring = queue.ring.consumer();
     let mut batch: Vec<ShippedOp> = Vec::with_capacity(DRAIN_RUN);
     let mut run_buf: Vec<(Key, Value)> = Vec::new();
-    let mut run_replies: Vec<Arc<ReplyCell>> = Vec::new();
+    let mut run_replies: Vec<&'static ReplyCell> = Vec::new();
     // Writes acknowledged since the inner last settled (`None` = removed).
     // A batch-mode inner may park an applied run in a combining queue —
     // ordered but not yet chunk-visible — so sync ops answer overlay-first;
@@ -714,18 +790,20 @@ fn worker_loop(
     // overlay authoritative for every key it holds.
     let mut overlay: HashMap<Key, Option<Value>> = HashMap::new();
     loop {
-        queue.pop_run(&mut batch, shared);
+        queue.pop_run(&mut ring, &mut batch, shared.poll, &mine.worker_parks);
         let mut span = obs::span(obs::Category::IngressDrain, worker as u64);
         span.set_payload(batch.len() as u64);
-        counters.drained_batches.fetch_add(1, Ordering::Relaxed);
+        bump(&mine.drained_batches, 1);
         let mut stop = false;
         for op in batch.drain(..) {
             match op {
                 ShippedOp::Insert(key, value) => {
+                    bump(&mine.shipped_ops, 1);
                     overlay.insert(key, Some(value));
                     run_buf.push((key, value));
                 }
                 ShippedOp::Run(run) => {
+                    bump(&mine.shipped_runs, 1);
                     let ShippedRun { items, reply } = *run;
                     for &(key, value) in &items {
                         overlay.insert(key, Some(value));
@@ -736,7 +814,8 @@ fn worker_loop(
                 // Sync ops flush the pending insert train first so FIFO
                 // ship order is the apply order per key.
                 ShippedOp::Remove(key, reply) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
+                    bump(&mine.shipped_ops, 1);
+                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
                     let prev = match overlay.insert(key, None) {
                         Some(state) => state,
                         None => inner.get(key),
@@ -745,7 +824,8 @@ fn worker_loop(
                     reply.complete(prev, shared);
                 }
                 ShippedOp::Get(key, reply) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
+                    bump(&mine.shipped_ops, 1);
+                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
                     let result = match overlay.get(&key) {
                         Some(&state) => state,
                         None => inner.get(key),
@@ -753,7 +833,7 @@ fn worker_loop(
                     reply.complete(result, shared);
                 }
                 ShippedOp::Barrier(reply) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
+                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
                     reply.done(shared);
                 }
                 ShippedOp::Stop => {
@@ -762,7 +842,13 @@ fn worker_loop(
                 }
             }
         }
-        flush_coalesced(inner, &mut run_buf, &mut run_replies, shared);
+        flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
+        // Only now, with the pass's replies sent: `notify`'s fence drains
+        // this core's store buffer, so in front of the first op it would
+        // hold the `get` until the freed slots' stamp stores had their lines
+        // back from the producer's core. Many producers can be parked on
+        // distinct slots freed by one pass; this wakes them all.
+        queue.not_full.notify(&shared.counters.wakes_sent);
         if stop {
             return;
         }
@@ -774,10 +860,8 @@ fn worker_loop(
             let started = Instant::now();
             inner.flush();
             overlay.clear();
-            counters.overlay_settles.fetch_add(1, Ordering::Relaxed);
-            counters
-                .overlay_settle_ns
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            bump(&mine.overlay_settles, 1);
+            bump(&mine.overlay_settle_ns, started.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -788,12 +872,12 @@ fn worker_loop(
 fn flush_coalesced(
     inner: &dyn ConcurrentMap,
     run_buf: &mut Vec<(Key, Value)>,
-    run_replies: &mut Vec<Arc<ReplyCell>>,
+    run_replies: &mut Vec<&'static ReplyCell>,
     shared: &Shared,
+    mine: &WorkerCounters,
 ) {
     if !run_buf.is_empty() {
-        let coalesced = &shared.counters.coalesced_inserts;
-        coalesced.fetch_add(run_buf.len() as u64, Ordering::Relaxed);
+        bump(&mine.coalesced_inserts, run_buf.len() as u64);
         inner.insert_batch(run_buf);
         run_buf.clear();
     }
@@ -806,7 +890,6 @@ fn flush_coalesced(
 mod tests {
     use super::*;
     use crate::park::tests::until;
-    use parking_lot::Mutex;
     use pma_common::Registry;
     use std::collections::BTreeMap;
     use std::sync::mpsc;
