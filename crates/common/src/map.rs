@@ -211,15 +211,6 @@ pub struct MaintenanceStats {
     /// still pinned by a frozen snapshot (the copy-on-write slow path). Zero
     /// while no snapshot is live.
     pub cow_copies: u64,
-    /// Write generations currently pinned by live frozen snapshots. A gauge
-    /// (not a counter): `merge` sums it across composite backends, so for a
-    /// sharded engine it reads as the total number of live per-shard pins.
-    pub pinned_generations: u64,
-    /// How many write generations the oldest live snapshot lags behind the
-    /// current write generation (0 with no live snapshot). A gauge; `merge`
-    /// sums it across inner instances, so composite backends report the
-    /// aggregate staleness debt their snapshots are holding.
-    pub snapshot_lag: u64,
     /// Chase rounds run by incremental structural changes (the sharded
     /// engine's delta-log splits): each round replays the ops that landed
     /// while the previous round was copying. Zero for backends without
@@ -229,24 +220,24 @@ pub struct MaintenanceStats {
     /// was over capacity (backpressure on the chase protocol).
     pub delta_backpressure_waits: u64,
     /// How many epochs the oldest still-active reader lags behind the
-    /// current reclamation epoch (0 when quiesced). A gauge; `merge` sums it
-    /// across inner instances, like [`MaintenanceStats::snapshot_lag`].
+    /// current reclamation epoch (0 when quiesced). A gauge; `merge` keeps
+    /// the largest, since inner instances run independent epoch clocks and
+    /// their lags do not add up.
     pub epoch_lag: u64,
 }
 
 impl MaintenanceStats {
-    /// Element-wise accumulation (for composite backends).
+    /// Element-wise accumulation (for composite backends): counters add up,
+    /// the `epoch_lag` gauge takes the maximum.
     pub fn merge(&mut self, other: &MaintenanceStats) {
         self.splits += other.splits;
         self.merges += other.merges;
         self.stall_ns += other.stall_ns;
         self.thrash_averted += other.thrash_averted;
         self.cow_copies += other.cow_copies;
-        self.pinned_generations += other.pinned_generations;
-        self.snapshot_lag += other.snapshot_lag;
         self.chase_rounds += other.chase_rounds;
         self.delta_backpressure_waits += other.delta_backpressure_waits;
-        self.epoch_lag += other.epoch_lag;
+        self.epoch_lag = self.epoch_lag.max(other.epoch_lag);
     }
 }
 
@@ -257,8 +248,6 @@ impl MetricSource for MaintenanceStats {
         out.counter("stall_ns", self.stall_ns);
         out.counter("thrash_averted", self.thrash_averted);
         out.counter("cow_copies", self.cow_copies);
-        out.gauge("pinned_generations", self.pinned_generations as f64);
-        out.gauge("snapshot_lag", self.snapshot_lag as f64);
         out.counter("chase_rounds", self.chase_rounds);
         out.counter("delta_backpressure_waits", self.delta_backpressure_waits);
         out.gauge("epoch_lag", self.epoch_lag as f64);
@@ -688,8 +677,6 @@ mod tests {
             stall_ns: 30,
             thrash_averted: 4,
             cow_copies: 5,
-            pinned_generations: 6,
-            snapshot_lag: 7,
             chase_rounds: 8,
             delta_backpressure_waits: 9,
             epoch_lag: 1,
@@ -700,8 +687,6 @@ mod tests {
             stall_ns: 300,
             thrash_averted: 40,
             cow_copies: 50,
-            pinned_generations: 60,
-            snapshot_lag: 70,
             chase_rounds: 80,
             delta_backpressure_waits: 90,
             epoch_lag: 10,
@@ -714,11 +699,10 @@ mod tests {
                 stall_ns: 330,
                 thrash_averted: 44,
                 cow_copies: 55,
-                pinned_generations: 66,
-                snapshot_lag: 77,
                 chase_rounds: 88,
                 delta_backpressure_waits: 99,
-                epoch_lag: 11,
+                // A gauge of independent clocks: the larger lag, not a sum.
+                epoch_lag: 10,
             }
         );
     }
@@ -730,7 +714,6 @@ mod tests {
         MaintenanceStats {
             splits: 1,
             cow_copies: 5,
-            snapshot_lag: 7,
             chase_rounds: 8,
             delta_backpressure_waits: 9,
             epoch_lag: 2,
@@ -746,7 +729,6 @@ mod tests {
         assert_eq!(snap.counter("m_cow_copies"), Some(5));
         assert_eq!(snap.counter("m_chase_rounds"), Some(8));
         assert_eq!(snap.counter("m_delta_backpressure_waits"), Some(9));
-        assert_eq!(snap.value("m_snapshot_lag"), Some(7.0));
         assert_eq!(snap.value("m_epoch_lag"), Some(2.0));
         assert_eq!(snap.counter("m_owned_applies"), Some(3));
     }

@@ -506,18 +506,10 @@ impl ConcurrentByteMap for BytePma {
     }
 
     fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        let pinned = {
-            let dir = self.dir.read();
-            dir.chunks
-                .iter()
-                .filter(|c| Arc::strong_count(&c.read()) > 1)
-                .count() as u64
-        };
         Some(MaintenanceStats {
             splits: self.splits.load(AtomicOrdering::Relaxed),
             merges: self.merges.load(AtomicOrdering::Relaxed),
             cow_copies: self.cow_copies.load(AtomicOrdering::Relaxed),
-            pinned_generations: pinned,
             // Reprefix rebuilds are chunk reconstructions forced by a key
             // escaping the shared prefix — the byte engine's analogue of a
             // redistribute, reported in the closest existing column.

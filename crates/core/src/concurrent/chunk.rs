@@ -11,14 +11,13 @@
 //! words, reached from the gate's hot line with one pointer hop:
 //!
 //! ```text
-//! | gen | geometry | mins[S] | cards[S] | keys[S*B] | values[S*B] | activity[S] |
+//! | geometry | mins[S] | cards[S] | keys[S*B] | values[S*B] | activity[S] |
 //! ```
 //!
-//! The routing prefix (`mins`, `cards`) sits right behind the header, so a
-//! point lookup touches the slab's first two or three cache lines, then the
-//! one segment it routes to. `gen` is the write generation that installed
-//! this version of the chunk (see [`super::version::CowGen`]); `activity` is
-//! the adaptive-rebalancing predictor state (`f64` bits), only touched by
+//! The routing prefix (`mins`, `cards`) sits right behind the one-word
+//! header, so a point lookup touches the slab's first two or three cache
+//! lines, then the one segment it routes to. `activity` is the
+//! adaptive-rebalancing predictor state (`f64` bits), only touched by
 //! writers.
 //!
 //! # Waits for memory per point operation
@@ -74,12 +73,10 @@ pub enum ChunkInsert {
     SegmentFull(usize),
 }
 
-/// Slab word holding the write generation.
-const GEN: usize = 0;
 /// Slab word holding `num_segments << 32 | segment_capacity`.
-const GEOMETRY: usize = 1;
+const GEOMETRY: usize = 0;
 /// First word of the routing prefix.
-const MINS: usize = 2;
+const MINS: usize = 1;
 /// Bytes of `Arc`'s two reference counts, which sit in front of the slab's
 /// words in the same allocation.
 const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
@@ -96,7 +93,6 @@ pub struct ChunkData {
 impl std::fmt::Debug for ChunkData {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkData")
-            .field("gen", &self.gen())
             .field("num_segments", &self.num_segments())
             .field("segment_capacity", &self.segment_capacity())
             .field("cardinality", &self.cardinality())
@@ -460,13 +456,18 @@ impl ChunkData {
         ViewMut::new(Arc::make_mut(&mut self.slab))
     }
 
-    /// Whether a clone of this chunk still shares its slab, i.e. whether
-    /// the next mutation will copy. (`&mut`: the check must synchronise
-    /// with the drop of the last clone, which `Arc::get_mut` does and a
-    /// plain count load does not.)
+    /// Copies the slab now if a clone (a frozen snapshot) still shares it,
+    /// so that its address — the static index's hint — is final before any
+    /// mutation; returns whether it copied. (`Arc::get_mut`, not a plain
+    /// count load: the check must synchronise with the drop of the last
+    /// clone.)
     #[inline]
-    pub(crate) fn is_shared(&mut self) -> bool {
-        Arc::get_mut(&mut self.slab).is_none()
+    pub(crate) fn make_unique(&mut self) -> bool {
+        let shared = Arc::get_mut(&mut self.slab).is_none();
+        if shared {
+            Arc::make_mut(&mut self.slab);
+        }
+        shared
     }
 
     /// Where the slab's allocation starts (the reference counts; the words
@@ -503,18 +504,6 @@ impl ChunkData {
             head_bytes: ARC_HEADER + (MINS + 2 * num_segments) * word,
             segment_bytes: segment_capacity * word,
         }
-    }
-
-    /// The write generation that installed this version of the chunk.
-    #[inline]
-    pub fn gen(&self) -> u64 {
-        self.slab[GEN] as u64
-    }
-
-    /// Stamps the chunk with a write generation (copying a shared slab
-    /// first, like every mutation).
-    pub fn set_gen(&mut self, gen: u64) {
-        Arc::make_mut(&mut self.slab)[GEN] = gen as i64;
     }
 
     /// Number of segments in the chunk.

@@ -285,24 +285,8 @@ impl Gate {
         )
     }
 
-    /// Creates a gate around an existing chunk with the given fences,
-    /// stamped with generation 0 (pre-versioning construction paths and
-    /// tests).
+    /// Creates a gate around an existing chunk with the given fences.
     pub fn with_chunk(id: usize, chunk: ChunkData, fence_lo: Key, fence_hi: Key) -> Self {
-        Self::with_chunk_gen(id, chunk, 0, fence_lo, fence_hi)
-    }
-
-    /// Creates a gate around an existing chunk stamped with the given write
-    /// generation.
-    pub fn with_chunk_gen(
-        id: usize,
-        chunk: ChunkData,
-        gen: u64,
-        fence_lo: Key,
-        fence_hi: Key,
-    ) -> Self {
-        let mut chunk = chunk;
-        chunk.set_gen(gen);
         Self {
             hot: HotLine {
                 word: AtomicU64::new(0),
@@ -604,8 +588,8 @@ impl Gate {
     /// Exclusive, copy-on-write access to the chunk. If the gate is the
     /// slab's only owner, a plain mutable borrow is returned
     /// (`copied == false`, the hot path). If a frozen snapshot still holds
-    /// this version, the slab is copied, the copy is stamped `stamp` and the
-    /// borrow points at it (`copied == true`); the snapshot keeps the old
+    /// this version, the slab is copied before this returns and the borrow
+    /// points at the copy (`copied == true`); the snapshot keeps the old
     /// version untouched.
     ///
     /// The check is race-free because snapshot captures happen under the
@@ -618,25 +602,21 @@ impl Gate {
     /// The caller must hold this gate's latch exclusively (`Write` mode, or
     /// `Rebalance` mode owned by the rebalancer service).
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn chunk_mut_cow(&self, stamp: u64) -> (&mut ChunkData, bool) {
+    pub unsafe fn chunk_mut_cow(&self) -> (&mut ChunkData, bool) {
         let chunk = &mut *self.hot.chunk.get();
-        let copied = chunk.is_shared();
-        if copied {
-            chunk.set_gen(stamp);
-        }
+        let copied = chunk.make_unique();
         (chunk, copied)
     }
 
-    /// Installs `new` (stamped `gen`) as the gate's chunk, returning the
-    /// previous version. This is the "memory rewiring" publication step of a
-    /// rebalance: workers build the new chunk in a staging buffer and the
-    /// master installs it with a pointer-sized swap. The returned version
-    /// stays alive for any snapshot that captured it.
+    /// Installs `new` as the gate's chunk, returning the previous version.
+    /// This is the "memory rewiring" publication step of a rebalance: the
+    /// master builds the new chunk in a staging buffer and installs it with
+    /// a pointer-sized swap. The returned version stays alive for any
+    /// snapshot that captured it.
     ///
     /// # Safety
     /// Same contract as [`Gate::chunk_mut_cow`].
-    pub unsafe fn install_chunk(&self, mut new: ChunkData, gen: u64) -> ChunkData {
-        new.set_gen(gen);
+    pub unsafe fn install_chunk(&self, new: ChunkData) -> ChunkData {
         std::mem::replace(&mut *self.hot.chunk.get(), new)
     }
 }
@@ -753,7 +733,7 @@ mod tests {
         hold_exclusive(&g, Exclusive::Write);
         // SAFETY: `Write` mode held by this thread.
         unsafe {
-            let (chunk, copied) = g.chunk_mut_cow(1);
+            let (chunk, copied) = g.chunk_mut_cow();
             assert!(!copied, "uniquely owned version must not copy");
             chunk.try_insert(7, 70);
             assert_eq!(g.chunk().get(7), Some(70));
@@ -769,13 +749,11 @@ mod tests {
         let mut staged = ChunkData::new(1, 4);
         staged.try_insert(1, 1);
         // SAFETY: exclusive latch held as above.
-        let old = unsafe { g.install_chunk(staged, 7) };
+        let old = unsafe { g.install_chunk(staged) };
         assert_eq!(old.cardinality(), 0);
-        assert_eq!(old.gen(), 0);
         g.release_exclusive(g.lock(), &stats);
         let guard = g.acquire_shared(&stats).unwrap();
         assert_eq!(guard.chunk().get(1), Some(1));
-        assert_eq!(guard.version().gen(), 7);
     }
 
     #[test]
@@ -784,7 +762,7 @@ mod tests {
         let g = Gate::new(0, 1, 8);
         hold_exclusive(&g, Exclusive::Write);
         // SAFETY: exclusive latch held as above.
-        unsafe { g.chunk_mut_cow(0).0.try_insert(1, 10) };
+        unsafe { g.chunk_mut_cow().0.try_insert(1, 10) };
         g.release_exclusive(g.lock(), &stats);
         // A snapshot captures the version (Arc clone, no data copy).
         let frozen = g.acquire_shared(&stats).unwrap().version();
@@ -792,23 +770,21 @@ mod tests {
         // SAFETY: exclusive latch held as above.
         unsafe {
             // The next mutation must copy instead of touching the captured
-            // payload, and restamp the fresh version.
-            let (chunk, copied) = g.chunk_mut_cow(3);
+            // payload.
+            let (chunk, copied) = g.chunk_mut_cow();
             assert!(copied, "shared version must be copied before mutation");
             chunk.try_insert(2, 20);
             chunk.remove(1);
             assert_eq!(frozen.get(1), Some(10), "frozen payload mutated");
             assert_eq!(frozen.get(2), None, "frozen payload mutated");
-            assert_eq!(frozen.gen(), 0);
             assert_eq!(g.chunk().get(1), None);
             assert_eq!(g.chunk().get(2), Some(20));
             drop(frozen);
             // With the snapshot gone the gate owns its version again.
-            let (_, copied) = g.chunk_mut_cow(4);
+            let (_, copied) = g.chunk_mut_cow();
             assert!(!copied, "unique again after the snapshot dropped");
         }
         g.release_exclusive(g.lock(), &stats);
-        assert_eq!(g.acquire_shared(&stats).unwrap().version().gen(), 3);
     }
 
     #[test]

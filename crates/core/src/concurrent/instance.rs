@@ -37,27 +37,23 @@ pub struct PmaInstance {
 impl PmaInstance {
     /// Creates an empty instance with a single gate.
     pub fn empty(params: &PmaParams) -> Self {
-        Self::from_sorted_gen(std::iter::empty(), 0, 1, params, 0)
+        Self::from_sorted(std::iter::empty(), 0, 1, params)
     }
 
     /// Builds an instance holding the `len` elements of `stream` (strictly
     /// increasing keys), spread evenly over `num_gates` gates (the
     /// traditional post-resize distribution), in one pass over the stream:
-    /// every element is written once, into its final slot. Every chunk is
-    /// stamped with write generation `gen`; resizes pass a freshly advanced
-    /// generation so frozen snapshots can tell pre-resize chunk versions
-    /// from post-resize ones, a bulk load passes 0.
+    /// every element is written once, into its final slot.
     ///
     /// # Panics
     /// Panics if `num_gates` is not a power of two, `stream` does not yield
     /// exactly `len` elements, or they do not fit; debug builds also check
     /// the key order.
-    pub fn from_sorted_gen(
+    pub fn from_sorted(
         mut stream: impl Iterator<Item = (Key, Value)>,
         len: usize,
         num_gates: usize,
         params: &PmaParams,
-        gen: u64,
     ) -> Self {
         assert!(
             num_gates.is_power_of_two(),
@@ -106,9 +102,8 @@ impl PmaInstance {
             .into_iter()
             .enumerate()
             .map(|(g, chunk)| {
-                // Stamping a fresh (unshared) slab does not move it.
                 index.set_slab_hint(g, chunk.slab_hint());
-                Gate::with_chunk_gen(g, chunk, gen, fences[g].0, fences[g].1)
+                Gate::with_chunk(g, chunk, fences[g].0, fences[g].1)
             })
             .collect();
 
@@ -127,29 +122,29 @@ impl PmaInstance {
 
     /// Exclusive, copy-on-write access to gate `g`'s chunk
     /// ([`Gate::chunk_mut_cow`]); a copy moves the slab, so its new address
-    /// (and its routing prefix) goes into the index's hint for `g`.
+    /// (and its routing prefix) goes into the index's hint for `g` before
+    /// this returns.
     ///
     /// # Safety
     /// Same contract as [`Gate::chunk_mut_cow`]: the caller holds gate `g`'s
     /// latch exclusively, or owns the gate through the rebalancer service.
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusivity comes from the gate latch, not the borrow
-    pub unsafe fn chunk_mut_cow(&self, g: usize, stamp: u64) -> (&mut ChunkData, bool) {
-        let (chunk, copied) = self.gates[g].chunk_mut_cow(stamp);
+    pub unsafe fn chunk_mut_cow(&self, g: usize) -> (&mut ChunkData, bool) {
+        let (chunk, copied) = self.gates[g].chunk_mut_cow();
         if copied {
             self.index.set_slab_hint(g, chunk.slab_hint());
         }
         (chunk, copied)
     }
 
-    /// Installs `new` (stamped `gen`) as gate `g`'s chunk
-    /// ([`Gate::install_chunk`]) and points the index's hint for `g` at it.
-    /// Returns the previous version.
+    /// Installs `new` as gate `g`'s chunk ([`Gate::install_chunk`]) and
+    /// points the index's hint for `g` at it. Returns the previous version.
     ///
     /// # Safety
     /// Same contract as [`PmaInstance::chunk_mut_cow`].
-    pub unsafe fn install_chunk(&self, g: usize, new: ChunkData, gen: u64) -> ChunkData {
-        let old = self.gates[g].install_chunk(new, gen);
+    pub unsafe fn install_chunk(&self, g: usize, new: ChunkData) -> ChunkData {
+        let old = self.gates[g].install_chunk(new);
         self.index
             .set_slab_hint(g, self.gates[g].chunk().slab_hint());
         old
@@ -247,7 +242,7 @@ mod tests {
     #[test]
     fn from_sorted_distributes_evenly_and_sets_fences() {
         let params = PmaParams::small(); // 2 segments of 8 per gate
-        let inst = PmaInstance::from_sorted_gen((0..40).map(|k| (k, k * 2)), 40, 4, &params, 0);
+        let inst = PmaInstance::from_sorted((0..40).map(|k| (k, k * 2)), 40, 4, &params);
         assert_eq!(inst.num_gates(), 4);
         assert_eq!(inst.capacity(), 64);
 
@@ -288,7 +283,7 @@ mod tests {
     #[test]
     fn gate_and_segment_mapping() {
         let params = PmaParams::small();
-        let inst = PmaInstance::from_sorted_gen((0..10).map(|k| (k, k)), 10, 2, &params, 0);
+        let inst = PmaInstance::from_sorted((0..10).map(|k| (k, k)), 10, 2, &params);
         assert_eq!(inst.gate_of_segment(0), 0);
         assert_eq!(inst.gate_of_segment(1), 0);
         assert_eq!(inst.gate_of_segment(2), 1);
@@ -342,6 +337,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_gate_count_panics() {
         let params = PmaParams::small();
-        let _ = PmaInstance::from_sorted_gen(std::iter::empty(), 0, 3, &params, 0);
+        let _ = PmaInstance::from_sorted(std::iter::empty(), 0, 3, &params);
     }
 }

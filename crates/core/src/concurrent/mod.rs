@@ -157,12 +157,11 @@ impl ConcurrentPma {
         // One read-only pass validates the order and sizes the array; the
         // second streams every distinct key into its final slot.
         let len = pma_common::count_distinct_sorted(items)?;
-        let instance = Box::new(PmaInstance::from_sorted_gen(
+        let instance = Box::new(PmaInstance::from_sorted(
             pma_common::dedup_sorted_last_wins(items),
             len,
             params.presized_gates(len),
             &params,
-            0,
         ));
         let shared = Arc::new(Shared::with_instance(params, instance, len));
         Stats::add(&shared.stats.bulk_loaded_keys, len as u64);
@@ -299,9 +298,8 @@ impl ConcurrentPma {
                 Stats::bump(&self.shared.stats.resize_restarts);
                 continue 'restart;
             }
-            let snapshot = FrozenSnapshot::capture(pieces, len, Arc::clone(&self.shared.cow));
-            span.set_payload(snapshot.generation());
-            return snapshot;
+            span.set_payload(pieces.len() as u64);
+            return FrozenSnapshot::capture(pieces, len);
         }
     }
 
@@ -1261,8 +1259,6 @@ impl ConcurrentMap for ConcurrentPma {
             stall_ns: 0,
             thrash_averted: 0,
             cow_copies: snapshot.cow_copies,
-            pinned_generations: self.shared.cow.pinned_generations(),
-            snapshot_lag: self.shared.cow.lag(),
             chase_rounds: 0,
             delta_backpressure_waits: 0,
             epoch_lag: registry
@@ -1278,11 +1274,6 @@ impl ConcurrentMap for ConcurrentPma {
     fn observe_metrics(&self, out: &mut dyn pma_common::obs::Observe) {
         use pma_common::obs::metrics::MetricSource;
         self.shared.stats.snapshot().observe(out);
-        out.gauge(
-            "pinned_generations",
-            self.shared.cow.pinned_generations() as f64,
-        );
-        out.gauge("snapshot_lag", self.shared.cow.lag() as f64);
         let registry = &self.shared.registry;
         out.gauge(
             "epoch_lag",
@@ -1955,6 +1946,34 @@ mod tests {
         p.flush();
         assert_eq!(hints_of(&p), after);
         assert_slab_hints_current(&p);
+    }
+
+    /// `chunk_mut_cow` copies a slab a view still holds before it returns,
+    /// and the gate's hint and row name the copy from then on — before any
+    /// mutation, which would otherwise be where the copy happens.
+    #[test]
+    fn slab_hints_follow_the_copy_at_the_call() {
+        let items: Vec<(i64, i64)> = (0..2_000i64).map(|k| (k * 4, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::small(), &items).unwrap();
+        let _pin = p.shared.pin();
+        // SAFETY: pinned above.
+        let inst = unsafe { p.shared.instance_ref() };
+        let g = inst.num_gates() / 2;
+        let gate = &inst.gates[g];
+        let frozen = gate.acquire_shared(&p.shared.stats).unwrap().version();
+        assert_eq!(inst.index.slab_hint(g), Some(frozen.head_addr()));
+        assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
+        // SAFETY: `Write` mode held by this thread.
+        let (chunk, copied) = unsafe { inst.chunk_mut_cow(g) };
+        assert!(copied);
+        assert_ne!(chunk.head_addr(), frozen.head_addr());
+        assert_eq!(inst.index.slab_hint(g), Some(chunk.head_addr()));
+        let (mins, counts) = inst.index.segment_hint(g).unwrap();
+        let prefix = chunk.slab_hint();
+        assert_eq!(mins, prefix.mins[1..]);
+        let cards: Vec<usize> = prefix.cards.iter().map(|&c| c as usize).collect();
+        assert_eq!(counts, cards);
+        gate.release_exclusive(gate.lock(), &p.shared.stats);
     }
 
     #[test]

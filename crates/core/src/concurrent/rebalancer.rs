@@ -635,15 +635,12 @@ impl Master {
         let outer_lo = inst.gates[g_lo].fences().0;
         let outer_hi = inst.gates[g_hi - 1].fences().1;
         let mut mins = Vec::with_capacity(num_gates);
-        // The pointer swaps install a new placement of the window's elements:
-        // advance the write generation and stamp every installed chunk with
-        // it. Old versions pinned by a frozen snapshot survive through the
-        // snapshot's Arc clones; unpinned ones are freed here.
-        let install_gen = self.shared.cow.advance();
+        // Old versions held by a frozen snapshot survive through the
+        // snapshot's Arc clones; the others are freed here.
         for (i, chunk) in staged.into_iter().enumerate() {
             mins.push(chunk.min_key());
             // SAFETY: gate is service-owned.
-            let _old = unsafe { inst.install_chunk(g_lo + i, chunk, install_gen) };
+            let _old = unsafe { inst.install_chunk(g_lo + i, chunk) };
         }
         let fences = compute_window_fences(outer_lo, outer_hi, &mins);
         for (i, &(lo, hi)) in fences.iter().enumerate() {
@@ -765,16 +762,14 @@ impl Master {
         let num_gates = self.shared.params.presized_gates(new_len);
         resize_span.set_payload(num_gates as u64);
 
-        // A resize is a whole-array reinstall: stamp the new instance's
-        // chunks with a freshly advanced write generation. Snapshots pinning
-        // the old instance's chunk versions keep them alive through their own
-        // Arc clones, independent of the epoch retirement below.
-        let new_instance = Box::new(PmaInstance::from_sorted_gen(
+        // Snapshots holding the old instance's chunk versions keep them
+        // alive through their own Arc clones, independent of the epoch
+        // retirement below.
+        let new_instance = Box::new(PmaInstance::from_sorted(
             final_keys.iter().copied().zip(final_values.iter().copied()),
             new_len,
             num_gates,
             &self.shared.params,
-            self.shared.cow.advance(),
         ));
         // Covers publication plus the invalidate/retire epilogue below.
         let _publish_span = obs::span(obs::Category::ResizePublish, num_gates as u64);

@@ -2,7 +2,6 @@
 //! the rebalancer service threads.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::Arc;
 
 use crate::params::PmaParams;
 use crate::stats::Stats;
@@ -10,7 +9,6 @@ use crate::stats::Stats;
 use super::chunk::ChunkData;
 use super::epoch::{EpochGuard, EpochRegistry, GarbageBin};
 use super::instance::PmaInstance;
-use super::version::CowGen;
 
 /// Everything the clients, the rebalancer master and the workers share.
 ///
@@ -33,10 +31,6 @@ pub(crate) struct Shared {
     pub instance: AtomicPtr<PmaInstance>,
     /// Epoch registry protecting retired instances.
     pub registry: EpochRegistry,
-    /// Write-generation counter and snapshot pin set for chunk-level
-    /// copy-on-write versioning. `Arc` so [`super::version::FrozenSnapshot`]s
-    /// can outlive the map handle.
-    pub cow: Arc<CowGen>,
     /// Immutable configuration.
     pub params: PmaParams,
     /// Retired instances awaiting reclamation.
@@ -59,7 +53,6 @@ impl Shared {
             stats,
             instance: AtomicPtr::new(Box::into_raw(instance)),
             registry: EpochRegistry::new(),
-            cow: Arc::new(CowGen::new()),
             params,
             garbage: GarbageBin::new(),
         }
@@ -77,7 +70,7 @@ impl Shared {
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusivity comes from the gate latch, not the borrow
     pub unsafe fn chunk_mut<'a>(&self, inst: &'a PmaInstance, g: usize) -> &'a mut ChunkData {
-        let (chunk, copied) = inst.chunk_mut_cow(g, self.cow.current());
+        let (chunk, copied) = inst.chunk_mut_cow(g);
         if copied {
             Stats::bump(&self.stats.cow_copies);
         }
@@ -179,7 +172,6 @@ mod tests {
                 "registry",
                 lines(offset_of!(Shared, registry), size_of::<EpochRegistry>()),
             ),
-            ("cow", lines(offset_of!(Shared, cow), 8)),
             (
                 "params",
                 lines(offset_of!(Shared, params), size_of::<PmaParams>()),
@@ -218,12 +210,11 @@ mod tests {
     #[test]
     fn publish_instance_swaps_and_returns_old() {
         let shared = Shared::new(PmaParams::small());
-        let new_inst = Box::new(PmaInstance::from_sorted_gen(
+        let new_inst = Box::new(PmaInstance::from_sorted(
             [(1, 10), (2, 20), (3, 30)].into_iter(),
             3,
             1,
             &PmaParams::small(),
-            0,
         ));
         let old = shared.publish_instance(new_inst);
         assert_eq!(old.num_gates(), 1);

@@ -1,93 +1,18 @@
-//! Chunk-generation bookkeeping and the [`FrozenSnapshot`] read view.
+//! The [`FrozenSnapshot`] read view: a point-in-time set of chunk versions.
 //!
-//! A [`CowGen`] tracks the global *write generation* of one PMA: every
-//! structural install (a redistribute's pointer swaps, a resize's fresh
-//! instance) advances it, and every chunk version carries the generation that
-//! installed it ([`super::chunk::ChunkData::gen`]). Snapshots *pin* the
-//! generation current at freeze time; the pin set drives the
-//! `pinned_generations` / `snapshot_lag` gauges.
-//!
-//! The generation stamps are observability metadata. Snapshot *correctness*
-//! is carried by `Arc` reference counting alone: a snapshot clones each
-//! gate's [`ChunkData`] handle under a shared latch (a reference-count bump
-//! on the chunk's slab), and every mutation of a chunk copies a slab that is
-//! still shared. A snapshot's captured versions are therefore immutable for
-//! as long as it holds them — including across resizes, whose retired
-//! instances drop their gates' handles while the snapshot's clones keep the
-//! slabs alive.
+//! A chunk version is its slab's `Arc` reference count, nothing more. A
+//! snapshot clones each gate's [`ChunkData`] handle under a shared latch (a
+//! reference-count bump on the chunk's slab), and every mutation of a chunk
+//! copies a slab that is still shared. A snapshot's captured versions are
+//! therefore immutable for as long as it holds them — across redistributes,
+//! whose installs drop the gates' old handles, and across resizes, whose
+//! retired instances drop theirs — and the snapshot holds nothing of the map
+//! besides them, so it may outlive the map. Dropping it drops the handles,
+//! and the writers' next mutations stop copying.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use pma_common::{FrozenView, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
 
 use super::chunk::{open_ends, ChunkData};
-
-/// The global write-generation counter of one PMA, plus the set of
-/// generations pinned by live [`FrozenSnapshot`]s.
-#[derive(Debug, Default)]
-pub struct CowGen {
-    /// Monotonic generation, advanced by every structural install.
-    write_gen: AtomicU64,
-    /// `generation -> live snapshot count` for every pinned generation.
-    pinned: Mutex<BTreeMap<u64, usize>>,
-}
-
-impl CowGen {
-    /// Creates a tracker at generation 0 with nothing pinned.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current write generation.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.write_gen.load(Ordering::Relaxed)
-    }
-
-    /// Advances the write generation (a structural install happened) and
-    /// returns the new value, used to stamp the freshly installed chunks.
-    #[inline]
-    pub fn advance(&self) -> u64 {
-        self.write_gen.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Pins the current generation for a new snapshot and returns it.
-    pub fn pin(&self) -> u64 {
-        let gen = self.current();
-        *self.pinned.lock().entry(gen).or_insert(0) += 1;
-        gen
-    }
-
-    /// Releases one snapshot's pin on `gen`.
-    pub fn unpin(&self, gen: u64) {
-        let mut pinned = self.pinned.lock();
-        match pinned.get_mut(&gen) {
-            Some(count) if *count > 1 => *count -= 1,
-            Some(_) => {
-                pinned.remove(&gen);
-            }
-            None => debug_assert!(false, "unpin of generation {gen} that was never pinned"),
-        }
-    }
-
-    /// Number of distinct generations currently pinned by live snapshots.
-    pub fn pinned_generations(&self) -> u64 {
-        self.pinned.lock().len() as u64
-    }
-
-    /// How far the oldest pinned generation lags behind the current write
-    /// generation (0 when nothing is pinned).
-    pub fn lag(&self) -> u64 {
-        let oldest = self.pinned.lock().keys().next().copied();
-        match oldest {
-            Some(gen) => self.current().saturating_sub(gen),
-            None => 0,
-        }
-    }
-}
 
 /// Checks that the captured `(fence_lo, fence_hi)` pieces tile the whole key
 /// space `[KEY_MIN, KEY_MAX]` exactly: non-degenerate pieces must be
@@ -129,22 +54,13 @@ pub struct FrozenSnapshot {
     pieces: Vec<(Key, Key, ChunkData)>,
     /// Total cardinality across the pieces.
     len: usize,
-    /// The write generation pinned by this snapshot.
-    gen: u64,
-    /// The owning PMA's generation tracker, for `Drop`-time unpinning. An
-    /// `Arc` so the snapshot may outlive the `ConcurrentPma` handle.
-    cow: Arc<CowGen>,
 }
 
 impl FrozenSnapshot {
     /// Builds a snapshot from validated captured pieces holding `len`
-    /// elements in total, pinning the current write generation. Degenerate
-    /// pieces (empty gates) are dropped — they cover no key.
-    pub(crate) fn capture(
-        pieces: Vec<(Key, Key, ChunkData)>,
-        len: usize,
-        cow: Arc<CowGen>,
-    ) -> Self {
+    /// elements in total. Degenerate pieces (empty gates) are dropped — they
+    /// cover no key.
+    pub(crate) fn capture(pieces: Vec<(Key, Key, ChunkData)>, len: usize) -> Self {
         debug_assert!(fences_tile_key_space(&pieces));
         debug_assert_eq!(
             len,
@@ -154,18 +70,7 @@ impl FrozenSnapshot {
                 .sum::<usize>()
         );
         let pieces: Vec<_> = pieces.into_iter().filter(|&(lo, hi, _)| lo <= hi).collect();
-        let gen = cow.pin();
-        Self {
-            pieces,
-            len,
-            gen,
-            cow,
-        }
-    }
-
-    /// The write generation this snapshot pinned at freeze time.
-    pub fn generation(&self) -> u64 {
-        self.gen
+        Self { pieces, len }
     }
 
     /// Looks up `key` in the frozen state.
@@ -257,17 +162,10 @@ impl FrozenView for FrozenSnapshot {
     }
 }
 
-impl Drop for FrozenSnapshot {
-    fn drop(&mut self) {
-        self.cow.unpin(self.gen);
-    }
-}
-
 impl std::fmt::Debug for FrozenSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenSnapshot")
             .field("len", &self.len)
-            .field("gen", &self.gen)
             .field("pieces", &self.pieces.len())
             .finish()
     }
@@ -277,53 +175,18 @@ impl std::fmt::Debug for FrozenSnapshot {
 mod tests {
     use super::*;
 
-    fn version_of(items: &[(Key, Value)], gen: u64) -> ChunkData {
+    fn version_of(items: &[(Key, Value)]) -> ChunkData {
         let mut chunk = ChunkData::new(2, 8);
         for &(k, v) in items {
             chunk.try_insert(k, v);
         }
-        chunk.set_gen(gen);
         chunk
     }
 
     #[test]
-    fn cowgen_pin_unpin_and_lag() {
-        let cow = CowGen::new();
-        assert_eq!(cow.current(), 0);
-        assert_eq!(cow.lag(), 0);
-        assert_eq!(cow.pinned_generations(), 0);
-
-        let g0 = cow.pin();
-        assert_eq!(g0, 0);
-        assert_eq!(cow.pinned_generations(), 1);
-        assert_eq!(cow.lag(), 0);
-
-        assert_eq!(cow.advance(), 1);
-        assert_eq!(cow.advance(), 2);
-        assert_eq!(cow.lag(), 2, "oldest pin is 2 generations behind");
-
-        let g2 = cow.pin();
-        assert_eq!(g2, 2);
-        assert_eq!(cow.pinned_generations(), 2);
-
-        // Two pins of the same generation collapse to one entry.
-        let g2b = cow.pin();
-        assert_eq!(g2b, 2);
-        assert_eq!(cow.pinned_generations(), 2);
-
-        cow.unpin(g0);
-        assert_eq!(cow.lag(), 0, "oldest remaining pin is current");
-        cow.unpin(g2);
-        assert_eq!(cow.pinned_generations(), 1, "one pin of gen 2 remains");
-        cow.unpin(g2b);
-        assert_eq!(cow.pinned_generations(), 0);
-        assert_eq!(cow.lag(), 0);
-    }
-
-    #[test]
     fn fence_tiling_validation() {
-        let full = version_of(&[(5, 50)], 0);
-        let empty = version_of(&[], 0);
+        let full = version_of(&[(5, 50)]);
+        let empty = version_of(&[]);
 
         // Exact tiling, with a degenerate empty piece in the middle.
         assert!(fences_tile_key_space(&[
@@ -352,16 +215,12 @@ mod tests {
 
     #[test]
     fn frozen_snapshot_reads_and_pins() {
-        let cow = Arc::new(CowGen::new());
-        cow.advance();
         let pieces = vec![
-            (KEY_MIN, 9, version_of(&[(1, 10), (3, 30)], 1)),
-            (10, 5, version_of(&[], 0)),
-            (10, KEY_MAX, version_of(&[(10, 100), (20, 200)], 1)),
+            (KEY_MIN, 9, version_of(&[(1, 10), (3, 30)])),
+            (10, 5, version_of(&[])),
+            (10, KEY_MAX, version_of(&[(10, 100), (20, 200)])),
         ];
-        let snap = FrozenSnapshot::capture(pieces, 4, Arc::clone(&cow));
-        assert_eq!(snap.generation(), 1);
-        assert_eq!(cow.pinned_generations(), 1);
+        let snap = FrozenSnapshot::capture(pieces, 4);
         assert_eq!(snap.len(), 4);
         assert!(!snap.is_empty());
 
@@ -383,8 +242,10 @@ mod tests {
         assert_eq!(view.collect_range(3, 10), vec![(3, 30), (10, 100)]);
         assert_eq!(view.scan_range(Key::MIN, Key::MAX).count, 4);
 
+        // The snapshot holds its chunks' slabs until it is dropped.
+        let mut held = snap.pieces[0].2.clone();
         drop(snap);
-        assert_eq!(cow.pinned_generations(), 0, "drop unpins");
+        assert!(!held.make_unique(), "drop releases the snapshot's handles");
     }
 
     #[test]
@@ -397,16 +258,15 @@ mod tests {
         assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
         // SAFETY: `Write` mode held by this thread.
         unsafe {
-            gate.chunk_mut_cow(0).0.try_insert(1, 10);
+            gate.chunk_mut_cow().0.try_insert(1, 10);
         }
         gate.release_exclusive(gate.lock(), &stats);
-        let cow = Arc::new(CowGen::new());
         let version = gate.acquire_shared(&stats).unwrap().version();
-        let snap = FrozenSnapshot::capture(vec![(KEY_MIN, KEY_MAX, version)], 1, Arc::clone(&cow));
+        let snap = FrozenSnapshot::capture(vec![(KEY_MIN, KEY_MAX, version)], 1);
         assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
         // SAFETY: `Write` mode held by this thread.
         unsafe {
-            let (chunk, copied) = gate.chunk_mut_cow(1);
+            let (chunk, copied) = gate.chunk_mut_cow();
             assert!(copied);
             chunk.try_insert(2, 20);
         }

@@ -2016,28 +2016,18 @@ impl ConcurrentMap for ShardedMap {
             merges: stats.shard_merges,
             stall_ns: stats.split_stall_ns,
             thrash_averted: stats.split_thrash_averted,
-            cow_copies: 0,
-            pinned_generations: 0,
-            snapshot_lag: 0,
             chase_rounds: stats.chase_rounds,
             delta_backpressure_waits: stats.delta_backpressure_waits,
-            epoch_lag: 0,
+            ..MaintenanceStats::default()
         };
-        // The copy-on-write counters live in the inner instances: sum the
-        // copies and live pins across shards, and report the worst per-shard
-        // generation and epoch lag (shard generations and epoch registries
-        // are independent clocks, so summing lags would be meaningless).
+        // The copy-on-write counters and the epoch lag live in the inner
+        // instances.
         let _pin = self.engine.epoch.pin();
         // SAFETY: pinned above.
         let dir = unsafe { self.engine.dir_ref() };
         for shard in &dir.shards {
             if let Some(inner) = shard.map.maintenance_stats() {
-                total.cow_copies += inner.cow_copies;
-                total.pinned_generations += inner.pinned_generations;
-                total.snapshot_lag = total.snapshot_lag.max(inner.snapshot_lag);
-                total.chase_rounds += inner.chase_rounds;
-                total.delta_backpressure_waits += inner.delta_backpressure_waits;
-                total.epoch_lag = total.epoch_lag.max(inner.epoch_lag);
+                total.merge(&inner);
             }
         }
         Some(total)

@@ -55,7 +55,8 @@ pub enum Category {
     /// The closing fold of an incremental split: final capped round plus
     /// fold-in under the fence (payload: ops folded).
     ClosingFold = 10,
-    /// A `frozen()` snapshot capture (payload: pinned generation).
+    /// A `frozen()` snapshot capture (payload: gates captured by a PMA, the
+    /// pinned directory generation by the sharded engine).
     FrozenCapture = 11,
     /// Epoch-protected garbage reclamation (payload: instances reclaimed).
     EpochReclaim = 12,

@@ -53,16 +53,15 @@ pub struct ResultRow {
 /// window) must read 0, `stall[us]` is how long writers were fenced out
 /// by structural maintenance (the sharded engine's split/merge fences),
 /// `cow` is how many chunk payloads the copy-on-write path had to copy for
-/// live snapshots, `lag` is the worst snapshot generation lag observed,
-/// `bp` counts writer back-offs under delta-log backpressure, and `samples`
-/// is how many update latencies the histogram columns rest on (one in
-/// `lat_sample_interval` operations) — structures without the respective
-/// machinery show a dash.
+/// live snapshots, `bp` counts writer back-offs under delta-log
+/// backpressure, and `samples` is how many update latencies the histogram
+/// columns rest on (one in `lat_sample_interval` operations) — structures
+/// without the respective machinery show a dash.
 pub fn render_table(title: &str, rows: &[ResultRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("\n== {title} ==\n"));
     out.push_str(&format!(
-        "{:<20} {:<14} {:>14} {:>16} {:>9} {:>9} {:>9} {:>10} {:>10} {:>6} {:>9} {:>8} {:>5} {:>6} {:>9}\n",
+        "{:<20} {:<14} {:>14} {:>16} {:>9} {:>9} {:>9} {:>10} {:>10} {:>6} {:>9} {:>8} {:>6} {:>9}\n",
         "structure",
         "workload",
         "updates [M/s]",
@@ -75,7 +74,6 @@ pub fn render_table(title: &str, rows: &[ResultRow]) -> String {
         "late",
         "stall[us]",
         "cow",
-        "lag",
         "bp",
         "samples"
     ));
@@ -90,22 +88,16 @@ pub fn render_table(title: &str, rows: &[ResultRow]) -> String {
             Some(c) => (c.owned_applies.to_string(), c.late_replays.to_string()),
             None => ("-".to_string(), "-".to_string()),
         };
-        let (stall, cow, lag, bp) = match m.maintenance {
+        let (stall, cow, bp) = match m.maintenance {
             Some(s) => (
                 (s.stall_ns / 1_000).to_string(),
                 s.cow_copies.to_string(),
-                s.snapshot_lag.to_string(),
                 s.delta_backpressure_waits.to_string(),
             ),
-            None => (
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ),
+            None => ("-".to_string(), "-".to_string(), "-".to_string()),
         };
         out.push_str(&format!(
-            "{:<20} {:<14} {:>14.3} {:>16} {:>9} {:>9} {:>9} {:>10} {:>10} {:>6} {:>9} {:>8} {:>5} {:>6} {:>9}\n",
+            "{:<20} {:<14} {:>14.3} {:>16} {:>9} {:>9} {:>9} {:>10} {:>10} {:>6} {:>9} {:>8} {:>6} {:>9}\n",
             row.structure,
             row.workload,
             m.update_throughput() / 1.0e6,
@@ -118,7 +110,6 @@ pub fn render_table(title: &str, rows: &[ResultRow]) -> String {
             late,
             stall,
             cow,
-            lag,
             bp,
             m.update_latency.count(),
         ));
@@ -206,7 +197,6 @@ mod tests {
         assert!(table.contains("late"));
         assert!(table.contains("stall[us]"));
         assert!(table.contains("cow"));
-        assert!(table.contains("lag"));
         assert!(table.contains("bp"));
         assert!(table.contains("samples"));
     }

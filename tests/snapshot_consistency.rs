@@ -121,6 +121,26 @@ fn frozen_equals_model_when_quiesced() {
             let (lo, hi) = (KEYS / 4 * stride + seed, KEYS / 2 * stride + seed);
             let window: Vec<(Key, Value)> = model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
             assert_eq!(frozen.collect_range(lo, hi), window, "{label}: sub-range");
+
+            // The view holds chunk handles only: it outlives its map, whose
+            // drop joins the rebalancer, shard and monitor threads.
+            drop(map);
+            assert_eq!(frozen.len(), model.len(), "{label}: len after drop");
+            assert_eq!(dump(frozen.as_ref()), contents, "{label}: scan after drop");
+            assert_eq!(
+                frozen.collect_range(lo, hi),
+                window,
+                "{label}: range after drop"
+            );
+            assert_eq!(frozen.scan_all(), stats, "{label}: stats after drop");
+            for i in (0..KEYS).step_by(7) {
+                let key = i * stride + seed;
+                assert_eq!(
+                    frozen.get(key),
+                    model.get(&key).copied(),
+                    "{label}: get {key} after drop"
+                );
+            }
         }
     }
 }
@@ -259,13 +279,12 @@ fn storm_round(spec: &str, stride: i64, seed: i64, label: &str) {
     let probe = map
         .frozen()
         .unwrap_or_else(|| panic!("{label}: backend must support frozen views"));
-    for i in (0..STABLE).step_by(37) {
-        let key = i * 2 * stride + seed;
+    let probe_keys = || (0..STABLE).step_by(37).map(|i| i * 2 * stride + seed);
+    for key in probe_keys() {
         map.insert(key, key.wrapping_sub(9));
     }
     map.flush();
-    for i in (0..STABLE).step_by(37) {
-        let key = i * 2 * stride + seed;
+    for key in probe_keys() {
         assert_eq!(
             probe.get(key),
             Some(key.wrapping_add(7)),
@@ -281,14 +300,36 @@ fn storm_round(spec: &str, stride: i64, seed: i64, label: &str) {
     if let Some(combining) = map.combining_stats() {
         assert_eq!(combining.late_replays, 0, "{label}: late replay detected");
     }
-    // All views dropped: no generation stays pinned.
+    // One more view shares every chunk the probe keys live in. Once all
+    // views are dropped none still shares a slab with the map, so writing
+    // every probe key again copies nothing.
+    let last = map
+        .frozen()
+        .unwrap_or_else(|| panic!("{label}: backend must support frozen views"));
     drop(held);
     drop(probe);
-    assert_eq!(
-        map.maintenance_stats().unwrap().pinned_generations,
-        0,
-        "{label}: a dropped view left its generation pinned"
-    );
+    drop(last);
+    for key in probe_keys() {
+        map.insert(key, key.wrapping_sub(11));
+    }
+    map.flush();
+    let released = map.maintenance_stats().unwrap();
+    let rebuilt = released.splits != after.splits || released.merges != after.merges;
+    if rebuilt {
+        // A monitor split or merge published in between retires the rebuilt
+        // shards' counters: the sum may fall, never rise.
+        assert!(
+            released.cow_copies <= after.cow_copies,
+            "{label}: a dropped view still shared a slab \
+             (before: {after:?}, after: {released:?})"
+        );
+    } else {
+        assert_eq!(
+            released.cow_copies, after.cow_copies,
+            "{label}: a dropped view still shared a slab \
+             (before: {after:?}, after: {released:?})"
+        );
+    }
 }
 
 /// Mid-storm repeatability over every backend and key distribution.
