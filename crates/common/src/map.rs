@@ -105,6 +105,19 @@ impl ScanStats {
         self.value_sum = self.value_sum.wrapping_add(crate::simd::sum_run(values));
     }
 
+    /// [`ScanStats::visit_run`] over a narrow run: the keys are
+    /// `base + offsets[i]`, folded without widening them — the key sum is
+    /// `n · base` plus the exact offset sum ([`crate::simd::sum_run_u32`]).
+    #[inline]
+    pub fn visit_narrow_run(&mut self, base: Key, offsets: &[u32], values: &[Value]) {
+        debug_assert_eq!(offsets.len(), values.len());
+        let n = offsets.len();
+        self.count += n as u64;
+        let keys = (n as i128) * (base as i128) + crate::simd::sum_run_u32(offsets) as i128;
+        self.key_sum = self.key_sum.wrapping_add(keys);
+        self.value_sum = self.value_sum.wrapping_add(crate::simd::sum_run(values));
+    }
+
     /// Merges another accumulator into this one.
     #[inline]
     pub fn merge(&mut self, other: &ScanStats) {

@@ -330,6 +330,22 @@ impl Registry {
         items: &[(Key, Value)],
     ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
         check_sorted(items)?;
+        self.build_loaded_presorted(spec, items)
+    }
+
+    /// [`Registry::build_loaded`] for `items` already known to be sorted —
+    /// a slice of an input its caller checked with [`check_sorted`], or the
+    /// ordered contents of another structure — so a composite loader (the
+    /// sharded engine's shards, a router's inner structure) does not read
+    /// its input once more per layer. Unsorted `items` break the contract:
+    /// debug builds assert, release builds build whatever the loader makes
+    /// of them.
+    pub fn build_loaded_presorted(
+        &self,
+        spec: &str,
+        items: &[(Key, Value)],
+    ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
+        debug_assert!(check_sorted(items).is_ok(), "unsorted presorted input");
         let spec = BackendSpec::parse(spec);
         let def = self.lookup(&spec)?;
         match def.build_loaded {

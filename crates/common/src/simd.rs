@@ -22,6 +22,11 @@
 //! run sum ([`sum_run`], the fold of every ordered scan) on any input —
 //! property-tested in `tests/simd_kernels.rs`.
 //!
+//! A chunk whose keys span less than 2^32 stores them as `u32` offsets from
+//! a base key; the `*_u32` twins of the searches and of the run sum, and
+//! the widening [`decode_run`] / [`append_decoded`], work on such runs (8
+//! offsets per AVX2 compare, 4 per SSE2 one; NEON uses the scalar arm).
+//!
 //! Long runs use a hybrid: a scalar binary search narrows the window to at
 //! most [`SMALL_RUN`] elements, then the vector kernel counts the remainder
 //! branchlessly, so the kernels stay cheap on multi-thousand-entry separator
@@ -493,6 +498,314 @@ unsafe fn sum_halves_neon(block: &[i64]) -> (u64, u64, &[i64]) {
         vgetq_lane_u64(hi, 0) + vgetq_lane_u64(hi, 1),
         chunks.remainder(),
     )
+}
+
+// ---------------------------------------------------------------------
+// Narrow runs: `u32` offsets from a base key
+// ---------------------------------------------------------------------
+//
+// A chunk whose keys span less than 2^32 stores them as `u32` offsets from
+// a per-slab base (`pma-core`'s chunk, *narrow* layout). These are the
+// `u32` twins of the kernels above: the counts and the search compare
+// offsets unsigned, 8 per AVX2 compare (4 per SSE2 one); `sum_run_u32`
+// is the exact offset sum a scan folds; `decode_run` / `append_decoded`
+// widen offsets back into keys. NEON routes to the scalar arm.
+
+/// Number of offsets `<= key` in the sorted run — identical to
+/// `run.partition_point(|&x| x <= key)`.
+#[inline]
+pub fn count_le_u32(run: &[u32], key: u32) -> usize {
+    if run.len() <= SHORT_RUN {
+        count_le_inline(run, |&x| x <= key)
+    } else {
+        count_le_u32_dispatch(active_variant(), run, key)
+    }
+}
+
+/// Number of offsets `< key` in the sorted run — identical to
+/// `run.partition_point(|&x| x < key)`.
+#[inline]
+pub fn count_lt_u32(run: &[u32], key: u32) -> usize {
+    match key.checked_sub(1) {
+        Some(pred) => count_le_u32(run, pred),
+        None => 0,
+    }
+}
+
+/// [`search`] over a sorted run of offsets.
+#[inline]
+pub fn search_u32(run: &[u32], key: u32) -> Result<usize, usize> {
+    let pos = count_lt_u32(run, key);
+    if pos < run.len() && run[pos] == key {
+        Ok(pos)
+    } else {
+        Err(pos)
+    }
+}
+
+/// [`count_le_u32`] pinned to an explicit variant (bench/test hook).
+///
+/// # Panics
+/// Panics when `variant` is not [`Variant::supported`] on this CPU.
+pub fn count_le_u32_with(variant: Variant, run: &[u32], key: u32) -> usize {
+    assert!(variant.supported(), "{variant:?} not supported on this CPU");
+    count_le_u32_dispatch(variant, run, key)
+}
+
+/// [`count_le_dispatch`] over offsets: a branchless binary search narrows
+/// long runs to [`SMALL_RUN`] elements, the vector arm counts the window.
+#[inline]
+fn count_le_u32_dispatch(variant: Variant, run: &[u32], key: u32) -> usize {
+    let mut lo = 0usize;
+    let mut hi = run.len();
+    while hi - lo > SMALL_RUN {
+        let mid = lo + (hi - lo) / 2;
+        let le = run[mid] <= key;
+        lo = if le { mid + 1 } else { lo };
+        hi = if le { hi } else { mid };
+    }
+    let window = &run[lo..hi];
+    lo + match variant {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller vouches that the CPU has AVX2.
+        Variant::Avx2 => unsafe { count_le_u32_avx2(window, key) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        Variant::Sse2 => unsafe { count_le_u32_sse2(window, key) },
+        _ => count_le_u32_scalar(window, key),
+    }
+}
+
+/// Scalar twin of the vector window count over offsets.
+#[inline]
+fn count_le_u32_scalar(window: &[u32], key: u32) -> usize {
+    window.iter().map(|&x| usize::from(x <= key)).sum()
+}
+
+/// x86 has only a signed 32-bit compare: flipping the sign bit of both
+/// sides maps unsigned order onto signed order (`0 → i32::MIN`,
+/// `u32::MAX → i32::MAX`). True lanes are -1, so a running add counts
+/// `-(offsets above key)` per lane; a window of at most [`SMALL_RUN`]
+/// offsets cannot wrap a lane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn count_le_u32_avx2(window: &[u32], key: u32) -> usize {
+    use std::arch::x86_64::*;
+    let flip = _mm256_set1_epi32(i32::MIN);
+    let vkey = _mm256_set1_epi32((key ^ 0x8000_0000) as i32);
+    let mut acc = _mm256_setzero_si256();
+    let mut chunks = window.chunks_exact(8);
+    for chunk in chunks.by_ref() {
+        let v = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+        acc = _mm256_add_epi32(acc, _mm256_cmpgt_epi32(_mm256_xor_si256(v, flip), vkey));
+    }
+    let halves = _mm_add_epi32(
+        _mm256_castsi256_si128(acc),
+        _mm256_extracti128_si256::<1>(acc),
+    );
+    let gt = (-horizontal_sum_epi32(halves)) as usize;
+    (window.len() - chunks.remainder().len() - gt) + count_le_u32_scalar(chunks.remainder(), key)
+}
+
+/// SSE2 twin of [`count_le_u32_avx2`], four offsets per compare.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn count_le_u32_sse2(window: &[u32], key: u32) -> usize {
+    use std::arch::x86_64::*;
+    let flip = _mm_set1_epi32(i32::MIN);
+    let vkey = _mm_set1_epi32((key ^ 0x8000_0000) as i32);
+    let mut acc = _mm_setzero_si128();
+    let mut chunks = window.chunks_exact(4);
+    for chunk in chunks.by_ref() {
+        let v = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
+        acc = _mm_add_epi32(acc, _mm_cmpgt_epi32(_mm_xor_si128(v, flip), vkey));
+    }
+    let gt = (-horizontal_sum_epi32(acc)) as usize;
+    (window.len() - chunks.remainder().len() - gt) + count_le_u32_scalar(chunks.remainder(), key)
+}
+
+/// Sum of the four 32-bit lanes of `v`, reduced in registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn horizontal_sum_epi32(v: std::arch::x86_64::__m128i) -> i32 {
+    use std::arch::x86_64::*;
+    let pairs = _mm_add_epi32(v, _mm_shuffle_epi32::<0b01_00_11_10>(v));
+    _mm_cvtsi128_si32(_mm_add_epi32(
+        pairs,
+        _mm_shuffle_epi32::<0b10_11_00_01>(pairs),
+    ))
+}
+
+/// Exact sum of a run of offsets — identical to
+/// `run.iter().map(|&x| x as u128).sum()`. The vector arms add the even
+/// and the odd offsets of each vector into 64-bit lanes, reduced every 2^30
+/// offsets, long before a lane could wrap.
+#[inline]
+pub fn sum_run_u32(run: &[u32]) -> u128 {
+    sum_run_u32_dispatch(active_variant(), run)
+}
+
+/// [`sum_run_u32`] pinned to an explicit variant (bench/test hook).
+///
+/// # Panics
+/// Panics when `variant` is not [`Variant::supported`] on this CPU.
+pub fn sum_run_u32_with(variant: Variant, run: &[u32]) -> u128 {
+    assert!(variant.supported(), "{variant:?} not supported on this CPU");
+    sum_run_u32_dispatch(variant, run)
+}
+
+#[inline]
+fn sum_run_u32_dispatch(variant: Variant, run: &[u32]) -> u128 {
+    let mut total = 0u128;
+    for block in run.chunks(SUM_BLOCK) {
+        let (sum, rest) = match variant {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the caller vouches that the CPU has AVX2.
+            Variant::Avx2 => unsafe { sum_u32_avx2(block) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            Variant::Sse2 => unsafe { sum_u32_sse2(block) },
+            _ => (0, block),
+        };
+        total += sum as u128 + rest.iter().map(|&x| x as u64).sum::<u64>() as u128;
+    }
+    total
+}
+
+/// Sum of the whole vectors of `block` (at most [`SUM_BLOCK`] offsets), and
+/// the scalar tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sum_u32_avx2(block: &[u32]) -> (u64, &[u32]) {
+    use std::arch::x86_64::*;
+    let low_half = _mm256_set1_epi64x(0xFFFF_FFFF);
+    let mut acc = _mm256_setzero_si256();
+    let mut chunks = block.chunks_exact(8);
+    for chunk in chunks.by_ref() {
+        let v = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+        acc = _mm256_add_epi64(acc, _mm256_and_si256(v, low_half));
+        acc = _mm256_add_epi64(acc, _mm256_srli_epi64::<32>(v));
+    }
+    let halves = _mm_add_epi64(
+        _mm256_castsi256_si128(acc),
+        _mm256_extracti128_si256::<1>(acc),
+    );
+    let sum = _mm_add_epi64(halves, _mm_unpackhi_epi64(halves, halves));
+    (_mm_cvtsi128_si64(sum) as u64, chunks.remainder())
+}
+
+/// SSE2 twin of [`sum_u32_avx2`], four offsets per step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn sum_u32_sse2(block: &[u32]) -> (u64, &[u32]) {
+    use std::arch::x86_64::*;
+    let low_half = _mm_set1_epi64x(0xFFFF_FFFF);
+    let mut acc = _mm_setzero_si128();
+    let mut chunks = block.chunks_exact(4);
+    for chunk in chunks.by_ref() {
+        let v = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
+        acc = _mm_add_epi64(acc, _mm_and_si128(v, low_half));
+        acc = _mm_add_epi64(acc, _mm_srli_epi64::<32>(v));
+    }
+    let sum = _mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc));
+    (_mm_cvtsi128_si64(sum) as u64, chunks.remainder())
+}
+
+/// Widens offsets into keys: `dst[i] = base + src[i]` (wrapping, as the
+/// vector adds do; a chunk's window never wraps).
+///
+/// # Panics
+/// Panics when the lengths differ.
+#[inline]
+pub fn decode_run(dst: &mut [Key], base: Key, src: &[u32]) {
+    decode_run_with_unchecked(active_variant(), dst, base, src);
+}
+
+/// [`decode_run`] pinned to an explicit variant (bench/test hook).
+///
+/// # Panics
+/// Panics when `variant` is not [`Variant::supported`] on this CPU, or the
+/// lengths differ.
+pub fn decode_run_with(variant: Variant, dst: &mut [Key], base: Key, src: &[u32]) {
+    assert!(variant.supported(), "{variant:?} not supported on this CPU");
+    decode_run_with_unchecked(variant, dst, base, src);
+}
+
+#[inline]
+fn decode_run_with_unchecked(variant: Variant, dst: &mut [Key], base: Key, src: &[u32]) {
+    assert_eq!(dst.len(), src.len(), "decode_run: lengths differ");
+    // SAFETY: `dst` has room for `src.len()` keys (checked above); the
+    // caller vouches for the variant.
+    unsafe { decode_raw(variant, dst.as_mut_ptr(), base, src) }
+}
+
+/// Appends the keys of `src` (offsets from `base`) to `dst` — the narrow
+/// twin of [`append_run`], bit-identical to
+/// `dst.extend(src.iter().map(|&x| base.wrapping_add(x as i64)))`.
+#[inline]
+pub fn append_decoded(dst: &mut Vec<Key>, base: Key, src: &[u32]) {
+    dst.reserve(src.len());
+    let len = dst.len();
+    // SAFETY: reserved above; the active variant is supported.
+    unsafe {
+        decode_raw(active_variant(), dst.as_mut_ptr().add(len), base, src);
+        dst.set_len(len + src.len());
+    }
+}
+
+/// Writes `base + src[i]` to `dst.add(i)` for every `i`.
+///
+/// # Safety
+/// `dst` must be valid for `src.len()` writes, and `variant` supported.
+#[inline]
+unsafe fn decode_raw(variant: Variant, dst: *mut Key, base: Key, src: &[u32]) {
+    match variant {
+        #[cfg(target_arch = "x86_64")]
+        Variant::Avx2 => decode_avx2(dst, base, src),
+        #[cfg(target_arch = "x86_64")]
+        Variant::Sse2 => decode_sse2(dst, base, src),
+        _ => decode_scalar(dst, base, src),
+    }
+}
+
+#[inline]
+unsafe fn decode_scalar(dst: *mut Key, base: Key, src: &[u32]) {
+    for (i, &x) in src.iter().enumerate() {
+        *dst.add(i) = base.wrapping_add(x as i64);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn decode_avx2(mut dst: *mut Key, base: Key, src: &[u32]) {
+    use std::arch::x86_64::*;
+    let vbase = _mm256_set1_epi64x(base);
+    let mut chunks = src.chunks_exact(4);
+    for chunk in chunks.by_ref() {
+        let v = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
+        let keys = _mm256_add_epi64(_mm256_cvtepu32_epi64(v), vbase);
+        _mm256_storeu_si256(dst as *mut __m256i, keys);
+        dst = dst.add(4);
+    }
+    decode_scalar(dst, base, chunks.remainder());
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn decode_sse2(mut dst: *mut Key, base: Key, src: &[u32]) {
+    use std::arch::x86_64::*;
+    let vbase = _mm_set1_epi64x(base);
+    let zero = _mm_setzero_si128();
+    let mut chunks = src.chunks_exact(4);
+    for chunk in chunks.by_ref() {
+        let v = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
+        let low = _mm_add_epi64(_mm_unpacklo_epi32(v, zero), vbase);
+        let high = _mm_add_epi64(_mm_unpackhi_epi32(v, zero), vbase);
+        _mm_storeu_si128(dst as *mut __m128i, low);
+        _mm_storeu_si128(dst.add(2) as *mut __m128i, high);
+        dst = dst.add(4);
+    }
+    decode_scalar(dst, base, chunks.remainder());
 }
 
 // ---------------------------------------------------------------------

@@ -11,14 +11,37 @@
 //! words, reached from the gate's hot line with one pointer hop:
 //!
 //! ```text
-//! | geometry | mins[S] | cards[S] | keys[S*B] | values[S*B] | activity[S] |
+//! wide:   | geometry | base | mins[S] | cards[S] | keys: i64[S*B] | values[S*B] | activity[S] |
+//! narrow: | geometry | base | mins[S] | cards[S] | keys: u32[S*B] | values[S*B] | activity[S] |
 //! ```
 //!
-//! The routing prefix (`mins`, `cards`) sits right behind the one-word
+//! The routing prefix (`mins`, `cards`) sits right behind the two-word
 //! header, so a point lookup touches the slab's first two or three cache
 //! lines, then the one segment it routes to. `activity` is the
 //! adaptive-rebalancing predictor state (`f64` bits), only touched by
 //! writers.
+//!
+//! # Narrow keys
+//!
+//! A slab whose keys fit a window of 2^32 consecutive keys stores each key
+//! as its `u32` offset from the slab's `base` (a bit of the geometry word
+//! says which layout a slab has): a slot is 12 bytes instead of 16, so a
+//! scan streams a quarter fewer lines and a point operation asks for half
+//! the key lines. Offsets order like their keys, so searches, counts and
+//! shifts run on the offsets themselves (`u32` kernels, 8 per AVX2
+//! compare); a scan folds them without widening
+//! ([`ScanStats::visit_narrow_run`]), and [`ChunkData::runs`] widens them
+//! into a small buffer for visitors that want keys. Values, `mins` and the
+//! rest stay 8 bytes wide.
+//!
+//! The width is chosen where a slab is built from a sorted stream
+//! ([`ChunkData::from_stream`]: bulk load, global rebalance, resize): narrow
+//! iff the run is non-empty and spans less than 2^32, with the window
+//! centred on the run so inserts on either side find headroom. Rewrites in
+//! place keep the width. A write of a key outside the window first moves
+//! the chunk into a fresh wide slab ([`ChunkData::prepare_write`]), which
+//! the PMA does when it takes the chunk for writing, so the slab's address
+//! — the static index's hint — is final before any mutation.
 //!
 //! # Waits for memory per point operation
 //!
@@ -54,6 +77,7 @@
 //! and the rebalancer) is responsible for holding the owning gate's latch in
 //! the appropriate mode before touching a chunk.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use crate::adaptive::AdaptivePredictor;
@@ -73,13 +97,54 @@ pub enum ChunkInsert {
     SegmentFull(usize),
 }
 
-/// Slab word holding `num_segments << 32 | segment_capacity`.
+/// What [`ChunkData::prepare_write`] did to the slab.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlabMove {
+    /// The slab was unique and holds the keys: nothing moved.
+    Kept,
+    /// A clone (a frozen snapshot) still shared the slab: it was copied.
+    Copied,
+    /// The keys fall outside a narrow slab's window: the chunk moved into a
+    /// fresh wide slab.
+    Widened,
+}
+
+impl SlabMove {
+    /// Whether the chunk now lives at a new address.
+    #[inline]
+    pub fn moved(self) -> bool {
+        self != SlabMove::Kept
+    }
+}
+
+/// The keys of a write that stores none (a removal): `lo > hi`.
+#[allow(clippy::reversed_empty_ranges)] // empty on purpose
+pub const NO_KEYS: RangeInclusive<Key> = KEY_MAX..=KEY_MIN;
+
+/// The keys a sorted batch writes: its first through its last, or
+/// [`NO_KEYS`] for an empty one.
+pub fn batch_keys(batch: &[(Key, Value)]) -> RangeInclusive<Key> {
+    match (batch.first(), batch.last()) {
+        (Some(first), Some(last)) => first.0..=last.0,
+        _ => NO_KEYS,
+    }
+}
+
+/// Slab word holding `narrow << 63 | num_segments << 32 | segment_capacity`.
 const GEOMETRY: usize = 0;
+/// The geometry bit of a narrow slab.
+const NARROW: u64 = 1 << 63;
+/// Slab word holding a narrow slab's base key (0 in a wide slab).
+const BASE: usize = 1;
 /// First word of the routing prefix.
-const MINS: usize = 1;
+const MINS: usize = 2;
+/// Keys a narrow slab's window holds: `[base, base + WINDOW)`.
+const WINDOW: i128 = 1 << 32;
 /// Bytes of `Arc`'s two reference counts, which sit in front of the slab's
 /// words in the same allocation.
 const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
+/// Keys a narrow run is widened into at a time for a key visitor.
+const DECODE: usize = 128;
 
 /// The elements of one chunk (one gate's worth of segments).
 ///
@@ -95,15 +160,202 @@ impl std::fmt::Debug for ChunkData {
         f.debug_struct("ChunkData")
             .field("num_segments", &self.num_segments())
             .field("segment_capacity", &self.segment_capacity())
+            .field("narrow", &self.is_narrow())
             .field("cardinality", &self.cardinality())
             .finish()
     }
 }
 
+/// What a key slot holds: the key itself (`i64`, a wide slab) or its offset
+/// from the slab's base (`u32`, a narrow slab). Offsets order like their
+/// keys, so a segment run is searched, counted, shifted and merged as slots;
+/// only a key from outside (a probe, a bound) is translated, once.
+trait Slot: Copy + Ord + 'static {
+    /// The slot of `key`, which lies in the slab's window.
+    fn of(key: Key, base: Key) -> Self;
+    /// The key the slot holds.
+    fn key(self, base: Key) -> Key;
+    /// `key`'s position in the sorted run, as [`simd::search`]. A key
+    /// outside the window misses, below or above every slot.
+    fn search(run: &[Self], base: Key, key: Key) -> Result<usize, usize>;
+    /// Slots `< key` in the sorted run (`key` may lie outside the window).
+    fn count_lt(run: &[Self], base: Key, key: Key) -> usize;
+    /// Slots `<= key` in the sorted run (`key` may lie outside the window).
+    fn count_le(run: &[Self], base: Key, key: Key) -> usize;
+    /// Folds a run into `stats`.
+    fn fold(stats: &mut ScanStats, base: Key, run: &[Self], values: &[Value]);
+    /// Appends the keys of a run to `keys`.
+    fn append(keys: &mut Vec<Key>, base: Key, run: &[Self]);
+    /// Hands `visit` the run as keys (in pieces, if they must be widened).
+    fn visit(base: Key, run: &[Self], values: &[Value], visit: &mut impl FnMut(&[Key], &[Value]));
+    /// The slab words of a key region of `slots` slots.
+    fn words(slots: usize) -> usize;
+    /// The key region `words` (of [`Slot::words`]`(slots)` words) as slots.
+    fn slots(words: &[i64], slots: usize) -> &[Self];
+    /// [`Slot::slots`], mutably.
+    fn slots_mut(words: &mut [i64], slots: usize) -> &mut [Self];
+}
+
+impl Slot for i64 {
+    #[inline(always)]
+    fn of(key: Key, _base: Key) -> Self {
+        key
+    }
+
+    #[inline(always)]
+    fn key(self, _base: Key) -> Key {
+        self
+    }
+
+    #[inline(always)]
+    fn search(run: &[Self], _base: Key, key: Key) -> Result<usize, usize> {
+        simd::search(run, key)
+    }
+
+    #[inline(always)]
+    fn count_lt(run: &[Self], _base: Key, key: Key) -> usize {
+        simd::count_lt(run, key)
+    }
+
+    #[inline(always)]
+    fn count_le(run: &[Self], _base: Key, key: Key) -> usize {
+        simd::count_le(run, key)
+    }
+
+    #[inline(always)]
+    fn fold(stats: &mut ScanStats, _base: Key, run: &[Self], values: &[Value]) {
+        stats.visit_run(run, values);
+    }
+
+    #[inline(always)]
+    fn append(keys: &mut Vec<Key>, _base: Key, run: &[Self]) {
+        simd::append_run(keys, run);
+    }
+
+    #[inline(always)]
+    fn visit(_base: Key, run: &[Self], values: &[Value], visit: &mut impl FnMut(&[Key], &[Value])) {
+        visit(run, values);
+    }
+
+    #[inline(always)]
+    fn words(slots: usize) -> usize {
+        slots
+    }
+
+    #[inline(always)]
+    fn slots(words: &[i64], slots: usize) -> &[Self] {
+        &words[..slots]
+    }
+
+    #[inline(always)]
+    fn slots_mut(words: &mut [i64], slots: usize) -> &mut [Self] {
+        &mut words[..slots]
+    }
+}
+
+/// `key - base` as an offset, when `key` lies in the window.
+#[inline(always)]
+fn offset(key: Key, base: Key) -> Result<u32, std::cmp::Ordering> {
+    if key < base {
+        return Err(std::cmp::Ordering::Less);
+    }
+    u32::try_from(key.wrapping_sub(base) as u64).map_err(|_| std::cmp::Ordering::Greater)
+}
+
+impl Slot for u32 {
+    #[inline(always)]
+    fn of(key: Key, base: Key) -> Self {
+        debug_assert!(
+            offset(key, base).is_ok(),
+            "{key} outside the window of {base}"
+        );
+        key.wrapping_sub(base) as u32
+    }
+
+    #[inline(always)]
+    fn key(self, base: Key) -> Key {
+        base.wrapping_add(self as i64)
+    }
+
+    #[inline(always)]
+    fn search(run: &[Self], base: Key, key: Key) -> Result<usize, usize> {
+        match offset(key, base) {
+            Ok(offset) => simd::search_u32(run, offset),
+            Err(std::cmp::Ordering::Less) => Err(0),
+            Err(_) => Err(run.len()),
+        }
+    }
+
+    #[inline(always)]
+    fn count_lt(run: &[Self], base: Key, key: Key) -> usize {
+        match offset(key, base) {
+            Ok(offset) => simd::count_lt_u32(run, offset),
+            Err(std::cmp::Ordering::Less) => 0,
+            Err(_) => run.len(),
+        }
+    }
+
+    #[inline(always)]
+    fn count_le(run: &[Self], base: Key, key: Key) -> usize {
+        match offset(key, base) {
+            Ok(offset) => simd::count_le_u32(run, offset),
+            Err(std::cmp::Ordering::Less) => 0,
+            Err(_) => run.len(),
+        }
+    }
+
+    #[inline(always)]
+    fn fold(stats: &mut ScanStats, base: Key, run: &[Self], values: &[Value]) {
+        stats.visit_narrow_run(base, run, values);
+    }
+
+    #[inline(always)]
+    fn append(keys: &mut Vec<Key>, base: Key, run: &[Self]) {
+        simd::append_decoded(keys, base, run);
+    }
+
+    #[inline(always)]
+    fn visit(base: Key, run: &[Self], values: &[Value], visit: &mut impl FnMut(&[Key], &[Value])) {
+        // Runs concatenate: a run widened piece by piece is the same run.
+        let mut buf = [0 as Key; DECODE];
+        for (run, values) in run.chunks(DECODE).zip(values.chunks(DECODE)) {
+            let keys = &mut buf[..run.len()];
+            simd::decode_run(keys, base, run);
+            visit(keys, values);
+        }
+    }
+
+    #[inline(always)]
+    fn words(slots: usize) -> usize {
+        slots.div_ceil(2)
+    }
+
+    #[inline(always)]
+    fn slots(words: &[i64], slots: usize) -> &[Self] {
+        assert!(2 * words.len() >= slots);
+        // SAFETY: an `i64` word is 8-aligned, more than a `u32` needs; the
+        // region's `ceil(slots / 2)` words hold `slots` `u32`s (checked
+        // above); the result borrows `words`, so nothing writes the region
+        // while it lives.
+        unsafe { std::slice::from_raw_parts(words.as_ptr() as *const u32, slots) }
+    }
+
+    #[inline(always)]
+    fn slots_mut(words: &mut [i64], slots: usize) -> &mut [Self] {
+        assert!(2 * words.len() >= slots);
+        // SAFETY: as in `slots`; the result borrows `words` mutably — the
+        // slab is unique by then (`prepare_write`) and the caller holds the
+        // gate exclusively — so it is the region's only view.
+        unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u32, slots) }
+    }
+}
+
 /// The slab's arrays, borrowed.
 #[derive(Clone, Copy)]
-struct View<'a> {
+struct View<'a, K> {
     segment_capacity: usize,
+    /// The key of offset 0 in a narrow slab (0 in a wide one).
+    base: Key,
     /// Contiguous routing prefix: `mins[s]` is the minimum key of segment
     /// `s`, with empty segments inheriting the previous non-empty segment's
     /// minimum (leading empties hold [`KEY_MIN`]). The array is therefore
@@ -114,16 +366,17 @@ struct View<'a> {
     /// Live elements per segment.
     cards: &'a [i64],
     /// Slot array: segment `s` owns `[s * B, (s + 1) * B)`.
-    keys: &'a [Key],
+    keys: &'a [K],
     values: &'a [Value],
 }
 
 /// The slab's arrays, borrowed mutably (the slab is unique by then).
-struct ViewMut<'a> {
+struct ViewMut<'a, K> {
     segment_capacity: usize,
+    base: Key,
     mins: &'a mut [Key],
     cards: &'a mut [i64],
-    keys: &'a mut [Key],
+    keys: &'a mut [K],
     values: &'a mut [Value],
     /// Per-segment insertion/deletion activity (`f64` bits), used by
     /// adaptive rebalancing.
@@ -133,23 +386,59 @@ struct ViewMut<'a> {
 /// `(num_segments, segment_capacity)` out of the geometry word.
 #[inline]
 fn geometry(slab: &[i64]) -> (usize, usize) {
-    let word = slab[GEOMETRY] as u64;
+    let word = slab[GEOMETRY] as u64 & !NARROW;
     ((word >> 32) as usize, (word & 0xFFFF_FFFF) as usize)
 }
 
-impl<'a> View<'a> {
+/// Whether the slab stores offsets.
+#[inline]
+fn narrow(slab: &[i64]) -> bool {
+    slab[GEOMETRY] as u64 & NARROW != 0
+}
+
+/// Runs `$body` with `$v` bound to the [`View`] of `$slab`, compiled once
+/// per slot width.
+macro_rules! with_view {
+    ($slab:expr, |$v:ident| $body:expr) => {
+        if narrow(&$slab) {
+            let $v = View::<u32>::new(&$slab);
+            $body
+        } else {
+            let $v = View::<i64>::new(&$slab);
+            $body
+        }
+    };
+}
+
+/// Runs `$body` with `$v` bound to the [`ViewMut`] of `$chunk`'s slab, which
+/// [`ChunkData::prepare_write`] has made unique.
+macro_rules! with_view_mut {
+    ($chunk:expr, |$v:ident| $body:expr) => {{
+        let slab = Arc::get_mut(&mut $chunk.slab).expect("a prepared slab is unique");
+        if narrow(slab) {
+            let mut $v = ViewMut::<u32>::new(slab);
+            $body
+        } else {
+            let mut $v = ViewMut::<i64>::new(slab);
+            $body
+        }
+    }};
+}
+
+impl<'a, K: Slot> View<'a, K> {
     #[inline]
     fn new(slab: &'a [i64]) -> Self {
         let (segments, segment_capacity) = geometry(slab);
         let slots = segments * segment_capacity;
         let (mins, rest) = slab[MINS..].split_at(segments);
         let (cards, rest) = rest.split_at(segments);
-        let (keys, rest) = rest.split_at(slots);
+        let (keys, rest) = rest.split_at(K::words(slots));
         Self {
             segment_capacity,
+            base: slab[BASE],
             mins,
             cards,
-            keys,
+            keys: K::slots(keys, slots),
             values: &rest[..slots],
         }
     }
@@ -174,9 +463,9 @@ impl<'a> View<'a> {
         s * self.segment_capacity
     }
 
-    /// Sorted live keys of segment `s`.
+    /// Sorted live slots of segment `s`.
     #[inline]
-    fn seg_keys(&self, s: usize) -> &'a [Key] {
+    fn seg_keys(&self, s: usize) -> &'a [K] {
         let (keys, start) = (self.keys, self.seg_start(s));
         &keys[start..start + self.card(s)]
     }
@@ -190,7 +479,7 @@ impl<'a> View<'a> {
 
     #[inline]
     fn seg_min(&self, s: usize) -> Option<Key> {
-        self.seg_keys(s).first().copied()
+        self.seg_keys(s).first().map(|slot| slot.key(self.base))
     }
 
     /// Routes on the prefix alone: `mins[s]` *is* the first key of a
@@ -204,7 +493,7 @@ impl<'a> View<'a> {
             s -= 1;
         }
         debug_assert!(
-            self.cards[s] == 0 || self.mins[s] == self.keys[self.seg_start(s)],
+            self.cards[s] == 0 || self.mins[s] == self.keys[self.seg_start(s)].key(self.base),
             "routing prefix out of date at segment {s}"
         );
         if self.cards[s] > 0 && self.mins[s] <= key {
@@ -234,23 +523,25 @@ impl<'a> View<'a> {
     /// slots of `values`.
     #[inline]
     fn prefetch_slots(&self, start: usize, len: usize) {
-        const LINE: usize = 64 / std::mem::size_of::<Key>();
         if len == 0 {
             return;
         }
-        for run in [
-            &self.keys[start..start + len],
-            &self.values[start..start + len],
-        ] {
-            for line in run.chunks(LINE) {
-                simd::prefetch_read(line.as_ptr());
-            }
-            // The run is not line-aligned: its tail may spill into one more.
-            simd::prefetch_read(&run[len - 1]);
-        }
+        prefetch_run(&self.keys[start..start + len]);
+        prefetch_run(&self.values[start..start + len]);
     }
 
-    /// The one chunk-scan kernel: hands the live elements with key in
+    /// Point lookup.
+    #[inline]
+    fn get(&self, key: Key) -> Option<Value> {
+        // An empty chunk routes to its (empty) segment 0 and misses there.
+        let s = self.find_segment(key);
+        self.prefetch_segment(s);
+        K::search(self.seg_keys(s), self.base, key)
+            .ok()
+            .map(|pos| self.seg_values(s)[pos])
+    }
+
+    /// The one chunk-scan kernel: hands the live slots with key in
     /// `[lo, hi]` to `visit` in ascending key order, one contiguous segment
     /// run at a time, as a software pipeline — before segment `s` is
     /// visited, the occupied lines of every segment up to
@@ -262,7 +553,7 @@ impl<'a> View<'a> {
     /// segments in between are handed out whole. A span inside one segment
     /// (a short range query) asks for that segment like a point lookup does.
     #[inline]
-    fn runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&'a [Key], &'a [Value])) {
+    fn slot_runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&'a [K], &'a [Value])) {
         if lo > hi {
             return;
         }
@@ -285,12 +576,12 @@ impl<'a> View<'a> {
             }
             let (keys, values) = (self.seg_keys(s), self.seg_values(s));
             let begin = if cut_lo && s == first {
-                simd::count_lt(keys, lo)
+                K::count_lt(keys, self.base, lo)
             } else {
                 0
             };
             let end = if cut_hi && s == last {
-                simd::count_le(keys, hi)
+                K::count_le(keys, self.base, hi)
             } else {
                 keys.len()
             };
@@ -299,6 +590,82 @@ impl<'a> View<'a> {
             }
         }
     }
+
+    /// [`View::slot_runs`] as keys.
+    #[inline]
+    fn runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&[Key], &[Value])) {
+        let base = self.base;
+        self.slot_runs(lo, hi, |keys, values| {
+            K::visit(base, keys, values, &mut visit)
+        });
+    }
+
+    /// Folds the elements with key in `[lo, hi]` into `stats`.
+    #[inline]
+    fn fold(&self, lo: Key, hi: Key, stats: &mut ScanStats) {
+        let base = self.base;
+        self.slot_runs(lo, hi, |keys, values| K::fold(stats, base, keys, values));
+    }
+
+    /// Appends the elements with key in `[lo, hi]` to the output vectors.
+    #[inline]
+    fn append(&self, lo: Key, hi: Key, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
+        let base = self.base;
+        self.slot_runs(lo, hi, |ks, vs| {
+            K::append(keys, base, ks);
+            simd::append_run(values, vs);
+        });
+    }
+
+    /// Every element in ascending key order.
+    fn iter(self) -> impl Iterator<Item = (Key, Value)> + 'a {
+        (0..self.num_segments()).flat_map(move |s| {
+            self.seg_keys(s)
+                .iter()
+                .map(move |slot| slot.key(self.base))
+                .zip(self.seg_values(s).iter().copied())
+        })
+    }
+
+    /// See [`ChunkData::check_invariants`].
+    fn check_invariants(&self) {
+        let mut prev: Option<K> = None;
+        for s in 0..self.num_segments() {
+            assert!(
+                self.card(s) <= self.segment_capacity,
+                "segment {s} over capacity"
+            );
+            for &k in self.seg_keys(s) {
+                if let Some(p) = prev {
+                    assert!(p < k, "chunk keys not strictly increasing");
+                }
+                prev = Some(k);
+            }
+        }
+        // The routing prefix mirrors the segment minima, empty segments
+        // inheriting from the left.
+        let mut expected = KEY_MIN;
+        for s in 0..self.num_segments() {
+            if let Some(min) = self.seg_min(s) {
+                expected = min;
+            }
+            assert_eq!(
+                self.mins[s], expected,
+                "routing prefix out of date at segment {s}"
+            );
+        }
+    }
+}
+
+/// Asks for every line `run` overlaps.
+#[inline(always)]
+fn prefetch_run<T>(run: &[T]) {
+    let line = 64 / std::mem::size_of::<T>();
+    for piece in run.chunks(line) {
+        simd::prefetch_read(piece.as_ptr() as *const Key);
+    }
+    // The run is not line-aligned: its tail may spill into one more.
+    simd::prefetch_read(&run[run.len() - 1] as *const T as *const Key);
 }
 
 /// `[lo, hi]` as a chunk fenced by `fences` needs to see it: every key of the
@@ -319,28 +686,31 @@ pub(crate) fn open_ends(lo: Key, hi: Key, fences: (Key, Key)) -> (Key, Key) {
 /// two segment visits cover one trip to memory.
 const PREFETCH_AHEAD: usize = 2;
 
-impl<'a> ViewMut<'a> {
+impl<'a, K: Slot> ViewMut<'a, K> {
     fn new(slab: &'a mut [i64]) -> Self {
         let (segments, segment_capacity) = geometry(slab);
         let slots = segments * segment_capacity;
+        let base = slab[BASE];
         let (mins, rest) = slab[MINS..].split_at_mut(segments);
         let (cards, rest) = rest.split_at_mut(segments);
-        let (keys, rest) = rest.split_at_mut(slots);
+        let (keys, rest) = rest.split_at_mut(K::words(slots));
         let (values, activity) = rest.split_at_mut(slots);
         Self {
             segment_capacity,
+            base,
             mins,
             cards,
-            keys,
+            keys: K::slots_mut(keys, slots),
             values,
             activity,
         }
     }
 
     #[inline]
-    fn view(&self) -> View<'_> {
+    fn view(&self) -> View<'_, K> {
         View {
             segment_capacity: self.segment_capacity,
+            base: self.base,
             mins: self.mins,
             cards: self.cards,
             keys: self.keys,
@@ -354,7 +724,7 @@ impl<'a> ViewMut<'a> {
         let mut current = KEY_MIN;
         for s in 0..self.cards.len() {
             if self.cards[s] > 0 {
-                current = self.keys[s * self.segment_capacity];
+                current = self.keys[s * self.segment_capacity].key(self.base);
             }
             self.mins[s] = current;
         }
@@ -384,7 +754,7 @@ impl<'a> ViewMut<'a> {
     /// Writes `keys`/`values` (ascending) back into the segment window
     /// starting at `start_seg`, `targets[i]` elements into its `i`-th
     /// segment, and refreshes the routing prefix.
-    fn place(&mut self, start_seg: usize, targets: &[usize], keys: &[Key], values: &[Value]) {
+    fn place(&mut self, start_seg: usize, targets: &[usize], keys: &[K], values: &[Value]) {
         let mut cursor = 0usize;
         for (i, &t) in targets.iter().enumerate() {
             let s = start_seg + i;
@@ -396,26 +766,225 @@ impl<'a> ViewMut<'a> {
         }
         self.refresh_mins();
     }
+
+    /// See [`ChunkData::try_insert`]; `key` lies in the window.
+    #[inline]
+    fn try_insert(&mut self, key: Key, value: Value) -> ChunkInsert {
+        let s = self.view().find_segment(key);
+        self.prefetch_for_update(s);
+        let start = s * self.segment_capacity;
+        let card = self.cards[s] as usize;
+        match K::search(&self.keys[start..start + card], self.base, key) {
+            Ok(pos) => {
+                ChunkInsert::Replaced(std::mem::replace(&mut self.values[start + pos], value))
+            }
+            Err(pos) => {
+                if card == self.segment_capacity {
+                    return ChunkInsert::SegmentFull(s);
+                }
+                self.keys
+                    .copy_within(start + pos..start + card, start + pos + 1);
+                self.values
+                    .copy_within(start + pos..start + card, start + pos + 1);
+                self.keys[start + pos] = K::of(key, self.base);
+                self.values[start + pos] = value;
+                self.cards[s] += 1;
+                self.record_activity(s, 1.0);
+                if pos == 0 {
+                    // The segment minimum changed (or the segment was
+                    // empty): rebuild the routing prefix.
+                    self.refresh_mins();
+                }
+                ChunkInsert::Inserted
+            }
+        }
+    }
+
+    /// See [`ChunkData::remove`].
+    #[inline]
+    fn remove(&mut self, key: Key) -> Option<Value> {
+        let s = self.view().find_segment(key);
+        self.prefetch_for_update(s);
+        let start = s * self.segment_capacity;
+        let card = self.cards[s] as usize;
+        let pos = K::search(&self.keys[start..start + card], self.base, key).ok()?;
+        let old = self.values[start + pos];
+        self.keys
+            .copy_within(start + pos + 1..start + card, start + pos);
+        self.values
+            .copy_within(start + pos + 1..start + card, start + pos);
+        self.cards[s] -= 1;
+        self.record_activity(s, -1.0);
+        if pos == 0 {
+            // The segment minimum changed (or the segment drained).
+            self.refresh_mins();
+        }
+        Some(old)
+    }
+
+    /// See [`ChunkData::rebalance_local`].
+    fn rebalance_local(&mut self, start_seg: usize, num_segs: usize, adaptive: bool) {
+        let total = self.cards[start_seg..start_seg + num_segs]
+            .iter()
+            .sum::<i64>() as usize;
+        let mut staged_keys = Vec::with_capacity(total);
+        let mut staged_values = Vec::with_capacity(total);
+        for s in start_seg..start_seg + num_segs {
+            staged_keys.extend_from_slice(self.view().seg_keys(s));
+            staged_values.extend_from_slice(self.view().seg_values(s));
+        }
+        let segment_capacity = self.segment_capacity;
+        let targets = if adaptive {
+            // As with `even_targets`, keep one gap per segment when the
+            // elements allow it so the triggering insertion makes progress.
+            let capacity = if total <= num_segs * (segment_capacity - 1) {
+                segment_capacity - 1
+            } else {
+                segment_capacity
+            };
+            let window = &mut self.activity[start_seg..start_seg + num_segs];
+            let mut predictor = AdaptivePredictor::from_activity(
+                window.iter().map(|&a| f64::from_bits(a as u64)).collect(),
+            );
+            let targets = predictor.targets(0, num_segs, total, capacity);
+            // The prediction was consumed: keep the decayed history.
+            for (i, slot) in window.iter_mut().enumerate() {
+                *slot = predictor.activity(i).to_bits() as i64;
+            }
+            targets
+        } else {
+            crate::calibrator::even_targets(total, num_segs, segment_capacity)
+        };
+        self.place(start_seg, &targets, &staged_keys, &staged_values);
+    }
+
+    /// See [`ChunkData::merge_batch`]; every batch key lies in the window.
+    fn merge_batch(&mut self, batch: &[(Key, Value)]) -> usize {
+        let base = self.base;
+        let v = self.view();
+        let existing = v.cardinality();
+        let mut merged_keys: Vec<K> = Vec::with_capacity(existing + batch.len());
+        let mut merged_values = Vec::with_capacity(existing + batch.len());
+        let mut old_keys: Vec<K> = Vec::with_capacity(existing);
+        let mut old_values = Vec::with_capacity(existing);
+        for s in 0..v.num_segments() {
+            old_keys.extend_from_slice(v.seg_keys(s));
+            old_values.extend_from_slice(v.seg_values(s));
+        }
+        let batch_key = |j: usize| K::of(batch[j].0, base);
+
+        let mut added = 0usize;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < old_keys.len() || j < batch.len() {
+            if j >= batch.len() {
+                merged_keys.push(old_keys[i]);
+                merged_values.push(old_values[i]);
+                i += 1;
+            } else if i >= old_keys.len() {
+                // Skip duplicate keys inside the batch itself (last wins).
+                let k = batch[j].0;
+                if j + 1 < batch.len() && batch[j + 1].0 == k {
+                    j += 1;
+                    continue;
+                }
+                merged_keys.push(batch_key(j));
+                merged_values.push(batch[j].1);
+                added += 1;
+                j += 1;
+            } else if old_keys[i] < batch_key(j) {
+                merged_keys.push(old_keys[i]);
+                merged_values.push(old_values[i]);
+                i += 1;
+            } else if old_keys[i] > batch_key(j) {
+                let k = batch[j].0;
+                if j + 1 < batch.len() && batch[j + 1].0 == k {
+                    j += 1;
+                    continue;
+                }
+                merged_keys.push(batch_key(j));
+                merged_values.push(batch[j].1);
+                added += 1;
+                j += 1;
+            } else {
+                // Same key: the batch value wins (upsert), no new element.
+                merged_keys.push(old_keys[i]);
+                merged_values.push(batch[j].1);
+                i += 1;
+                j += 1;
+            }
+        }
+
+        let total = merged_keys.len();
+        let (segments, capacity) = (self.cards.len(), self.segment_capacity);
+        assert!(
+            total <= segments * capacity,
+            "batch does not fit in the chunk"
+        );
+        let targets = crate::calibrator::even_targets(total, segments, capacity);
+        self.place(0, &targets, &merged_keys, &merged_values);
+        added
+    }
+
+    /// Lays `elements` (ascending, in the window) out as `targets` says, on
+    /// a fresh slab.
+    fn fill(&mut self, targets: &[usize], elements: &[(Key, Value)]) {
+        let mut it = elements.iter();
+        for (s, &t) in targets.iter().enumerate() {
+            assert!(t <= self.segment_capacity);
+            let start = s * self.segment_capacity;
+            for (i, &(key, value)) in it.by_ref().take(t).enumerate() {
+                self.keys[start + i] = K::of(key, self.base);
+                self.values[start + i] = value;
+            }
+            self.cards[s] = t as i64;
+        }
+        self.refresh_mins();
+    }
+}
+
+/// The base of a narrow slab for a run of keys `min..=max`, if it fits one:
+/// the window is centred on the run, so inserts on either side find
+/// headroom, and clamped to the key domain.
+fn narrow_base(min: Key, max: Key) -> Option<Key> {
+    let span = max as i128 - min as i128;
+    if span >= WINDOW {
+        return None;
+    }
+    let base = min as i128 - (WINDOW - 1 - span) / 2;
+    Some(base.clamp(KEY_MIN as i128, KEY_MAX as i128 - (WINDOW - 1)) as Key)
 }
 
 impl ChunkData {
     /// Creates an empty chunk of `num_segments` segments of
-    /// `segment_capacity` slots each.
+    /// `segment_capacity` slots each (wide).
     pub fn new(num_segments: usize, segment_capacity: usize) -> Self {
+        Self::alloc(num_segments, segment_capacity, None)
+    }
+
+    /// An empty slab, narrow around `base` when given.
+    fn alloc(num_segments: usize, segment_capacity: usize, base: Option<Key>) -> Self {
         assert!(num_segments > 0 && segment_capacity > 0);
-        assert!(num_segments <= u32::MAX as usize && segment_capacity <= u32::MAX as usize);
-        let words = MINS + 3 * num_segments + 2 * num_segments * segment_capacity;
+        assert!(num_segments < 1 << 31 && segment_capacity <= u32::MAX as usize);
+        let slots = num_segments * segment_capacity;
+        let key_words = match base {
+            Some(_) => <u32 as Slot>::words(slots),
+            None => slots,
+        };
+        let words = MINS + 3 * num_segments + key_words + slots;
         // Collecting a `TrustedLen` iterator builds the slab in place: one
         // allocation, no staging vector.
         let mut slab: Arc<[i64]> = std::iter::repeat_n(0i64, words).collect();
         let words = Arc::get_mut(&mut slab).expect("a fresh slab is unique");
-        words[GEOMETRY] = ((num_segments as u64) << 32 | segment_capacity as u64) as i64;
+        let width = if base.is_some() { NARROW } else { 0 };
+        words[GEOMETRY] = (width | (num_segments as u64) << 32 | segment_capacity as u64) as i64;
+        words[BASE] = base.unwrap_or(0);
         words[MINS..MINS + num_segments].fill(KEY_MIN);
         Self { slab }
     }
 
     /// Builds a chunk by pulling elements from `stream` (ascending key order):
-    /// segment `s` receives `targets[s]` elements.
+    /// segment `s` receives `targets[s]` elements. The chunk is narrow when
+    /// its elements span less than 2^32 keys (see the module documentation).
     pub fn from_stream<I>(
         num_segments: usize,
         segment_capacity: usize,
@@ -426,48 +995,76 @@ impl ChunkData {
         I: Iterator<Item = (Key, Value)>,
     {
         assert_eq!(targets.len(), num_segments);
-        let mut chunk = Self::new(num_segments, segment_capacity);
-        let mut v = chunk.unique();
-        for (s, &t) in targets.iter().enumerate() {
-            assert!(t <= segment_capacity);
-            let start = s * segment_capacity;
-            for i in 0..t {
-                let (k, value) = stream
-                    .next()
-                    .expect("stream exhausted before filling the chunk");
-                v.keys[start + i] = k;
-                v.values[start + i] = value;
-            }
-            v.cards[s] = t as i64;
-        }
-        v.refresh_mins();
+        let total: usize = targets.iter().sum();
+        let elements: Vec<(Key, Value)> = stream.take(total).collect();
+        assert!(
+            elements.len() == total,
+            "stream exhausted before filling the chunk"
+        );
+        let base = match (elements.first(), elements.last()) {
+            (Some(&(min, _)), Some(&(max, _))) => narrow_base(min, max),
+            _ => None,
+        };
+        let mut chunk = Self::alloc(num_segments, segment_capacity, base);
+        with_view_mut!(chunk, |v| v.fill(targets, &elements));
         chunk
     }
 
+    /// Whether the chunk stores its keys as `u32` offsets from a base.
     #[inline]
-    fn view(&self) -> View<'_> {
-        View::new(&self.slab)
+    pub fn is_narrow(&self) -> bool {
+        narrow(&self.slab)
     }
 
-    /// Mutable access to the slab, copying it first if a clone (a frozen
-    /// snapshot) still shares it.
+    /// Readies the slab for a write of keys in `keys` (none for
+    /// [`NO_KEYS`]): a narrow slab whose window does not hold them is
+    /// widened into a fresh wide slab, and otherwise a slab a clone (a
+    /// frozen snapshot) still shares is copied. Either way the slab is
+    /// unique when this returns, and its address — the static index's
+    /// hint — final for the write. (`Arc::get_mut`, not a plain count load:
+    /// the check must synchronise with the drop of the last clone.)
+    ///
+    /// Every mutating method calls this itself; a caller that keeps the
+    /// slab's address calls it first, with the keys it is about to write.
     #[inline]
-    fn unique(&mut self) -> ViewMut<'_> {
-        ViewMut::new(Arc::make_mut(&mut self.slab))
-    }
-
-    /// Copies the slab now if a clone (a frozen snapshot) still shares it,
-    /// so that its address — the static index's hint — is final before any
-    /// mutation; returns whether it copied. (`Arc::get_mut`, not a plain
-    /// count load: the check must synchronise with the drop of the last
-    /// clone.)
-    #[inline]
-    pub(crate) fn make_unique(&mut self) -> bool {
-        let shared = Arc::get_mut(&mut self.slab).is_none();
-        if shared {
-            Arc::make_mut(&mut self.slab);
+    pub fn prepare_write(&mut self, keys: RangeInclusive<Key>) -> SlabMove {
+        let (lo, hi) = keys.into_inner();
+        if lo <= hi && self.is_narrow() {
+            let base = self.slab[BASE];
+            if offset(lo, base).is_err() || offset(hi, base).is_err() {
+                self.widen();
+                return SlabMove::Widened;
+            }
         }
-        shared
+        if Arc::get_mut(&mut self.slab).is_none() {
+            Arc::make_mut(&mut self.slab);
+            return SlabMove::Copied;
+        }
+        SlabMove::Kept
+    }
+
+    /// Moves a narrow chunk into a fresh wide slab of the same geometry:
+    /// same segments, same cards, same activity, keys widened.
+    fn widen(&mut self) {
+        let (segments, segment_capacity) = geometry(&self.slab);
+        let mut wide = Self::new(segments, segment_capacity);
+        let src = View::<u32>::new(&self.slab);
+        let words = Arc::get_mut(&mut wide.slab).expect("a fresh slab is unique");
+        let dst = ViewMut::<i64>::new(words);
+        dst.mins.copy_from_slice(src.mins);
+        dst.cards.copy_from_slice(src.cards);
+        for s in 0..segments {
+            let (start, card) = (src.seg_start(s), src.card(s));
+            simd::decode_run(
+                &mut dst.keys[start..start + card],
+                src.base,
+                src.seg_keys(s),
+            );
+        }
+        dst.values.copy_from_slice(src.values);
+        dst.activity
+            .copy_from_slice(&self.slab[self.slab.len() - segments..]);
+        self.slab = wide.slab;
     }
 
     /// Where the slab's allocation starts (the reference counts; the words
@@ -478,17 +1075,19 @@ impl ChunkData {
         (Arc::as_ptr(&self.slab) as *const i64 as usize).wrapping_sub(ARC_HEADER)
     }
 
-    /// What the static index keeps of this chunk: [`ChunkData::head_addr`]
-    /// and the routing prefix (`mins`: the first key of every non-empty
-    /// segment, an empty one inheriting its left neighbour's, leading
-    /// empties [`KEY_MIN`]; `cards`).
+    /// What the static index keeps of this chunk: [`ChunkData::head_addr`],
+    /// the width, and the routing prefix (`mins`: the first key of every
+    /// non-empty segment, an empty one inheriting its left neighbour's,
+    /// leading empties [`KEY_MIN`]; `cards`).
     #[inline]
     pub fn slab_hint(&self) -> SlabHint<'_> {
-        let v = self.view();
+        let segments = geometry(&self.slab).0;
+        let (mins, rest) = self.slab[MINS..].split_at(segments);
         SlabHint {
             addr: self.head_addr(),
-            mins: v.mins,
-            cards: v.cards,
+            narrow: self.is_narrow(),
+            mins,
+            cards: &rest[..segments],
         }
     }
 
@@ -496,13 +1095,14 @@ impl ChunkData {
     /// keeps its pieces, from [`ChunkData::head_addr`] on: the head (through
     /// `cards`: everything a point operation reads, and a writer's
     /// uniqueness check writes, before it knows its segment), then the key
-    /// slots, then the value slots.
+    /// slots (8 or, narrow, 4 bytes each), then the value slots.
     pub fn slab_layout(num_segments: usize, segment_capacity: usize) -> SlabLayout {
         let word = std::mem::size_of::<i64>();
         SlabLayout {
             segments: num_segments,
             head_bytes: ARC_HEADER + (MINS + 2 * num_segments) * word,
             segment_bytes: segment_capacity * word,
+            narrow_segment_bytes: segment_capacity * std::mem::size_of::<u32>(),
         }
     }
 
@@ -525,42 +1125,51 @@ impl ChunkData {
         segments * segment_capacity
     }
 
+    /// Live elements per segment.
+    #[inline]
+    fn cards(&self) -> &[i64] {
+        let segments = geometry(&self.slab).0;
+        &self.slab[MINS + segments..MINS + 2 * segments]
+    }
+
     /// Total number of live elements in the chunk.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.view().cardinality()
+        self.cards().iter().sum::<i64>() as usize
     }
 
     /// Live elements in segment `s`.
     #[inline]
     pub fn card(&self, s: usize) -> usize {
-        self.view().card(s)
+        self.cards()[s] as usize
     }
 
-    /// Sorted live keys of segment `s`.
-    #[inline]
-    pub fn seg_keys(&self, s: usize) -> &[Key] {
-        self.view().seg_keys(s)
+    /// Sorted live keys of segment `s`, as a copy.
+    pub fn seg_keys(&self, s: usize) -> Vec<Key> {
+        with_view!(self.slab, |v| v
+            .seg_keys(s)
+            .iter()
+            .map(|slot| slot.key(v.base))
+            .collect())
     }
 
     /// Minimum key of segment `s`, if non-empty.
     #[inline]
     pub fn seg_min(&self, s: usize) -> Option<Key> {
-        self.view().seg_min(s)
+        with_view!(self.slab, |v| v.seg_min(s))
     }
 
     /// Minimum key stored anywhere in the chunk.
     pub fn min_key(&self) -> Option<Key> {
-        let v = self.view();
-        (0..v.num_segments()).find_map(|s| v.seg_min(s))
+        with_view!(self.slab, |v| (0..v.num_segments())
+            .find_map(|s| v.seg_min(s)))
     }
 
     /// Maximum key stored anywhere in the chunk.
     pub fn max_key(&self) -> Option<Key> {
-        let v = self.view();
-        (0..v.num_segments())
+        with_view!(self.slab, |v| (0..v.num_segments())
             .rev()
-            .find_map(|s| v.seg_keys(s).last().copied())
+            .find_map(|s| v.seg_keys(s).last().map(|slot| slot.key(v.base))))
     }
 
     /// Returns the segment that should contain `key`: the last non-empty
@@ -571,114 +1180,75 @@ impl ChunkData {
     /// count — a single cache line for the default 8-segment gate — then
     /// resolves empty-segment inheritance against the cards array.
     pub fn find_segment(&self, key: Key) -> usize {
-        self.view().find_segment(key)
+        with_view!(self.slab, |v| v.find_segment(key))
     }
 
-    /// Point lookup within the chunk.
+    /// Point lookup within the chunk. A narrow chunk translates `key` into
+    /// an offset once; a key outside its window misses.
+    #[inline]
     pub fn get(&self, key: Key) -> Option<Value> {
-        let v = self.view();
-        // An empty chunk routes to its (empty) segment 0 and misses there.
-        let s = v.find_segment(key);
-        v.prefetch_segment(s);
-        simd::search(v.seg_keys(s), key)
-            .ok()
-            .map(|pos| v.seg_values(s)[pos])
+        with_view!(self.slab, |v| v.get(key))
     }
 
     /// Attempts to insert `key`/`value`. On [`ChunkInsert::SegmentFull`] the
-    /// caller must rebalance (locally or globally) and retry.
+    /// caller must rebalance (locally or globally) and retry. A key outside
+    /// a narrow chunk's window widens it first ([`ChunkData::prepare_write`]).
     pub fn try_insert(&mut self, key: Key, value: Value) -> ChunkInsert {
-        let mut v = self.unique();
-        let s = v.view().find_segment(key);
-        v.prefetch_for_update(s);
-        let start = s * v.segment_capacity;
-        let card = v.cards[s] as usize;
-        match simd::search(&v.keys[start..start + card], key) {
-            Ok(pos) => ChunkInsert::Replaced(std::mem::replace(&mut v.values[start + pos], value)),
-            Err(pos) => {
-                if card == v.segment_capacity {
-                    return ChunkInsert::SegmentFull(s);
-                }
-                v.keys
-                    .copy_within(start + pos..start + card, start + pos + 1);
-                v.values
-                    .copy_within(start + pos..start + card, start + pos + 1);
-                v.keys[start + pos] = key;
-                v.values[start + pos] = value;
-                v.cards[s] += 1;
-                v.record_activity(s, 1.0);
-                if pos == 0 {
-                    // The segment minimum changed (or the segment was
-                    // empty): rebuild the routing prefix.
-                    v.refresh_mins();
-                }
-                ChunkInsert::Inserted
-            }
-        }
+        self.prepare_write(key..=key);
+        with_view_mut!(self, |v| v.try_insert(key, value))
     }
 
     /// Removes `key` from the chunk.
     pub fn remove(&mut self, key: Key) -> Option<Value> {
-        let mut v = self.unique();
-        let s = v.view().find_segment(key);
-        v.prefetch_for_update(s);
-        let start = s * v.segment_capacity;
-        let card = v.cards[s] as usize;
-        let pos = simd::search(&v.keys[start..start + card], key).ok()?;
-        let old = v.values[start + pos];
-        v.keys
-            .copy_within(start + pos + 1..start + card, start + pos);
-        v.values
-            .copy_within(start + pos + 1..start + card, start + pos);
-        v.cards[s] -= 1;
-        v.record_activity(s, -1.0);
-        if pos == 0 {
-            // The segment minimum changed (or the segment drained).
-            v.refresh_mins();
-        }
-        Some(old)
+        self.prepare_write(NO_KEYS);
+        with_view_mut!(self, |v| v.remove(key))
     }
 
     /// Folds every element of the chunk (ascending key order) into `stats`,
     /// one whole segment run at a time.
     pub fn scan(&self, stats: &mut ScanStats) {
-        self.runs(KEY_MIN, KEY_MAX, |keys, values| {
-            stats.visit_run(keys, values)
-        });
+        self.fold(KEY_MIN, KEY_MAX, stats);
+    }
+
+    /// Folds every element with key in `[lo, hi]` into `stats`: the runs of
+    /// [`ChunkData::runs`], a narrow one without widening its keys.
+    #[inline]
+    pub fn fold(&self, lo: Key, hi: Key, stats: &mut ScanStats) {
+        with_view!(self.slab, |v| v.fold(lo, hi, stats));
     }
 
     /// Hands every element with key in `[lo, hi]` to `visit` in ascending
     /// key order, as contiguous runs of parallel key/value slices (one per
-    /// segment the range touches). This is the chunk-scan kernel every
-    /// ordered traversal goes through — see `View::runs` for its pipeline.
+    /// segment the range touches; a narrow run is widened 128 keys at a
+    /// time). This is the chunk-scan kernel every ordered traversal goes
+    /// through — see `View::slot_runs` for its pipeline.
     #[inline]
     pub fn runs(&self, lo: Key, hi: Key, visit: impl FnMut(&[Key], &[Value])) {
-        self.view().runs(lo, hi, visit);
+        with_view!(self.slab, |v| v.runs(lo, hi, visit));
+    }
+
+    /// Appends every element with key in `[lo, hi]` (ascending key order)
+    /// to the output vectors with the bulk run-copy kernels.
+    #[inline]
+    pub fn append_range(&self, lo: Key, hi: Key, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
+        with_view!(self.slab, |v| v.append(lo, hi, keys, values));
     }
 
     /// Iterates over every element of the chunk in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        let v = self.view();
-        (0..v.num_segments()).flat_map(move |s| {
-            v.seg_keys(s)
-                .iter()
-                .copied()
-                .zip(v.seg_values(s).iter().copied())
-        })
+        let iter: Box<dyn Iterator<Item = (Key, Value)> + '_> =
+            with_view!(self.slab, |v| Box::new(v.iter()));
+        iter
     }
 
     /// Appends every element (ascending key order) to the output vectors.
     pub fn collect_into(&self, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
-        let v = self.view();
-        for s in 0..v.num_segments() {
-            simd::append_run(keys, v.seg_keys(s));
-            simd::append_run(values, v.seg_values(s));
-        }
+        self.append_range(KEY_MIN, KEY_MAX, keys, values);
     }
 
     /// Number of elements in the local segment window `[start_seg, start_seg + num_segs)`.
     pub fn window_cardinality(&self, start_seg: usize, num_segs: usize) -> usize {
-        self.view().cards[start_seg..start_seg + num_segs]
+        self.cards()[start_seg..start_seg + num_segs]
             .iter()
             .sum::<i64>() as usize
     }
@@ -687,37 +1257,8 @@ impl ChunkData {
     /// (`adaptive = false`) or according to the recorded insertion skew
     /// (`adaptive = true`). Used for rebalances fully contained in one gate.
     pub fn rebalance_local(&mut self, start_seg: usize, num_segs: usize, adaptive: bool) {
-        let total = self.window_cardinality(start_seg, num_segs);
-        let mut staged_keys = Vec::with_capacity(total);
-        let mut staged_values = Vec::with_capacity(total);
-        let mut v = self.unique();
-        for s in start_seg..start_seg + num_segs {
-            staged_keys.extend_from_slice(v.view().seg_keys(s));
-            staged_values.extend_from_slice(v.view().seg_values(s));
-        }
-        let segment_capacity = v.segment_capacity;
-        let targets = if adaptive {
-            // As with `even_targets`, keep one gap per segment when the
-            // elements allow it so the triggering insertion makes progress.
-            let capacity = if total <= num_segs * (segment_capacity - 1) {
-                segment_capacity - 1
-            } else {
-                segment_capacity
-            };
-            let window = &mut v.activity[start_seg..start_seg + num_segs];
-            let mut predictor = AdaptivePredictor::from_activity(
-                window.iter().map(|&a| f64::from_bits(a as u64)).collect(),
-            );
-            let targets = predictor.targets(0, num_segs, total, capacity);
-            // The prediction was consumed: keep the decayed history.
-            for (i, slot) in window.iter_mut().enumerate() {
-                *slot = predictor.activity(i).to_bits() as i64;
-            }
-            targets
-        } else {
-            crate::calibrator::even_targets(total, num_segs, segment_capacity)
-        };
-        v.place(start_seg, &targets, &staged_keys, &staged_values);
+        self.prepare_write(NO_KEYS);
+        with_view_mut!(self, |v| v.rebalance_local(start_seg, num_segs, adaptive));
     }
 
     /// Merges a sorted batch of insertions into the whole chunk, rewriting it
@@ -731,61 +1272,8 @@ impl ChunkData {
     /// chunk-global order is preserved.
     pub fn merge_batch(&mut self, batch: &[(Key, Value)]) -> usize {
         debug_assert!(batch.windows(2).all(|w| w[0].0 <= w[1].0));
-        let existing = self.cardinality();
-        let mut merged_keys = Vec::with_capacity(existing + batch.len());
-        let mut merged_values = Vec::with_capacity(existing + batch.len());
-        let mut old_keys = Vec::with_capacity(existing);
-        let mut old_values = Vec::with_capacity(existing);
-        self.collect_into(&mut old_keys, &mut old_values);
-
-        let mut added = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old_keys.len() || j < batch.len() {
-            if j >= batch.len() {
-                merged_keys.push(old_keys[i]);
-                merged_values.push(old_values[i]);
-                i += 1;
-            } else if i >= old_keys.len() {
-                // Skip duplicate keys inside the batch itself (last wins).
-                let (k, v) = batch[j];
-                if j + 1 < batch.len() && batch[j + 1].0 == k {
-                    j += 1;
-                    continue;
-                }
-                merged_keys.push(k);
-                merged_values.push(v);
-                added += 1;
-                j += 1;
-            } else if old_keys[i] < batch[j].0 {
-                merged_keys.push(old_keys[i]);
-                merged_values.push(old_values[i]);
-                i += 1;
-            } else if old_keys[i] > batch[j].0 {
-                let (k, v) = batch[j];
-                if j + 1 < batch.len() && batch[j + 1].0 == k {
-                    j += 1;
-                    continue;
-                }
-                merged_keys.push(k);
-                merged_values.push(v);
-                added += 1;
-                j += 1;
-            } else {
-                // Same key: the batch value wins (upsert), no new element.
-                merged_keys.push(batch[j].0);
-                merged_values.push(batch[j].1);
-                i += 1;
-                j += 1;
-            }
-        }
-
-        let total = merged_keys.len();
-        assert!(total <= self.capacity(), "batch does not fit in the chunk");
-        let targets =
-            crate::calibrator::even_targets(total, self.num_segments(), self.segment_capacity());
-        self.unique()
-            .place(0, &targets, &merged_keys, &merged_values);
-        added
+        self.prepare_write(batch_keys(batch));
+        with_view_mut!(self, |v| v.merge_batch(batch))
     }
 
     /// Validates the chunk-local invariants (test hook).
@@ -793,29 +1281,7 @@ impl ChunkData {
     /// # Panics
     /// Panics with a description of the first violated invariant.
     pub fn check_invariants(&self) {
-        let v = self.view();
-        let mut prev: Option<Key> = None;
-        for s in 0..v.num_segments() {
-            assert!(v.card(s) <= v.segment_capacity, "segment {s} over capacity");
-            for &k in v.seg_keys(s) {
-                if let Some(p) = prev {
-                    assert!(p < k, "chunk keys not strictly increasing");
-                }
-                prev = Some(k);
-            }
-        }
-        // The routing prefix mirrors the segment minima, empty segments
-        // inheriting from the left.
-        let mut expected = KEY_MIN;
-        for s in 0..v.num_segments() {
-            if let Some(min) = v.seg_min(s) {
-                expected = min;
-            }
-            assert_eq!(
-                v.mins[s], expected,
-                "routing prefix out of date at segment {s}"
-            );
-        }
+        with_view!(self.slab, |v| v.check_invariants());
     }
 }
 
@@ -957,26 +1423,73 @@ mod tests {
         assert!(collect_runs(&chunk(), KEY_MIN, KEY_MAX).is_empty());
     }
 
+    /// The key layouts the width tests run over: `(what, first, span,
+    /// narrow)` — a chunk's keys stretch from `first` over `span` keys. A
+    /// span of `2^32 - 1` fills a narrow chunk's whole window, so its keys sit
+    /// at `base` and `base + 2^32 - 1`; one more makes the chunk wide.
+    const WIDTHS: [(&str, Key, i128, bool); 4] = [
+        ("narrow, small keys", 0, 10, true),
+        (
+            "narrow, the whole window",
+            -(1 << 31) - 7,
+            (1 << 32) - 1,
+            true,
+        ),
+        (
+            "narrow, window clamped to the domain",
+            KEY_MAX - 200,
+            10,
+            true,
+        ),
+        ("wide", -5, 1 << 32, false),
+    ];
+
+    /// `key` and its two neighbours, within the domain.
+    fn around(key: Key) -> [Key; 3] {
+        [key.saturating_sub(1), key, key.saturating_add(1)]
+    }
+
     #[test]
     fn runs_skip_empty_segments_and_uneven_cards() {
-        // Segments: [0, 1, 2] [] [10] [] and every sub-range of the domain.
-        let elements: Vec<(Key, Value)> = vec![(0, 0), (1, -1), (2, -2), (10, -10)];
-        let mut it = elements.iter().copied();
-        let c = ChunkData::from_stream(4, 4, &[3, 0, 1, 0], &mut it);
-        c.check_invariants();
-        for lo in -1..12 {
-            for hi in -1..12 {
-                let expected: Vec<_> = elements
-                    .iter()
-                    .copied()
-                    .filter(|&(k, _)| k >= lo && k <= hi)
-                    .collect();
-                assert_eq!(collect_runs(&c, lo, hi), expected, "[{lo}, {hi}]");
+        for (what, first, span, narrow) in WIDTHS {
+            // Segments: [0, 1, 2] [] [mid, span] [] (as offsets from
+            // `first`; `mid` is the sign flip `2^31` of a full window) and
+            // every sub-range between the keys, their neighbours and the
+            // ends of the domain.
+            let mid = span / 2 + 1;
+            let elements: Vec<(Key, Value)> = [0, 1, 2, mid, span]
+                .into_iter()
+                .map(|offset| ((first as i128 + offset) as Key, -(offset as Value)))
+                .collect();
+            let mut it = elements.iter().copied();
+            let c = ChunkData::from_stream(4, 4, &[3, 0, 2, 0], &mut it);
+            c.check_invariants();
+            assert_eq!(c.is_narrow(), narrow, "{what}");
+            let mut bounds: Vec<Key> = elements.iter().flat_map(|&(k, _)| around(k)).collect();
+            bounds.extend([KEY_MIN, KEY_MAX]);
+            bounds.extend(around(
+                (first as i128 + (1 << 31)).min(KEY_MAX as i128) as Key
+            ));
+            for &lo in &bounds {
+                for &hi in &bounds {
+                    let expected: Vec<_> = elements
+                        .iter()
+                        .copied()
+                        .filter(|&(k, _)| k >= lo && k <= hi)
+                        .collect();
+                    assert_eq!(collect_runs(&c, lo, hi), expected, "{what} [{lo}, {hi}]");
+                    let mut stats = ScanStats::default();
+                    c.fold(lo, hi, &mut stats);
+                    let mut reference = ScanStats::default();
+                    expected.iter().for_each(|&(k, v)| reference.visit(k, v));
+                    assert_eq!(stats, reference, "{what} fold [{lo}, {hi}]");
+                }
             }
+            let (mut stats, mut reference) = (ScanStats::default(), ScanStats::default());
+            c.scan(&mut stats);
+            elements.iter().for_each(|&(k, v)| reference.visit(k, v));
+            assert_eq!(stats, reference, "{what}");
         }
-        let mut stats = ScanStats::default();
-        c.scan(&mut stats);
-        assert_eq!((stats.count, stats.key_sum, stats.value_sum), (4, 13, -13));
     }
 
     /// Where the routing rule sends `key`, worked out from the slot array
@@ -996,9 +1509,18 @@ mod tests {
     /// full *last* segment, whose key and value runs end where the slab's
     /// slot arrays end (an update asks for the slot behind the run only when
     /// the segment has one) — against a model, with the chunk's whole state
-    /// compared after each one.
+    /// compared after each one — for every layout of [`WIDTHS`]: on a narrow
+    /// chunk probes below and above its window miss, and inserts there widen
+    /// it; on a full window the probes include `base + 2^31`, the sign flip
+    /// of the narrow compare.
     #[test]
     fn point_ops_agree_with_a_model_around_empty_segments() {
+        for (what, first, span, narrow) in WIDTHS {
+            point_ops_agree_with_a_model(what, first, span, narrow);
+        }
+    }
+
+    fn point_ops_agree_with_a_model(what: &str, first: Key, span: i128, narrow: bool) {
         use std::collections::BTreeMap;
         const CAPACITY: usize = 4;
         let layouts: [&[usize]; 12] = [
@@ -1025,24 +1547,41 @@ mod tests {
         };
         for targets in layouts {
             let total: usize = targets.iter().sum();
-            // Stored keys are multiples of 10; probes also hit the gaps
-            // between them, below the first and above the last.
-            let elements: Vec<(Key, Value)> = (1..=total as i64).map(|i| (i * 10, -i)).collect();
+            // Stored keys sit at the multiples of 10 of a logical line,
+            // stretched over `span` (a small span keeps it as it is); probes
+            // also hit the gaps between them, below the first and above the
+            // last.
+            let stride = (total as i128 - 1).max(1) * 10;
+            let key = |logical: i64| -> Key {
+                let offset = (logical as i128 - 10) * span.max(stride) / stride;
+                (first as i128 + offset).clamp(KEY_MIN as i128, KEY_MAX as i128) as Key
+            };
+            let elements: Vec<(Key, Value)> =
+                (1..=total as i64).map(|i| (key(i * 10), -i)).collect();
             let mut c = ChunkData::from_stream(4, CAPACITY, targets, &mut elements.iter().copied());
+            assert_eq!(c.is_narrow(), narrow && total > 0, "{what} {targets:?}");
             let mut model: BTreeMap<Key, Value> = elements.iter().copied().collect();
-            let check = |c: &ChunkData, model: &BTreeMap<Key, Value>, what: &str| {
+            let check = |c: &ChunkData, model: &BTreeMap<Key, Value>, step: &str| {
                 c.check_invariants();
                 let stored: Vec<(Key, Value)> = c.iter().collect();
                 let expected: Vec<(Key, Value)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-                assert_eq!(stored, expected, "{targets:?} after {what}");
+                assert_eq!(stored, expected, "{what} {targets:?} after {step}");
             };
-            let probes: Vec<Key> = (-5..=(total as i64 + 1) * 10 + 5).step_by(5).collect();
+            let mut probes: Vec<Key> = (-5..=(total as i64 + 1) * 10 + 5)
+                .step_by(5)
+                .map(key)
+                .collect();
+            if total > 1 && span >= 1 << 31 {
+                probes.extend(around(first + (1 << 31)));
+            }
+            probes.sort_unstable();
+            probes.dedup();
             for &key in &probes {
                 assert_eq!(c.find_segment(key), reference_segment(&c, key));
                 assert_eq!(
                     c.get(key),
                     model.get(&key).copied(),
-                    "{targets:?} get({key})"
+                    "{what} {targets:?} get({key})"
                 );
             }
             check(&c, &model, "the lookups");
@@ -1051,8 +1590,16 @@ mod tests {
             // nothing and moves nothing.
             let before = placement(&c);
             for &key in probes.iter().filter(|&&key| !model.contains_key(&key)) {
-                assert_eq!(c.remove(key), None, "{targets:?} remove({key}), absent");
-                assert_eq!(placement(&c), before, "{targets:?} remove({key}), absent");
+                assert_eq!(
+                    c.remove(key),
+                    None,
+                    "{what} {targets:?} remove({key}), absent"
+                );
+                assert_eq!(
+                    placement(&c),
+                    before,
+                    "{what} {targets:?} remove({key}), absent"
+                );
             }
             let mut refused = 0;
             for (i, &key) in probes.iter().enumerate() {
@@ -1063,10 +1610,14 @@ mod tests {
                     None => ChunkInsert::Inserted,
                 };
                 let before = placement(&c);
-                assert_eq!(c.try_insert(key, i as Value), expected, "{targets:?} {key}");
+                assert_eq!(
+                    c.try_insert(key, i as Value),
+                    expected,
+                    "{what} {targets:?} {key}"
+                );
                 if expected == ChunkInsert::SegmentFull(s) {
                     refused += 1;
-                    assert_eq!(placement(&c), before, "{targets:?} {key} refused");
+                    assert_eq!(placement(&c), before, "{what} {targets:?} {key} refused");
                 } else {
                     model.insert(key, i as Value);
                 }
@@ -1076,7 +1627,7 @@ mod tests {
             // A full last segment refuses every key above its minimum that
             // it does not hold.
             if targets[3] == CAPACITY {
-                assert!(refused > 0, "{targets:?}");
+                assert!(refused > 0, "{what} {targets:?}");
                 assert_eq!(c.card(3), CAPACITY);
             }
             // The upper half from the top down, then the lower half from the
@@ -1086,18 +1637,51 @@ mod tests {
                 assert_eq!(
                     c.remove(key),
                     model.remove(&key),
-                    "{targets:?} remove({key})"
+                    "{what} {targets:?} remove({key})"
                 );
                 check(&c, &model, "a remove");
                 assert_eq!(c.get(key), None);
             }
             assert_eq!(c.cardinality(), 0);
             for &key in &probes {
-                assert_eq!(c.remove(key), None, "{targets:?} drained, remove({key})");
+                assert_eq!(
+                    c.remove(key),
+                    None,
+                    "{what} {targets:?} drained, remove({key})"
+                );
             }
             check(&c, &model, "removes from a drained chunk");
             assert_eq!(c.try_insert(7, 7), ChunkInsert::Inserted);
             assert_eq!(c.get(7), Some(7));
+        }
+    }
+
+    /// The offsets `slab_layout` hands the static index — the head, the key
+    /// stride and key region of each width, the value stride — land on the
+    /// slab's own slots, narrow and wide, with a narrow key region that does
+    /// not end on a word.
+    #[test]
+    fn slab_layout_names_where_the_slab_keeps_its_runs() {
+        let (segments, capacity) = (3, 5);
+        let layout = ChunkData::slab_layout(segments, capacity);
+        for (span, narrow) in [(100, true), (1 << 40, false)] {
+            let elements = (0..15).map(|i| (i * span / 14, i));
+            let c =
+                ChunkData::from_stream(segments, capacity, &[5, 5, 5], &mut elements.into_iter());
+            assert_eq!(c.is_narrow(), narrow);
+            let (slot, stride, region) = layout.keys(narrow);
+            let head = c.head_addr() + layout.head_bytes;
+            with_view!(c.slab, |v| {
+                assert_eq!(std::mem::size_of_val(&v.keys[0]), slot);
+                for s in 0..segments {
+                    let start = v.seg_start(s);
+                    assert_eq!(v.keys[start..].as_ptr() as usize, head + s * stride);
+                    assert_eq!(
+                        v.values[start..].as_ptr() as usize,
+                        head + region + s * layout.segment_bytes
+                    );
+                }
+            });
         }
     }
 

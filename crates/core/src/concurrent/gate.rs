@@ -75,6 +75,7 @@
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -83,7 +84,7 @@ use pma_common::{Key, Value, KEY_MAX, KEY_MIN};
 
 use crate::stats::Stats;
 
-use super::chunk::ChunkData;
+use super::chunk::{ChunkData, SlabMove};
 
 /// An update forwarded through a combining queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +101,16 @@ impl UpdateOp {
     pub fn key(&self) -> Key {
         match self {
             UpdateOp::Insert(k, _) | UpdateOp::Delete(k) => *k,
+        }
+    }
+
+    /// The keys the operation writes into a chunk: its own for an insert,
+    /// none for a removal ([`Gate::chunk_mut_cow`]).
+    #[inline]
+    pub fn keys(&self) -> RangeInclusive<Key> {
+        match *self {
+            UpdateOp::Insert(k, _) => k..=k,
+            UpdateOp::Delete(_) => super::chunk::NO_KEYS,
         }
     }
 }
@@ -585,12 +596,16 @@ impl Gate {
         &*self.hot.chunk.get()
     }
 
-    /// Exclusive, copy-on-write access to the chunk. If the gate is the
-    /// slab's only owner, a plain mutable borrow is returned
-    /// (`copied == false`, the hot path). If a frozen snapshot still holds
-    /// this version, the slab is copied before this returns and the borrow
-    /// points at the copy (`copied == true`); the snapshot keeps the old
-    /// version untouched.
+    /// Exclusive, copy-on-write access to the chunk, ready for a write of
+    /// the keys in `keys` ([`NO_KEYS`](super::chunk::NO_KEYS) for removals
+    /// only). If the gate is the slab's only owner and the slab holds those
+    /// keys, a plain mutable borrow is returned ([`SlabMove::Kept`], the hot
+    /// path). If a frozen snapshot still holds this version, the slab is
+    /// copied before this returns and the borrow points at the copy
+    /// ([`SlabMove::Copied`]); the snapshot keeps the old version untouched.
+    /// A narrow slab whose window misses `keys` is widened into a fresh
+    /// slab ([`SlabMove::Widened`]), which leaves the old one to a snapshot
+    /// in the same way.
     ///
     /// The check is race-free because snapshot captures happen under the
     /// gate latch too — a snapshot either cloned the handle before we
@@ -602,10 +617,10 @@ impl Gate {
     /// The caller must hold this gate's latch exclusively (`Write` mode, or
     /// `Rebalance` mode owned by the rebalancer service).
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn chunk_mut_cow(&self) -> (&mut ChunkData, bool) {
+    pub unsafe fn chunk_mut_cow(&self, keys: RangeInclusive<Key>) -> (&mut ChunkData, SlabMove) {
         let chunk = &mut *self.hot.chunk.get();
-        let copied = chunk.make_unique();
-        (chunk, copied)
+        let moved = chunk.prepare_write(keys);
+        (chunk, moved)
     }
 
     /// Installs `new` as the gate's chunk, returning the previous version.
@@ -733,8 +748,12 @@ mod tests {
         hold_exclusive(&g, Exclusive::Write);
         // SAFETY: `Write` mode held by this thread.
         unsafe {
-            let (chunk, copied) = g.chunk_mut_cow();
-            assert!(!copied, "uniquely owned version must not copy");
+            let (chunk, moved) = g.chunk_mut_cow(7..=7);
+            assert_eq!(
+                moved,
+                SlabMove::Kept,
+                "uniquely owned version must not copy"
+            );
             chunk.try_insert(7, 70);
             assert_eq!(g.chunk().get(7), Some(70));
         }
@@ -762,7 +781,7 @@ mod tests {
         let g = Gate::new(0, 1, 8);
         hold_exclusive(&g, Exclusive::Write);
         // SAFETY: exclusive latch held as above.
-        unsafe { g.chunk_mut_cow().0.try_insert(1, 10) };
+        unsafe { g.chunk_mut_cow(1..=1).0.try_insert(1, 10) };
         g.release_exclusive(g.lock(), &stats);
         // A snapshot captures the version (Arc clone, no data copy).
         let frozen = g.acquire_shared(&stats).unwrap().version();
@@ -771,8 +790,12 @@ mod tests {
         unsafe {
             // The next mutation must copy instead of touching the captured
             // payload.
-            let (chunk, copied) = g.chunk_mut_cow();
-            assert!(copied, "shared version must be copied before mutation");
+            let (chunk, moved) = g.chunk_mut_cow(1..=2);
+            assert_eq!(
+                moved,
+                SlabMove::Copied,
+                "shared version must be copied before mutation"
+            );
             chunk.try_insert(2, 20);
             chunk.remove(1);
             assert_eq!(frozen.get(1), Some(10), "frozen payload mutated");
@@ -781,8 +804,12 @@ mod tests {
             assert_eq!(g.chunk().get(2), Some(20));
             drop(frozen);
             // With the snapshot gone the gate owns its version again.
-            let (_, copied) = g.chunk_mut_cow();
-            assert!(!copied, "unique again after the snapshot dropped");
+            let (_, moved) = g.chunk_mut_cow(super::super::chunk::NO_KEYS);
+            assert_eq!(
+                moved,
+                SlabMove::Kept,
+                "unique again after the snapshot dropped"
+            );
         }
         g.release_exclusive(g.lock(), &stats);
     }

@@ -7,12 +7,14 @@
 //! brand-new instance, publishes it atomically and retires the old one
 //! through the epoch-based garbage collector.
 
+use std::ops::RangeInclusive;
+
 use pma_common::{Key, Value, KEY_MAX, KEY_MIN};
 
 use crate::calibrator::{even_targets, CalibratorTree};
 use crate::params::PmaParams;
 
-use super::chunk::ChunkData;
+use super::chunk::{ChunkData, SlabMove};
 use super::gate::Gate;
 use super::static_index::StaticIndex;
 
@@ -120,22 +122,26 @@ impl PmaInstance {
         }
     }
 
-    /// Exclusive, copy-on-write access to gate `g`'s chunk
-    /// ([`Gate::chunk_mut_cow`]); a copy moves the slab, so its new address
-    /// (and its routing prefix) goes into the index's hint for `g` before
-    /// this returns.
+    /// Exclusive, copy-on-write access to gate `g`'s chunk, ready for a
+    /// write of `keys` ([`Gate::chunk_mut_cow`]); a copy or a widening moves
+    /// the slab, so its new address (with its width and routing prefix)
+    /// goes into the index's hint for `g` before this returns.
     ///
     /// # Safety
     /// Same contract as [`Gate::chunk_mut_cow`]: the caller holds gate `g`'s
     /// latch exclusively, or owns the gate through the rebalancer service.
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusivity comes from the gate latch, not the borrow
-    pub unsafe fn chunk_mut_cow(&self, g: usize) -> (&mut ChunkData, bool) {
-        let (chunk, copied) = self.gates[g].chunk_mut_cow();
-        if copied {
+    pub unsafe fn chunk_mut_cow(
+        &self,
+        g: usize,
+        keys: RangeInclusive<Key>,
+    ) -> (&mut ChunkData, SlabMove) {
+        let (chunk, moved) = self.gates[g].chunk_mut_cow(keys);
+        if moved.moved() {
             self.index.set_slab_hint(g, chunk.slab_hint());
         }
-        (chunk, copied)
+        (chunk, moved)
     }
 
     /// Installs `new` as gate `g`'s chunk ([`Gate::install_chunk`]) and

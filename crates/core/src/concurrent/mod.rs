@@ -38,8 +38,7 @@ use std::time::Duration;
 
 use pma_common::obs;
 use pma_common::{
-    simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError, ScanStats,
-    Value,
+    CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError, ScanStats, Value,
 };
 
 use crate::params::{PmaParams, RebalancePolicy, UpdateMode};
@@ -344,10 +343,14 @@ impl ConcurrentPma {
 
     /// Scans every element with key in `[lo, hi]` (inclusive) in ascending
     /// key order, folding the runs of [`ConcurrentPma::range_runs`] into
-    /// [`ScanStats`].
+    /// [`ScanStats`] — with the chunk kernel ([`ChunkData::fold`]), which
+    /// folds a narrow run without widening its keys.
     pub fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         let mut stats = ScanStats::default();
-        self.range_runs(lo, hi, |keys, values| stats.visit_run(keys, values));
+        self.walk_gates(lo, hi, |chunk, from, to| {
+            chunk.fold(from, to, &mut stats);
+            Walk::Continue
+        });
         stats
     }
 
@@ -398,10 +401,7 @@ impl ConcurrentPma {
     ) -> Option<Key> {
         let base = keys.len();
         self.walk_gates(lo, hi, |chunk, from, to| {
-            chunk.runs(from, to, |ks, vs| {
-                simd::append_run(keys, ks);
-                simd::append_run(values, vs);
-            });
+            chunk.append_range(from, to, keys, values);
             if keys.len() - base >= min_len {
                 // Gate boundary reached with a full block: hand the
                 // remainder of the range back to the caller.
@@ -510,7 +510,8 @@ impl ConcurrentPma {
                         let run_end = i + batch[i..].partition_point(|&(k, _)| k <= fence_hi);
                         let run = &batch[i..run_end];
                         // SAFETY: the gate is held in `Write` mode.
-                        let chunk = unsafe { self.shared.chunk_mut(inst, g) };
+                        let chunk =
+                            unsafe { self.shared.chunk_mut(inst, g, chunk::batch_keys(run)) };
                         let gate_capacity = inst.gate_capacity();
                         let tau_gate = inst.calibrator.upper_threshold(inst.gate_level);
                         let max_total =
@@ -665,7 +666,7 @@ impl ConcurrentPma {
             return None;
         }
         // SAFETY: the gate is held in `Write` mode (just acquired).
-        let chunk = unsafe { self.shared.chunk_mut(inst, g) };
+        let chunk = unsafe { self.shared.chunk_mut(inst, g, op.keys()) };
         let outcome = match op {
             UpdateOp::Delete(key) => Some(chunk.remove(key)),
             UpdateOp::Insert(key, value) => match chunk.try_insert(key, value) {
@@ -818,7 +819,7 @@ impl ConcurrentPma {
         match op {
             UpdateOp::Delete(key) => {
                 // SAFETY: the caller holds the gate in `Write` mode.
-                let old = unsafe { self.shared.chunk_mut(inst, g) }.remove(key);
+                let old = unsafe { self.shared.chunk_mut(inst, g, chunk::NO_KEYS) }.remove(key);
                 if old.is_some() {
                     self.shared.stats.removed(1);
                     self.maybe_request_downsize(inst);
@@ -827,7 +828,7 @@ impl ConcurrentPma {
             }
             UpdateOp::Insert(key, value) => {
                 // SAFETY: the caller holds the gate in `Write` mode.
-                let chunk = unsafe { self.shared.chunk_mut(inst, g) };
+                let chunk = unsafe { self.shared.chunk_mut(inst, g, key..=key) };
                 let adaptive = self.shared.params.rebalance_policy == RebalancePolicy::Adaptive;
                 loop {
                     match chunk.try_insert(key, value) {
@@ -1012,7 +1013,7 @@ impl ConcurrentPma {
             let mut inserts: Vec<(Key, Value)> = Vec::new();
             let mut removed = 0usize;
             // SAFETY: the gate is held in `Write` mode by this writer.
-            let chunk = unsafe { self.shared.chunk_mut(inst, g) };
+            let chunk = unsafe { self.shared.chunk_mut(inst, g, chunk::NO_KEYS) };
             for op in ops {
                 match op {
                     UpdateOp::Delete(k) => {
@@ -1042,6 +1043,8 @@ impl ConcurrentPma {
             let fits_locally = chunk.cardinality() + inserts.len() <= gate_capacity
                 && (chunk.cardinality() + inserts.len()) as f64 <= tau_gate * gate_capacity as f64;
             if fits_locally {
+                // SAFETY: as above; the batch's keys are about to be written.
+                let chunk = unsafe { self.shared.chunk_mut(inst, g, chunk::batch_keys(&inserts)) };
                 let added = chunk.merge_batch(&inserts);
                 if added > 0 {
                     self.shared.stats.inserted(added);
@@ -1730,6 +1733,12 @@ mod tests {
                 "gate {g} of {}",
                 inst.num_gates()
             );
+            assert_eq!(
+                inst.index.slab_hint_narrow(g),
+                Some(guard.chunk().is_narrow()),
+                "gate {g} of {}",
+                inst.num_gates()
+            );
         }
     }
 
@@ -1964,8 +1973,8 @@ mod tests {
         assert_eq!(inst.index.slab_hint(g), Some(frozen.head_addr()));
         assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
         // SAFETY: `Write` mode held by this thread.
-        let (chunk, copied) = unsafe { inst.chunk_mut_cow(g) };
-        assert!(copied);
+        let (chunk, moved) = unsafe { inst.chunk_mut_cow(g, chunk::NO_KEYS) };
+        assert_eq!(moved, chunk::SlabMove::Copied);
         assert_ne!(chunk.head_addr(), frozen.head_addr());
         assert_eq!(inst.index.slab_hint(g), Some(chunk.head_addr()));
         let (mins, counts) = inst.index.segment_hint(g).unwrap();
@@ -1974,6 +1983,146 @@ mod tests {
         let cards: Vec<usize> = prefix.cards.iter().map(|&c| c as usize).collect();
         assert_eq!(counts, cards);
         gate.release_exclusive(gate.lock(), &p.shared.stats);
+    }
+
+    /// A write of a key outside a narrow gate's window moves the chunk into
+    /// a fresh wide slab at `chunk_mut_cow`, before any mutation: the gate's
+    /// hint names the new slab — address, width and row — from the call on,
+    /// and a view captured before still reads the narrow slab it holds.
+    #[test]
+    fn slab_hints_follow_a_widen_at_the_call() {
+        let items: Vec<(i64, i64)> = (0..2_000i64).map(|k| (k * 4, k)).collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::small(), &items).unwrap();
+        let _pin = p.shared.pin();
+        // SAFETY: pinned above.
+        let inst = unsafe { p.shared.instance_ref() };
+        let g = inst.num_gates() - 1;
+        let gate = &inst.gates[g];
+        let frozen = gate.acquire_shared(&p.shared.stats).unwrap().version();
+        assert!(frozen.is_narrow());
+        assert_eq!(inst.index.slab_hint_narrow(g), Some(true));
+        assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
+        let far = 1i64 << 40;
+        // SAFETY: `Write` mode held by this thread.
+        let (chunk, moved) = unsafe { inst.chunk_mut_cow(g, far..=far) };
+        assert_eq!(moved, chunk::SlabMove::Widened);
+        assert!(!chunk.is_narrow());
+        assert_ne!(chunk.head_addr(), frozen.head_addr());
+        assert_eq!(inst.index.slab_hint(g), Some(chunk.head_addr()));
+        assert_eq!(inst.index.slab_hint_narrow(g), Some(false));
+        let (mins, counts) = inst.index.segment_hint(g).unwrap();
+        let prefix = chunk.slab_hint();
+        assert_eq!(mins, prefix.mins[1..]);
+        let cards: Vec<usize> = prefix.cards.iter().map(|&c| c as usize).collect();
+        assert_eq!(counts, cards);
+        // The write itself moves nothing further.
+        let addr = chunk.head_addr();
+        assert_eq!(chunk.try_insert(far, -1), ChunkInsert::Inserted);
+        assert_eq!(chunk.head_addr(), addr);
+        assert_eq!(chunk.get(far), Some(-1));
+        assert_eq!(frozen.get(far), None);
+        assert_eq!(frozen.iter().count() + 1, chunk.cardinality());
+        assert!(frozen.iter().all(|(k, v)| chunk.get(k) == Some(v)));
+        gate.release_exclusive(gate.lock(), &p.shared.stats);
+    }
+
+    /// Through the map: writes below the first gate's window and above the
+    /// last one's widen those gates, every hint follows, a frozen view taken
+    /// before reads the contents it captured, and the keys are there.
+    #[test]
+    fn writes_outside_a_window_widen_the_gate() {
+        let items: Vec<(i64, i64)> = (0..20_000i64).map(|k| (k * 4, k)).collect();
+        for mode in [UpdateMode::Synchronous, UpdateMode::OneByOne] {
+            let params = PmaParams {
+                update_mode: mode,
+                ..PmaParams::small()
+            };
+            let p = ConcurrentPma::from_sorted(params, &items).unwrap();
+            let narrow = |p: &ConcurrentPma, g: usize| {
+                let _pin = p.shared.pin();
+                // SAFETY: pinned above.
+                let inst = unsafe { p.shared.instance_ref() };
+                let guard = inst.gates[g].acquire_shared(&p.shared.stats).unwrap();
+                guard.chunk().is_narrow()
+            };
+            let last = p.num_gates() - 1;
+            assert!(narrow(&p, 0) && narrow(&p, last));
+            let frozen = p.frozen();
+            let (low, high) = (-(1i64 << 40), 1i64 << 40);
+            p.insert(low, -1);
+            p.insert(high, -2);
+            p.flush();
+            assert!(!narrow(&p, 0) && !narrow(&p, last), "{mode:?}");
+            assert_slab_hints_current(&p);
+            assert_eq!((p.get(low), p.get(high)), (Some(-1), Some(-2)));
+            assert_eq!((frozen.get(low), frozen.get(high)), (None, None));
+            assert_eq!(frozen.scan_all().count, 20_000);
+            assert_eq!(p.scan_all().count, 20_002);
+            assert_eq!(p.remove(low), Some(-1));
+            assert_eq!(p.get(0), Some(0));
+        }
+    }
+
+    /// Readers on gates a writer widens under them: the loaded keys sit in
+    /// clusters far apart, so a write into the gap after a cluster lands in
+    /// the gate holding its tail, outside that gate's window, and moves the
+    /// gate into a wide slab under its latch while lookups and scans run.
+    /// Every lookup of a loaded key finds it and every scan counts each
+    /// loaded key once, through all the widenings.
+    #[test]
+    fn widen_under_concurrent_readers() {
+        const CLUSTERS: i64 = 64;
+        const GAP: i64 = 1 << 36;
+        let items: Vec<(i64, i64)> = (0..CLUSTERS)
+            .flat_map(|c| (0..32).map(move |i| (c * GAP + i, i - c)))
+            .collect();
+        let p = ConcurrentPma::from_sorted(PmaParams::small().synchronous(), &items).unwrap();
+        let narrow_gates = |p: &ConcurrentPma| {
+            let _pin = p.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { p.shared.instance_ref() };
+            (0..inst.num_gates())
+                .filter(|&g| {
+                    let guard = inst.gates[g].acquire_shared(&p.shared.stats).unwrap();
+                    guard.chunk().is_narrow()
+                })
+                .count()
+        };
+        let before = narrow_gates(&p);
+        assert_eq!(before, p.num_gates(), "every gate spans less than 2^32");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let started = std::sync::Barrier::new(3);
+        let n = items.len() as u64;
+        std::thread::scope(|scope| {
+            for reader in 0..2 {
+                let (p, items, done, started) = (&p, &items, &done, &started);
+                scope.spawn(move || {
+                    started.wait();
+                    loop {
+                        let last = done.load(Ordering::Acquire);
+                        for &(k, v) in items.iter().skip(reader).step_by(5) {
+                            assert_eq!(p.get(k), Some(v), "key {k}");
+                        }
+                        let count = p.scan_range(0, CLUSTERS * GAP).count;
+                        assert!((n..=n + CLUSTERS as u64).contains(&count), "{count}");
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+            started.wait();
+            for c in 0..CLUSTERS {
+                p.insert(c * GAP + GAP / 2, c);
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert!(narrow_gates(&p) < before, "no gate widened");
+        assert_slab_hints_current(&p);
+        assert_eq!(p.scan_all().count, n + CLUSTERS as u64);
+        for c in 0..CLUSTERS {
+            assert_eq!(p.get(c * GAP + GAP / 2), Some(c));
+        }
     }
 
     #[test]

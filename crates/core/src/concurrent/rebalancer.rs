@@ -28,7 +28,7 @@ use pma_common::{Key, Value};
 
 use crate::stats::Stats;
 
-use super::chunk::{ChunkData, ChunkInsert};
+use super::chunk::{self, ChunkData, ChunkInsert};
 use super::gate::{Exclusive, GateMode, UpdateOp};
 use super::instance::{compute_window_fences, PmaInstance};
 use super::shared::Shared;
@@ -368,7 +368,7 @@ impl Master {
             match op {
                 UpdateOp::Delete(k) => {
                     // SAFETY: gate is service-owned.
-                    if unsafe { self.shared.chunk_mut(inst, gate_id) }
+                    if unsafe { self.shared.chunk_mut(inst, gate_id, chunk::NO_KEYS) }
                         .remove(k)
                         .is_some()
                     {
@@ -543,7 +543,7 @@ impl Master {
             match op {
                 UpdateOp::Delete(k) => {
                     // SAFETY: gate is service-owned.
-                    if unsafe { self.shared.chunk_mut(inst, g) }
+                    if unsafe { self.shared.chunk_mut(inst, g, chunk::NO_KEYS) }
                         .remove(k)
                         .is_some()
                     {
@@ -552,7 +552,7 @@ impl Master {
                 }
                 UpdateOp::Insert(k, v) => {
                     // SAFETY: gate is service-owned.
-                    let chunk = unsafe { self.shared.chunk_mut(inst, g) };
+                    let chunk = unsafe { self.shared.chunk_mut(inst, g, k..=k) };
                     let mut result = chunk.try_insert(k, v);
                     if matches!(result, ChunkInsert::SegmentFull(_))
                         && chunk.cardinality() < chunk.capacity()
@@ -842,7 +842,10 @@ impl Master {
                     return;
                 }
                 // SAFETY: gate is service-owned.
-                let chunk = unsafe { self.shared.chunk_mut(inst, gate_id) };
+                let chunk = unsafe {
+                    self.shared
+                        .chunk_mut(inst, gate_id, chunk::batch_keys(&inserts))
+                };
                 let gate_capacity = inst.gate_capacity();
                 let fits_locally = {
                     let level = inst.gate_level;

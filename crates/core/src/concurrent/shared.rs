@@ -1,12 +1,15 @@
 //! State shared between the client-facing [`super::ConcurrentPma`] handle and
 //! the rebalancer service threads.
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicPtr, Ordering};
+
+use pma_common::Key;
 
 use crate::params::PmaParams;
 use crate::stats::Stats;
 
-use super::chunk::ChunkData;
+use super::chunk::{ChunkData, SlabMove};
 use super::epoch::{EpochGuard, EpochRegistry, GarbageBin};
 use super::instance::PmaInstance;
 
@@ -58,10 +61,12 @@ impl Shared {
         }
     }
 
-    /// Exclusive access to the chunk of gate `g` of `inst` for in-place
-    /// mutation, copying the payload first if a frozen snapshot still holds
-    /// the current version (counting the copy in `stats.cow_copies`, and
-    /// re-pointing the index's slab hint at it).
+    /// Exclusive access to the chunk of gate `g` of `inst` for an in-place
+    /// write of the keys in `keys` ([`super::chunk::NO_KEYS`] for removals),
+    /// copying the payload first if a frozen snapshot still holds the
+    /// current version (counting the copy in `stats.cow_copies`) or widening
+    /// a narrow slab whose window misses `keys`, and re-pointing the index's
+    /// slab hint at the new slab.
     ///
     /// # Safety
     /// Same contract as [`super::gate::Gate::chunk_mut_cow`]: the caller
@@ -69,9 +74,14 @@ impl Shared {
     /// or otherwise own the gate (service-owned during a window claim).
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusivity comes from the gate latch, not the borrow
-    pub unsafe fn chunk_mut<'a>(&self, inst: &'a PmaInstance, g: usize) -> &'a mut ChunkData {
-        let (chunk, copied) = inst.chunk_mut_cow(g);
-        if copied {
+    pub unsafe fn chunk_mut<'a>(
+        &self,
+        inst: &'a PmaInstance,
+        g: usize,
+        keys: RangeInclusive<Key>,
+    ) -> &'a mut ChunkData {
+        let (chunk, moved) = inst.chunk_mut_cow(g, keys);
+        if moved == SlabMove::Copied {
             Stats::bump(&self.stats.cow_copies);
         }
         chunk

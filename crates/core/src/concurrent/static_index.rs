@@ -70,31 +70,53 @@ pub struct StaticIndex {
 /// Where a chunk's slab keeps what a point operation reads, as offsets from
 /// the slab's hinted address: the head (reference counts, header, routing
 /// prefix), then every segment's key slots, then every segment's value
-/// slots.
+/// slots. A key slot is a full key in a wide slab and a `u32` offset in a
+/// narrow one; a value slot is 8 bytes in both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlabLayout {
     /// Segments per slab.
     pub segments: usize,
     /// Bytes from the hinted address to segment 0's first key slot.
     pub head_bytes: usize,
-    /// Bytes from one segment's first slot to the next one's.
+    /// Bytes from one segment's first value slot to the next one's (and
+    /// from one segment's first key slot to the next one's, wide).
     pub segment_bytes: usize,
+    /// Bytes from one segment's first key slot to the next one's, narrow.
+    pub narrow_segment_bytes: usize,
 }
 
-/// What the index keeps of one gate's slab: its address and its routing
-/// prefix (`mins[s]`, the first key of segment `s`, empty segments
+impl SlabLayout {
+    /// Bytes of a key slot, of one segment's key slots and of the whole key
+    /// region (which ends on a word), for a slab of the given width.
+    #[inline]
+    pub(crate) fn keys(&self, narrow: bool) -> (usize, usize, usize) {
+        let (slot, stride) = if narrow {
+            (std::mem::size_of::<u32>(), self.narrow_segment_bytes)
+        } else {
+            (std::mem::size_of::<Key>(), self.segment_bytes)
+        };
+        (slot, stride, (self.segments * stride).next_multiple_of(8))
+    }
+}
+
+/// What the index keeps of one gate's slab: its address, its width and its
+/// routing prefix (`mins[s]`, the first key of segment `s`, empty segments
 /// inheriting from the left; `cards[s]`, its live elements).
 #[derive(Clone, Copy, Debug)]
 pub struct SlabHint<'a> {
     /// The slab's address, a number never read through.
     pub addr: usize,
+    /// Whether the slab's keys are `u32` offsets (where its key and value
+    /// runs sit depends on it).
+    pub narrow: bool,
     /// Segment minima.
     pub mins: &'a [Key],
     /// Live elements per segment.
     pub cards: &'a [i64],
 }
 
-/// One address per gate, laid out like the leaf level; one row per gate of
+/// One address per gate, laid out like the leaf level (a slab is 8-aligned,
+/// so bit 0 of the word is free: it holds the width); one row per gate of
 /// `layout.segments - 1` minima (`mins[1..]`: segment `s` is the number of
 /// them `<= key`) followed by the occupancy bytes, eight to a word and
 /// saturating at 255.
@@ -260,14 +282,22 @@ impl StaticIndex {
             });
             slot.store(word(packed as i64), Ordering::Relaxed);
         }
-        hints.addrs.as_slice()[gate].store(word(hint.addr as i64), Ordering::Relaxed);
+        let addr = hint.addr | usize::from(hint.narrow);
+        hints.addrs.as_slice()[gate].store(word(addr as i64), Ordering::Relaxed);
     }
 
     /// The slab address hinted for `gate`, if the index keeps hints (test
     /// hook).
     pub fn slab_hint(&self, gate: usize) -> Option<usize> {
         let hints = self.hints.as_ref()?;
-        Some(hints.addrs.as_slice()[gate].load(Ordering::Relaxed) as usize)
+        Some(hints.addrs.as_slice()[gate].load(Ordering::Relaxed) as usize & !1)
+    }
+
+    /// Whether the slab hinted for `gate` is narrow, if the index keeps
+    /// hints (test hook).
+    pub fn slab_hint_narrow(&self, gate: usize) -> Option<bool> {
+        let hints = self.hints.as_ref()?;
+        Some(hints.addrs.as_slice()[gate].load(Ordering::Relaxed) & 1 != 0)
     }
 
     /// The row hinted for `gate` — segment minima after the first, and the
@@ -341,23 +371,27 @@ impl SlabHints {
     }
 
     /// Asks for gate `gate`'s slab head and for the occupied key and value
-    /// lines of the segment its row names for `key`. The address is only
-    /// ever an operand of a prefetch, and whatever the row holds, the
-    /// segment is one of the slab's and at most 255 slots are asked for.
+    /// lines of the segment its row names for `key`, where the width bit of
+    /// the address word places them. The address is only ever an operand of
+    /// a prefetch, and whatever the row holds, the segment is one of the
+    /// slab's and at most 255 slots are asked for.
     #[inline]
     fn prefetch(&self, gate: usize, key: Key) {
         let SlabLayout {
-            segments,
             head_bytes,
             segment_bytes,
+            ..
         } = self.layout;
-        let addr = self.addrs.as_slice()[gate].load(Ordering::Relaxed) as usize;
+        let word = self.addrs.as_slice()[gate].load(Ordering::Relaxed) as usize;
+        let (addr, narrow) = (word & !1, word & 1 != 0);
         prefetch_span(addr, head_bytes);
         let s = self.segment(gate, key);
-        let run = self.occupancy(gate, s) * std::mem::size_of::<Key>();
-        let keys = addr.wrapping_add(head_bytes + s * segment_bytes);
-        prefetch_span(keys, run);
-        prefetch_span(keys.wrapping_add(segments * segment_bytes), run);
+        let slots = self.occupancy(gate, s);
+        let (key_bytes, key_stride, key_region) = self.layout.keys(narrow);
+        let keys = addr.wrapping_add(head_bytes);
+        prefetch_span(keys.wrapping_add(s * key_stride), slots * key_bytes);
+        let values = keys.wrapping_add(key_region + s * segment_bytes);
+        prefetch_span(values, slots * std::mem::size_of::<Key>());
     }
 }
 
@@ -461,13 +495,10 @@ mod tests {
         assert_eq!(idx.find_gate(i64::MIN), 0);
     }
 
-    /// The layout of a chunk of `segments` segments of 128 slots.
+    /// The layout of a chunk of `segments` segments of 128 slots, as the
+    /// chunk itself describes it (both widths).
     fn layout(segments: usize) -> SlabLayout {
-        SlabLayout {
-            segments,
-            head_bytes: 16 + (2 + 2 * segments) * 8,
-            segment_bytes: 128 * 8,
-        }
+        super::super::chunk::ChunkData::slab_layout(segments, 128)
     }
 
     /// Hints are operands of a prefetch and nothing else: whatever they
@@ -479,7 +510,8 @@ mod tests {
     /// node boundary, and rows of one segment up to two lines.
     #[test]
     fn hints_of_any_value_leave_routing_alone() {
-        let live = [0u8; 256];
+        // A slab is 8-aligned (bit 0 of the hinted word carries the width).
+        let live = [0u64; 32];
         for fanout in [2usize, 4, 8, 16, 32] {
             for gates in [1usize, 2, 7, 8, 9, 63, 64, 65, 300] {
                 for segments in [1usize, 2, 8, 16] {
@@ -489,6 +521,7 @@ mod tests {
                         StaticIndex::with_slab_hints(fanout, &separators, layout(segments));
                     let no_hint = SlabHint {
                         addr: 64,
+                        narrow: false,
                         mins: &[0],
                         cards: &[0],
                     };
@@ -541,6 +574,7 @@ mod tests {
                         for g in 0..gates {
                             let hint = SlabHint {
                                 addr: addr.wrapping_add(g * 16),
+                                narrow: g % 2 == 1,
                                 mins: &mins,
                                 cards: &cards,
                             };
@@ -550,6 +584,7 @@ mod tests {
                             hinted.slab_hint(gates - 1),
                             Some(addr.wrapping_add((gates - 1) * 16))
                         );
+                        assert_eq!(hinted.slab_hint_narrow(gates - 1), Some(gates % 2 == 0));
                         let occupancy = cards.iter().map(|&c| c.clamp(0, 255) as usize);
                         assert_eq!(
                             hinted.segment_hint(gates - 1),
@@ -578,6 +613,7 @@ mod tests {
                 1,
                 SlabHint {
                     addr: 0,
+                    narrow: segments % 2 == 0,
                     mins: &mins,
                     cards: &cards,
                 },
@@ -598,6 +634,7 @@ mod tests {
             0,
             SlabHint {
                 addr: 0,
+                narrow: true,
                 mins: &mins,
                 cards: &[2, 2, 2, 0, 0, 2, 2, 2],
             },
@@ -619,6 +656,7 @@ mod tests {
             0,
             SlabHint {
                 addr: 0,
+                narrow: false,
                 mins: &[0; 4],
                 cards: &[0; 4],
             },

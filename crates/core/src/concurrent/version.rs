@@ -111,6 +111,15 @@ impl FrozenSnapshot {
     /// runs — the same chunk kernel ([`ChunkData::runs`]) the live scans
     /// stream through, minus the latches.
     pub fn range_runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&[Key], &[Value])) {
+        self.visit_pieces(lo, hi, |version, from, to| {
+            version.runs(from, to, &mut visit)
+        });
+    }
+
+    /// Hands every captured chunk that overlaps `[lo, hi]` to `visit`, in key
+    /// order, with the part of the range it must cover, ends opened where
+    /// the piece's fences already bound them.
+    fn visit_pieces(&self, lo: Key, hi: Key, mut visit: impl FnMut(&ChunkData, Key, Key)) {
         if lo > hi {
             return;
         }
@@ -122,15 +131,18 @@ impl FrozenSnapshot {
                 break;
             }
             let (from, to) = open_ends(lo, hi, (piece_lo, piece_hi));
-            version.runs(from, to, &mut visit);
+            visit(version, from, to);
         }
     }
 
-    /// Scans the frozen elements with key in `[lo, hi]` (inclusive), folding
-    /// the runs of [`FrozenSnapshot::range_runs`] into [`ScanStats`].
+    /// Scans the frozen elements with key in `[lo, hi]` (inclusive): the
+    /// runs of [`FrozenSnapshot::range_runs`], folded by the chunk kernel
+    /// ([`ChunkData::fold`], narrow runs without widening their keys).
     pub fn scan_range(&self, lo: Key, hi: Key) -> ScanStats {
         let mut stats = ScanStats::default();
-        self.range_runs(lo, hi, |keys, values| stats.visit_run(keys, values));
+        self.visit_pieces(lo, hi, |version, from, to| {
+            version.fold(from, to, &mut stats)
+        });
         stats
     }
 
@@ -245,7 +257,11 @@ mod tests {
         // The snapshot holds its chunks' slabs until it is dropped.
         let mut held = snap.pieces[0].2.clone();
         drop(snap);
-        assert!(!held.make_unique(), "drop releases the snapshot's handles");
+        assert_eq!(
+            held.prepare_write(super::super::chunk::NO_KEYS),
+            super::super::chunk::SlabMove::Kept,
+            "drop releases the snapshot's handles"
+        );
     }
 
     #[test]
@@ -258,7 +274,7 @@ mod tests {
         assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
         // SAFETY: `Write` mode held by this thread.
         unsafe {
-            gate.chunk_mut_cow().0.try_insert(1, 10);
+            gate.chunk_mut_cow(1..=1).0.try_insert(1, 10);
         }
         gate.release_exclusive(gate.lock(), &stats);
         let version = gate.acquire_shared(&stats).unwrap().version();
@@ -266,8 +282,8 @@ mod tests {
         assert!(gate.try_exclusive(&gate.lock(), Exclusive::Write));
         // SAFETY: `Write` mode held by this thread.
         unsafe {
-            let (chunk, copied) = gate.chunk_mut_cow();
-            assert!(copied);
+            let (chunk, moved) = gate.chunk_mut_cow(2..=2);
+            assert_eq!(moved, super::super::chunk::SlabMove::Copied);
             chunk.try_insert(2, 20);
         }
         gate.release_exclusive(gate.lock(), &stats);

@@ -85,7 +85,8 @@ fn build_loaded_sharded(
     spec: &BackendSpec<'_>,
     items: &[(Key, Value)],
 ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
-    Ok(Arc::new(ShardedMap::from_sorted(
+    // The registry checked `items` before dispatching here.
+    Ok(Arc::new(ShardedMap::from_presorted(
         parse_config(spec)?,
         registry,
         items,
@@ -158,7 +159,7 @@ fn build_loaded_cores(
     items: &[(Key, Value)],
 ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
     let (config, inner_spec) = parse_cores(spec)?;
-    let inner = registry.build_loaded(&inner_spec, items)?;
+    let inner = registry.build_loaded_presorted(&inner_spec, items)?;
     Ok(Arc::new(CoreRouter::new(config, inner)?))
 }
 

@@ -830,10 +830,10 @@ impl Engine {
             debug_assert!(boundary > shard.lo && boundary <= shard.hi);
             let left = self
                 .inner
-                .build_loaded(&self.config.inner_spec, &items[..mid])?;
+                .build_loaded_presorted(&self.config.inner_spec, &items[..mid])?;
             let right = self
                 .inner
-                .build_loaded(&self.config.inner_spec, &items[mid..])?;
+                .build_loaded_presorted(&self.config.inner_spec, &items[mid..])?;
             Ok(Some((boundary, left, right)))
         })();
         let (boundary, left, right) = match copied {
@@ -922,7 +922,8 @@ impl Engine {
         let merged = {
             let mut items = left.map.collect_range(KEY_MIN, KEY_MAX);
             items.extend(right.map.collect_range(KEY_MIN, KEY_MAX));
-            self.inner.build_loaded(&self.config.inner_spec, &items)
+            self.inner
+                .build_loaded_presorted(&self.config.inner_spec, &items)
         };
         let merged = match merged {
             Ok(map) => map,
@@ -1584,12 +1585,23 @@ impl ShardedMap {
         registry: &Registry,
         items: &[(Key, Value)],
     ) -> Result<Self, PmaError> {
-        config.validate()?;
         check_sorted(items)?;
+        Self::from_presorted(config, registry, items)
+    }
+
+    /// [`ShardedMap::from_sorted`] for `items` its caller has checked
+    /// (the registry's loader): each shard's run goes to the inner
+    /// backend's native loader without another pass over it.
+    pub(crate) fn from_presorted(
+        config: ShardedConfig,
+        registry: &Registry,
+        items: &[(Key, Value)],
+    ) -> Result<Self, PmaError> {
+        config.validate()?;
         let inner = Self::capture_inner(&config, registry)?;
         let plan = plan_shards(items, planned_fanout(&config, items.len()));
         let build = |shards: &mut Vec<_>, &(lo, hi, start, end): &_| {
-            let map = inner.build_loaded(&config.inner_spec, &items[start..end])?;
+            let map = inner.build_loaded_presorted(&config.inner_spec, &items[start..end])?;
             shards.push(Shard::new(lo, hi, map, true));
             Ok(())
         };
@@ -2427,6 +2439,69 @@ mod tests {
         let dup = ShardedMap::from_sorted(config(2), registry(), &[(1, 1), (1, 2)]).unwrap();
         assert_eq!(dup.get(1), Some(2));
         assert!(ShardedMap::from_sorted(config(2), registry(), &[(2, 0), (1, 0)]).is_err());
+    }
+
+    /// Unsorted input is refused with `InvalidParameter` at both public
+    /// entry points — the registry's `sharded:` loader and
+    /// `ShardedMap::from_sorted` — before any shard is built: the inner
+    /// loader is never called. A sorted load checks its input once, at the
+    /// entry point, and hands every shard its run unchecked.
+    #[test]
+    fn bulk_load_unsorted_input_is_refused_before_any_shard_is_built() {
+        use pma_common::registry::{BackendDef, BackendSpec};
+        static LOADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        fn build_counted(
+            _registry: &Registry,
+            _spec: &BackendSpec<'_>,
+        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
+            Ok(Arc::new(pma_core::ConcurrentPma::new(
+                pma_core::PmaParams::small(),
+            )?))
+        }
+        fn load_counted(
+            _registry: &Registry,
+            _spec: &BackendSpec<'_>,
+            items: &[(Key, Value)],
+        ) -> Result<Arc<dyn ConcurrentMap>, PmaError> {
+            LOADS.fetch_add(1, Ordering::Relaxed);
+            Ok(Arc::new(pma_core::ConcurrentPma::from_sorted(
+                pma_core::PmaParams::small(),
+                items,
+            )?))
+        }
+        let local = Registry::new();
+        pma_core::register_backends(&local);
+        crate::register_backends(&local);
+        local.register(BackendDef {
+            name: "counted",
+            description: "test backend counting its bulk loads",
+            label: |_| "Counted".to_string(),
+            build: build_counted,
+            build_loaded: Some(load_counted),
+        });
+        let mut unsorted: Vec<(Key, Value)> = (0..4_000).map(|k| (k, k)).collect();
+        unsorted.swap(1_000, 3_000);
+        let invalid = |result: Result<(), PmaError>| {
+            assert!(
+                matches!(result, Err(PmaError::InvalidParameter { .. })),
+                "{result:?}"
+            );
+        };
+        for spec in ["sharded:4:pma-batch:1", "sharded:4:counted"] {
+            invalid(local.build_loaded(spec, &unsorted).map(drop));
+        }
+        invalid(
+            ShardedMap::from_sorted(bulk_load_config(4, "counted"), &local, &unsorted).map(drop),
+        );
+        assert_eq!(LOADS.load(Ordering::Relaxed), 0, "a shard was built");
+
+        unsorted.sort_unstable();
+        let map =
+            ShardedMap::from_sorted(bulk_load_config(4, "counted"), &local, &unsorted).unwrap();
+        assert_eq!(LOADS.load(Ordering::Relaxed), map.num_shards());
+        assert_eq!(map.len(), 4_000);
+        let loaded = local.build_loaded("sharded:4:counted", &unsorted).unwrap();
+        assert_eq!(loaded.len(), 4_000);
     }
 
     /// A hand-driven engine over small PMAs: `shards` is the minimum fan-out,

@@ -358,3 +358,85 @@ proptest! {
         }
     }
 }
+
+/// Where the narrow-key proptest loads its keys: a cluster spanning far less
+/// than 2^32, so every gate starts narrow.
+const CLUSTER: i64 = 3 << 40;
+
+/// Keys around [`CLUSTER`]: inside it, and just inside and just outside the
+/// 2^31 and 2^32 distances at which a window centred on the cluster ends.
+fn straddling_key() -> impl Strategy<Value = i64> {
+    let near = |d: i64| d - 600..d + 600;
+    prop_oneof![
+        3 => -2_000i64..302_000,
+        1 => near(1 << 31),
+        1 => near(-(1 << 31)),
+        1 => near(1 << 32),
+        1 => near(-(1 << 32)),
+        1 => 1i64 << 33..1 << 34,
+        1 => -(1i64 << 34)..-(1 << 33),
+    ]
+    .prop_map(|delta| CLUSTER + delta)
+}
+
+fn straddling_op() -> impl Strategy<Value = (u8, i64, i64)> {
+    (0u8..5, straddling_key(), any::<i64>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A bulk-loaded PMA whose gates all store `u32` offsets takes writes on
+    /// both sides of their 2^32 windows: a gate widens mid-run on an insert
+    /// below its base and on one above `base + 2^32 - 1`, and the map
+    /// matches a `BTreeMap` model throughout — lookups after every step,
+    /// contents, scans and ranges at the end.
+    #[test]
+    fn narrow_gates_widen_and_match_btreemap(
+        ops in proptest::collection::vec(straddling_op(), 1..200),
+    ) {
+        let loaded: Vec<(i64, i64)> = (0..300).map(|i| (CLUSTER + i * 1_000, i)).collect();
+        for mode in [UpdateMode::Synchronous, UpdateMode::OneByOne] {
+            let params = PmaParams { update_mode: mode, ..PmaParams::small() };
+            let pma = ConcurrentPma::from_sorted(params, &loaded).unwrap();
+            let mut model: BTreeMap<i64, i64> = loaded.iter().copied().collect();
+            for &(kind, key, value) in &ops {
+                match kind {
+                    0..=2 => {
+                        pma.insert(key, value);
+                        model.insert(key, value);
+                    }
+                    3 => {
+                        let removed = pma.remove(key);
+                        let expected = model.remove(&key);
+                        if mode == UpdateMode::Synchronous {
+                            prop_assert_eq!(removed, expected);
+                        }
+                    }
+                    _ => {
+                        pma.flush();
+                        prop_assert_eq!(pma.get(key), model.get(&key).copied());
+                    }
+                }
+            }
+            pma.flush();
+            prop_assert_eq!(pma.len(), model.len());
+            let expected: Vec<(i64, i64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(pma.collect_range(i64::MIN, i64::MAX), expected);
+            for (&k, &v) in &model {
+                prop_assert_eq!(pma.get(k), Some(v));
+            }
+            let stats = pma.scan_all();
+            prop_assert_eq!(stats.count as usize, model.len());
+            prop_assert_eq!(stats.key_sum, model.keys().map(|&k| k as i128).sum::<i128>());
+            prop_assert_eq!(stats.value_sum, model.values().map(|&v| v as i128).sum::<i128>());
+            let (lo, hi) = (CLUSTER - (1 << 31), CLUSTER + (1 << 32));
+            let ranged = pma.scan_range(lo, hi);
+            prop_assert_eq!(ranged.count as usize, model.range(lo..=hi).count());
+            prop_assert_eq!(
+                ranged.key_sum,
+                model.range(lo..=hi).map(|(&k, _)| k as i128).sum::<i128>()
+            );
+        }
+    }
+}

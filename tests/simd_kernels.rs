@@ -12,6 +12,10 @@
 //! the short-run cases below walk every length around that boundary, for
 //! plain runs and for the atomic separators of an index level, against the
 //! same `partition_point` reference.
+//!
+//! The `u32` kernels of a narrow chunk (offsets from a base key) are pinned
+//! the same way, at every length `0..=130` with lanes at 0, 2^31 - 1, 2^31
+//! and 2^32 - 1 — the edges of the sign-flip compare.
 
 use proptest::prelude::*;
 
@@ -433,6 +437,152 @@ proptest! {
         // Probing each fence key exactly lands on its own slot.
         for (slot, fence) in fences.iter().enumerate() {
             prop_assert_eq!(packed.route(fence), slot, "self-probe {:?}", fence);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Narrow runs: `u32` offsets from a base key
+// ---------------------------------------------------------------------
+
+/// Every variant this CPU runs.
+fn supported_variants() -> impl Iterator<Item = Variant> {
+    [Variant::Avx2, Variant::Sse2, Variant::Neon, Variant::Scalar]
+        .into_iter()
+        .filter(|variant| variant.supported())
+}
+
+/// The offsets where an unsigned compare built on a signed one breaks:
+/// both ends of the range and both sides of the sign flip.
+const LANE_EDGES: [u32; 4] = [0, (1 << 31) - 1, 1 << 31, u32::MAX];
+
+/// Sorted offset runs of every length `0..=130` (every remainder of the 4-
+/// and 8-lane widths, both sides of `SHORT_RUN` and of `SMALL_RUN`), filled
+/// with the lane edges and their neighbours.
+fn narrow_runs() -> Vec<Vec<u32>> {
+    let palette: Vec<u32> = LANE_EDGES
+        .iter()
+        .flat_map(|&x| [x.saturating_sub(1), x, x.saturating_add(1)])
+        .collect();
+    let mut runs = Vec::new();
+    for len in 0..=130usize {
+        for fill in LANE_EDGES {
+            runs.push(vec![fill; len]);
+        }
+        let mut spread: Vec<u32> = (0..len).map(|i| palette[i % palette.len()]).collect();
+        spread.sort_unstable();
+        runs.push(spread);
+        // Strictly increasing across the sign flip.
+        runs.push((0..len as u32).map(|i| (1 << 31) - 65 + i).collect());
+    }
+    runs
+}
+
+/// Every offset of `run`, its neighbours and the lane edges.
+fn narrow_probes(run: &[u32]) -> Vec<u32> {
+    let mut probes = LANE_EDGES.to_vec();
+    for &x in run {
+        probes.extend([x.saturating_sub(1), x, x.saturating_add(1)]);
+    }
+    probes.sort_unstable();
+    probes.dedup();
+    probes
+}
+
+/// The `u32` kernels against their scalar definitions, under every
+/// supported variant and the active one: counts and searches against
+/// `partition_point`, the run sum against a `u128` sum, the decode and the
+/// append against a per-element widening.
+#[test]
+fn narrow_kernels_match_the_scalar_reference() {
+    for run in narrow_runs() {
+        for key in narrow_probes(&run) {
+            let le = run.partition_point(|&x| x <= key);
+            let lt = run.partition_point(|&x| x < key);
+            for variant in supported_variants() {
+                assert_eq!(
+                    simd::count_le_u32_with(variant, &run, key),
+                    le,
+                    "{variant:?} len {} key {key}",
+                    run.len()
+                );
+            }
+            assert_eq!(simd::count_le_u32(&run, key), le, "count_le_u32 {key}");
+            assert_eq!(simd::count_lt_u32(&run, key), lt, "count_lt_u32 {key}");
+            let expected = if lt < le { Ok(lt) } else { Err(lt) };
+            assert_eq!(simd::search_u32(&run, key), expected, "search_u32 {key}");
+        }
+        let sum: u128 = run.iter().map(|&x| x as u128).sum();
+        for variant in supported_variants() {
+            assert_eq!(simd::sum_run_u32_with(variant, &run), sum, "{variant:?}");
+        }
+        assert_eq!(simd::sum_run_u32(&run), sum);
+        for base in [
+            i64::MIN,
+            -(1 << 40),
+            -1,
+            0,
+            1 << 40,
+            i64::MAX - u32::MAX as i64,
+        ] {
+            let keys: Vec<i64> = run.iter().map(|&x| base.wrapping_add(x as i64)).collect();
+            for variant in supported_variants() {
+                let mut decoded = vec![0; run.len()];
+                simd::decode_run_with(variant, &mut decoded, base, &run);
+                assert_eq!(decoded, keys, "{variant:?} base {base}");
+            }
+            let mut appended = vec![7, 8];
+            simd::append_decoded(&mut appended, base, &run);
+            assert_eq!(appended[..2], [7, 8]);
+            assert_eq!(appended[2..], keys[..], "append_decoded base {base}");
+        }
+    }
+}
+
+/// Sorted offset runs biased toward the lane edges.
+fn narrow_run_strategy() -> impl Strategy<Value = Vec<u32>> {
+    let offset = prop_oneof![
+        4 => any::<u32>(),
+        2 => 0u32..8,
+        1 => Just((1u32 << 31) - 1),
+        1 => Just(1u32 << 31),
+        1 => Just(u32::MAX),
+    ];
+    proptest::collection::vec(offset, 0..300).prop_map(|mut v| {
+        v.sort_unstable();
+        v
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The `u32` count and sum arms agree with their scalar definitions on
+    /// random sorted runs, and a narrow run folds like its widened keys.
+    #[test]
+    fn narrow_kernels_match_on_random_runs(
+        run in narrow_run_strategy(),
+        key in any::<u32>(),
+        base in any::<i64>(),
+    ) {
+        let le = run.partition_point(|&x| x <= key);
+        for variant in supported_variants() {
+            prop_assert_eq!(simd::count_le_u32_with(variant, &run, key), le);
+            prop_assert_eq!(
+                simd::sum_run_u32_with(variant, &run),
+                run.iter().map(|&x| x as u128).sum::<u128>()
+            );
+        }
+        let keys: Vec<i64> = run.iter().map(|&x| base.wrapping_add(x as i64)).collect();
+        let values: Vec<i64> = keys.iter().map(|&k| k.wrapping_mul(31) ^ 5).collect();
+        let mut widened = rma_concurrent::common::ScanStats::default();
+        widened.visit_run(&keys, &values);
+        let mut narrow = rma_concurrent::common::ScanStats::default();
+        narrow.visit_narrow_run(base, &run, &values);
+        // A window that wraps the key domain folds differently; a chunk's
+        // never does.
+        if base.checked_add(u32::MAX as i64).is_some() {
+            prop_assert_eq!(narrow, widened);
         }
     }
 }

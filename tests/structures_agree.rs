@@ -43,30 +43,48 @@ fn build(spec: &str) -> Arc<dyn ConcurrentMap> {
 /// Applies a mixed random operation sequence to the structure and the model,
 /// then compares the full contents.
 fn run_model_check(spec: &str, seed: u64, ops: usize) {
+    run_model_check_on(spec, seed, ops, |k| k);
+}
+
+/// Keys for a PMA of mixed widths: the lower three quarters dense (a gate
+/// holding only those spans less than 2^32 and stores `u32` offsets), the
+/// upper quarter 2^30 apart (a gate holding those stores full keys).
+/// Monotone over every probe.
+fn mixed_width_key(k: i64) -> i64 {
+    if k < 1_500 {
+        k
+    } else {
+        k << 30
+    }
+}
+
+/// [`run_model_check`] with every key, probe and bound passed through the
+/// monotone `key`.
+fn run_model_check_on(spec: &str, seed: u64, ops: usize, key: fn(i64) -> i64) {
     let map = build(spec);
     let mut model: BTreeMap<i64, i64> = BTreeMap::new();
     let mut rng = SmallRng::seed_from_u64(seed);
 
     for i in 0..ops {
-        let key = rng.gen_range(0..2_000i64);
+        let k = key(rng.gen_range(0..2_000i64));
         let value = i as i64;
         if rng.gen_bool(0.7) {
-            map.insert(key, value);
-            model.insert(key, value);
+            map.insert(k, value);
+            model.insert(k, value);
         } else {
-            map.remove(key);
-            model.remove(&key);
+            map.remove(k);
+            model.remove(&k);
         }
     }
     map.flush();
 
     assert_eq!(map.len(), model.len(), "{spec}: length mismatch");
     // Point lookups agree.
-    for key in 0..2_000i64 {
+    for k in (0..2_000i64).map(key) {
         assert_eq!(
-            map.get(key),
-            model.get(&key).copied(),
-            "{spec}: lookup mismatch for key {key}"
+            map.get(k),
+            model.get(&k).copied(),
+            "{spec}: lookup mismatch for key {k}"
         );
     }
     // Ordered scan agrees (count and checksums).
@@ -78,15 +96,18 @@ fn run_model_check(spec: &str, seed: u64, ops: usize) {
     assert_eq!(stats.value_sum, expected_value_sum, "{spec}");
     // Range scans agree on an arbitrary sub-range.
     let mut got = Vec::new();
-    map.range(250, 1_750, &mut |k, v| got.push((k, v)));
-    let expected: Vec<(i64, i64)> = model.range(250..=1_750).map(|(&k, &v)| (k, v)).collect();
+    map.range(key(250), key(1_750), &mut |k, v| got.push((k, v)));
+    let expected: Vec<(i64, i64)> = model
+        .range(key(250)..=key(1_750))
+        .map(|(&k, &v)| (k, v))
+        .collect();
     assert_eq!(got, expected, "{spec}: range mismatch");
     // `scan_range` agrees with BTreeMap reference semantics on random
     // (including empty and out-of-domain) intervals.
     for _ in 0..40 {
         let a = rng.gen_range(-100..2_200i64);
         let b = rng.gen_range(-100..2_200i64);
-        let (lo, hi) = (a.min(b), a.max(b));
+        let (lo, hi) = (key(a.min(b)), key(a.max(b)));
         let stats = map.scan_range(lo, hi);
         let mut count = 0u64;
         let mut key_sum = 0i128;
@@ -134,8 +155,11 @@ fn every_registry_backend_matches_the_model_on_a_second_seed() {
 /// check above — `get`, `scan_range`, `range`, `insert`, `remove`, through
 /// growth, rebalances and resizes, for every registry spec (the PMAs
 /// directly, and inside the sharded engine and the router) — answers as it
-/// always does. The override is process-wide, so the other tests of this binary may
-/// run under it too: by the property under test, they cannot tell.
+/// always does — on dense keys, whose gates are all narrow, and on keys of
+/// mixed widths ([`mixed_width_key`]), where the hint's width bit must place
+/// the key and value runs of both layouts. The override is process-wide, so
+/// the other tests of this binary may run under it too: by the property
+/// under test, they cannot tell.
 #[test]
 fn poisoned_slab_hints_change_no_answer() {
     use rma_concurrent::core::concurrent::chunk::ChunkData;
@@ -154,6 +178,7 @@ fn poisoned_slab_hints_change_no_answer() {
         assert_eq!(occupancy, bytes);
         for spec in all_specs() {
             run_model_check(&spec, 0xDEADBEEF ^ poison as u64, 4_000);
+            run_model_check_on(&spec, poison as u64, 4_000, mixed_width_key);
         }
     }
     poison_slab_hints(None);
