@@ -29,6 +29,7 @@ use std::sync::Arc;
 use crate::map::MaintenanceStats;
 use crate::types::{decode_key, encode_key, prefix_upper_bound, Key, Value, KEY_MAX};
 use crate::{ConcurrentMap, FrozenView, PmaError};
+use pma_obs::metrics::{Observations, Observe};
 
 /// Fold of an ordered byte-key scan: cardinality, key volume, value sum and
 /// an order-sensitive key fingerprint.
@@ -323,10 +324,18 @@ pub trait ConcurrentByteMap: Send + Sync {
     }
 
     /// Structural-maintenance counters (splits, copy-on-write copies, …),
-    /// when the backend tracks them.
+    /// read by name off [`ConcurrentByteMap::observe_metrics`]: `None` when
+    /// the backend exports none of them.
     fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        None
+        let mut sink = Observations::new();
+        self.observe_metrics(&mut sink);
+        MaintenanceStats::from_metrics(&sink.into_snapshot())
     }
+
+    /// Emits the backend's live metrics into an [`Observe`] sink, each name
+    /// once (nothing by default), as [`ConcurrentMap::observe_metrics`] does
+    /// for the integer-keyed structures.
+    fn observe_metrics(&self, _out: &mut dyn Observe) {}
 
     /// A short static name identifying the implementation.
     fn name(&self) -> &'static str;
@@ -377,8 +386,8 @@ impl<M: ConcurrentByteMap + ?Sized> ConcurrentByteMap for Arc<M> {
     fn memory_stats(&self) -> Option<ByteMemoryStats> {
         (**self).memory_stats()
     }
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        (**self).maintenance_stats()
+    fn observe_metrics(&self, out: &mut dyn Observe) {
+        (**self).observe_metrics(out)
     }
     fn name(&self) -> &'static str {
         (**self).name()
@@ -513,8 +522,8 @@ impl ConcurrentByteMap for ByteView64 {
         }))
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.inner.maintenance_stats()
+    fn observe_metrics(&self, out: &mut dyn Observe) {
+        self.inner.observe_metrics(out)
     }
 
     fn name(&self) -> &'static str {

@@ -29,7 +29,7 @@ pub use bytemap::{
 };
 pub use error::PmaError;
 pub use map::{
-    check_sorted, count_distinct_sorted, dedup_sorted_last_wins, elements_from_runs,
+    check_sorted, count_distinct_sorted, dedup_sorted_last_wins, elements_from_runs, metrics_of,
     runs_from_elements, CombiningStats, ConcurrentMap, FrozenView, MaintenanceStats, ScanStats,
 };
 pub use registry::{BackendDef, BackendSpec, ByteBackendDef, Registry};

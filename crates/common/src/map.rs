@@ -7,9 +7,11 @@
 //! and ranged). All methods take `&self`: implementations are responsible for
 //! their own internal synchronisation.
 
+use std::cell::Cell;
+
 use crate::error::PmaError;
 use crate::types::{Key, Value};
-use pma_obs::metrics::{MetricSource, Observe};
+use pma_obs::metrics::{MetricValue, MetricsSnapshot, Observations, Observe};
 
 /// Validates the input contract of the bulk-load paths: keys must be in
 /// non-decreasing order (equal keys are allowed — the later entry wins, as
@@ -186,18 +188,13 @@ pub struct CombiningStats {
 }
 
 impl CombiningStats {
-    /// Element-wise accumulation (used by composite backends that sum the
-    /// counters of their inner instances).
-    pub fn merge(&mut self, other: &CombiningStats) {
-        self.owned_applies += other.owned_applies;
-        self.late_replays += other.late_replays;
-    }
-}
-
-impl MetricSource for CombiningStats {
-    fn observe(&self, out: &mut dyn Observe) {
-        out.counter("owned_applies", self.owned_applies);
-        out.counter("late_replays", self.late_replays);
+    /// Reads both counters off `metrics` by name: `None` when the structure
+    /// exports neither (it has no combining machinery).
+    fn from_metrics(metrics: &MetricsSnapshot) -> Option<Self> {
+        typed_view(metrics, |read| CombiningStats {
+            owned_applies: read("owned_applies"),
+            late_replays: read("late_replays"),
+        })
     }
 }
 
@@ -233,38 +230,56 @@ pub struct MaintenanceStats {
     /// was over capacity (backpressure on the chase protocol).
     pub delta_backpressure_waits: u64,
     /// How many epochs the oldest still-active reader lags behind the
-    /// current reclamation epoch (0 when quiesced). A gauge; `merge` keeps
-    /// the largest, since inner instances run independent epoch clocks and
-    /// their lags do not add up.
+    /// current reclamation epoch (0 when quiesced). A gauge: the largest of
+    /// the inner instances', since they run independent epoch clocks.
     pub epoch_lag: u64,
 }
 
 impl MaintenanceStats {
-    /// Element-wise accumulation (for composite backends): counters add up,
-    /// the `epoch_lag` gauge takes the maximum.
-    pub fn merge(&mut self, other: &MaintenanceStats) {
-        self.splits += other.splits;
-        self.merges += other.merges;
-        self.stall_ns += other.stall_ns;
-        self.thrash_averted += other.thrash_averted;
-        self.cow_copies += other.cow_copies;
-        self.chase_rounds += other.chase_rounds;
-        self.delta_backpressure_waits += other.delta_backpressure_waits;
-        self.epoch_lag = self.epoch_lag.max(other.epoch_lag);
+    /// Reads every field off `metrics` by name, a field the structure does
+    /// not export as 0: `None` when it exports none of them (it does no
+    /// background maintenance).
+    pub(crate) fn from_metrics(metrics: &MetricsSnapshot) -> Option<Self> {
+        typed_view(metrics, |read| MaintenanceStats {
+            splits: read("splits"),
+            merges: read("merges"),
+            stall_ns: read("stall_ns"),
+            thrash_averted: read("thrash_averted"),
+            cow_copies: read("cow_copies"),
+            chase_rounds: read("chase_rounds"),
+            delta_backpressure_waits: read("delta_backpressure_waits"),
+            epoch_lag: read("epoch_lag"),
+        })
     }
 }
 
-impl MetricSource for MaintenanceStats {
-    fn observe(&self, out: &mut dyn Observe) {
-        out.counter("splits", self.splits);
-        out.counter("merges", self.merges);
-        out.counter("stall_ns", self.stall_ns);
-        out.counter("thrash_averted", self.thrash_averted);
-        out.counter("cow_copies", self.cow_copies);
-        out.counter("chase_rounds", self.chase_rounds);
-        out.counter("delta_backpressure_waits", self.delta_backpressure_waits);
-        out.gauge("epoch_lag", self.epoch_lag as f64);
-    }
+/// Builds a typed view of `snapshot` with `build`, which reads metrics by
+/// name through `read` (as whole numbers; a name not exported reads 0):
+/// `None` when the structure exports none of the names `build` read.
+fn typed_view<T>(
+    snapshot: &MetricsSnapshot,
+    build: impl FnOnce(&dyn Fn(&str) -> u64) -> T,
+) -> Option<T> {
+    let found = Cell::new(false);
+    let read = |name: &str| {
+        let value = snapshot.get(name);
+        found.set(found.get() || value.is_some());
+        match value {
+            Some(MetricValue::Counter(count)) => *count,
+            other => other.map_or(0, |value| value.as_f64() as u64),
+        }
+    };
+    let view = build(&read);
+    found.get().then_some(view)
+}
+
+/// Collects everything `map` exports through
+/// [`ConcurrentMap::observe_metrics`] into one snapshot, the one way to read
+/// a structure's counters: `metrics_of(&map).counter("resizes")`.
+pub fn metrics_of<M: ConcurrentMap + ?Sized>(map: &M) -> MetricsSnapshot {
+    let mut sink = Observations::new();
+    map.observe_metrics(&mut sink);
+    sink.into_snapshot()
 }
 
 /// A point-in-time, repeatable-reads view of a [`ConcurrentMap`], produced by
@@ -499,20 +514,18 @@ pub trait ConcurrentMap: Send + Sync {
     /// not override the default no-op.
     fn flush(&self) {}
 
-    /// Combining-queue counters, for backends that defer updates through
-    /// combining machinery (see [`CombiningStats`]). Structures without such
-    /// machinery return `None` (the default) and the harness renders a dash.
+    /// Combining-queue counters (see [`CombiningStats`]), read by name off
+    /// [`ConcurrentMap::observe_metrics`]: `None` for structures that export
+    /// neither counter, and the harness renders a dash.
     fn combining_stats(&self) -> Option<CombiningStats> {
-        None
+        CombiningStats::from_metrics(&metrics_of(self))
     }
 
-    /// Structural-maintenance counters, for backends that reorganise
-    /// themselves in the background (see [`MaintenanceStats`]) — the sharded
-    /// engine reports its splits/merges and the write-stall they caused.
-    /// Structures without background maintenance return `None` (the default)
-    /// and the harness renders a dash.
+    /// Structural-maintenance counters (see [`MaintenanceStats`]), read by
+    /// name off [`ConcurrentMap::observe_metrics`]: `None` for structures
+    /// that export none of them, and the harness renders a dash.
     fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        None
+        MaintenanceStats::from_metrics(&metrics_of(self))
     }
 
     /// Takes an O(1) point-in-time snapshot with repeatable reads, or `None`
@@ -524,21 +537,12 @@ pub trait ConcurrentMap: Send + Sync {
         None
     }
 
-    /// Emits the structure's live metrics into an [`Observe`] sink — the
-    /// hook the observability layer's registry and the drivers' interval
-    /// samplers collect through. The default derives everything from
-    /// [`ConcurrentMap::combining_stats`] and
-    /// [`ConcurrentMap::maintenance_stats`]; backends with richer internal
-    /// state (the concurrent PMA's combining-queue depth, the sharded
-    /// engine's per-shard breakdown) override it and add their own gauges.
-    fn observe_metrics(&self, out: &mut dyn Observe) {
-        if let Some(combining) = self.combining_stats() {
-            combining.observe(out);
-        }
-        if let Some(maintenance) = self.maintenance_stats() {
-            maintenance.observe(out);
-        }
-    }
+    /// Emits the structure's live metrics into an [`Observe`] sink — the one
+    /// export: the registry, the drivers' interval samplers, [`metrics_of`]
+    /// and the typed views above all read through it. A composite structure
+    /// emits each name once. Structures without counters emit nothing (the
+    /// default).
+    fn observe_metrics(&self, _out: &mut dyn Observe) {}
 
     /// Short human-readable name used in benchmark tables.
     fn name(&self) -> &'static str;
@@ -592,12 +596,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     }
     fn flush(&self) {
         (**self).flush()
-    }
-    fn combining_stats(&self) -> Option<CombiningStats> {
-        (**self).combining_stats()
-    }
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        (**self).maintenance_stats()
     }
     fn frozen(&self) -> Option<Box<dyn FrozenView>> {
         (**self).frozen()
@@ -681,69 +679,59 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_stats_default_is_none_and_merge_accumulates() {
+    fn typed_stats_default_to_none_without_exported_counters() {
         let map = ModelMap::default();
+        assert!(map.combining_stats().is_none());
         assert!(map.maintenance_stats().is_none());
-        let mut a = MaintenanceStats {
-            splits: 1,
-            merges: 2,
-            stall_ns: 30,
-            thrash_averted: 4,
-            cow_copies: 5,
-            chase_rounds: 8,
-            delta_backpressure_waits: 9,
-            epoch_lag: 1,
-        };
-        a.merge(&MaintenanceStats {
-            splits: 10,
-            merges: 20,
-            stall_ns: 300,
-            thrash_averted: 40,
-            cow_copies: 50,
-            chase_rounds: 80,
-            delta_backpressure_waits: 90,
-            epoch_lag: 10,
-        });
-        assert_eq!(
-            a,
-            MaintenanceStats {
-                splits: 11,
-                merges: 22,
-                stall_ns: 330,
-                thrash_averted: 44,
-                cow_copies: 55,
-                chase_rounds: 88,
-                delta_backpressure_waits: 99,
-                // A gauge of independent clocks: the larger lag, not a sum.
-                epoch_lag: 10,
-            }
-        );
+        assert!(metrics_of(&map).metrics.is_empty());
     }
 
     #[test]
-    fn stats_observe_into_metrics_sink() {
-        use pma_obs::metrics::Observations;
-        let mut obs = Observations::with_prefix("m");
-        MaintenanceStats {
-            splits: 1,
-            cow_copies: 5,
-            chase_rounds: 8,
-            delta_backpressure_waits: 9,
-            epoch_lag: 2,
-            ..MaintenanceStats::default()
+    fn typed_stats_read_exported_names_and_missing_fields_as_zero() {
+        use pma_obs::metrics::Fold;
+        struct Counting;
+        impl ConcurrentMap for Counting {
+            fn insert(&self, _: Key, _: Value) {}
+            fn remove(&self, _: Key) -> Option<Value> {
+                None
+            }
+            fn get(&self, _: Key) -> Option<Value> {
+                None
+            }
+            fn len(&self) -> usize {
+                0
+            }
+            fn scan_all(&self) -> ScanStats {
+                ScanStats::default()
+            }
+            fn range(&self, _: Key, _: Key, _: &mut dyn FnMut(Key, Value)) {}
+            fn observe_metrics(&self, out: &mut dyn Observe) {
+                out.counter("owned_applies", 3);
+                out.counter("cow_copies", 5);
+                out.counter("chase_rounds", 8);
+                out.gauge("epoch_lag", 2.0, Fold::Max);
+            }
+            fn name(&self) -> &'static str {
+                "counting"
+            }
         }
-        .observe(&mut obs);
-        CombiningStats {
-            owned_applies: 3,
-            late_replays: 0,
-        }
-        .observe(&mut obs);
-        let snap = obs.into_snapshot();
-        assert_eq!(snap.counter("m_cow_copies"), Some(5));
-        assert_eq!(snap.counter("m_chase_rounds"), Some(8));
-        assert_eq!(snap.counter("m_delta_backpressure_waits"), Some(9));
-        assert_eq!(snap.value("m_epoch_lag"), Some(2.0));
-        assert_eq!(snap.counter("m_owned_applies"), Some(3));
+        let map = std::sync::Arc::new(Counting);
+        assert_eq!(
+            map.combining_stats(),
+            Some(CombiningStats {
+                owned_applies: 3,
+                late_replays: 0,
+            })
+        );
+        assert_eq!(
+            map.maintenance_stats(),
+            Some(MaintenanceStats {
+                cow_copies: 5,
+                chase_rounds: 8,
+                epoch_lag: 2,
+                ..MaintenanceStats::default()
+            })
+        );
     }
 
     #[test]

@@ -41,8 +41,9 @@ use parking_lot::RwLock;
 use pma_common::bytemap::{
     dedup_sorted_bytes_last_wins, ByteMemoryStats, ConcurrentByteMap, FrozenByteView,
 };
+use pma_common::obs::Observe;
 use pma_common::simd::ByteFences;
-use pma_common::{MaintenanceStats, PmaError, Value};
+use pma_common::{PmaError, Value};
 
 /// Tuning knobs for [`BytePma`].
 #[derive(Debug, Clone, Copy)]
@@ -505,17 +506,18 @@ impl ConcurrentByteMap for BytePma {
         Some(stats)
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        Some(MaintenanceStats {
-            splits: self.splits.load(AtomicOrdering::Relaxed),
-            merges: self.merges.load(AtomicOrdering::Relaxed),
-            cow_copies: self.cow_copies.load(AtomicOrdering::Relaxed),
-            // Reprefix rebuilds are chunk reconstructions forced by a key
-            // escaping the shared prefix — the byte engine's analogue of a
-            // redistribute, reported in the closest existing column.
-            chase_rounds: self.reprefix_rebuilds.load(AtomicOrdering::Relaxed),
-            ..MaintenanceStats::default()
-        })
+    fn observe_metrics(&self, out: &mut dyn Observe) {
+        // Reprefix rebuilds are chunk reconstructions forced by a key
+        // escaping the shared prefix — the byte engine's analogue of a
+        // redistribute, reported in the closest existing column.
+        for (name, counter) in [
+            ("splits", &self.splits),
+            ("merges", &self.merges),
+            ("cow_copies", &self.cow_copies),
+            ("chase_rounds", &self.reprefix_rebuilds),
+        ] {
+            out.counter(name, counter.load(AtomicOrdering::Relaxed));
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -719,8 +719,9 @@ mod tests {
         assert_eq!(g.mode(), GateMode::Read(1));
         drop(b);
         assert_eq!(g.mode(), GateMode::Free);
-        let snap = stats.snapshot();
-        assert_eq!((snap.gate_parks, snap.gate_wakes), (0, 0));
+        let parks_and_wakes =
+            [&stats.gate_parks, &stats.gate_wakes].map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(parks_and_wakes, [0, 0]);
     }
 
     #[test]
@@ -827,8 +828,9 @@ mod tests {
             assert_eq!(reader.join().unwrap(), Some((KEY_MIN, KEY_MAX)));
         });
         assert_eq!(g.mode(), GateMode::Free);
-        let snap = stats.snapshot();
-        assert_eq!((snap.gate_parks, snap.gate_wakes), (1, 1));
+        let parks_and_wakes =
+            [&stats.gate_parks, &stats.gate_wakes].map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(parks_and_wakes, [1, 1]);
     }
 
     #[test]

@@ -37,12 +37,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pma_common::obs;
-use pma_common::{
-    CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError, ScanStats, Value,
-};
+use pma_common::obs::{Fold, MetricSource, Observe};
+use pma_common::{ConcurrentMap, FrozenView, Key, PmaError, ScanStats, Value};
 
 use crate::params::{PmaParams, RebalancePolicy, UpdateMode};
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::Stats;
 
 use chunk::{ChunkData, ChunkInsert};
 use gate::{Exclusive, GateMode, SharedGuard, UpdateOp};
@@ -132,8 +131,8 @@ impl ConcurrentPma {
     /// a single pass with a uniform gap distribution, and the finished
     /// instance is published through the ordinary epoch entry pointer —
     /// **zero rebalances** happen during the load (observable through
-    /// [`ConcurrentPma::stats`]: `total_rebalances()` is 0 and
-    /// `bulk_loaded_keys` equals the number of distinct keys). Loading N
+    /// [`pma_common::metrics_of`]: the rebalance and resize counters stay 0
+    /// and `bulk_loaded_keys` equals the number of distinct keys). Loading N
     /// sorted keys is therefore O(N), versus the point-insert path's
     /// amortised O(N log² N / B) with its rebalance cascades.
     ///
@@ -143,13 +142,17 @@ impl ConcurrentPma {
     ///
     /// # Examples
     /// ```
+    /// use pma_common::metrics_of;
     /// use pma_core::{ConcurrentPma, PmaParams};
     ///
     /// let items: Vec<(i64, i64)> = (0..10_000).map(|k| (k, k * 2)).collect();
     /// let pma = ConcurrentPma::from_sorted(PmaParams::small(), &items).unwrap();
     /// assert_eq!(pma.len(), 10_000);
     /// assert_eq!(pma.get(123), Some(246));
-    /// assert_eq!(pma.stats().total_rebalances(), 0);
+    /// let metrics = metrics_of(&pma);
+    /// for name in ["local_rebalances", "global_rebalances", "resizes"] {
+    ///     assert_eq!(metrics.counter(name), Some(0));
+    /// }
     /// ```
     pub fn from_sorted(params: PmaParams, items: &[(Key, Value)]) -> Result<Self, PmaError> {
         params.validate()?;
@@ -205,11 +208,6 @@ impl ConcurrentPma {
         unsafe { self.shared.instance_ref() }.num_gates()
     }
 
-    /// Snapshot of the operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
     /// Inserts `key` with `value` (upsert). With an asynchronous update mode
     /// the operation may be executed later by another thread.
     pub fn insert(&self, key: Key, value: Value) {
@@ -258,7 +256,7 @@ impl ConcurrentPma {
     /// The snapshot clones every gate's reference-counted chunk version under
     /// a shared latch (no payload is copied at freeze time); writers that
     /// later mutate a still-pinned chunk copy it first
-    /// ([`gate::Gate::chunk_mut_cow`], counted in `stats().cow_copies`), so
+    /// ([`gate::Gate::chunk_mut_cow`], counted in the `cow_copies` counter), so
     /// every read against the returned [`FrozenSnapshot`] keeps returning the
     /// state as of the freeze — across concurrent updates, rebalances and
     /// resizes. Like every read, the snapshot sees the *settled* state:
@@ -1245,47 +1243,27 @@ impl ConcurrentMap for ConcurrentPma {
         ConcurrentPma::flush(self)
     }
 
-    fn combining_stats(&self) -> Option<CombiningStats> {
-        let snapshot = self.shared.stats.snapshot();
-        Some(CombiningStats {
-            owned_applies: snapshot.owned_applies,
-            late_replays: snapshot.late_replays,
-        })
-    }
-
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        let snapshot = self.shared.stats.snapshot();
-        let registry = &self.shared.registry;
-        Some(MaintenanceStats {
-            splits: 0,
-            merges: 0,
-            stall_ns: 0,
-            thrash_averted: 0,
-            cow_copies: snapshot.cow_copies,
-            chase_rounds: 0,
-            delta_backpressure_waits: 0,
-            epoch_lag: registry
-                .current_epoch()
-                .saturating_sub(registry.min_active_epoch()),
-        })
-    }
-
     fn frozen(&self) -> Option<Box<dyn FrozenView>> {
         Some(Box::new(ConcurrentPma::frozen(self)))
     }
 
-    fn observe_metrics(&self, out: &mut dyn pma_common::obs::Observe) {
-        use pma_common::obs::metrics::MetricSource;
-        self.shared.stats.snapshot().observe(out);
+    fn observe_metrics(&self, out: &mut dyn Observe) {
+        self.shared.stats.observe(out);
         let registry = &self.shared.registry;
+        // Instances run independent epoch clocks: their lags do not add up.
         out.gauge(
             "epoch_lag",
             registry
                 .current_epoch()
                 .saturating_sub(registry.min_active_epoch()) as f64,
+            Fold::Max,
         );
-        out.gauge("queue_depth", self.queued_ops() as f64);
-        out.gauge("garbage_pending", self.shared.garbage.len() as f64);
+        out.gauge("queue_depth", self.queued_ops() as f64, Fold::Sum);
+        out.gauge(
+            "garbage_pending",
+            self.shared.garbage.len() as f64,
+            Fold::Sum,
+        );
     }
 
     fn name(&self) -> &'static str {
@@ -1300,6 +1278,20 @@ impl ConcurrentMap for ConcurrentPma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pma_common::metrics_of;
+
+    /// One counter `p` exports; panics on a name it does not export.
+    fn counter(p: &ConcurrentPma, name: &str) -> u64 {
+        metrics_of(p).counter(name).unwrap()
+    }
+
+    /// Rebalances of any kind: local, global and resizes.
+    fn rebalances(p: &ConcurrentPma) -> u64 {
+        ["local_rebalances", "global_rebalances", "resizes"]
+            .map(|name| counter(p, name))
+            .iter()
+            .sum()
+    }
 
     fn pma(mode: UpdateMode) -> ConcurrentPma {
         let params = PmaParams {
@@ -1337,10 +1329,7 @@ mod tests {
         assert_eq!(p.len(), 1000);
         let stats = p.scan_all();
         assert_eq!(stats.count, 1000);
-        assert!(
-            p.stats().total_rebalances() > 0,
-            "growth requires rebalances/resizes"
-        );
+        assert!(rebalances(&p) > 0, "growth requires rebalances/resizes");
     }
 
     #[test]
@@ -1415,7 +1404,7 @@ mod tests {
                 assert_eq!(p.get(k / 2), Some(k / 2));
             }
         }
-        assert!(p.stats().resizes > 0);
+        assert!(counter(&p, "resizes") > 0);
         assert!(p.num_gates() > 1);
         assert_eq!(p.len(), 5000);
     }
@@ -1528,13 +1517,8 @@ mod tests {
     fn from_sorted_loads_without_rebalances() {
         let items: Vec<(i64, i64)> = (0..50_000i64).map(|k| (k * 3, -k)).collect();
         let p = ConcurrentPma::from_sorted(PmaParams::small(), &items).unwrap();
-        let stats = p.stats();
-        assert_eq!(
-            stats.total_rebalances(),
-            0,
-            "bulk load must not rebalance: {stats:?}"
-        );
-        assert_eq!(stats.bulk_loaded_keys, 50_000);
+        assert_eq!(rebalances(&p), 0, "bulk load must not rebalance");
+        assert_eq!(counter(&p, "bulk_loaded_keys"), 50_000);
         assert_eq!(p.len(), 50_000);
         assert!(p.num_gates() > 1);
         assert!(p.num_gates().is_power_of_two());
@@ -1578,12 +1562,12 @@ mod tests {
         let empty = ConcurrentPma::from_sorted(PmaParams::small(), &[]).unwrap();
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.num_gates(), 1);
-        assert_eq!(empty.stats().bulk_loaded_keys, 0);
+        assert_eq!(counter(&empty, "bulk_loaded_keys"), 0);
         empty.insert(5, 5);
         assert_eq!(empty.get(5), Some(5));
         let single = ConcurrentPma::from_sorted(PmaParams::small(), &[(7, 1), (7, 2)]).unwrap();
         assert_eq!(single.len(), 1);
-        assert_eq!(single.stats().bulk_loaded_keys, 1);
+        assert_eq!(counter(&single, "bulk_loaded_keys"), 1);
         assert_eq!(single.collect_range(Key::MIN, Key::MAX), vec![(7, 2)]);
     }
 
@@ -1622,10 +1606,9 @@ mod tests {
             p.flush();
             assert_eq!(p.len(), 10_000, "{mode:?}");
             assert_eq!(p.scan_all().count, 10_000, "{mode:?}");
-            let stats = p.stats();
             assert!(
-                stats.batch_span_rebuilds > 0,
-                "{mode:?}: overflow runs must go through the span rebuild: {stats:?}"
+                counter(&p, "batch_span_rebuilds") > 0,
+                "{mode:?}: overflow runs must go through the span rebuild"
             );
         }
     }
@@ -1648,7 +1631,7 @@ mod tests {
         let items: Vec<(i64, i64)> = (0..5_000i64).map(|k| (k, k)).collect();
         p.insert_batch(&items);
         p.flush();
-        let rebuilds_before = p.stats().batch_span_rebuilds;
+        let rebuilds_before = counter(&p, "batch_span_rebuilds");
         // Re-batching the same keys adds nothing: even on gates whose naive
         // cardinality + run-length check overflows, the refresh must merge in
         // place instead of triggering gate-span rebuilds.
@@ -1658,7 +1641,7 @@ mod tests {
         assert_eq!(p.len(), 5_000);
         assert_eq!(p.get(4_321), Some(-4_321));
         assert_eq!(
-            p.stats().batch_span_rebuilds,
+            counter(&p, "batch_span_rebuilds"),
             rebuilds_before,
             "value-refresh batches must not rebuild gate spans"
         );
@@ -1692,7 +1675,7 @@ mod tests {
         }
         p.flush();
         assert_eq!(p.len(), 99_000);
-        assert!(p.stats().resizes <= 1, "{:?}", p.stats());
+        assert!(counter(&p, "resizes") <= 1, "{:?}", metrics_of(&p));
         assert_eq!(p.num_gates(), gates);
         // A real shrink still happens once a smaller array would do.
         for k in 0..80_000i64 {
@@ -1714,9 +1697,13 @@ mod tests {
         assert_eq!(p.scan_range(160, 1_600).count, 91);
         let frozen = p.frozen();
         assert_eq!(frozen.len(), 100_000);
-        let stats = p.stats();
-        assert_eq!(stats.lookups, 100_000);
-        assert_eq!((stats.gate_parks, stats.gate_wakes), (0, 0), "{stats:?}");
+        let stats = metrics_of(&p);
+        assert_eq!(stats.counter("lookups"), Some(100_000));
+        assert_eq!(
+            (stats.counter("gate_parks"), stats.counter("gate_wakes")),
+            (Some(0), Some(0)),
+            "{stats:?}"
+        );
     }
 
     /// At quiescence, every gate's slab hint in the static index is the
@@ -1828,7 +1815,7 @@ mod tests {
         for &head in &heads {
             assert!(p.remove(head).is_some());
         }
-        assert_eq!(p.stats().total_rebalances(), 0);
+        assert_eq!(rebalances(&p), 0);
         assert_eq!(stale_segment_rows(&p, false).len(), p.num_gates());
         let frozen = p.frozen();
         // Overwrites of the keys left: one copy per gate, and no minimum or
@@ -1837,7 +1824,7 @@ mod tests {
         for &(k, v) in items.iter().filter(|(k, _)| !removed.contains(k)) {
             p.insert(k, v + 1);
         }
-        assert_eq!(p.stats().cow_copies, p.num_gates() as u64);
+        assert_eq!(counter(&p, "cow_copies"), p.num_gates() as u64);
         assert_segment_hints_current(&p, true);
         assert_eq!(frozen.get(16), Some(1));
         assert_eq!(p.get(16), Some(2));
@@ -1864,13 +1851,17 @@ mod tests {
             let (mut resizes, mut rebalances) = (0, 0);
             for k in 0..8_000i64 {
                 p.insert(k, -k);
-                let stats = p.stats();
-                if (stats.resizes, stats.global_rebalances) != (resizes, rebalances) {
-                    (resizes, rebalances) = (stats.resizes, stats.global_rebalances);
+                let now = (counter(&p, "resizes"), counter(&p, "global_rebalances"));
+                if now != (resizes, rebalances) {
+                    (resizes, rebalances) = now;
                     assert_segment_hints_current(&p, false);
                 }
             }
-            assert!(resizes >= 3 && rebalances >= 3, "{mode:?}: {:?}", p.stats());
+            assert!(
+                resizes >= 3 && rebalances >= 3,
+                "{mode:?}: {:?}",
+                metrics_of(&p)
+            );
             assert_eq!(p.len(), 8_000);
         }
     }
@@ -1897,9 +1888,8 @@ mod tests {
                 }
             }
             p.flush();
-            let stats = p.stats();
-            assert!(stats.resizes >= 3, "{stats:?}");
-            assert!(stats.global_rebalances >= 3, "{stats:?}");
+            assert!(counter(&p, "resizes") >= 3, "{:?}", metrics_of(&p));
+            assert!(counter(&p, "global_rebalances") >= 3);
             assert_eq!(p.len(), 8_000);
             assert_slab_hints_current(&p);
             // And back down: downsizes build instances too.
@@ -1935,7 +1925,7 @@ mod tests {
         }
         p.flush();
         assert_eq!(p.num_gates(), gates);
-        assert_eq!(p.stats().cow_copies, gates as u64);
+        assert_eq!(counter(&p, "cow_copies"), gates as u64);
         assert_slab_hints_current(&p);
         // Overwrites move no minimum and change no count: the rows the
         // copies stored are their chunks' prefixes.

@@ -1003,7 +1003,8 @@ mod tests {
             pma.insert(k, k);
         }
         // Each resize retires its predecessor before the next one starts.
-        assert!(pma.stats().resizes >= 2, "{:?}", pma.stats());
+        let metrics = pma_common::metrics_of(&pma);
+        assert!(metrics.counter("resizes").unwrap() >= 2, "{metrics:?}");
         assert!(!pma.shared.garbage.is_empty(), "the pin holds them back");
         drop(pin);
         let deadline = Instant::now() + Duration::from_secs(1);

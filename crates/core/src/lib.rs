@@ -53,4 +53,4 @@ pub use bytepma::{BytePma, BytePmaConfig};
 pub use concurrent::delta::{DeltaLog, DeltaOp};
 pub use concurrent::ConcurrentPma;
 pub use params::{DensityThresholds, PmaParams, RebalancePolicy, UpdateMode};
-pub use stats::{Stats, StatsSnapshot};
+pub use stats::Stats;

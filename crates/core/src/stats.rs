@@ -6,6 +6,7 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
+use pma_common::obs::{MetricSource, Observe};
 use pma_common::util::{stripe, CachePadded, STRIPES};
 
 /// The counters an applied point operation bumps, all four in one cache
@@ -157,100 +158,36 @@ impl Stats {
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
+}
 
-    /// Takes a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            inserts: self.sum(|stripe| stripe.inserts.load(Ordering::Relaxed)),
-            deletes: self.sum(|stripe| stripe.deletes.load(Ordering::Relaxed)),
-            lookups: self.sum(|stripe| stripe.lookups.load(Ordering::Relaxed)),
-            local_rebalances: self.local_rebalances.load(Ordering::Relaxed),
-            global_rebalances: self.global_rebalances.load(Ordering::Relaxed),
-            resizes: self.resizes.load(Ordering::Relaxed),
-            combined_ops: self.combined_ops.load(Ordering::Relaxed),
-            batches_processed: self.batches_processed.load(Ordering::Relaxed),
-            batches_delayed: self.batches_delayed.load(Ordering::Relaxed),
-            gate_misses: self.gate_misses.load(Ordering::Relaxed),
-            resize_restarts: self.resize_restarts.load(Ordering::Relaxed),
-            bulk_loaded_keys: self.bulk_loaded_keys.load(Ordering::Relaxed),
-            batch_span_rebuilds: self.batch_span_rebuilds.load(Ordering::Relaxed),
-            owned_applies: self.owned_applies.load(Ordering::Relaxed),
-            late_replays: self.late_replays.load(Ordering::Relaxed),
-            cow_copies: self.cow_copies.load(Ordering::Relaxed),
-            gate_parks: self.gate_parks.load(Ordering::Relaxed),
-            gate_wakes: self.gate_wakes.load(Ordering::Relaxed),
+impl MetricSource for Stats {
+    /// Every counter under its field's name, the per-operation ones summed
+    /// over the stripes (`len` is not a counter: it is the structure's
+    /// `len()`).
+    fn observe(&self, out: &mut dyn Observe) {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        out.counter("inserts", self.sum(|stripe| load(&stripe.inserts)));
+        out.counter("deletes", self.sum(|stripe| load(&stripe.deletes)));
+        out.counter("lookups", self.sum(|stripe| load(&stripe.lookups)));
+        for (name, counter) in [
+            ("local_rebalances", &self.local_rebalances),
+            ("global_rebalances", &self.global_rebalances),
+            ("resizes", &self.resizes),
+            ("combined_ops", &self.combined_ops),
+            ("batches_processed", &self.batches_processed),
+            ("batches_delayed", &self.batches_delayed),
+            ("gate_misses", &self.gate_misses),
+            ("resize_restarts", &self.resize_restarts),
+            ("bulk_loaded_keys", &self.bulk_loaded_keys),
+            ("batch_span_rebuilds", &self.batch_span_rebuilds),
+            ("owned_applies", &self.owned_applies),
+            ("late_replays", &self.late_replays),
+            ("cow_copies", &self.cow_copies),
+            ("gate_parks", &self.gate_parks),
+            ("gate_wakes", &self.gate_wakes),
+        ] {
+            out.counter(name, load(counter));
         }
-    }
-}
-
-/// A point-in-time copy of the [`Stats`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Successful insertions applied to the array.
-    pub inserts: u64,
-    /// Successful deletions applied to the array.
-    pub deletes: u64,
-    /// Point lookups served.
-    pub lookups: u64,
-    /// Rebalances fully contained in one gate.
-    pub local_rebalances: u64,
-    /// Rebalances spanning multiple gates.
-    pub global_rebalances: u64,
-    /// Full reconstructions of the array.
-    pub resizes: u64,
-    /// Operations appended to another writer's combining queue.
-    pub combined_ops: u64,
-    /// Batches processed by the batch update mode.
-    pub batches_processed: u64,
-    /// Batches postponed because of `t_delay`.
-    pub batches_delayed: u64,
-    /// Fence-key mismatches resolved by walking to a neighbour gate.
-    pub gate_misses: u64,
-    /// Operation restarts caused by resizes.
-    pub resize_restarts: u64,
-    /// Elements installed by the bulk-load constructor (`from_sorted`).
-    pub bulk_loaded_keys: u64,
-    /// Oversized `insert_batch` runs handed to the rebalancer for a presized
-    /// gate-span rebuild.
-    pub batch_span_rebuilds: u64,
-    /// Combining-queue operations applied while their window was owned.
-    pub owned_applies: u64,
-    /// Operations salvaged through the defensive fold (must stay zero).
-    pub late_replays: u64,
-    /// Chunk payloads copied by the copy-on-write path because a frozen
-    /// snapshot still pinned them.
-    pub cow_copies: u64,
-    /// Times a thread went to sleep on a gate's condvar.
-    pub gate_parks: u64,
-    /// Times a gate release found a parked thread and notified.
-    pub gate_wakes: u64,
-}
-
-impl StatsSnapshot {
-    /// Total rebalances of any kind (local + global + resizes).
-    pub fn total_rebalances(&self) -> u64 {
-        self.local_rebalances + self.global_rebalances + self.resizes
-    }
-}
-
-impl pma_common::obs::MetricSource for StatsSnapshot {
-    fn observe(&self, out: &mut dyn pma_common::obs::Observe) {
-        out.counter("inserts", self.inserts);
-        out.counter("deletes", self.deletes);
-        out.counter("lookups", self.lookups);
-        out.counter("local_rebalances", self.local_rebalances);
-        out.counter("global_rebalances", self.global_rebalances);
-        out.counter("resizes", self.resizes);
-        out.counter("combined_ops", self.combined_ops);
-        out.counter("batches_processed", self.batches_processed);
-        out.counter("batches_delayed", self.batches_delayed);
-        out.counter("gate_misses", self.gate_misses);
-        out.counter("resize_restarts", self.resize_restarts);
-        out.counter("owned_applies", self.owned_applies);
-        out.counter("late_replays", self.late_replays);
-        out.counter("cow_copies", self.cow_copies);
-        out.counter("gate_parks", self.gate_parks);
-        out.counter("gate_wakes", self.gate_wakes);
     }
 }
 
@@ -258,21 +195,29 @@ impl pma_common::obs::MetricSource for StatsSnapshot {
 mod tests {
     use super::*;
 
+    /// `observe` on a fresh block of counters, as one snapshot.
+    fn observed(s: &Stats) -> pma_common::obs::MetricsSnapshot {
+        let mut sink = pma_common::obs::Observations::new();
+        s.observe(&mut sink);
+        sink.into_snapshot()
+    }
+
     #[test]
-    fn snapshot_reflects_increments() {
+    fn observe_reflects_increments() {
         let s = Stats::new();
         s.inserted(2);
         s.count_inserts(1);
         (0..3).for_each(|_| s.count_lookup());
         Stats::add(&s.combined_ops, 5);
         Stats::bump(&s.resizes);
-        let snap = s.snapshot();
-        assert_eq!(snap.inserts, 3);
-        assert_eq!(snap.lookups, 3);
-        assert_eq!(snap.combined_ops, 5);
-        assert_eq!(snap.resizes, 1);
-        assert_eq!(snap.deletes, 0);
-        assert_eq!(snap.total_rebalances(), 1);
+        let snap = observed(&s);
+        assert_eq!(snap.counter("inserts"), Some(3));
+        assert_eq!(snap.counter("lookups"), Some(3));
+        assert_eq!(snap.counter("combined_ops"), Some(5));
+        assert_eq!(snap.counter("resizes"), Some(1));
+        assert_eq!(snap.counter("deletes"), Some(0));
+        assert_eq!(snap.counter("bulk_loaded_keys"), Some(0));
+        assert_eq!(snap.metrics.len(), 18, "one name per counter: {snap:?}");
         assert_eq!(s.len(), 2, "upserts counted as insertions add no element");
     }
 
@@ -285,7 +230,11 @@ mod tests {
             scope.spawn(|| s.removed(12)).join().unwrap();
         });
         assert_eq!(s.len(), 3);
-        assert_eq!((s.snapshot().inserts, s.snapshot().deletes), (5, 12));
+        let snap = observed(&s);
+        assert_eq!(
+            (snap.counter("inserts"), snap.counter("deletes")),
+            (Some(5), Some(12))
+        );
         // What a reader can see mid-flight: a removal whose insertion, on
         // another thread's stripe, it read too early.
         s.removed(4);
@@ -340,9 +289,9 @@ mod tests {
         let s = Stats::new();
         Stats::bump(&s.local_rebalances);
         Stats::bump(&s.global_rebalances);
-        let snap = s.snapshot();
-        assert_eq!(snap.local_rebalances, 1);
-        assert_eq!(snap.global_rebalances, 1);
-        assert_eq!(snap.total_rebalances(), 2);
+        let snap = observed(&s);
+        assert_eq!(snap.counter("local_rebalances"), Some(1));
+        assert_eq!(snap.counter("global_rebalances"), Some(1));
+        assert_eq!(snap.counter("resizes"), Some(0));
     }
 }

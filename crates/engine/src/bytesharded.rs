@@ -23,9 +23,10 @@ use std::sync::Arc;
 use pma_common::bytemap::{
     dedup_sorted_bytes_last_wins, ByteMemoryStats, ConcurrentByteMap, FrozenByteView,
 };
+use pma_common::obs::{MetricSource, Observe, Totals};
 use pma_common::registry::Registry;
 use pma_common::simd::ByteFences;
-use pma_common::{MaintenanceStats, PmaError, Value};
+use pma_common::{PmaError, Value};
 
 /// Configuration of a [`ShardedByteMap`].
 #[derive(Debug, Clone)]
@@ -214,16 +215,12 @@ impl ConcurrentByteMap for ShardedByteMap {
         Some(total)
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        let mut total = MaintenanceStats::default();
-        let mut any = false;
+    fn observe_metrics(&self, out: &mut dyn Observe) {
+        let mut shards = Totals::default();
         for shard in &self.shards {
-            if let Some(stats) = shard.maintenance_stats() {
-                total.merge(&stats);
-                any = true;
-            }
+            shard.observe_metrics(&mut shards);
         }
-        any.then_some(total)
+        shards.observe(out);
     }
 
     fn name(&self) -> &'static str {

@@ -59,4 +59,4 @@ pub use backends::register_backends;
 pub use bytesharded::{ByteShardConfig, ShardedByteMap};
 pub use router::{CoreRouter, CoreRouterConfig, CoreRouterStats, OverloadPolicy};
 pub use sharded::{ShardSnapshot, ShardedConfig, ShardedFrozen, ShardedMap};
-pub use stats::{EngineStats, ShardedStats};
+pub use stats::EngineStats;

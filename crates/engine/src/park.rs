@@ -117,8 +117,16 @@ impl Parker {
     /// Call after making the awaited condition true: one fence and one
     /// load, plus a wake-up (counted in `wakes`) per parked thread.
     pub(crate) fn notify(&self, wakes: &AtomicU64) {
+        self.notify_if(wakes, || true);
+    }
+
+    /// [`Parker::notify`] for a notifier that will call again: once it has
+    /// found a sleeper it wakes nobody unless `worth_it()` — a sleeper woken
+    /// while its condition is still false would only sleep again. Without
+    /// sleepers `worth_it` is not called.
+    pub(crate) fn notify_if(&self, wakes: &AtomicU64, worth_it: impl FnOnce() -> bool) {
         fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) == 0 {
+        if self.parked.load(Ordering::Relaxed) == 0 || !worth_it() {
             return;
         }
         self.update_sleepers(|sleepers| {
@@ -163,6 +171,24 @@ pub(crate) mod tests {
         let parks = AtomicU64::new(0);
         assert_eq!(parker.wait(Duration::ZERO, &parks, || Some(7)), 7);
         assert_eq!(parks.load(Ordering::Relaxed), 0);
+        assert!(!parker.has_sleepers());
+    }
+
+    #[test]
+    fn notify_if_asks_only_with_a_sleeper_and_wakes_only_when_worth_it() {
+        let (parker, flag) = (Parker::default(), AtomicBool::new(false));
+        let (parks, wakes) = (AtomicU64::new(0), AtomicU64::new(0));
+        parker.notify_if(&wakes, || unreachable!("nobody sleeps"));
+        std::thread::scope(|scope| {
+            scope.spawn(|| parker.wait(Duration::ZERO, &parks, || raised(&flag)));
+            until("the waiter parks", || parks.load(Ordering::SeqCst) >= 1);
+            parker.notify_if(&wakes, || false);
+            assert_eq!(wakes.load(Ordering::Relaxed), 0, "not worth a wake");
+            assert!(parker.has_sleepers());
+            flag.store(true, Ordering::SeqCst);
+            parker.notify_if(&wakes, || true);
+        });
+        assert_eq!(wakes.load(Ordering::Relaxed), 1);
         assert!(!parker.has_sleepers());
     }
 

@@ -79,11 +79,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pma_common::obs::{MetricSource, Observe};
-use pma_common::{
-    obs, simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError,
-    ScanStats, Value,
-};
+use pma_common::obs::{Fold, MetricSource, Observe};
+use pma_common::{obs, simd, ConcurrentMap, FrozenView, Key, PmaError, ScanStats, Value};
 
 use crate::park::{Parker, POLL_BUDGET};
 use crate::ring::{Consumer, Ring};
@@ -438,7 +435,7 @@ impl MetricSource for CoreRouterStats {
         out.counter("coalesced_inserts", self.coalesced_inserts);
         out.counter("ingress_backpressure_waits", self.backpressure_waits);
         out.counter("ops_shed", self.ops_shed);
-        out.gauge("pinned_workers", self.pinned_workers as f64);
+        out.gauge("pinned_workers", self.pinned_workers as f64, Fold::Sum);
         out.counter("worker_parks", self.worker_parks);
         out.counter("reply_parks", self.reply_parks);
         out.counter("producer_parks", self.producer_parks);
@@ -714,14 +711,6 @@ impl ConcurrentMap for CoreRouter {
         self.inner.flush();
     }
 
-    fn combining_stats(&self) -> Option<CombiningStats> {
-        self.inner.combining_stats()
-    }
-
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.inner.maintenance_stats()
-    }
-
     fn frozen(&self) -> Option<Box<dyn FrozenView>> {
         // Settle the ingress queues first so the snapshot contains every
         // acknowledged op, mirroring the flush-before-freeze the drivers do.
@@ -729,11 +718,11 @@ impl ConcurrentMap for CoreRouter {
         self.inner.frozen()
     }
 
-    fn observe_metrics(&self, out: &mut dyn obs::Observe) {
+    fn observe_metrics(&self, out: &mut dyn Observe) {
         self.inner.observe_metrics(out);
         self.stats().observe(out);
-        out.gauge("ingress_depth", self.ingress_depth() as f64);
-        out.gauge("router_workers", self.queues.len() as f64);
+        out.gauge("ingress_depth", self.ingress_depth() as f64, Fold::Sum);
+        out.gauge("router_workers", self.queues.len() as f64, Fold::Sum);
     }
 
     fn name(&self) -> &'static str {
@@ -847,8 +836,17 @@ fn worker_loop(
         // this core's store buffer, so in front of the first op it would
         // hold the `get` until the freed slots' stamp stores had their lines
         // back from the producer's core. Many producers can be parked on
-        // distinct slots freed by one pass; this wakes them all.
-        queue.not_full.notify(&shared.counters.wakes_sent);
+        // distinct slots freed by one pass; this wakes them all — once
+        // there is room. The ring may have filled up again while the pass
+        // ran, and a producer woken onto a full ring parks again; a full
+        // ring keeps this worker from parking, so its next pass sends the
+        // wake. (`len` reads the producers' `tail` line: only when somebody
+        // sleeps.)
+        let ring = &queue.ring;
+        let wakes = &shared.counters.wakes_sent;
+        queue
+            .not_full
+            .notify_if(wakes, || ring.len() < ring.capacity());
         if stop {
             return;
         }

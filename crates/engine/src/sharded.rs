@@ -112,16 +112,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
-use pma_common::obs;
+use pma_common::obs::{self, Fold, MetricSource, Observe, Totals};
 use pma_common::util::CachePadded;
 use pma_common::{
-    check_sorted, simd, CombiningStats, ConcurrentMap, FrozenView, Key, MaintenanceStats, PmaError,
-    Registry, ScanStats, Value, KEY_MAX, KEY_MIN,
+    check_sorted, simd, ConcurrentMap, FrozenView, Key, PmaError, Registry, ScanStats, Value,
+    KEY_MAX, KEY_MIN,
 };
 use pma_core::concurrent::delta::{DeltaLog, DeltaOp};
 use pma_core::concurrent::epoch::{EpochGuard, EpochRegistry, GarbageBin};
 
-use crate::stats::{EngineStats, ShardedStats};
+use crate::stats::EngineStats;
 
 /// Once a split's delta log shrinks below this many ops, chasing stops and
 /// the split proceeds to the closing phase (draining fewer ops than this in
@@ -569,31 +569,12 @@ struct Engine {
     maintenance: Mutex<()>,
     stats: EngineStats,
     /// Counters absorbed from shards retired by splits/merges (their inner
-    /// instances die with their counters), by metric name: added to the
-    /// live shards' sums in `combining_stats` and `observe_metrics`, so the
-    /// forwarded counters stay monotone and a `late_replays` hit can never
-    /// be masked by a later structural rebuild of the shard that recorded
-    /// it.
-    retired_counters: Mutex<BTreeMap<String, u64>>,
+    /// instances die with their counters), by metric name: the start of
+    /// every fold of the live shards in `observe_metrics`, so the forwarded
+    /// counters stay monotone and a `late_replays` hit can never be masked
+    /// by a later structural rebuild of the shard that recorded it.
+    retired_counters: Mutex<Totals>,
     stop: AtomicBool,
-}
-
-/// The counters an inner map exports, by name, and its `queue_depth` gauge.
-fn inner_counters(map: &dyn ConcurrentMap) -> (BTreeMap<String, u64>, f64) {
-    let mut sink = obs::Observations::new();
-    map.observe_metrics(&mut sink);
-    let mut counters = BTreeMap::new();
-    let mut depth = 0.0;
-    for metric in sink.into_snapshot().metrics {
-        match metric.value {
-            obs::metrics::MetricValue::Counter(v) => {
-                *counters.entry(metric.name).or_default() += v;
-            }
-            obs::metrics::MetricValue::Gauge(v) if metric.name == "queue_depth" => depth += v,
-            _ => {}
-        }
-    }
-    (counters, depth)
 }
 
 impl Engine {
@@ -614,17 +595,14 @@ impl Engine {
     /// Called again, with the first call's result, after the post-publish
     /// settling flush: applying the inner queue backlog still ticks
     /// `owned_applies` — and must still surface a `late_replays` hit.
-    fn absorb_counters(
-        &self,
-        shard: &Shard,
-        already: &BTreeMap<String, u64>,
-    ) -> BTreeMap<String, u64> {
-        let now = inner_counters(shard.map.as_ref()).0;
+    fn absorb_counters(&self, shard: &Shard, already: &Totals) -> Totals {
+        let mut now = Totals::default();
+        shard.map.observe_metrics(&mut now);
         let mut retired = self.retired_counters.lock();
-        for (name, &value) in &now {
-            let delta = value.saturating_sub(already.get(name).copied().unwrap_or(0));
+        for (name, value) in now.counters() {
+            let delta = value.saturating_sub(already.total(name));
             if delta > 0 {
-                *retired.entry(name.clone()).or_default() += delta;
+                retired.counter(name, delta);
             }
         }
         now
@@ -862,7 +840,7 @@ impl Engine {
         // deferred visibility those ops would have had without a split.
         captured += Self::fold_delta(&delta, boundary, left.as_ref(), right.as_ref());
         debug_assert!(delta.is_empty(), "a fenced fold must drain the log");
-        let absorbed = self.absorb_counters(&shard, &BTreeMap::new());
+        let absorbed = self.absorb_counters(&shard, &Totals::default());
         let wrote = shard.wrote.load(Ordering::Relaxed);
         let mut shards = Vec::with_capacity(dir.shards.len() + 1);
         shards.extend(dir.shards[..idx].iter().cloned());
@@ -940,8 +918,8 @@ impl Engine {
         let mut right_gate = right.fence();
         captured += Self::fold_delta(&delta, KEY_MIN, merged.as_ref(), merged.as_ref());
         debug_assert!(delta.is_empty(), "a fenced fold must drain the log");
-        let left_absorbed = self.absorb_counters(&left, &BTreeMap::new());
-        let right_absorbed = self.absorb_counters(&right, &BTreeMap::new());
+        let left_absorbed = self.absorb_counters(&left, &Totals::default());
+        let right_absorbed = self.absorb_counters(&right, &Totals::default());
         let mut shards = Vec::with_capacity(dir.shards.len() - 1);
         shards.extend(dir.shards[..idx].iter().cloned());
         let wrote = left.wrote.load(Ordering::Relaxed) || right.wrote.load(Ordering::Relaxed);
@@ -1623,7 +1601,7 @@ impl ShardedMap {
             garbage: GarbageBin::new(),
             maintenance: Mutex::new(()),
             stats: EngineStats::new(),
-            retired_counters: Mutex::new(BTreeMap::new()),
+            retired_counters: Mutex::new(Totals::default()),
             stop: AtomicBool::new(false),
         });
         #[cfg(debug_assertions)]
@@ -1724,11 +1702,6 @@ impl ShardedMap {
     /// `(lo, hi, len)` of every shard in directory order.
     pub fn shard_layout(&self) -> Vec<(Key, Key, usize)> {
         self.snapshot().shard_layout()
-    }
-
-    /// Snapshot of the engine's operation counters.
-    pub fn stats(&self) -> ShardedStats {
-        self.engine.stats.snapshot()
     }
 
     /// Runs one load-monitor round synchronously — exactly what the
@@ -1996,110 +1969,24 @@ impl ConcurrentMap for ShardedMap {
         }
     }
 
-    fn combining_stats(&self) -> Option<CombiningStats> {
-        // Live shards plus the counters absorbed from shards retired by
-        // splits/merges (`absorb_counters`), so a `late_replays` hit
-        // recorded before a structural rebuild is never masked by it.
-        let _pin = self.engine.epoch.pin();
-        // SAFETY: pinned above.
-        let dir = unsafe { self.engine.dir_ref() };
-        let mut total = {
-            let retired = self.engine.retired_counters.lock();
-            let of = |name| retired.get(name).copied().unwrap_or(0);
-            CombiningStats {
-                owned_applies: of("owned_applies"),
-                late_replays: of("late_replays"),
-            }
-        };
-        let mut any = false;
-        for shard in &dir.shards {
-            if let Some(stats) = shard.map.combining_stats() {
-                total.merge(&stats);
-                any = true;
-            }
-        }
-        any.then_some(total)
-    }
-
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        let stats = self.engine.stats.snapshot();
-        let mut total = MaintenanceStats {
-            splits: stats.shard_splits,
-            merges: stats.shard_merges,
-            stall_ns: stats.split_stall_ns,
-            thrash_averted: stats.split_thrash_averted,
-            chase_rounds: stats.chase_rounds,
-            delta_backpressure_waits: stats.delta_backpressure_waits,
-            ..MaintenanceStats::default()
-        };
-        // The copy-on-write counters and the epoch lag live in the inner
-        // instances.
-        let _pin = self.engine.epoch.pin();
-        // SAFETY: pinned above.
-        let dir = unsafe { self.engine.dir_ref() };
-        for shard in &dir.shards {
-            if let Some(inner) = shard.map.maintenance_stats() {
-                total.merge(&inner);
-            }
-        }
-        Some(total)
-    }
-
     fn frozen(&self) -> Option<Box<dyn FrozenView>> {
         ShardedMap::frozen(self).map(|frozen| Box::new(frozen) as Box<dyn FrozenView>)
     }
 
-    fn observe_metrics(&self, out: &mut dyn obs::Observe) {
-        use obs::metrics::MetricValue;
-        use obs::{MetricSource, Observe};
-        // The engine's own view first: its aggregates take precedence over
-        // a forwarded inner counter of the same name.
-        let mut own = obs::Observations::new();
-        if let Some(combining) = self.combining_stats() {
-            combining.observe(&mut own);
-        }
-        if let Some(maintenance) = self.maintenance_stats() {
-            maintenance.observe(&mut own);
-        }
-        let stats = self.engine.stats.snapshot();
-        own.counter("routed_ops", stats.routed_ops);
-        own.counter("retired_retries", stats.retired_retries);
-        own.counter("read_revalidations", stats.read_revalidations);
-        own.counter("delta_ops", stats.delta_ops);
-        own.counter("batch_runs", stats.batch_runs);
-        own.counter("cross_shard_scans", stats.cross_shard_scans);
-        own.counter("monitor_errors", stats.monitor_errors);
-        let own = own.into_snapshot();
-        for metric in &own.metrics {
-            match &metric.value {
-                MetricValue::Counter(v) => out.counter(&metric.name, *v),
-                MetricValue::Gauge(v) => out.gauge(&metric.name, *v),
-                MetricValue::Histogram(h) => out.histogram(&metric.name, &h.buckets, h.count),
-            }
-        }
-        // Then the inner maps' counters (rebalances, resizes, combining,
-        // gate parks...), summed over the live shards plus what retired
-        // shards left behind, and their combining-queue depths summed into
-        // one `queue_depth` instead of S clashing ones.
+    fn observe_metrics(&self, out: &mut dyn Observe) {
+        self.engine.stats.observe(out);
         let _pin = self.engine.epoch.pin();
         // SAFETY: pinned above.
         let dir = unsafe { self.engine.dir_ref() };
-        let mut counters = self.engine.retired_counters.lock().clone();
-        let mut depth = 0.0;
+        out.gauge("num_shards", dir.shards.len() as f64, Fold::Sum);
+        // The inner maps' metrics, each name once: what the retired shards
+        // left behind plus every live shard's, counters summed and gauges
+        // combined by the rule each was emitted with.
+        let mut inner = self.engine.retired_counters.lock().clone();
         for shard in &dir.shards {
-            let (shard_counters, shard_depth) = inner_counters(shard.map.as_ref());
-            for (name, value) in shard_counters {
-                *counters.entry(name).or_default() += value;
-            }
-            depth += shard_depth;
+            shard.map.observe_metrics(&mut inner);
         }
-        for (name, value) in counters {
-            if own.get(&name).is_none() {
-                out.counter(&name, value);
-            }
-        }
-        out.gauge("queue_depth", depth);
-        out.gauge("num_shards", dir.shards.len() as f64);
+        inner.observe(out);
     }
 
     fn name(&self) -> &'static str {
@@ -2110,6 +1997,12 @@ impl ConcurrentMap for ShardedMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pma_common::metrics_of;
+
+    /// One counter `map` exports; panics on a name it does not export.
+    fn counter(map: &ShardedMap, name: &str) -> u64 {
+        metrics_of(map).counter(name).unwrap()
+    }
 
     fn registry() -> &'static Registry {
         pma_core::register_backends(Registry::global());
@@ -2259,7 +2152,7 @@ mod tests {
         assert_eq!(map.remove(0), Some(3));
         map.flush();
         assert_eq!(map.len(), keys.len() - 1);
-        assert!(map.stats().routed_ops > 0);
+        assert!(counter(&map, "routed_ops") > 0);
     }
 
     #[test]
@@ -2277,7 +2170,7 @@ mod tests {
         assert_eq!(seen, sorted);
         let stats = map.scan_all();
         assert_eq!(stats.count as usize, keys.len());
-        assert!(map.stats().cross_shard_scans > 0);
+        assert!(counter(&map, "cross_shard_scans") > 0);
         // A bounded range crossing shard fences agrees with the visitor path.
         let (lo, hi) = (sorted[100], sorted[900]);
         let ranged = map.scan_range(lo, hi);
@@ -2315,11 +2208,10 @@ mod tests {
         map.flush();
         assert_eq!(map.len(), 2_001);
         assert_eq!(map.scan_all().count, 2_001);
-        let stats = map.stats();
-        assert_eq!(stats.shard_splits, 2);
-        assert_eq!(stats.shard_merges, 2);
+        assert_eq!(counter(&map, "splits"), 2);
+        assert_eq!(counter(&map, "merges"), 2);
         // Every fence (install + final, splits and merges) counts as stall.
-        assert!(stats.split_stall_ns > 0);
+        assert!(counter(&map, "stall_ns") > 0);
         // Splitting an empty or single-element shard, or a stale index, is
         // a no-op.
         let empty = ShardedMap::new(config(1), registry()).unwrap();
@@ -2378,7 +2270,7 @@ mod tests {
         for (&k, &v) in model.iter().step_by(313) {
             assert_eq!(map.get(k), Some(v), "key {k}");
         }
-        assert_eq!(map.stats().shard_splits, 1);
+        assert_eq!(counter(&map, "splits"), 1);
     }
 
     #[test]
@@ -2546,8 +2438,7 @@ mod tests {
         for _ in 0..rounds {
             map.maintain_once();
         }
-        let stats = map.stats();
-        assert_eq!((stats.shard_splits, stats.shard_merges), (0, 0));
+        assert_eq!((counter(&map, "splits"), counter(&map, "merges")), (0, 0));
         assert_eq!(map.snapshot().generation(), generation);
         assert_eq!(map.len(), model.len());
         assert_eq!(map.collect_range(KEY_MIN, KEY_MAX), items);
@@ -2735,12 +2626,12 @@ mod tests {
             let items: Vec<(Key, Value)> = (0..4_096i64)
                 .map(|i| ((i - 2_048) * step + round * (i % 2) * 7, i * 10 + round))
                 .collect();
-            let runs_before = map.stats().batch_runs;
+            let runs_before = counter(&map, "batch_runs");
             map.insert_batch(&items);
             assert!(
-                map.stats().batch_runs - runs_before >= 3,
+                counter(&map, "batch_runs") - runs_before >= 3,
                 "{:?}",
-                map.stats()
+                metrics_of(&map)
             );
             model.extend(items.iter().copied());
         }
@@ -2782,7 +2673,7 @@ mod tests {
         map.insert_batch(&items);
         map.flush();
         assert_eq!(map.len(), items.len());
-        assert!(map.stats().batch_runs >= 2, "batch must fan out");
+        assert!(counter(&map, "batch_runs") >= 2, "batch must fan out");
         let stats = map.scan_all();
         assert_eq!(stats.count as usize, items.len());
     }
@@ -2803,10 +2694,10 @@ mod tests {
             map.insert(k, k);
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while map.stats().shard_splits == 0 && std::time::Instant::now() < deadline {
+        while counter(&map, "splits") == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(map.stats().shard_splits > 0, "monitor never split");
+        assert!(counter(&map, "splits") > 0, "monitor never split");
         map.flush();
         assert_eq!(map.len(), 6_000);
         assert_eq!(map.scan_all().count, 6_000);
@@ -2815,10 +2706,10 @@ mod tests {
             map.remove(k);
         }
         map.flush();
-        while map.stats().shard_merges == 0 && std::time::Instant::now() < deadline {
+        while counter(&map, "merges") == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(map.stats().shard_merges > 0, "monitor never merged");
+        assert!(counter(&map, "merges") > 0, "monitor never merged");
         assert_eq!(map.len(), 0);
     }
 
@@ -2842,7 +2733,7 @@ mod tests {
         // Two rounds above threshold: streak at 2 < 3, no split yet.
         map.maintain_once();
         map.maintain_once();
-        assert_eq!(map.stats().shard_splits, 0, "split fired before hysteresis");
+        assert_eq!(counter(&map, "splits"), 0, "split fired before hysteresis");
         // Load drops back under the boundary: the streak resets and the
         // suppressed crossing is counted as thrash averted.
         for k in 0..100i64 {
@@ -2850,11 +2741,11 @@ mod tests {
         }
         map.flush();
         map.maintain_once();
-        assert_eq!(map.stats().shard_splits, 0);
+        assert_eq!(counter(&map, "splits"), 0);
         assert!(
-            map.stats().split_thrash_averted >= 1,
+            counter(&map, "thrash_averted") >= 1,
             "lapsed crossing must count as thrash averted: {:?}",
-            map.stats()
+            metrics_of(&map)
         );
         // A crossing that persists for the full window does split.
         for k in 0..150i64 {
@@ -2863,13 +2754,9 @@ mod tests {
         map.flush();
         map.maintain_once();
         map.maintain_once();
-        assert_eq!(map.stats().shard_splits, 0);
+        assert_eq!(counter(&map, "splits"), 0);
         map.maintain_once();
-        assert_eq!(
-            map.stats().shard_splits,
-            1,
-            "persistent crossing must split"
-        );
+        assert_eq!(counter(&map, "splits"), 1, "persistent crossing must split");
         // Fresh shards restart their merge streaks: three more rounds of
         // cold load are needed before the halves merge back.
         for k in 0..200i64 {
@@ -2878,9 +2765,9 @@ mod tests {
         map.flush();
         map.maintain_once();
         map.maintain_once();
-        assert_eq!(map.stats().shard_merges, 0, "merge fired before hysteresis");
+        assert_eq!(counter(&map, "merges"), 0, "merge fired before hysteresis");
         map.maintain_once();
-        assert_eq!(map.stats().shard_merges, 1, "persistent cold must merge");
+        assert_eq!(counter(&map, "merges"), 1, "persistent cold must merge");
     }
 
     #[test]
@@ -2981,7 +2868,7 @@ mod tests {
         );
         map.engine.uninstall_delta(&shard);
         assert_eq!(version(), 3 * HOLD);
-        assert_eq!(map.stats().read_revalidations, 0);
+        assert_eq!(counter(&map, "read_revalidations"), 0);
         assert!(map.split_shard(0).unwrap());
         assert_eq!(version() & UNSETTLED, UNSETTLED, "retired for good");
         assert_eq!(map.get(7), Some(7), "re-routed through the new directory");
@@ -3064,7 +2951,7 @@ mod tests {
         map.flush();
         assert_eq!(map.get(5), Some(50));
         assert_eq!(
-            map.stats().read_revalidations,
+            counter(&map, "read_revalidations"),
             0,
             "settled lookups validate"
         );
@@ -3091,11 +2978,11 @@ mod tests {
                 "the lookup returned the quiescent base's stale value"
             );
         });
-        assert_eq!(map.stats().read_revalidations, 1);
+        assert_eq!(counter(&map, "read_revalidations"), 1);
         // With the log installed lookups go straight to the latch: nothing
         // more to revalidate.
         assert_eq!(map.get(5), Some(51));
-        assert_eq!(map.stats().read_revalidations, 1);
+        assert_eq!(counter(&map, "read_revalidations"), 1);
         map.engine.uninstall_delta(&shard);
         assert_eq!(map.get(5), Some(51));
     }
@@ -3134,7 +3021,7 @@ mod tests {
                 shard.load.ops.store(0, Ordering::Relaxed);
             }
         }
-        let routed_before = map.stats().routed_ops;
+        let routed_before = counter(&map, "routed_ops");
         let before = map.shard_layout();
         assert_eq!(before.len(), 2);
         assert!(before.iter().all(|&(_, _, len)| len == 2_000));
@@ -3151,7 +3038,7 @@ mod tests {
         }
         map.flush();
         assert_eq!(
-            map.stats().routed_ops - routed_before,
+            counter(&map, "routed_ops") - routed_before,
             16 * ROUNDS as u64,
             "{what}: the engine counter is exact"
         );
@@ -3198,24 +3085,18 @@ mod tests {
 
     #[test]
     fn observe_metrics_forwards_shard_counters_across_splits() {
-        use pma_common::obs::Observations;
-        let counters = |map: &ShardedMap| {
-            let mut sink = Observations::new();
-            map.observe_metrics(&mut sink);
-            sink.into_snapshot()
-        };
         let map = ShardedMap::new(config(2), registry()).unwrap();
         for k in 0..4_000i64 {
             map.insert(k, k);
         }
         map.flush();
         assert_eq!(map.get(17), Some(17));
-        let before = counters(&map);
+        let before = metrics_of(&map);
         assert_eq!(before.counter("inserts"), Some(4_000));
         assert_eq!(before.counter("lookups"), Some(1));
         assert!(before.counter("local_rebalances").unwrap() > 0);
         assert!(before.counter("gate_parks").is_some());
-        // One name, one value: the engine's own aggregate wins.
+        // One name, one value.
         let names: Vec<_> = before.metrics.iter().map(|m| &m.name).collect();
         let mut deduped = names.clone();
         deduped.sort();
@@ -3224,13 +3105,44 @@ mod tests {
         // A split rebuilds the shard into two fresh inner maps; what the
         // retired one counted must not vanish from the forwarded sums.
         assert!(map.split_shard(1).unwrap());
-        let after = counters(&map);
+        let after = metrics_of(&map);
         for name in ["inserts", "lookups", "local_rebalances", "owned_applies"] {
             assert!(
                 after.counter(name) >= before.counter(name),
                 "{name} went backwards across a split"
             );
         }
+    }
+
+    /// A split retires the shard's inner map with everything it counted:
+    /// the copies a frozen view cost stay in `cow_copies` (also through the
+    /// typed view), and the inner gauges are forwarded by their rule.
+    #[test]
+    fn a_split_keeps_the_retired_shards_copies_and_gauges() {
+        let map = ShardedMap::new(config(2), registry()).unwrap();
+        for k in 0..4_000i64 {
+            map.insert(k, k);
+        }
+        map.flush();
+        let frozen = map.frozen().expect("pma shards freeze");
+        // Overwrites of settled keys under a live view: copy-on-write.
+        for k in 0..4_000i64 {
+            map.insert(k, -k);
+        }
+        map.flush();
+        let copied = counter(&map, "cow_copies");
+        assert!(copied > 0, "the overwrites copied no chunk");
+        assert!(map.split_shard(1).unwrap());
+        let after = metrics_of(&map);
+        assert!(after.counter("cow_copies").unwrap() >= copied, "{after:?}");
+        assert_eq!(
+            map.maintenance_stats().unwrap().cow_copies,
+            after.counter("cow_copies").unwrap()
+        );
+        for gauge in ["garbage_pending", "epoch_lag", "queue_depth"] {
+            assert!(after.value(gauge).is_some(), "{gauge} not exported");
+        }
+        assert_eq!(frozen.get(17), Some(17));
     }
 
     #[test]
@@ -3344,12 +3256,12 @@ mod tests {
         map.insert_batch(&run);
 
         assert_eq!(delta.len(), 4096, "every batch item is captured");
-        let stats = map.stats();
-        assert!(stats.delta_runs >= 1, "run capture path not taken");
+        let delta_runs = counter(&map, "delta_runs");
+        assert!(delta_runs >= 1, "run capture path not taken");
         assert!(
-            stats.delta_runs * 10 <= 4096,
+            delta_runs * 10 <= 4096,
             "run capture must beat per-item recording 10x, got {} records for 4096 items",
-            stats.delta_runs
+            delta_runs
         );
         // Reads see the captured run through the overlay while the base
         // stays quiescent.

@@ -1,5 +1,5 @@
-//! Operation counters exposed by the sharded engine, mirroring the
-//! counter/snapshot plumbing of `pma_core::stats`.
+//! Operation counters exposed by the sharded engine, exported by name
+//! through `MetricSource` like `pma_core::stats`.
 //!
 //! The counters serve the same two consumers: the experiment harness (e.g. to
 //! report how many shard splits a workload triggered and how long its writers
@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pma_common::obs::{MetricSource, Observe};
 use pma_common::util::StripedCounter;
 
 /// Internal atomic counters. All increments use relaxed ordering: the
@@ -83,93 +84,31 @@ impl EngineStats {
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
+}
 
-    /// Takes a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> ShardedStats {
-        ShardedStats {
-            routed_ops: self.routed_ops.sum(),
-            retired_retries: self.retired_retries.load(Ordering::Relaxed),
-            read_revalidations: self.read_revalidations.load(Ordering::Relaxed),
-            shard_splits: self.shard_splits.load(Ordering::Relaxed),
-            shard_merges: self.shard_merges.load(Ordering::Relaxed),
-            split_stall_ns: self.split_stall_ns.load(Ordering::Relaxed),
-            delta_ops: self.delta_ops.load(Ordering::Relaxed),
-            delta_runs: self.delta_runs.load(Ordering::Relaxed),
-            chase_rounds: self.chase_rounds.load(Ordering::Relaxed),
-            delta_backpressure_waits: self.delta_backpressure_waits.load(Ordering::Relaxed),
-            split_thrash_averted: self.split_thrash_averted.load(Ordering::Relaxed),
-            batch_runs: self.batch_runs.load(Ordering::Relaxed),
-            cross_shard_scans: self.cross_shard_scans.load(Ordering::Relaxed),
-            monitor_errors: self.monitor_errors.load(Ordering::Relaxed),
+impl MetricSource for EngineStats {
+    /// Every counter under its field's name, except the four the harness
+    /// reads under the names every structure shares (`splits`, `merges`,
+    /// `stall_ns`, `thrash_averted`).
+    fn observe(&self, out: &mut dyn Observe) {
+        out.counter("routed_ops", self.routed_ops.sum());
+        for (name, counter) in [
+            ("retired_retries", &self.retired_retries),
+            ("read_revalidations", &self.read_revalidations),
+            ("splits", &self.shard_splits),
+            ("merges", &self.shard_merges),
+            ("stall_ns", &self.split_stall_ns),
+            ("delta_ops", &self.delta_ops),
+            ("delta_runs", &self.delta_runs),
+            ("chase_rounds", &self.chase_rounds),
+            ("delta_backpressure_waits", &self.delta_backpressure_waits),
+            ("thrash_averted", &self.split_thrash_averted),
+            ("batch_runs", &self.batch_runs),
+            ("cross_shard_scans", &self.cross_shard_scans),
+            ("monitor_errors", &self.monitor_errors),
+        ] {
+            out.counter(name, counter.load(Ordering::Relaxed));
         }
-    }
-}
-
-/// A point-in-time copy of the [`EngineStats`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardedStats {
-    /// Point operations routed through the directory.
-    pub routed_ops: u64,
-    /// Operations retried after reaching a retired shard.
-    pub retired_retries: u64,
-    /// Unlatched lookups redone under the latch because a structural hold
-    /// began while they ran.
-    pub read_revalidations: u64,
-    /// Shard splits performed.
-    pub shard_splits: u64,
-    /// Shard merges performed.
-    pub shard_merges: u64,
-    /// Nanoseconds writers were fenced out by splits/merges (install fences
-    /// plus final drain/publish fences — *not* the copy phase, which runs
-    /// with writers live).
-    pub split_stall_ns: u64,
-    /// Operations captured by split/merge delta logs during copy phases.
-    pub delta_ops: u64,
-    /// Whole-run delta records captured from `insert_batch` during copy
-    /// phases (one stripe pass per run instead of per-item records).
-    pub delta_runs: u64,
-    /// Pre-fence drains of split delta logs (chase rounds).
-    pub chase_rounds: u64,
-    /// Writer back-offs due to delta-log backpressure.
-    pub delta_backpressure_waits: u64,
-    /// Structural changes suppressed by the monitor's hysteresis.
-    pub split_thrash_averted: u64,
-    /// Per-shard runs dispatched by `insert_batch`.
-    pub batch_runs: u64,
-    /// Ordered scans merging more than one shard.
-    pub cross_shard_scans: u64,
-    /// Monitor split/merge attempts that returned an error.
-    pub monitor_errors: u64,
-}
-
-impl pma_common::obs::MetricSource for ShardedStats {
-    fn observe(&self, out: &mut dyn pma_common::obs::Observe) {
-        out.counter("routed_ops", self.routed_ops);
-        out.counter("retired_retries", self.retired_retries);
-        out.counter("read_revalidations", self.read_revalidations);
-        out.counter("shard_splits", self.shard_splits);
-        out.counter("shard_merges", self.shard_merges);
-        out.counter("split_stall_ns", self.split_stall_ns);
-        out.counter("delta_ops", self.delta_ops);
-        out.counter("delta_runs", self.delta_runs);
-        out.counter("chase_rounds", self.chase_rounds);
-        out.counter("delta_backpressure_waits", self.delta_backpressure_waits);
-        out.counter("split_thrash_averted", self.split_thrash_averted);
-        out.counter("batch_runs", self.batch_runs);
-        out.counter("cross_shard_scans", self.cross_shard_scans);
-        out.counter("monitor_errors", self.monitor_errors);
-    }
-}
-
-impl ShardedStats {
-    /// Total directory re-publications (splits + merges).
-    pub fn directory_swaps(&self) -> u64 {
-        self.shard_splits + self.shard_merges
-    }
-
-    /// Microseconds writers were fenced out by structural changes.
-    pub fn split_stall_us(&self) -> u64 {
-        self.split_stall_ns / 1_000
     }
 }
 
@@ -178,7 +117,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reflects_increments() {
+    fn observe_reflects_increments_under_the_shared_names() {
         let s = EngineStats::new();
         EngineStats::bump(&s.shard_splits);
         EngineStats::bump(&s.shard_merges);
@@ -187,16 +126,21 @@ mod tests {
         EngineStats::add(&s.delta_ops, 3);
         EngineStats::add(&s.delta_runs, 2);
         EngineStats::bump(&s.split_thrash_averted);
-        let snap = s.snapshot();
-        assert_eq!(snap.shard_splits, 1);
-        assert_eq!(snap.shard_merges, 1);
-        assert_eq!(snap.routed_ops, 7);
-        assert_eq!(snap.directory_swaps(), 2);
-        assert_eq!(snap.batch_runs, 0);
-        assert_eq!(snap.split_stall_ns, 2_500);
-        assert_eq!(snap.split_stall_us(), 2);
-        assert_eq!(snap.delta_ops, 3);
-        assert_eq!(snap.delta_runs, 2);
-        assert_eq!(snap.split_thrash_averted, 1);
+        let mut sink = pma_common::obs::Observations::new();
+        s.observe(&mut sink);
+        let snap = sink.into_snapshot();
+        assert_eq!(snap.metrics.len(), 14, "one name per counter: {snap:?}");
+        for (name, value) in [
+            ("splits", 1),
+            ("merges", 1),
+            ("routed_ops", 7),
+            ("batch_runs", 0),
+            ("stall_ns", 2_500),
+            ("delta_ops", 3),
+            ("delta_runs", 2),
+            ("thrash_averted", 1),
+        ] {
+            assert_eq!(snap.counter(name), Some(value), "{name}");
+        }
     }
 }

@@ -17,7 +17,8 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
-use pma_common::{Key, PmaError, Value};
+use pma_common::obs::MetricsSnapshot;
+use pma_common::{metrics_of, Key, PmaError, Value};
 use pma_core::{ConcurrentPma, PmaParams};
 
 /// Vertex identifier (the paper stores 32-bit vertex ids inside 64-bit edge
@@ -221,9 +222,10 @@ impl DynamicGraph {
         self.edges.flush();
     }
 
-    /// Statistics of the underlying sparse array (rebalances, resizes, ...).
-    pub fn storage_stats(&self) -> pma_core::StatsSnapshot {
-        self.edges.stats()
+    /// The underlying sparse array's metrics (rebalances, resizes, ...), by
+    /// name.
+    pub fn storage_metrics(&self) -> MetricsSnapshot {
+        metrics_of(&self.edges)
     }
 }
 
@@ -321,11 +323,10 @@ mod tests {
         assert_eq!(g.num_vertices(), 50);
         assert_eq!(g.num_edges(), 50 * 40);
         assert_eq!(g.edge_weight(0, 0), Some(-999), "later duplicate must win");
-        assert_eq!(
-            g.storage_stats().total_rebalances(),
-            0,
-            "bulk load must not rebalance"
-        );
+        let storage = g.storage_metrics();
+        for name in ["local_rebalances", "global_rebalances", "resizes"] {
+            assert_eq!(storage.counter(name), Some(0), "bulk load must not {name}");
+        }
         for src in 0..50u32 {
             let neigh = g.neighbours(src);
             assert_eq!(neigh.len(), 40, "source {src}");

@@ -35,5 +35,8 @@ pub mod clock;
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{MetricSource, MetricsRegistry, MetricsSeries, Observations, Observe};
+pub use metrics::{
+    Fold, MetricSource, MetricsRegistry, MetricsSeries, MetricsSnapshot, Observations, Observe,
+    Totals,
+};
 pub use trace::{span, Category, Span, TraceEvent};

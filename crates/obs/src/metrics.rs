@@ -7,6 +7,7 @@
 //! stats block) needs no unregistration: dropping the structure silently
 //! removes it from future snapshots.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -48,6 +49,18 @@ impl MetricValue {
     }
 }
 
+/// How a gauge of several instances combines into one (the shards of an
+/// engine, say), stated where the gauge is emitted: levels that add up, like
+/// queued operations, are summed; levels of independent clocks, like an
+/// epoch lag, take the largest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// The instances' levels add up.
+    Sum,
+    /// The largest instance's level stands for all of them.
+    Max,
+}
+
 /// One named metric in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
@@ -62,15 +75,17 @@ pub struct Metric {
 pub trait Observe {
     /// Records a monotonic counter.
     fn counter(&mut self, name: &str, value: u64);
-    /// Records an instantaneous gauge.
-    fn gauge(&mut self, name: &str, value: f64);
+    /// Records an instantaneous gauge, with the rule that combines it
+    /// across instances.
+    fn gauge(&mut self, name: &str, value: f64, fold: Fold);
     /// Records a bucketed distribution as `(upper_bound, count)` pairs.
     fn histogram(&mut self, name: &str, buckets: &[(u64, u64)], count: u64);
 }
 
 /// The provider side: anything that can dump its current metrics into an
-/// [`Observe`] sink. Implemented by the stats blocks of the PMA stack
-/// (`CombiningStats`, `MaintenanceStats`, engine stats, latency histograms).
+/// [`Observe`] sink. Implemented by the live counter blocks of the PMA stack
+/// (the PMA's and the engine's stats, the router's counters, latency
+/// histograms).
 pub trait MetricSource: Send + Sync {
     /// Writes every metric this source knows about into `out`.
     fn observe(&self, out: &mut dyn Observe);
@@ -123,7 +138,7 @@ impl Observe for Observations {
         });
     }
 
-    fn gauge(&mut self, name: &str, value: f64) {
+    fn gauge(&mut self, name: &str, value: f64, _fold: Fold) {
         let name = self.full_name(name);
         self.metrics.push(Metric {
             name,
@@ -140,6 +155,77 @@ impl Observe for Observations {
                 count,
             }),
         });
+    }
+}
+
+/// An [`Observe`] sink that folds what several instances emit into one
+/// value per name: counters add up, gauges combine by the [`Fold`] they
+/// were emitted with, histograms add up bucket by bucket. As a
+/// [`MetricSource`] it emits the folded values, in name order.
+#[derive(Debug, Clone, Default)]
+pub struct Totals {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, (f64, Fold)>,
+    histograms: BTreeMap<String, (BTreeMap<u64, u64>, u64)>,
+}
+
+impl Totals {
+    /// The folded counters, by name.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counters
+            .iter()
+            .map(|(name, &value)| (name.as_str(), value))
+    }
+
+    /// A folded counter's value; 0 when no instance emitted it.
+    pub fn total(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+}
+
+impl Observe for Totals {
+    fn counter(&mut self, name: &str, value: u64) {
+        match self.counters.get_mut(name) {
+            Some(total) => *total = total.wrapping_add(value),
+            None => {
+                self.counters.insert(name.to_string(), value);
+            }
+        }
+    }
+
+    fn gauge(&mut self, name: &str, value: f64, fold: Fold) {
+        match self.gauges.get_mut(name) {
+            Some((total, _)) => match fold {
+                Fold::Sum => *total += value,
+                Fold::Max => *total = total.max(value),
+            },
+            None => {
+                self.gauges.insert(name.to_string(), (value, fold));
+            }
+        }
+    }
+
+    fn histogram(&mut self, name: &str, buckets: &[(u64, u64)], count: u64) {
+        let (total, total_count) = self.histograms.entry(name.to_string()).or_default();
+        for &(bound, samples) in buckets {
+            *total.entry(bound).or_default() += samples;
+        }
+        *total_count += count;
+    }
+}
+
+impl MetricSource for Totals {
+    fn observe(&self, out: &mut dyn Observe) {
+        for (name, &value) in &self.counters {
+            out.counter(name, value);
+        }
+        for (name, &(value, fold)) in &self.gauges {
+            out.gauge(name, value, fold);
+        }
+        for (name, (buckets, count)) in &self.histograms {
+            let buckets: Vec<(u64, u64)> = buckets.iter().map(|(&b, &n)| (b, n)).collect();
+            out.histogram(name, &buckets, *count);
+        }
     }
 }
 
@@ -475,7 +561,7 @@ mod tests {
     impl MetricSource for FixedSource {
         fn observe(&self, out: &mut dyn Observe) {
             out.counter("ops", 42);
-            out.gauge("depth", 3.5);
+            out.gauge("depth", 3.5, Fold::Sum);
             out.histogram("lat", &[(1, 2), (2, 3)], 5);
         }
     }
@@ -489,6 +575,33 @@ mod tests {
         assert_eq!(snap.value("pma_depth"), Some(3.5));
         assert_eq!(snap.value("pma_lat"), Some(5.0));
         assert_eq!(snap.get("ops"), None);
+    }
+
+    #[test]
+    fn totals_fold_each_name_once_by_its_rule() {
+        let mut totals = Totals::default();
+        for (depth, lag) in [(2.0, 3.0), (5.0, 1.0)] {
+            totals.counter("ops", 10);
+            totals.gauge("depth", depth, Fold::Sum);
+            totals.gauge("lag", lag, Fold::Max);
+            totals.histogram("lat", &[(1, 2), (4, 1)], 3);
+        }
+        assert_eq!(totals.total("ops"), 20);
+        assert_eq!(totals.total("missing"), 0);
+        let mut obs = Observations::new();
+        totals.observe(&mut obs);
+        let snap = obs.into_snapshot();
+        assert_eq!(snap.metrics.len(), 4, "one metric per name: {snap:?}");
+        assert_eq!(snap.counter("ops"), Some(20));
+        assert_eq!(snap.value("depth"), Some(7.0));
+        assert_eq!(snap.value("lag"), Some(3.0));
+        assert_eq!(
+            snap.get("lat"),
+            Some(&MetricValue::Histogram(HistogramSnapshot {
+                buckets: vec![(1, 4), (4, 2)],
+                count: 6,
+            }))
+        );
     }
 
     #[test]
@@ -508,7 +621,7 @@ mod tests {
         let mut series = MetricsSeries::new();
         for (t, depth) in [(0u64, 1.0), (10, 9.0), (20, 5.0), (30, 2.0)] {
             let mut obs = Observations::new();
-            obs.gauge("depth", depth);
+            obs.gauge("depth", depth, Fold::Max);
             series.push(t, obs.into_snapshot());
         }
         assert_eq!(series.len(), 4);

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use rma_concurrent::common::{ConcurrentMap, Registry};
+use rma_concurrent::common::{metrics_of, ConcurrentMap, Registry};
 use rma_concurrent::core::{ConcurrentPma, PmaParams};
 use rma_concurrent::engine::{ShardedConfig, ShardedMap};
 use rma_concurrent::workloads::build_loaded;
@@ -26,7 +26,8 @@ fn main() {
     let pma = ConcurrentPma::from_sorted(PmaParams::default(), &items).expect("sorted input");
     let bulk = start.elapsed();
 
-    let stats = pma.stats();
+    let stats = metrics_of(&pma);
+    let counter = |name| stats.counter(name).unwrap();
     println!(
         "bulk-loaded {} pairs in {:.3} s ({:.1} M pairs/s): {} gates, capacity {}, density {:.2}",
         pma.len(),
@@ -36,15 +37,10 @@ fn main() {
         pma.capacity(),
         pma.len() as f64 / pma.capacity() as f64,
     );
-    assert_eq!(
-        stats.total_rebalances(),
-        0,
-        "a bulk load never rebalances (local {}, global {}, resizes {})",
-        stats.local_rebalances,
-        stats.global_rebalances,
-        stats.resizes
-    );
-    assert_eq!(stats.bulk_loaded_keys, N as u64);
+    for name in ["local_rebalances", "global_rebalances", "resizes"] {
+        assert_eq!(counter(name), 0, "a bulk load never rebalances ({name})");
+    }
+    assert_eq!(counter("bulk_loaded_keys"), N as u64);
 
     // ---------------------------------------------------------------
     // 2. Verify the load with an ordered scan (count + checksums).
@@ -84,10 +80,15 @@ fn main() {
         });
     });
     pma.flush();
+    let stats = metrics_of(&pma);
+    let counter = |name| stats.counter(name).unwrap();
     println!(
-        "after mixed updates: {} elements, stats: {:?}",
+        "after mixed updates: {} elements, {} local / {} global rebalances, {} resizes, {} combined ops",
         pma.len(),
-        pma.stats()
+        counter("local_rebalances"),
+        counter("global_rebalances"),
+        counter("resizes"),
+        counter("combined_ops"),
     );
 
     // ---------------------------------------------------------------

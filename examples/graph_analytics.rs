@@ -93,9 +93,12 @@ fn main() {
     let triangles = directed_triangles(&graph);
     println!("directed triangles: {triangles}");
 
-    let stats = graph.storage_stats();
+    let stats = graph.storage_metrics();
+    let counter = |name| stats.counter(name).unwrap();
     println!(
         "edge-array stats: {} local rebalances, {} global rebalances, {} resizes",
-        stats.local_rebalances, stats.global_rebalances, stats.resizes
+        counter("local_rebalances"),
+        counter("global_rebalances"),
+        counter("resizes")
     );
 }

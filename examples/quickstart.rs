@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use rma_concurrent::common::{ConcurrentMap, Registry};
+use rma_concurrent::common::{metrics_of, ConcurrentMap, Registry};
 use rma_concurrent::core::{ConcurrentPma, PmaParams};
 use rma_concurrent::workloads::ensure_builtin_backends;
 
@@ -47,10 +47,14 @@ fn main() {
         pma.num_gates(),
         pma.capacity()
     );
-    let stats = pma.stats();
+    let stats = metrics_of(&pma);
+    let counter = |name| stats.counter(name).unwrap();
     println!(
         "  rebalances: {} local, {} global, {} resizes; combined ops: {}",
-        stats.local_rebalances, stats.global_rebalances, stats.resizes, stats.combined_ops
+        counter("local_rebalances"),
+        counter("global_rebalances"),
+        counter("resizes"),
+        counter("combined_ops")
     );
     assert_eq!(pma.len(), 160_000);
     assert_eq!(pma.get(400), Some(400));

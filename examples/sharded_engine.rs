@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use rma_concurrent::common::{ConcurrentMap, Registry};
+use rma_concurrent::common::{metrics_of, ConcurrentMap, Registry};
 use rma_concurrent::engine::{ShardedConfig, ShardedMap};
 use rma_concurrent::workloads::{build_loaded, ensure_builtin_backends, label};
 
@@ -60,7 +60,8 @@ fn main() {
     map.flush();
     // Give the monitor a few rounds to react to the hot shard.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while map.stats().shard_splits == 0 && std::time::Instant::now() < deadline {
+    let counter = |map: &ShardedMap, name| metrics_of(map).counter(name).unwrap();
+    while counter(&map, "splits") == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     println!(
@@ -79,20 +80,19 @@ fn main() {
     while map.num_shards() > 1 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let stats = map.stats();
     println!(
         "after draining: {} shard(s) — {} splits, {} merges, {} ops routed",
         map.num_shards(),
-        stats.shard_splits,
-        stats.shard_merges,
-        stats.routed_ops
+        counter(&map, "splits"),
+        counter(&map, "merges"),
+        counter(&map, "routed_ops")
     );
     println!(
         "incremental splits: {} ops captured in delta logs, {} chase rounds, \
          writers stalled {}us total (copy phases ran with writers live)",
-        stats.delta_ops,
-        stats.chase_rounds,
-        stats.split_stall_us()
+        counter(&map, "delta_ops"),
+        counter(&map, "chase_rounds"),
+        counter(&map, "stall_ns") / 1_000
     );
     assert_eq!(map.len(), 0);
 
@@ -126,15 +126,12 @@ fn main() {
         println!(
             "round {round}: {} shard(s), {} splits, {} thrash averted",
             map.num_shards(),
-            map.stats().shard_splits,
-            map.stats().split_thrash_averted
+            counter(&map, "splits"),
+            counter(&map, "thrash_averted")
         );
     }
-    let stats = map.stats();
-    assert_eq!(stats.shard_splits, 0, "hovering load must not split");
-    assert!(stats.split_thrash_averted > 0);
-    println!(
-        "hovering load: 0 splits, {} crossings suppressed by hysteresis",
-        stats.split_thrash_averted
-    );
+    assert_eq!(counter(&map, "splits"), 0, "hovering load must not split");
+    let averted = counter(&map, "thrash_averted");
+    assert!(averted > 0);
+    println!("hovering load: 0 splits, {averted} crossings suppressed by hysteresis");
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rma_concurrent::common::ConcurrentMap;
+use rma_concurrent::common::{metrics_of, ConcurrentMap};
 use rma_concurrent::core::{ConcurrentPma, PmaParams, UpdateMode};
 
 fn pma(mode: UpdateMode) -> Arc<ConcurrentPma> {
@@ -128,10 +128,9 @@ fn skewed_writers_exercise_combining_queues() {
             }
         });
         map.flush();
-        let stats = map.stats();
         if !matches!(mode, UpdateMode::Synchronous) {
             assert!(
-                stats.combined_ops > 0,
+                metrics_of(&map).counter("combined_ops").unwrap() > 0,
                 "mode {label}: expected combined operations under skew"
             );
         }
@@ -378,6 +377,7 @@ fn len_is_exact_after_join_with_more_threads_than_stripes() {
         let own = map.scan_range(own_base(0), i64::MAX).count as usize;
         assert_eq!(own, modelled, "[{label}] private keys vs the models");
         assert!(scanned - own <= SHARED as usize, "[{label}]");
-        assert_eq!(map.stats().late_replays, 0, "[{label}]");
+        let late_replays = metrics_of(&map).counter("late_replays");
+        assert_eq!(late_replays, Some(0), "[{label}]");
     }
 }

@@ -27,6 +27,7 @@
 use std::sync::Barrier;
 use std::time::Duration;
 
+use pma_common::metrics_of;
 use pma_core::{ConcurrentPma, PmaParams, UpdateMode};
 
 /// Per-test iteration count: every iteration is a fresh structure and a
@@ -102,7 +103,7 @@ fn window_a_insert_then_remove_has_zero_len_drift() {
         });
         pma.flush();
         let kept: u64 = (THREADS * ((KEYS_PER_THREAD + 2) / 3)) as u64;
-        let stats = pma.stats();
+        let stats = metrics_of(&pma);
         assert_eq!(
             pma.len() as u64,
             kept,
@@ -114,7 +115,8 @@ fn window_a_insert_then_remove_has_zero_len_drift() {
             "scan disagreed at iteration {iteration}"
         );
         assert_eq!(
-            stats.late_replays, 0,
+            stats.counter("late_replays"),
+            Some(0),
             "an op was salvaged outside its owned window at iteration {iteration}"
         );
     }
@@ -147,14 +149,14 @@ fn window_b_batch_runs_never_resurrect_removed_keys() {
             }
         });
         pma.flush();
-        let stats = pma.stats();
+        let stats = metrics_of(&pma);
         assert_eq!(
             pma.len(),
             0,
             "keys resurrected at iteration {iteration} (stats: {stats:?})"
         );
         assert_eq!(pma.scan_all().count, 0, "scan found ghosts at {iteration}");
-        assert_eq!(stats.late_replays, 0);
+        assert_eq!(stats.counter("late_replays"), Some(0));
     }
 }
 
@@ -194,7 +196,7 @@ fn window_b_phased_cross_thread_removes_leave_nothing() {
         pma.flush();
         assert_eq!(pma.len(), 0, "phased removes lost at iteration {iteration}");
         assert_eq!(pma.scan_all().count, 0);
-        assert_eq!(pma.stats().late_replays, 0);
+        assert_eq!(metrics_of(&pma).counter("late_replays"), Some(0));
     }
 }
 
@@ -269,7 +271,7 @@ fn frozen_snapshot_observes_single_settled_state_per_key() {
             kept,
             "len drifted at iteration {iteration}"
         );
-        assert_eq!(pma.stats().late_replays, 0);
+        assert_eq!(metrics_of(&pma).counter("late_replays"), Some(0));
     }
 }
 
@@ -301,7 +303,7 @@ fn owned_applies_counter_moves_under_contention() {
             }
         });
         pma.flush();
-        total_owned = pma.stats().owned_applies;
+        total_owned = metrics_of(&pma).counter("owned_applies").unwrap();
     }
     let combining = pma.combining_stats().expect("the PMA surfaces counters");
     assert_eq!(combining.owned_applies, total_owned);

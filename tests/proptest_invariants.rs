@@ -6,10 +6,20 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use rma_concurrent::common::metrics_of;
 use rma_concurrent::core::calibrator::CalibratorTree;
 use rma_concurrent::core::{
     ConcurrentPma, DensityThresholds, PmaParams, RebalancePolicy, UpdateMode,
 };
+
+/// Rebalances of any kind `pma` counted: local, global and resizes.
+fn rebalances(pma: &ConcurrentPma) -> u64 {
+    let metrics = metrics_of(pma);
+    ["local_rebalances", "global_rebalances", "resizes"]
+        .map(|name| metrics.counter(name).unwrap())
+        .iter()
+        .sum()
+}
 
 /// One operation of a generated sequence.
 #[derive(Debug, Clone, Copy)]
@@ -161,7 +171,7 @@ proptest! {
         let items: Vec<(i64, i64)> = (0..n as i64).map(|k| (k * 2, -k)).collect();
         let pma = ConcurrentPma::from_sorted(params.clone(), &items).unwrap();
         prop_assert_eq!(pma.len(), n);
-        prop_assert_eq!(pma.stats().total_rebalances(), 0);
+        prop_assert_eq!(rebalances(&pma), 0);
         prop_assert!(pma.num_gates().is_power_of_two());
 
         let capacity = pma.capacity();
@@ -225,9 +235,9 @@ proptest! {
             pma.collect_range(i64::MIN, i64::MAX),
             model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
         );
-        let stats = pma.stats();
-        prop_assert_eq!(stats.bulk_loaded_keys, model.len() as u64);
-        prop_assert_eq!(stats.total_rebalances(), 0);
+        let bulk_loaded = metrics_of(&pma).counter("bulk_loaded_keys");
+        prop_assert_eq!(bulk_loaded, Some(model.len() as u64));
+        prop_assert_eq!(rebalances(&pma), 0);
     }
 
     /// The sharded engine's cross-shard `scan_range` — a k-way merge of the

@@ -45,18 +45,25 @@ fn short_lived_client_threads_reuse_reply_cells() {
     }
     assert_eq!(reply_cells_made(), 1);
 
-    // Four at a time, plus this thread once it waits on a barrier.
+    // Four at a time, plus this thread once it waits on a barrier. Each
+    // lane is joined, not scoped: a scope returns once its closures have
+    // returned, before their threads have run the thread-local destructor
+    // that gives the cell back, so the next round could find the pool empty
+    // with up to eight lanes alive. A join waits for the thread to exit.
     for round in 0..THREADS / 4 {
-        std::thread::scope(|scope| {
-            for lane in 0..4 {
-                let map = &map;
-                scope.spawn(move || {
+        let lanes: Vec<_> = (0..4)
+            .map(|lane| {
+                let map = Arc::clone(&map);
+                std::thread::spawn(move || {
                     let key = THREADS + round * 4 + lane;
                     assert_eq!(map.remove(key), Some(key * 10), "key {key}");
                     assert_eq!(map.get(key), None, "key {key}");
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for lane in lanes {
+            lane.join().expect("client thread");
+        }
     }
     map.flush();
     assert!(reply_cells_made() <= 5, "{} cells", reply_cells_made());

@@ -6,9 +6,19 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use pma_common::{ConcurrentMap, Registry};
+use pma_common::{metrics_of, ConcurrentMap, Registry};
 use rma_concurrent::engine::{ShardedConfig, ShardedMap};
 use rma_concurrent::workloads::ensure_builtin_backends;
+
+/// One counter `map` exports; panics on a name it does not export.
+fn counter(map: &impl ConcurrentMap, name: &str) -> u64 {
+    metrics_of(map).counter(name).unwrap()
+}
+
+/// Directory re-publications so far: splits plus merges.
+fn directory_swaps(map: &impl ConcurrentMap) -> u64 {
+    counter(map, "splits") + counter(map, "merges")
+}
 
 fn stress_config() -> ShardedConfig {
     ShardedConfig {
@@ -114,13 +124,13 @@ fn splits_and_merges_under_concurrent_writers_and_scanners() {
     // the split the oversized shard guarantees (mirrors the merge wait in
     // phase 3 below).
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while map.stats().shard_splits == 0 && std::time::Instant::now() < deadline {
+    while counter(&map, "splits") == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
-        map.stats().shard_splits > 0,
+        counter(&map, "splits") > 0,
         "the stress run must actually split: {:?}",
-        map.stats()
+        metrics_of(&map)
     );
 
     // Phase 2: concurrent deletes of two thirds of the keys (still disjoint
@@ -157,9 +167,9 @@ fn splits_and_merges_under_concurrent_writers_and_scanners() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
-        map.stats().shard_merges > 0,
+        counter(&map, "merges") > 0,
         "draining must trigger merges: {:?}",
-        map.stats()
+        metrics_of(&map)
     );
     assert_eq!(map.scan_all().count, 0);
 }
@@ -249,8 +259,7 @@ fn scan_during_split_round(round: u64) {
     });
 
     map.flush();
-    let stats = map.stats();
-    assert!(stats.directory_swaps() >= 3, "{stats:?}");
+    assert!(directory_swaps(&map) >= 3, "{:?}", metrics_of(&map));
     // Final contents: all stable keys plus the odd keys the writers kept.
     let kept_odd = WRITERS * OPS_PER_WRITER / 2;
     assert_eq!(map.len() as i64, STABLE + kept_odd);
@@ -357,8 +366,7 @@ fn read_your_writes_round(round: i64) {
     });
 
     map.flush();
-    let stats = map.stats();
-    assert_eq!(stats.directory_swaps(), 6, "{stats:?}");
+    assert_eq!(directory_swaps(&map), 6, "{:?}", metrics_of(&map));
     assert_eq!(map.len() as i64, 4_000 + WRITERS * KEYS_PER_WRITER);
     for i in (0..4_000).step_by(331) {
         assert_eq!(map.get(i * 4), Some(round), "preloaded key lost");
@@ -447,16 +455,17 @@ fn monitor_never_merges_unwritten_seed_shards() {
         let run: Vec<(i64, i64)> = (0..3_000).map(|k| (k, -k)).collect();
         map.insert_batch(&run);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while map.stats().shard_splits == 0 && std::time::Instant::now() < deadline {
+        while counter(&map, "splits") == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let stats = map.stats();
+        let stats = metrics_of(&map);
         assert!(
-            stats.shard_splits > 0,
+            stats.counter("splits").unwrap() > 0,
             "iteration {iteration}: the oversized shard never split: {stats:?}"
         );
         assert_eq!(
-            stats.shard_merges, 0,
+            stats.counter("merges"),
+            Some(0),
             "iteration {iteration}: merged a pair containing an unwritten shard"
         );
         map.flush();
