@@ -397,8 +397,8 @@ pub trait ConcurrentMap: Send + Sync {
     ///
     /// The default batches [`ConcurrentMap::range`] ([`runs_from_elements`]);
     /// array-shaped structures override it and hand out their own storage
-    /// (the concurrent PMA its segment runs, the sharded engine the output
-    /// of its block merge).
+    /// (the concurrent PMA its segment runs, the sharded engine its shards'
+    /// runs, concatenated in fence order).
     fn range_runs(&self, lo: Key, hi: Key, visitor: &mut dyn FnMut(&[Key], &[Value])) {
         runs_from_elements(|each| self.range(lo, hi, each), visitor);
     }
@@ -441,13 +441,11 @@ pub trait ConcurrentMap: Send + Sync {
     /// and the remainder of the range lives in `[next_lo, hi]`, or `None`
     /// when the range is exhausted.
     ///
-    /// This is the refill primitive of block-at-a-time k-way merges (the
-    /// sharded engine's cross-shard scans): merging whole sorted blocks
-    /// lets the bulk run-copy kernels do the moving instead of per-element
-    /// visitor calls. The default implementation collects the entire range
-    /// in one block via [`ConcurrentMap::range`]; structures with a natural
-    /// block granularity (the concurrent PMA cuts at gate boundaries)
-    /// override it.
+    /// The library has no caller of it and no override: this default
+    /// collects the entire range in one block via [`ConcurrentMap::range`].
+    /// It stays only because pmabench's `Intercept` implements it, until the
+    /// benchmark stops doing so (ROADMAP direction 1, second PR) and the
+    /// method can go.
     fn collect_block(
         &self,
         lo: Key,
@@ -580,16 +578,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for std::sync::Arc<M> {
     }
     fn collect_range(&self, lo: Key, hi: Key) -> Vec<(Key, Value)> {
         (**self).collect_range(lo, hi)
-    }
-    fn collect_block(
-        &self,
-        lo: Key,
-        hi: Key,
-        min_len: usize,
-        keys: &mut Vec<Key>,
-        values: &mut Vec<Value>,
-    ) -> Option<Key> {
-        (**self).collect_block(lo, hi, min_len, keys, values)
     }
     fn insert_batch(&self, items: &[(Key, Value)]) {
         (**self).insert_batch(items)

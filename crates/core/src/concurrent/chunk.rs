@@ -1227,13 +1227,6 @@ impl ChunkData {
         with_view!(self.slab, |v| v.runs(lo, hi, visit));
     }
 
-    /// Appends every element with key in `[lo, hi]` (ascending key order)
-    /// to the output vectors with the bulk run-copy kernels.
-    #[inline]
-    pub fn append_range(&self, lo: Key, hi: Key, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
-        with_view!(self.slab, |v| v.append(lo, hi, keys, values));
-    }
-
     /// Iterates over every element of the chunk in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
         let iter: Box<dyn Iterator<Item = (Key, Value)> + '_> =
@@ -1241,9 +1234,10 @@ impl ChunkData {
         iter
     }
 
-    /// Appends every element (ascending key order) to the output vectors.
+    /// Appends every element (ascending key order) to the output vectors
+    /// with the bulk run-copy kernels.
     pub fn collect_into(&self, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
-        self.append_range(KEY_MIN, KEY_MAX, keys, values);
+        with_view!(self.slab, |v| v.append(KEY_MIN, KEY_MAX, keys, values));
     }
 
     /// Number of elements in the local segment window `[start_seg, start_seg + num_segs)`.

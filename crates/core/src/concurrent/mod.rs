@@ -23,7 +23,6 @@
 //!   queue and returns immediately.
 
 pub mod chunk;
-pub mod delta;
 pub mod epoch;
 pub mod gate;
 pub mod instance;
@@ -58,14 +57,6 @@ enum WriteAcquire {
     Queued,
     /// The instance was resized; the caller must restart.
     Restart,
-}
-
-/// What a per-gate visitor of [`ConcurrentPma::walk_gates`] wants next.
-enum Walk {
-    /// Move on to the next gate.
-    Continue,
-    /// Stop at this gate boundary and report where the walk would resume.
-    Pause,
 }
 
 /// Result of applying an operation while holding a gate in `Write` mode.
@@ -335,7 +326,6 @@ impl ConcurrentPma {
     pub fn range_runs(&self, lo: Key, hi: Key, mut visit: impl FnMut(&[Key], &[Value])) {
         self.walk_gates(lo, hi, |chunk, from, to| {
             chunk.runs(from, to, &mut visit);
-            Walk::Continue
         });
     }
 
@@ -347,14 +337,13 @@ impl ConcurrentPma {
         let mut stats = ScanStats::default();
         self.walk_gates(lo, hi, |chunk, from, to| {
             chunk.fold(from, to, &mut stats);
-            Walk::Continue
         });
         stats
     }
 
     /// Materialises every element with key in `[lo, hi]` (inclusive) into a
     /// sorted vector — the ordered live-scan a copy-on-write rebuild (the
-    /// sharded engine's incremental splits, see [`delta`]) collects its base
+    /// sharded engine's splits and merges) collects its base
     /// copy with while writers keep landing.
     ///
     /// Unlike the trait default, a full-domain collect (`Key::MIN..=MAX`,
@@ -379,55 +368,17 @@ impl ConcurrentPma {
         out
     }
 
-    /// Collects one ordered block of `[lo, hi]`, cutting at the first gate
-    /// boundary once at least `min_len` elements were appended (see
-    /// [`ConcurrentMap::collect_block`]). Returns `Some(next_lo)` when cut,
-    /// `None` when the range is exhausted.
-    ///
-    /// Each gate's in-range elements are appended with the bulk run-copy
-    /// kernel while the gate is held in shared mode — the refill primitive
-    /// of the sharded engine's block-at-a-time cross-shard merge. A resize
-    /// restarts the walk from just after the last covered fence, so the
-    /// appended stream stays strictly ascending and duplicate-free.
-    pub fn collect_block(
-        &self,
-        lo: Key,
-        hi: Key,
-        min_len: usize,
-        keys: &mut Vec<Key>,
-        values: &mut Vec<Value>,
-    ) -> Option<Key> {
-        let base = keys.len();
-        self.walk_gates(lo, hi, |chunk, from, to| {
-            chunk.append_range(from, to, keys, values);
-            if keys.len() - base >= min_len {
-                // Gate boundary reached with a full block: hand the
-                // remainder of the range back to the caller.
-                Walk::Pause
-            } else {
-                Walk::Continue
-            }
-        })
-    }
-
     /// Walks the gates covering `[lo, hi]` in key order, holding one shared
     /// latch at a time, and hands each latched chunk to `visit` together
     /// with the part of the range still to cover, its ends opened where the
     /// gate's fences already bound them ([`chunk::open_ends`]). The walk is
     /// routed through the static index straight to the gate covering `lo`.
-    /// Returns `Some(next)` when `visit` paused the walk at a gate boundary
-    /// with `[next, hi]` still to go, `None` when the range is exhausted.
     ///
     /// If a resize interrupts the walk it restarts from just after the last
     /// covered fence, so no element is visited twice.
-    fn walk_gates(
-        &self,
-        lo: Key,
-        hi: Key,
-        mut visit: impl FnMut(&ChunkData, Key, Key) -> Walk,
-    ) -> Option<Key> {
+    fn walk_gates(&self, lo: Key, hi: Key, mut visit: impl FnMut(&ChunkData, Key, Key)) {
         if lo > hi {
-            return None;
+            return;
         }
         let mut cursor = lo;
         'restart: loop {
@@ -441,16 +392,13 @@ impl ConcurrentPma {
             loop {
                 let fences = guard.fences();
                 let (from, to) = chunk::open_ends(cursor, hi, fences);
-                let step = visit(guard.chunk(), from, to);
+                visit(guard.chunk(), from, to);
                 drop(guard);
                 // Everything up to this gate's upper fence has been covered
                 // (elements can only live inside their fences).
                 cursor = cursor.max(fences.1.saturating_add(1));
                 if cursor > hi || g + 1 >= inst.num_gates() {
-                    return None;
-                }
-                if let Walk::Pause = step {
-                    return Some(cursor);
+                    return;
                 }
                 g += 1;
                 guard = match inst.gates[g].acquire_shared(&self.shared.stats) {
@@ -1217,17 +1165,6 @@ impl ConcurrentMap for ConcurrentPma {
         ConcurrentPma::collect_range(self, lo, hi)
     }
 
-    fn collect_block(
-        &self,
-        lo: Key,
-        hi: Key,
-        min_len: usize,
-        keys: &mut Vec<Key>,
-        values: &mut Vec<Value>,
-    ) -> Option<Key> {
-        ConcurrentPma::collect_block(self, lo, hi, min_len, keys, values)
-    }
-
     fn insert_batch(&self, items: &[(Key, Value)]) {
         ConcurrentPma::insert_batch(self, items)
     }
@@ -1410,7 +1347,7 @@ mod tests {
     }
 
     /// Every scan path — `scan_all`, `scan_range`, `range`, `range_runs`,
-    /// `collect_block` and the frozen twins — against a model, on an array
+    /// `collect_range` and the frozen twins — against a model, on an array
     /// whose layout exercises the chunk kernel's corners: an empty chunk,
     /// empty segments next to full ones, uneven per-segment counts.
     #[test]
@@ -1475,17 +1412,10 @@ mod tests {
                 assert_eq!(seen, pairs, "frozen range [{lo}, {hi}]");
             }
         }
-        let everything: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
         let mut expected = ScanStats::default();
-        everything.iter().for_each(|&(k, v)| expected.visit(k, v));
+        model.iter().for_each(|(&k, &v)| expected.visit(k, v));
         assert_eq!(p.scan_all(), expected);
         assert_eq!(frozen.scan_all(), expected);
-        // Blocks cut at gate boundaries concatenate into the whole range.
-        let (mut keys, mut values, mut next) = (Vec::new(), Vec::new(), Some(Key::MIN));
-        while let Some(lo) = next {
-            next = p.collect_block(lo, Key::MAX, 100, &mut keys, &mut values);
-        }
-        assert_eq!(keys.into_iter().zip(values).collect::<Vec<_>>(), everything);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod stats;
 
 pub use backends::{register_backends, register_byte_backends};
 pub use bytepma::{BytePma, BytePmaConfig};
-pub use concurrent::delta::{DeltaLog, DeltaOp};
 pub use concurrent::ConcurrentPma;
 pub use params::{DensityThresholds, PmaParams, RebalancePolicy, UpdateMode};
 pub use stats::Stats;

@@ -7,20 +7,20 @@
 //!
 //! * Point operations binary-search the directory in `O(log S)` and run
 //!   entirely inside one shard.
-//! * Ordered scans (`scan_all`, `scan_range`, `range`) merge the per-shard
-//!   ordered streams; because the ranges are disjoint and ascending, the
-//!   k-way merge degenerates to visiting shards in directory order, and the
-//!   stats-folding scans run the per-shard streams concurrently.
+//! * Ordered scans (`scan_all`, `scan_range`, `range`) concatenate the
+//!   per-shard ordered streams in directory order: the ranges are disjoint
+//!   and ascending, so nothing is merged or buffered, and the stats-folding
+//!   scans run the per-shard streams concurrently.
 //! * `insert_batch`/bulk loading split the input at the shard fences and
 //!   ingest per-shard in parallel through the inner native batch/load paths.
 //! * A load monitor splits hot shards and merges cold neighbours
-//!   **copy-on-write**: the replacement shards are built from an ordered
-//!   live-scan while writers keep landing (their concurrent delta is
-//!   captured in a striped op log and folded in under a short final fence),
-//!   then published by atomically swapping the directory — exactly the
-//!   paper's §3.4 resize protocol (single entry pointer + epoch garbage
-//!   collection). Hysteresis on the monitor's thresholds prevents
-//!   split↔merge thrash when load hovers at a boundary.
+//!   **copy-on-write**, both through one rebuild routine: the replacement
+//!   shards are built from an ordered live-scan while writers keep landing
+//!   (their concurrent delta is captured in a striped op log and folded in
+//!   under a short final fence), then published by atomically swapping the
+//!   directory — exactly the paper's §3.4 resize protocol (single entry
+//!   pointer + epoch garbage collection). Hysteresis on the monitor's
+//!   thresholds prevents split↔merge thrash when load hovers at a boundary.
 //! * `snapshot()` pins one directory generation for its whole lifetime, so
 //!   multi-call scans stay consistent across concurrent splits/merges.
 //!
@@ -48,7 +48,6 @@
 pub mod affinity;
 pub mod backends;
 pub mod bytesharded;
-mod merge;
 mod park;
 mod ring;
 pub mod router;

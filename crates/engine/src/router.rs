@@ -658,17 +658,6 @@ impl ConcurrentMap for CoreRouter {
         self.inner.collect_range(lo, hi)
     }
 
-    fn collect_block(
-        &self,
-        lo: Key,
-        hi: Key,
-        min_len: usize,
-        keys: &mut Vec<Key>,
-        values: &mut Vec<Value>,
-    ) -> Option<Key> {
-        self.inner.collect_block(lo, hi, min_len, keys, values)
-    }
-
     fn insert_batch(&self, items: &[(Key, Value)]) {
         // Split at the worker fences (arrival order per key is preserved:
         // a key always routes to one worker) and ship whole runs that count

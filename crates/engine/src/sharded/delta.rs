@@ -121,35 +121,31 @@ impl DeltaRecord {
         }
     }
 
-    /// Replays the record onto `map`; runs go through the map's own
-    /// `insert_batch` fast path instead of item-at-a-time inserts.
-    pub fn apply(&self, map: &dyn ConcurrentMap) {
+    /// Replays the record onto whichever of `targets` owns each key.
+    /// `targets` pairs each map with the lowest key it owns, in ascending
+    /// order: a key goes to the last target whose lower fence is at most
+    /// the key (the first, for a key below every fence). A run is cut once
+    /// per fence it spans with a binary search and each piece is
+    /// batch-applied, preserving the single-pass economy of the run record
+    /// through the fold.
+    pub fn apply_routed(&self, targets: &[(Key, &dyn ConcurrentMap)]) {
+        let owner = |key: Key| {
+            targets
+                .partition_point(|&(lo, _)| lo <= key)
+                .saturating_sub(1)
+        };
         match self {
-            DeltaRecord::Op(op) => op.apply(map),
-            DeltaRecord::Run(items) => map.insert_batch(items),
-        }
-    }
-
-    /// Replays the record across a split pair: keys `< boundary` go to
-    /// `left`, the rest to `right`. A run is cut once with a binary search
-    /// and each half is batch-applied, preserving the single-pass economy
-    /// of the run record through the fold.
-    pub fn apply_split(&self, boundary: Key, left: &dyn ConcurrentMap, right: &dyn ConcurrentMap) {
-        match self {
-            DeltaRecord::Op(op) => {
-                if op.key() < boundary {
-                    op.apply(left);
-                } else {
-                    op.apply(right);
-                }
-            }
+            DeltaRecord::Op(op) => op.apply(targets[owner(op.key())].1),
             DeltaRecord::Run(items) => {
-                let cut = items.partition_point(|&(key, _)| key < boundary);
-                if cut > 0 {
-                    left.insert_batch(&items[..cut]);
-                }
-                if cut < items.len() {
-                    right.insert_batch(&items[cut..]);
+                let mut rest = &items[..];
+                while let Some(&(first, _)) = rest.first() {
+                    let target = owner(first);
+                    let end = match targets.get(target + 1) {
+                        Some(&(next, _)) => rest.partition_point(|&(key, _)| key < next),
+                        None => rest.len(),
+                    };
+                    targets[target].1.insert_batch(&rest[..end]);
+                    rest = &rest[end..];
                 }
             }
         }
@@ -543,20 +539,31 @@ mod tests {
     }
 
     #[test]
-    fn apply_split_cuts_runs_at_the_boundary() {
-        let left = crate::ConcurrentPma::new(crate::PmaParams::small()).unwrap();
-        let right = crate::ConcurrentPma::new(crate::PmaParams::small()).unwrap();
+    fn apply_routed_cuts_runs_at_the_fences() {
+        let maps: Vec<_> = (0..3)
+            .map(|_| pma_core::ConcurrentPma::new(pma_core::PmaParams::small()).unwrap())
+            .collect();
+        let targets: Vec<(Key, &dyn ConcurrentMap)> = [0, 50, 80]
+            .into_iter()
+            .zip(maps.iter().map(|map| map as &dyn ConcurrentMap))
+            .collect();
         let run: Arc<[(Key, Value)]> = (0..100).map(|k| (k as Key, k as Value)).collect();
-        DeltaRecord::Run(run).apply_split(50, &left, &right);
-        DeltaRecord::Op(DeltaOp::Insert(10, 99)).apply_split(50, &left, &right);
-        DeltaRecord::Op(DeltaOp::Remove(60)).apply_split(50, &left, &right);
-        left.flush();
-        right.flush();
-        assert_eq!(left.len(), 50);
-        assert_eq!(left.get(10), Some(99));
-        assert_eq!(right.len(), 49, "remove lands on the right half");
-        assert_eq!(right.get(60), None);
-        assert_eq!(right.get(99), Some(99));
+        DeltaRecord::Run(run).apply_routed(&targets);
+        DeltaRecord::Op(DeltaOp::Insert(10, 99)).apply_routed(&targets);
+        DeltaRecord::Op(DeltaOp::Insert(-5, 1)).apply_routed(&targets);
+        DeltaRecord::Op(DeltaOp::Remove(60)).apply_routed(&targets);
+        DeltaRecord::Run(Arc::from([(79, 7), (80, 8)])).apply_routed(&targets);
+        maps.iter().for_each(|map| map.flush());
+        let [low, mid, high] = &maps[..] else {
+            unreachable!()
+        };
+        assert_eq!(low.len(), 51, "a key below every fence goes to the first");
+        assert_eq!(low.get(10), Some(99));
+        assert_eq!(mid.len(), 29, "the remove lands in the middle");
+        assert_eq!(mid.get(60), None);
+        assert_eq!(mid.get(79), Some(7));
+        assert_eq!(high.len(), 20);
+        assert_eq!(high.get(80), Some(8));
     }
 
     #[test]
@@ -651,11 +658,12 @@ mod tests {
 
     #[test]
     fn apply_replays_onto_a_map() {
-        let map = crate::ConcurrentPma::new(crate::PmaParams::small()).unwrap();
-        DeltaRecord::Op(DeltaOp::Insert(1, 10)).apply(&map);
-        DeltaRecord::Run((2..5).map(|k| (k as Key, k as Value * 10)).collect()).apply(&map);
-        DeltaRecord::Op(DeltaOp::Remove(1)).apply(&map);
-        DeltaRecord::Op(DeltaOp::Remove(99)).apply(&map); // absent key: no-op
+        let map = pma_core::ConcurrentPma::new(pma_core::PmaParams::small()).unwrap();
+        let only: [(Key, &dyn ConcurrentMap); 1] = [(Key::MIN, &map)];
+        DeltaRecord::Op(DeltaOp::Insert(1, 10)).apply_routed(&only);
+        DeltaRecord::Run((2..5).map(|k| (k as Key, k as Value * 10)).collect()).apply_routed(&only);
+        DeltaRecord::Op(DeltaOp::Remove(1)).apply_routed(&only);
+        DeltaRecord::Op(DeltaOp::Remove(99)).apply_routed(&only); // absent key: no-op
         map.flush();
         assert_eq!(map.len(), 3);
         assert_eq!(map.get(3), Some(30));

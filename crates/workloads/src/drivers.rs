@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use pma_common::obs::{MetricsSeries, Observations};
-use pma_common::{ConcurrentMap, Key, PmaError, Value};
+use pma_common::{ConcurrentMap, Key};
 
 use crate::distribution::KeyGenerator;
 use crate::latency::LatencyHistogram;
@@ -171,105 +171,6 @@ pub fn run_mixed_updates<M: ConcurrentMap + ?Sized>(map: &M, spec: &WorkloadSpec
             }
         }
         (ops, latency)
-    })
-}
-
-/// Result of one bulk-ingestion run: the cold-load phase timed over both the
-/// bulk path (`Registry::build_loaded` → the backend's native `from_sorted`)
-/// and the baseline of looping `insert` over the same keys.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BulkIngestMeasurement {
-    /// Distinct sorted keys loaded.
-    pub elements: usize,
-    /// Wall-clock seconds of the bulk-load construction.
-    pub bulk_seconds: f64,
-    /// Wall-clock seconds of building a fresh instance via looped `insert`
-    /// (plus the flush that settles asynchronous modes).
-    pub looped_seconds: f64,
-    /// Elements stored after the bulk load (sanity: equals `elements`).
-    pub final_len: usize,
-}
-
-impl BulkIngestMeasurement {
-    /// Bulk-loaded elements per second.
-    pub fn bulk_throughput(&self) -> f64 {
-        if self.bulk_seconds <= 0.0 {
-            0.0
-        } else {
-            self.elements as f64 / self.bulk_seconds
-        }
-    }
-
-    /// How many times faster the bulk load was than the insert loop.
-    pub fn speedup(&self) -> f64 {
-        if self.bulk_seconds <= 0.0 {
-            0.0
-        } else {
-            self.looped_seconds / self.bulk_seconds
-        }
-    }
-}
-
-/// The sorted, distinct key/value pairs a bulk-ingest run loads:
-/// `spec.total_elements` keys spread evenly over `spec.key_range` (the same
-/// distribution [`preload`] produces), with `value = key`.
-pub fn bulk_ingest_items(spec: &WorkloadSpec) -> Vec<(Key, Value)> {
-    let n = spec.total_elements as u64;
-    let stride = (spec.key_range / n.max(1)).max(1);
-    (0..n)
-        .map(|i| ((i * stride) as Key, (i * stride) as Value))
-        .collect()
-}
-
-/// Cold bulk ingestion (the §6 dynamic-graph loading scenario): constructs
-/// the `backend` registry spec pre-populated with [`bulk_ingest_items`] via
-/// `Registry::build_loaded`, verifies the loaded contents with an ordered
-/// scan, then times the same load through looped point `insert`s on a fresh
-/// instance for comparison.
-///
-/// # Errors
-/// Propagates registry errors (unknown backend, malformed argument) and
-/// fails with [`PmaError::Conflict`] when the loaded structure's scan does
-/// not match the input (which would mean a broken `from_sorted`).
-pub fn run_bulk_ingest(
-    backend: &str,
-    spec: &WorkloadSpec,
-) -> Result<BulkIngestMeasurement, PmaError> {
-    crate::factory::ensure_builtin_backends();
-    let items = bulk_ingest_items(spec);
-
-    let start = Instant::now();
-    let loaded = pma_common::Registry::global().build_loaded(backend, &items)?;
-    let bulk_seconds = start.elapsed().as_secs_f64();
-
-    // Verify: the ordered scan must reproduce the input exactly.
-    let stats = loaded.scan_all();
-    let mut expected = pma_common::ScanStats::default();
-    for &(k, v) in &items {
-        expected.visit(k, v);
-    }
-    if stats != expected {
-        return Err(PmaError::Conflict(format!(
-            "bulk load of `{backend}` corrupted the contents: scanned {stats:?}, expected {expected:?}"
-        )));
-    }
-    let final_len = loaded.len();
-    drop(loaded);
-
-    // Baseline: the same cold load through the point-insert path.
-    let looped = pma_common::Registry::global().build(backend)?;
-    let start = Instant::now();
-    for &(k, v) in &items {
-        looped.insert(k, v);
-    }
-    looped.flush();
-    let looped_seconds = start.elapsed().as_secs_f64();
-
-    Ok(BulkIngestMeasurement {
-        elements: items.len(),
-        bulk_seconds,
-        looped_seconds,
-        final_len,
     })
 }
 
@@ -506,35 +407,6 @@ mod tests {
         };
         preload(&map, &spec);
         assert_eq!(map.len(), 5000);
-    }
-
-    #[test]
-    fn bulk_ingest_loads_verifies_and_compares() {
-        let spec = WorkloadSpec {
-            total_elements: 30_000,
-            key_range: 1 << 20,
-            ..tiny_spec(UpdatePattern::InsertOnly, 0)
-        };
-        for backend in ["pma-batch:1", "btree"] {
-            let m = run_bulk_ingest(backend, &spec).unwrap();
-            assert_eq!(m.elements, 30_000, "{backend}");
-            assert_eq!(m.final_len, 30_000, "{backend}");
-            assert!(m.bulk_seconds > 0.0 && m.looped_seconds > 0.0, "{backend}");
-            assert!(m.bulk_throughput() > 0.0, "{backend}");
-        }
-        assert!(run_bulk_ingest("warp-drive", &spec).is_err());
-    }
-
-    #[test]
-    fn bulk_ingest_items_are_sorted_and_distinct() {
-        let spec = WorkloadSpec {
-            total_elements: 1_000,
-            key_range: 1 << 16,
-            ..WorkloadSpec::default()
-        };
-        let items = bulk_ingest_items(&spec);
-        assert_eq!(items.len(), 1_000);
-        assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

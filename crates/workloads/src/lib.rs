@@ -4,9 +4,7 @@
 //! * [`distribution`] — uniform and Zipfian key streams over `beta = 2^27`.
 //! * [`spec`] — experiment descriptions (thread splits, update patterns).
 //! * [`drivers`] — the measured insert-only and mixed-update phases with
-//!   concurrent scanner threads, plus the cold bulk-ingestion driver
-//!   ([`drivers::run_bulk_ingest`]) comparing `from_sorted` loads against
-//!   looped inserts.
+//!   concurrent scanner threads.
 //! * [`open_loop`] — arrival-rate-scheduled (open-loop) driver with deficit
 //!   accounting, per-op sojourn times and a saturation sweep that ramps the
 //!   offered load until deadline misses exceed a threshold.
@@ -29,10 +27,7 @@ pub mod spec;
 pub mod urlcorpus;
 
 pub use distribution::{Distribution, KeyGenerator, DEFAULT_KEY_RANGE};
-pub use drivers::{
-    bulk_ingest_items, preload, run_bulk_ingest, run_insert_only, run_mixed_updates, run_workload,
-    BulkIngestMeasurement, Measurement,
-};
+pub use drivers::{preload, run_insert_only, run_mixed_updates, run_workload, Measurement};
 pub use factory::{
     ablation_leaf_specs, ablation_segment_specs, build, build_bytes, build_bytes_loaded,
     build_loaded, build_or_panic, byte_label, ensure_builtin_backends, figure3_specs,

@@ -240,8 +240,8 @@ proptest! {
         prop_assert_eq!(rebalances(&pma), 0);
     }
 
-    /// The sharded engine's cross-shard `scan_range` — a k-way merge of the
-    /// per-shard ordered streams — is observably identical to scanning a
+    /// The sharded engine's cross-shard `scan_range` — the per-shard ordered
+    /// streams folded in directory order — is observably identical to scanning a
     /// single inner instance holding the same contents, for ranges that fall
     /// inside one shard, straddle shard fences, cover everything, or miss
     /// entirely. The shard fences are data-driven (`from_sorted` cuts the run
