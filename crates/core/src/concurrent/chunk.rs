@@ -627,6 +627,24 @@ impl<'a, K: Slot> View<'a, K> {
         })
     }
 
+    /// How many distinct keys of `share` (sorted) segment `s` does not hold.
+    fn absent(&self, s: usize, share: &[(Key, Value)]) -> usize {
+        let run = self.seg_keys(s);
+        let mut from = 0;
+        winners(share)
+            .filter(|&&(key, _)| match K::search(&run[from..], self.base, key) {
+                Ok(i) => {
+                    from += i + 1;
+                    false
+                }
+                Err(i) => {
+                    from += i;
+                    true
+                }
+            })
+            .count()
+    }
+
     /// See [`ChunkData::check_invariants`].
     fn check_invariants(&self) {
         let mut prev: Option<K> = None;
@@ -655,6 +673,15 @@ impl<'a, K: Slot> View<'a, K> {
             );
         }
     }
+}
+
+/// The entries of a sorted batch that take effect: the last one of each key.
+fn winners(batch: &[(Key, Value)]) -> impl DoubleEndedIterator<Item = &(Key, Value)> {
+    batch
+        .iter()
+        .enumerate()
+        .filter(|&(j, &(key, _))| batch.get(j + 1).is_none_or(|next| next.0 != key))
+        .map(|(_, entry)| entry)
 }
 
 /// Asks for every line `run` overlaps.
@@ -859,69 +886,131 @@ impl<'a, K: Slot> ViewMut<'a, K> {
     }
 
     /// See [`ChunkData::merge_batch`]; every batch key lies in the window.
-    fn merge_batch(&mut self, batch: &[(Key, Value)]) -> usize {
-        let base = self.base;
-        let v = self.view();
-        let existing = v.cardinality();
-        let mut merged_keys: Vec<K> = Vec::with_capacity(existing + batch.len());
-        let mut merged_values = Vec::with_capacity(existing + batch.len());
-        let mut old_keys: Vec<K> = Vec::with_capacity(existing);
-        let mut old_values = Vec::with_capacity(existing);
-        for s in 0..v.num_segments() {
-            old_keys.extend_from_slice(v.seg_keys(s));
-            old_values.extend_from_slice(v.seg_values(s));
+    fn merge_batch(&mut self, batch: &[(Key, Value)]) -> (usize, bool) {
+        let capacity = self.segment_capacity;
+        let fits = self.shares(batch, |v, s, share| {
+            v.view().absent(s, share) <= capacity - v.cards[s] as usize
+        });
+        if !fits {
+            return (self.merge_respread(batch), true);
         }
-        let batch_key = |j: usize| K::of(batch[j].0, base);
+        let mut added = 0;
+        self.shares(batch, |v, s, share| {
+            added += v.merge_share(s, share);
+            true
+        });
+        self.refresh_mins();
+        (added, false)
+    }
 
-        let mut added = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old_keys.len() || j < batch.len() {
-            if j >= batch.len() {
-                merged_keys.push(old_keys[i]);
-                merged_values.push(old_values[i]);
-                i += 1;
-            } else if i >= old_keys.len() {
-                // Skip duplicate keys inside the batch itself (last wins).
-                let k = batch[j].0;
-                if j + 1 < batch.len() && batch[j + 1].0 == k {
-                    j += 1;
-                    continue;
+    /// Cuts the sorted `batch` into its shares — the runs of keys that route
+    /// to one segment, as [`View::find_segment`] routes each key — in one
+    /// pass over the batch and the routing prefix, and hands each to `visit`
+    /// with its segment, in key order, until `visit` returns `false`.
+    /// Returns whether every share was visited. `visit` may write the
+    /// segment it is handed: later shares route on later segments alone.
+    fn shares(
+        &mut self,
+        batch: &[(Key, Value)],
+        mut visit: impl FnMut(&mut Self, usize, &[(Key, Value)]) -> bool,
+    ) -> bool {
+        let occupied = |cards: &[i64], from: usize| (from..cards.len()).find(|&s| cards[s] > 0);
+        // Keys below the first minimum go to the first non-empty segment,
+        // every key of an empty chunk to segment 0.
+        let mut s = occupied(self.cards, 0).unwrap_or(0);
+        let mut rest = batch;
+        while !rest.is_empty() {
+            let next = occupied(self.cards, s + 1);
+            let len = next.map_or(rest.len(), |t| {
+                rest.partition_point(|&(key, _)| key < self.mins[t])
+            });
+            if len > 0 && !visit(self, s, &rest[..len]) {
+                return false;
+            }
+            rest = &rest[len..];
+            s = next.unwrap_or(s);
+        }
+        true
+    }
+
+    /// Merges `share` (its keys route to segment `s`, whose gap holds the
+    /// absent ones) into the segment in place: stored keys take their new
+    /// values, and absent keys are merged backward into the gap, so only the
+    /// stored keys above the smallest absent one move, each once. Returns
+    /// the number of keys added.
+    fn merge_share(&mut self, s: usize, share: &[(Key, Value)]) -> usize {
+        let absent = self.view().absent(s, share);
+        let start = s * self.segment_capacity;
+        let end = start + self.cards[s] as usize;
+        // Slots `start..unmoved` have not moved yet, and the `gap` absent
+        // keys still to place all go below them; keys still to come lie
+        // below `searched`.
+        let (mut unmoved, mut searched, mut gap) = (end, end, absent);
+        for &(key, value) in winners(share).rev() {
+            match K::search(&self.keys[start..searched], self.base, key) {
+                Ok(i) => {
+                    self.values[start + i] = value;
+                    searched = start + i;
                 }
-                merged_keys.push(batch_key(j));
-                merged_values.push(batch[j].1);
-                added += 1;
-                j += 1;
-            } else if old_keys[i] < batch_key(j) {
-                merged_keys.push(old_keys[i]);
-                merged_values.push(old_values[i]);
-                i += 1;
-            } else if old_keys[i] > batch_key(j) {
-                let k = batch[j].0;
-                if j + 1 < batch.len() && batch[j + 1].0 == k {
-                    j += 1;
-                    continue;
+                Err(i) => {
+                    let at = start + i;
+                    self.keys.copy_within(at..unmoved, at + gap);
+                    self.values.copy_within(at..unmoved, at + gap);
+                    gap -= 1;
+                    self.keys[at + gap] = K::of(key, self.base);
+                    self.values[at + gap] = value;
+                    (unmoved, searched) = (at, at);
                 }
-                merged_keys.push(batch_key(j));
-                merged_values.push(batch[j].1);
-                added += 1;
-                j += 1;
-            } else {
-                // Same key: the batch value wins (upsert), no new element.
-                merged_keys.push(old_keys[i]);
-                merged_values.push(batch[j].1);
-                i += 1;
-                j += 1;
             }
         }
+        debug_assert_eq!(gap, 0);
+        if absent > 0 {
+            self.cards[s] += absent as i64;
+            self.record_activity(s, absent as f64);
+        }
+        absent
+    }
 
-        let total = merged_keys.len();
+    /// The overflow path of [`ChunkData::merge_batch`]: merges the batch
+    /// with every stored element and re-spreads the whole chunk evenly.
+    /// Returns the number of keys added.
+    fn merge_respread(&mut self, batch: &[(Key, Value)]) -> usize {
+        let base = self.base;
+        let v = self.view();
+        let bound = v.cardinality() + batch.len();
+        let (mut keys, mut values) = (Vec::with_capacity(bound), Vec::with_capacity(bound));
+        let mut push = |(slot, value): (K, Value)| {
+            keys.push(slot);
+            values.push(value);
+        };
+        let mut stored = (0..v.num_segments())
+            .flat_map(|s| {
+                v.seg_keys(s)
+                    .iter()
+                    .copied()
+                    .zip(v.seg_values(s).iter().copied())
+            })
+            .peekable();
+        let mut added = 0;
+        for &(key, value) in winners(batch) {
+            let slot = K::of(key, base);
+            while let Some(old) = stored.next_if(|&(old, _)| old < slot) {
+                push(old);
+            }
+            // A stored key takes the batch's value; an absent one is new.
+            if stored.next_if(|&(old, _)| old == slot).is_none() {
+                added += 1;
+            }
+            push((slot, value));
+        }
+        stored.for_each(push);
         let (segments, capacity) = (self.cards.len(), self.segment_capacity);
         assert!(
-            total <= segments * capacity,
+            keys.len() <= segments * capacity,
             "batch does not fit in the chunk"
         );
-        let targets = crate::calibrator::even_targets(total, segments, capacity);
-        self.place(0, &targets, &merged_keys, &merged_values);
+        let targets = crate::calibrator::even_targets(keys.len(), segments, capacity);
+        self.place(0, &targets, &keys, &values);
         added
     }
 
@@ -1255,16 +1344,25 @@ impl ChunkData {
         with_view_mut!(self, |v| v.rebalance_local(start_seg, num_segs, adaptive));
     }
 
-    /// Merges a sorted batch of insertions into the whole chunk, rewriting it
-    /// with an even distribution. Duplicate keys overwrite the stored value.
-    /// Returns the number of *new* keys added.
+    /// Merges a sorted batch of insertions into the chunk: within the batch
+    /// the last entry of a key wins, and a stored key takes the batch's
+    /// value. Returns `(added, respread)`: the number of *new* keys, and
+    /// whether the whole chunk was rewritten.
+    ///
+    /// Each key's share goes to the segment a point insert of it would route
+    /// to. When every segment's gap holds the absent keys of its share, they
+    /// are merged into those gaps in place: only the segments the batch lands
+    /// in are written, and nothing is allocated (`respread == false`).
+    /// Otherwise the batch is merged with the whole chunk, which is re-spread
+    /// evenly — a local rebalance of the chunk, and its callers count it as
+    /// one.
     ///
     /// The caller must ensure the chunk has room for the *merged* result —
     /// the current cardinality plus the batch keys not already stored must
     /// not exceed `capacity()` (batch keys that overwrite existing entries
     /// need no room). Keys must fall within the owning gate's fences so
     /// chunk-global order is preserved.
-    pub fn merge_batch(&mut self, batch: &[(Key, Value)]) -> usize {
+    pub fn merge_batch(&mut self, batch: &[(Key, Value)]) -> (usize, bool) {
         debug_assert!(batch.windows(2).all(|w| w[0].0 <= w[1].0));
         self.prepare_write(batch_keys(batch));
         with_view_mut!(self, |v| v.merge_batch(batch))
@@ -1282,6 +1380,8 @@ impl ChunkData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn chunk() -> ChunkData {
         ChunkData::new(4, 8)
@@ -1515,7 +1615,6 @@ mod tests {
     }
 
     fn point_ops_agree_with_a_model(what: &str, first: Key, span: i128, narrow: bool) {
-        use std::collections::BTreeMap;
         const CAPACITY: usize = 4;
         let layouts: [&[usize]; 12] = [
             &[0, 0, 0, 0],
@@ -1697,8 +1796,10 @@ mod tests {
         for k in [2i64, 4, 6] {
             c.try_insert(k, k);
         }
-        let added = c.merge_batch(&[(1, 11), (4, 44), (5, 55), (9, 99)]);
-        assert_eq!(added, 3, "key 4 already existed");
+        // Every key routes to segment 0, the only non-empty one, whose gap
+        // holds the three new ones.
+        let merged = c.merge_batch(&[(1, 11), (4, 44), (5, 55), (9, 99)]);
+        assert_eq!(merged, (3, false), "key 4 already existed");
         assert_eq!(c.cardinality(), 6);
         assert_eq!(c.get(4), Some(44));
         assert_eq!(c.get(5), Some(55));
@@ -1710,8 +1811,7 @@ mod tests {
     #[test]
     fn merge_batch_with_duplicate_batch_keys_keeps_last() {
         let mut c = chunk();
-        let added = c.merge_batch(&[(1, 10), (1, 20), (2, 30)]);
-        assert_eq!(added, 2);
+        assert_eq!(c.merge_batch(&[(1, 10), (1, 20), (2, 30)]), (2, false));
         assert_eq!(c.get(1), Some(20));
         assert_eq!(c.get(2), Some(30));
     }
@@ -1747,5 +1847,168 @@ mod tests {
             c.try_insert(k, k);
         }
         let _ = c.merge_batch(&[(10, 1)]);
+    }
+
+    /// A batch that repeats a stored key stores it once, with the batch's
+    /// last value — in place, and on the whole-chunk path, which once let
+    /// the first duplicate take the stored key's place and stored the second
+    /// again as a new key.
+    #[test]
+    fn merge_batch_duplicates_of_a_stored_key_keep_the_last() {
+        let mut c = chunk();
+        c.try_insert(5, 0);
+        assert_eq!(c.merge_batch(&[(5, 1), (5, 2)]), (0, false));
+        c.check_invariants();
+        assert_eq!(c.iter().collect::<Vec<_>>(), [(5, 2)]);
+        // Segment 0 is full and takes every key, so key 6 overflows it.
+        let mut c = ChunkData::new(2, 2);
+        for k in [5, 7] {
+            c.try_insert(k, 0);
+        }
+        assert_eq!(c.merge_batch(&[(5, 1), (5, 2), (6, 6)]), (1, true));
+        c.check_invariants();
+        assert_eq!(c.iter().collect::<Vec<_>>(), [(5, 2), (6, 6), (7, 0)]);
+    }
+
+    /// Geometry of the merge model test: segments small enough that shares
+    /// overflow often, and a key pool no larger than the chunk, so every
+    /// merged result fits.
+    const MERGE_SEGMENTS: usize = 4;
+    const MERGE_CAPACITY: usize = 6;
+    const MERGE_POOL: usize = MERGE_SEGMENTS * MERGE_CAPACITY;
+
+    /// The keys the merge model test draws from for a layout of [`WIDTHS`]:
+    /// spread from `first` over `span` (consecutive when it is small), and
+    /// on a span past 2^31 the three keys around `first + 2^31`.
+    fn merge_pool(first: Key, span: i128) -> Vec<Key> {
+        let spread = MERGE_POOL as i128 - 4;
+        let mut offsets: Vec<i128> = (0..=spread)
+            .map(|i| i * span.max(spread) / spread)
+            .collect();
+        let middle = if span > 1 << 31 { 1 << 31 } else { spread + 2 };
+        offsets.extend([middle - 1, middle, middle + 1]);
+        offsets.sort_unstable();
+        offsets.dedup();
+        offsets
+            .into_iter()
+            .map(|offset| (first as i128 + offset) as Key)
+            .collect()
+    }
+
+    /// Segment `s` exactly as the slab holds it: every slot (the gap too) as
+    /// its raw bits, its card and its activity bits.
+    fn raw_segment(c: &ChunkData, s: usize) -> (Vec<(Key, Value)>, usize, i64) {
+        let activity = c.slab[c.slab.len() - c.num_segments() + s];
+        with_view!(c.slab, |v| {
+            let slots = v.seg_start(s)..v.seg_start(s) + v.segment_capacity;
+            let keys = v.keys[slots.clone()].iter().map(|slot| slot.key(0));
+            let slots = keys.zip(v.values[slots].iter().copied()).collect();
+            (slots, v.card(s), activity)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// `merge_batch` against a `BTreeMap`, on every layout of [`WIDTHS`]
+        /// (narrow chunks holding keys at `base`, `base + 2^31` and
+        /// `base + 2^32 - 1`, and wide ones) and on empty chunks: batches
+        /// with duplicates and upserts, keys below the first minimum and
+        /// above the last, shares that fit their segments' gaps and shares
+        /// that overflow them. After each merge the chunk is valid, `added`
+        /// is the model's growth, and the chunk was re-spread exactly when
+        /// some segment's absent keys outnumbered its gap; after an in-place
+        /// merge a segment the batch landed in grew by its absent keys (card
+        /// and activity), and every other segment is bit for bit what it was.
+        #[test]
+        fn merge_batch_matches_a_model_on_both_paths(
+            width in 0..WIDTHS.len(),
+            density in 0u64..5,
+            picks in proptest::collection::vec(0u64..4, MERGE_POOL..MERGE_POOL + 1),
+            room in proptest::collection::vec(0..MERGE_CAPACITY + 1, MERGE_SEGMENTS..MERGE_SEGMENTS + 1),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0..MERGE_POOL, 0..8 as Value), 0..10),
+                1..5,
+            ),
+        ) {
+            let (what, first, span, narrow) = WIDTHS[width];
+            let pool = merge_pool(first, span);
+            // The two widest layouts keep both their ends: a whole window's
+            // base is `first`, and the wide chunk stays wide.
+            let pinned = |i: usize| span >= WINDOW - 1 && (i == 0 || i == pool.len() - 1);
+            let stored: Vec<(Key, Value)> = pool
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| picks[i] < density || pinned(i))
+                .map(|(i, &key)| (key, -1 - i as Value))
+                .collect();
+            // At most `room[s]` keys in segment `s`, then the rest wherever
+            // there is room.
+            let mut left = stored.len();
+            let mut targets: Vec<usize> = room
+                .iter()
+                .map(|&r| {
+                    let t = r.min(left);
+                    left -= t;
+                    t
+                })
+                .collect();
+            for t in &mut targets {
+                let more = (MERGE_CAPACITY - *t).min(left);
+                *t += more;
+                left -= more;
+            }
+            let mut c = ChunkData::from_stream(
+                MERGE_SEGMENTS,
+                MERGE_CAPACITY,
+                &targets,
+                &mut stored.iter().copied(),
+            );
+            let narrowed = c.is_narrow();
+            assert_eq!(narrowed, narrow && !stored.is_empty(), "{what}");
+            let mut model: BTreeMap<Key, Value> = stored.iter().copied().collect();
+            for picks in batches {
+                let mut batch: Vec<(Key, Value)> = picks
+                    .iter()
+                    .map(|&(i, value)| (pool[i % pool.len()], value))
+                    .collect();
+                // Stable: a key's entries keep their order, and the last wins.
+                batch.sort_by_key(|&(key, _)| key);
+                let mut keys: Vec<Key> = batch.iter().map(|&(key, _)| key).collect();
+                keys.dedup();
+                let (mut absent, mut touched) = ([0; MERGE_SEGMENTS], [false; MERGE_SEGMENTS]);
+                for key in keys {
+                    let s = reference_segment(&c, key);
+                    touched[s] = true;
+                    absent[s] += usize::from(!model.contains_key(&key));
+                }
+                let respread = (0..MERGE_SEGMENTS).any(|s| absent[s] > MERGE_CAPACITY - c.card(s));
+                let before: Vec<_> = (0..MERGE_SEGMENTS).map(|s| raw_segment(&c, s)).collect();
+                model.extend(batch.iter().copied());
+
+                let added = absent.iter().sum();
+                assert_eq!(c.merge_batch(&batch), (added, respread), "{what} {batch:?}");
+                c.check_invariants();
+                let expected: Vec<(Key, Value)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(c.iter().collect::<Vec<_>>(), expected, "{what} {batch:?}");
+                assert_eq!(c.is_narrow(), narrowed, "{what} {batch:?}");
+                if respread {
+                    continue;
+                }
+                for (s, (slots, card, activity)) in before.into_iter().enumerate() {
+                    let after = raw_segment(&c, s);
+                    if touched[s] {
+                        assert_eq!(after.1, card + absent[s], "{what} {batch:?} segment {s}");
+                        assert_eq!(
+                            f64::from_bits(after.2 as u64),
+                            f64::from_bits(activity as u64) + absent[s] as f64,
+                            "{what} {batch:?} segment {s}"
+                        );
+                    } else {
+                        assert_eq!(after, (slots, card, activity), "{what} {batch:?} segment {s}");
+                    }
+                }
+            }
+        }
     }
 }

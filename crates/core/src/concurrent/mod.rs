@@ -415,15 +415,16 @@ impl ConcurrentPma {
     /// Inserts a batch of pairs (upsert semantics, later duplicates win).
     ///
     /// The batch is sorted and split into per-gate runs: each run is merged
-    /// into its gate's chunk with a single latch acquisition and one local
-    /// redistribution (the same combining primitive the asynchronous update
-    /// queue uses), instead of one routing walk and one rebalance check per
-    /// element. A run that exceeds its gate's density threshold is handed to
-    /// the rebalancer service whole: the service expands the window over the
-    /// covering gate span (resizing with a presized capacity when even the
-    /// root window is over threshold) and merges the run during the
-    /// redistribution — one rebuild per oversized run instead of a per-key
-    /// insert cascade.
+    /// into its gate's chunk with a single latch acquisition (the same
+    /// combining primitive the asynchronous update queue uses) — into the
+    /// gaps of the segments it lands in when they hold it, by one local
+    /// redistribution of the chunk otherwise — instead of one routing walk
+    /// and one rebalance check per element. A run that exceeds its gate's
+    /// density threshold is handed to the rebalancer service whole: the
+    /// service expands the window over the covering gate span (resizing with
+    /// a presized capacity when even the root window is over threshold) and
+    /// merges the run during the redistribution — one rebuild per oversized
+    /// run instead of a per-key insert cascade.
     pub fn insert_batch(&self, items: &[(Key, Value)]) {
         // Route like a point insert: honouring delegated combining queues is
         // required for ordering — merging directly while an older same-key
@@ -472,10 +473,7 @@ impl ConcurrentPma {
                             chunk.cardinality() + new_keys <= max_total
                         };
                         if fits {
-                            let added = chunk.merge_batch(run);
-                            if added > 0 {
-                                self.shared.stats.inserted(added);
-                            }
+                            self.shared.stats.merged(chunk.merge_batch(run));
                             advance = run_end - i;
                             // Drain anything forwarded to us while we held the
                             // latch, then release (mode-appropriate).
@@ -928,8 +926,9 @@ impl ConcurrentPma {
     }
 
     /// Batch combining (paper section 3.5): deletions first, then all
-    /// insertions merged in one rebalance; oversized batches go to the
-    /// rebalancer, throttled by `t_delay`.
+    /// insertions merged at once — into their segments' gaps, or by one
+    /// local rebalance of the chunk when a gap is too small; oversized
+    /// batches go to the rebalancer, throttled by `t_delay`.
     fn drain_batch(&self, inst: &PmaInstance, g: usize, t_delay: Duration) {
         let gate = &inst.gates[g];
         loop {
@@ -991,11 +990,7 @@ impl ConcurrentPma {
             if fits_locally {
                 // SAFETY: as above; the batch's keys are about to be written.
                 let chunk = unsafe { self.shared.chunk_mut(inst, g, chunk::batch_keys(&inserts)) };
-                let added = chunk.merge_batch(&inserts);
-                if added > 0 {
-                    self.shared.stats.inserted(added);
-                }
-                Stats::bump(&self.shared.stats.local_rebalances);
+                self.shared.stats.merged(chunk.merge_batch(&inserts));
                 continue;
             }
 
@@ -1574,6 +1569,60 @@ mod tests {
             counter(&p, "batch_span_rebuilds"),
             rebuilds_before,
             "value-refresh batches must not rebuild gate spans"
+        );
+    }
+
+    /// A batch drained from a combining queue is a local rebalance exactly
+    /// when it re-spreads its chunk: inserts that fill one segment's gap
+    /// merge in place and count none, one more than the gap counts one.
+    #[test]
+    fn a_drained_batch_counts_a_local_rebalance_only_when_it_respreads() {
+        let items: Vec<(i64, i64)> = (0..20_000i64).map(|k| (k * 1_000, k)).collect();
+        let params = PmaParams::default().batched(Duration::from_millis(1));
+        let p = ConcurrentPma::from_sorted(params, &items).unwrap();
+        // Holds the gate of the stored key `at` as a writer, queues the keys
+        // right above `at` — as many as its segment has gaps, plus `extra` —
+        // as writers arriving meanwhile would, and drains them; returns the
+        // gap and the local rebalances the drain counted.
+        let drain = |at: Key, extra: usize| {
+            let _pin = p.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { p.shared.instance_ref() };
+            let gap = {
+                let (_, guard) = p.acquire_read(inst, at).unwrap();
+                let chunk = guard.chunk();
+                chunk.segment_capacity() - chunk.card(chunk.find_segment(at))
+            };
+            let WriteAcquire::Acquired(g) = p.acquire_for_write(inst, UpdateOp::Delete(at), true)
+            else {
+                panic!("the gate of {at} is free");
+            };
+            for k in at + 1..=at + (gap + extra) as Key {
+                let queued = p.acquire_for_write(inst, UpdateOp::Insert(k, -k), true);
+                assert!(matches!(queued, WriteAcquire::Queued), "{k}");
+            }
+            let before = counter(&p, "local_rebalances");
+            p.finish_writer(inst, g);
+            (gap, counter(&p, "local_rebalances") - before)
+        };
+        let (fitted, rebalances) = drain(5_000_000, 0);
+        assert!(fitted > 0);
+        assert_eq!(rebalances, 0, "{fitted} inserts into a gap of {fitted}");
+        let (gap, rebalances) = drain(15_000_000, 1);
+        assert_eq!(rebalances, 1, "{} inserts into a gap of {gap}", gap + 1);
+        p.flush();
+        assert_eq!(p.len(), items.len() + fitted + gap + 1);
+        for at in [5_000_000, 15_000_000] {
+            assert_eq!(p.get(at), Some(at / 1_000));
+            assert_eq!(p.get(at + 1), Some(-at - 1));
+        }
+        assert_eq!(
+            p.get(5_000_000 + fitted as Key),
+            Some(-5_000_000 - fitted as Key)
+        );
+        assert_eq!(
+            p.get(15_000_001 + gap as Key),
+            Some(-15_000_001 - gap as Key)
         );
     }
 

@@ -854,10 +854,7 @@ impl Master {
                         && chunk.cardinality() + inserts.len() <= gate_capacity
                 };
                 if fits_locally {
-                    let added = chunk.merge_batch(&inserts);
-                    if added > 0 {
-                        self.shared.stats.inserted(added);
-                    }
+                    self.shared.stats.merged(chunk.merge_batch(&inserts));
                     self.release_gates(inst, gate_id, gate_id + 1);
                 } else {
                     // Counted as insertions here, upserts included; the

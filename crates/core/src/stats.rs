@@ -121,6 +121,20 @@ impl Stats {
         stripe.len.fetch_add(n as i64, Ordering::Relaxed);
     }
 
+    /// Counts a batch merge by what
+    /// [`ChunkData::merge_batch`](crate::concurrent::chunk::ChunkData::merge_batch)
+    /// returned: the keys it added, and a local rebalance when it re-spread
+    /// the chunk.
+    #[inline]
+    pub(crate) fn merged(&self, (added, respread): (usize, bool)) {
+        if added > 0 {
+            self.inserted(added);
+        }
+        if respread {
+            Stats::bump(&self.local_rebalances);
+        }
+    }
+
     /// `n` stored elements were removed.
     #[inline]
     pub(crate) fn removed(&self, n: usize) {

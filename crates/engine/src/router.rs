@@ -34,8 +34,11 @@
 //!   (up to [`DRAIN_RUN`] ops per pass; an empty poll reads one stamp and
 //!   writes nothing), coalescing consecutive inserts and shipped runs into
 //!   one buffer that is applied through the inner map's `insert_batch` fast
-//!   path before any read/remove/barrier in the run. Producers waiting for
-//!   room hear about it once the pass has sent its replies.
+//!   path before any read/remove/barrier in the run. A PMA inner merges each
+//!   such train into the gaps of the segments its keys land in, so a train
+//!   of a few inserts costs about what its point inserts would, not a
+//!   rewrite of every chunk it touches (`ChunkData::merge_batch`). Producers
+//!   waiting for room hear about it once the pass has sent its replies.
 //!   All mutations go through the inner structure's normal latched paths,
 //!   so the engine's linearizability invariant (`late_replays == 0`) holds
 //!   unchanged; the router adds ordering on top: a worker's ring is FIFO

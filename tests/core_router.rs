@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pma_common::{ConcurrentMap, PmaError, Registry};
+use pma_common::{metrics_of, ConcurrentMap, PmaError, Registry};
 use rma_concurrent::engine::{CoreRouter, CoreRouterConfig, OverloadPolicy};
 use rma_concurrent::workloads::{
     build_or_panic, ensure_builtin_backends, run_open_loop, saturation_sweep, Distribution,
@@ -355,4 +355,47 @@ fn oversubscribed_workers_and_producers_match_the_model() {
     assert_eq!(stats.ops_shed, 0, "Block policy never sheds");
     let combining = map.combining_stats().expect("sharded inner has combining");
     assert_eq!(combining.late_replays, 0, "{combining:?}");
+}
+
+/// The worker applies each coalesced insert train through the inner map's
+/// `insert_batch`. A one-insert train whose key lands in a segment with room
+/// merges into that segment's gap: however many such trains the served
+/// stack takes, no local rebalance is counted, and the map agrees with the
+/// model.
+#[test]
+fn one_insert_trains_into_segments_with_room_count_no_local_rebalance() {
+    const STORED: i64 = 131_072;
+    const EVERY: usize = 512;
+    ensure_builtin_backends();
+    // A bulk load leaves gaps in every segment.
+    let items: Vec<(i64, i64)> = (0..STORED).map(|k| (k * 1_000, k)).collect();
+    let map = Registry::global()
+        .build_loaded("cores:1:sharded:4:pma-batch:100", &items)
+        .expect("spec builds");
+    let counter = |name| metrics_of(map.as_ref()).counter(name).unwrap();
+    let rebalances = counter("local_rebalances");
+    let mut model: BTreeMap<i64, i64> = items.iter().copied().collect();
+    // One insert per `EVERY` stored keys, so never two into one segment; the
+    // read behind each ends its train.
+    for k in (0..STORED).step_by(EVERY) {
+        let key = k * 1_000 + 1;
+        map.insert(key, -k);
+        assert_eq!(map.get(key), Some(-k), "key {key}");
+        model.insert(key, -k);
+    }
+    map.flush();
+    let trains = STORED as u64 / EVERY as u64;
+    assert_eq!(counter("coalesced_inserts"), trains);
+    assert_eq!(counter("local_rebalances"), rebalances);
+    assert_eq!(map.len(), model.len());
+    let scanned = map.scan_all();
+    assert_eq!(scanned.count as usize, model.len());
+    assert_eq!(
+        scanned.key_sum,
+        model.keys().map(|&k| k as i128).sum::<i128>()
+    );
+    assert_eq!(
+        scanned.value_sum,
+        model.values().map(|&v| v as i128).sum::<i128>()
+    );
 }
