@@ -885,14 +885,28 @@ impl<'a, K: Slot> ViewMut<'a, K> {
         self.place(start_seg, &targets, &staged_keys, &staged_values);
     }
 
-    /// See [`ChunkData::merge_batch`]; every batch key lies in the window.
-    fn merge_batch(&mut self, batch: &[(Key, Value)]) -> (usize, bool) {
+    /// See [`ChunkData::merge_batch_within`]; every batch key lies in the
+    /// window.
+    fn merge_batch(&mut self, batch: &[(Key, Value)], max_len: usize) -> Option<(usize, bool)> {
         let capacity = self.segment_capacity;
         let fits = self.shares(batch, |v, s, share| {
             v.view().absent(s, share) <= capacity - v.cards[s] as usize
         });
         if !fits {
-            return (self.merge_respread(batch), true);
+            // Cheap bound first; count the absent keys only when it fails (a
+            // run of upserts adds nothing).
+            let len = self.view().cardinality();
+            if len + batch.len() > max_len {
+                let mut absent = 0;
+                self.shares(batch, |v, s, share| {
+                    absent += v.view().absent(s, share);
+                    true
+                });
+                if len + absent > max_len {
+                    return None;
+                }
+            }
+            return Some((self.merge_respread(batch), true));
         }
         let mut added = 0;
         self.shares(batch, |v, s, share| {
@@ -900,7 +914,7 @@ impl<'a, K: Slot> ViewMut<'a, K> {
             true
         });
         self.refresh_mins();
-        (added, false)
+        Some((added, false))
     }
 
     /// Cuts the sorted `batch` into its shares — the runs of keys that route
@@ -1363,9 +1377,24 @@ impl ChunkData {
     /// need no room). Keys must fall within the owning gate's fences so
     /// chunk-global order is preserved.
     pub fn merge_batch(&mut self, batch: &[(Key, Value)]) -> (usize, bool) {
+        self.merge_batch_within(batch, usize::MAX)
+            .expect("an unbounded merge always applies")
+    }
+
+    /// [`ChunkData::merge_batch`], but a batch that would re-spread the
+    /// chunk does so only if the merged chunk holds at most `max_len`
+    /// elements; otherwise it returns `None` and the chunk's elements are
+    /// left as they were. A batch whose shares fit their segments' gaps
+    /// merges in place whatever `max_len` says, as point inserts into
+    /// segments with room do.
+    pub fn merge_batch_within(
+        &mut self,
+        batch: &[(Key, Value)],
+        max_len: usize,
+    ) -> Option<(usize, bool)> {
         debug_assert!(batch.windows(2).all(|w| w[0].0 <= w[1].0));
         self.prepare_write(batch_keys(batch));
-        with_view_mut!(self, |v| v.merge_batch(batch))
+        with_view_mut!(self, |v| v.merge_batch(batch, max_len))
     }
 
     /// Validates the chunk-local invariants (test hook).

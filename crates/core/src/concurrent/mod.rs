@@ -417,14 +417,16 @@ impl ConcurrentPma {
     /// The batch is sorted and split into per-gate runs: each run is merged
     /// into its gate's chunk with a single latch acquisition (the same
     /// combining primitive the asynchronous update queue uses) — into the
-    /// gaps of the segments it lands in when they hold it, by one local
-    /// redistribution of the chunk otherwise — instead of one routing walk
-    /// and one rebalance check per element. A run that exceeds its gate's
-    /// density threshold is handed to the rebalancer service whole: the
-    /// service expands the window over the covering gate span (resizing with
-    /// a presized capacity when even the root window is over threshold) and
-    /// merges the run during the redistribution — one rebuild per oversized
-    /// run instead of a per-key insert cascade.
+    /// gaps of the segments it lands in when they hold it, whatever the
+    /// chunk's density (a point insert into a segment with room never asks
+    /// for a rebalance either), by one local redistribution of the chunk
+    /// otherwise — instead of one routing walk and one rebalance check per
+    /// element. A run that needs that redistribution and would take the
+    /// chunk past its gate's density threshold is handed to the rebalancer
+    /// service whole: the service expands the window over the covering gate
+    /// span (resizing with a presized capacity when even the root window is
+    /// over threshold) and merges the run during the redistribution — one
+    /// rebuild per oversized run instead of a per-key insert cascade.
     pub fn insert_batch(&self, items: &[(Key, Value)]) {
         // Route like a point insert: honouring delegated combining queues is
         // required for ordering — merging directly while an older same-key
@@ -463,17 +465,11 @@ impl ConcurrentPma {
                         let tau_gate = inst.calibrator.upper_threshold(inst.gate_level);
                         let max_total =
                             gate_capacity.min((tau_gate * gate_capacity as f64).floor() as usize);
-                        // Cheap check first; when it fails, count only the
-                        // keys actually absent from the chunk — a pure-upsert
-                        // run (value refresh of resident keys) adds nothing
-                        // and must merge in place, not trigger a rebuild.
-                        let fits = chunk.cardinality() + run.len() <= max_total || {
-                            let new_keys =
-                                run.iter().filter(|&&(k, _)| chunk.get(k).is_none()).count();
-                            chunk.cardinality() + new_keys <= max_total
-                        };
-                        if fits {
-                            self.shared.stats.merged(chunk.merge_batch(run));
+                        // As a point insert: a run whose shares fit their
+                        // segments' gaps merges whatever the density; only
+                        // a re-spread of the chunk must stay within τ.
+                        if let Some(merged) = chunk.merge_batch_within(run, max_total) {
+                            self.shared.stats.merged(merged);
                             advance = run_end - i;
                             // Drain anything forwarded to us while we held the
                             // latch, then release (mode-appropriate).
@@ -1623,6 +1619,60 @@ mod tests {
         assert_eq!(
             p.get(15_000_001 + gap as Key),
             Some(-15_000_001 - gap as Key)
+        );
+    }
+
+    /// One-item batches into segments with room merge in place, as point
+    /// inserts of the same keys do, however dense their chunks get: the key
+    /// stream fills every segment of a bulk-loaded map to the brim, and
+    /// neither way of applying it asks the rebalancer for anything.
+    #[test]
+    fn one_item_batches_into_segments_with_room_rebalance_no_more_than_point_inserts() {
+        let items: Vec<(i64, i64)> = (0..20_000i64).map(|k| (k * 1_000, k)).collect();
+        let params = PmaParams::default().batched(Duration::from_millis(100));
+        let load = || ConcurrentPma::from_sorted(params.clone(), &items).unwrap();
+        let point = load();
+        // Above each segment's largest key, as many keys as it has gaps.
+        let mut stream: Vec<(Key, Value)> = Vec::new();
+        {
+            let _pin = point.shared.pin();
+            // SAFETY: pinned above.
+            let inst = unsafe { point.shared.instance_ref() };
+            assert!(inst.num_gates() > 1);
+            for gate in inst.gates.iter() {
+                let guard = gate.acquire_shared(&point.shared.stats).unwrap();
+                let chunk = guard.chunk();
+                let mut stored = chunk.iter();
+                for s in 0..chunk.num_segments() {
+                    let card = chunk.card(s);
+                    let Some((last, _)) = stored.by_ref().take(card).last() else {
+                        continue;
+                    };
+                    let gap = chunk.segment_capacity() - card;
+                    stream.extend((1..=gap as Key).map(|i| (last + i, -last - i)));
+                }
+            }
+        }
+        // Interleave the segments' shares.
+        let stream: Vec<(Key, Value)> = (0..7)
+            .flat_map(|phase| stream.iter().copied().skip(phase).step_by(7))
+            .collect();
+        let batched = load();
+        for &(key, value) in &stream {
+            point.insert(key, value);
+            batched.insert_batch(&[(key, value)]);
+        }
+        for p in [&point, &batched] {
+            p.flush();
+            assert_eq!(p.len(), items.len() + stream.len());
+            assert_eq!(p.len(), p.capacity(), "every segment is full");
+            for name in ["resizes", "global_rebalances", "batch_span_rebuilds"] {
+                assert_eq!(counter(p, name), 0, "{name}");
+            }
+        }
+        assert_eq!(
+            batched.collect_range(Key::MIN, Key::MAX),
+            point.collect_range(Key::MIN, Key::MAX)
         );
     }
 

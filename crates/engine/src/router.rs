@@ -19,8 +19,8 @@
 //! * **ship** — one push onto the worker's lock-free MPSC ring (`ring.rs`:
 //!   a CAS on `tail`, which only producers touch, the value, and a stamp
 //!   store into the slot the worker pops next). Point inserts are
-//!   fire-and-forget (§3.5's batch mode: the ring *is* the combining
-//!   buffer), `get`/`remove` carry the address of the client thread's reply
+//!   fire-and-forget (§3.5's batch mode: acknowledged once in the ring),
+//!   `get`/`remove` carry the address of the client thread's reply
 //!   cell and wait on it (one-by-one mode), and `insert_batch` splits at
 //!   the worker fences and ships whole runs that all answer to the same
 //!   cell;
@@ -32,15 +32,16 @@
 //!   so an idle router costs no CPU and a busy one no sleeps or wake-ups;
 //! * **drain** — each worker owns its ring's consumer end and pops runs
 //!   (up to [`DRAIN_RUN`] ops per pass; an empty poll reads one stamp and
-//!   writes nothing), coalescing consecutive inserts and shipped runs into
-//!   one buffer that is applied through the inner map's `insert_batch` fast
-//!   path before any read/remove/barrier in the run. A PMA inner merges each
-//!   such train into the gaps of the segments its keys land in, so a train
-//!   of a few inserts costs about what its point inserts would, not a
-//!   rewrite of every chunk it touches (`ChunkData::merge_batch`). Producers
-//!   waiting for room hear about it once the pass has sent its replies.
-//!   All mutations go through the inner structure's normal latched paths,
-//!   so the engine's linearizability invariant (`late_replays == 0`) holds
+//!   writes nothing), applying each op in ring order as it goes: a point
+//!   insert through the inner map's `insert`, a shipped run through its
+//!   `insert_batch`, a `get`/`remove` against the overlay and the inner.
+//!   Nothing is held back for a later op, so ship order is apply order.
+//!   (A worker is the only writer of its shards, so there is no contention
+//!   to combine away, and the inserts between two sync ops are a few: as
+//!   one `insert_batch` they cost more than as point inserts.) Producers
+//!   waiting for room hear about it once the pass has sent its replies. All
+//!   mutations go through the inner structure's normal latched paths, so
+//!   the engine's linearizability invariant (`late_replays == 0`) holds
 //!   unchanged; the router adds ordering on top: a worker's ring is FIFO
 //!   and a key always routes to the same worker, so same-key operations
 //!   apply in ship order, and a `get` shipped after an insert of the same
@@ -53,14 +54,16 @@
 //!   `head` and its counters.
 //!
 //! **Visibility**: shipped `get`/`remove` give genuine read-your-writes.
-//! FIFO shipping alone is not enough — a batch-mode inner may *park* a
-//! coalesced run in a combining queue (acknowledged, ordered, but not yet
-//! in any chunk), so the worker keeps a read overlay of every write it has
-//! acknowledged since the inner last settled and answers sync ops from it
-//! before falling through to the inner (sound because a worker is the sole
-//! writer for its key range; the overlay is settled-and-cleared past a
-//! fixed threshold). Aggregate reads (`len`, scans) bypass the
-//! queues and keep the inner batch structures' deferred model;
+//! FIFO application alone is not enough — a batch-mode inner may *queue* a
+//! write it was given (a point write that meets a service rebalance or a
+//! delegated gate, a run handed over to the rebalancer): acknowledged,
+//! ordered, but not yet in any chunk. So the worker keeps a read overlay of
+//! every write it has acknowledged since the inner last settled and answers
+//! sync ops from it before falling through to the inner (sound because a
+//! worker is the sole writer for its key range; the overlay is
+//! settled-and-cleared past a fixed threshold). Aggregate reads (`len`,
+//! scans) bypass the queues and keep the inner batch structures' deferred
+//! model;
 //! [`ConcurrentMap::flush`] ships a barrier to every worker and then
 //! flushes the inner map, after which everything acknowledged is applied —
 //! exactly the promise the workload drivers rely on.
@@ -90,8 +93,8 @@ use crate::ring::{Consumer, Ring};
 use crate::sharded::uniform_bounds;
 
 /// Maximum ops a worker takes out of its ingress ring per drain pass.
-/// Bounds the latency of a sync op enqueued behind a long insert train
-/// while keeping the per-pass overhead (span, buffer flush) amortised.
+/// Bounds how long producers waiting for room wait for the pass's wake-up
+/// while keeping the per-pass overhead (span, `not_full` check) amortised.
 pub const DRAIN_RUN: usize = 1024;
 
 /// Hard cap on worker threads (matches the sharded engine's shard cap — one
@@ -266,7 +269,8 @@ impl ReplyCell {
 
 /// One operation shipped across cores to its owning worker.
 enum ShippedOp {
-    /// Fire-and-forget upsert (§3.5 batch mode: acknowledged at enqueue).
+    /// Fire-and-forget upsert (§3.5 batch mode: acknowledged at enqueue),
+    /// applied through the inner's point `insert` as it is drained.
     Insert(Key, Value),
     /// Sync removal: the worker replies with the previous value (resolved
     /// against its read overlay, so it is exact even when the inner
@@ -276,7 +280,9 @@ enum ShippedOp {
     /// overlay-first, so it reads its own worker's writes even while the
     /// inner structure still holds them parked in a combining queue.
     Get(Key, &'static ReplyCell),
-    /// A whole per-worker batch run. Boxed so a ring slot stays at 32 bytes.
+    /// A whole per-worker batch run, applied through the inner's
+    /// `insert_batch` as it is drained. Boxed so a ring slot stays at 32
+    /// bytes.
     Run(Box<ShippedRun>),
     /// Drain barrier: replies once everything shipped before it is applied.
     Barrier(&'static ReplyCell),
@@ -403,8 +409,9 @@ pub struct CoreRouterStats {
     pub shipped_runs: u64,
     /// Ingress drain passes across all workers.
     pub drained_batches: u64,
-    /// Inserts applied through coalesced `insert_batch` runs instead of
-    /// point inserts (the cross-core combining win).
+    /// Items of shipped runs (`insert_batch` fan-out), which the workers
+    /// apply through the inner map's `insert_batch`. Shipped point inserts
+    /// go through its `insert` and are not counted here.
     pub coalesced_inserts: u64,
     /// Producer waits on a full ingress queue (Block policy, or the
     /// infallible `insert` under Shed), polled or parked.
@@ -745,9 +752,10 @@ impl std::fmt::Debug for CoreRouter {
     }
 }
 
-/// The worker service loop: drain the ingress queue in runs, coalesce
-/// insert trains into `insert_batch` applications, answer sync ops in FIFO
-/// order, exit on `Stop`.
+/// The worker service loop: drain the ingress queue in runs, apply each op
+/// in ring order (a point insert through the inner's `insert`, a shipped run
+/// through its `insert_batch`), answer sync ops as they come, exit on
+/// `Stop`.
 fn worker_loop(
     worker: usize,
     pin: bool,
@@ -762,13 +770,12 @@ fn worker_loop(
     let mine = &shared.workers[worker];
     let mut ring = queue.ring.consumer();
     let mut batch: Vec<ShippedOp> = Vec::with_capacity(DRAIN_RUN);
-    let mut run_buf: Vec<(Key, Value)> = Vec::new();
-    let mut run_replies: Vec<&'static ReplyCell> = Vec::new();
     // Writes acknowledged since the inner last settled (`None` = removed).
-    // A batch-mode inner may park an applied run in a combining queue —
-    // ordered but not yet chunk-visible — so sync ops answer overlay-first;
-    // the worker is the sole writer for its key range, which makes the
-    // overlay authoritative for every key it holds.
+    // A batch-mode inner may queue an applied write — a point write behind
+    // a service rebalance or a delegated gate, a run handed over to the
+    // rebalancer — ordered but not yet chunk-visible, so sync ops answer
+    // overlay-first; the worker is the sole writer for its key range, which
+    // makes the overlay authoritative for every key it holds.
     let mut overlay: HashMap<Key, Option<Value>> = HashMap::new();
     loop {
         queue.pop_run(&mut ring, &mut batch, shared.poll, &mine.worker_parks);
@@ -781,7 +788,7 @@ fn worker_loop(
                 ShippedOp::Insert(key, value) => {
                     bump(&mine.shipped_ops, 1);
                     overlay.insert(key, Some(value));
-                    run_buf.push((key, value));
+                    inner.insert(key, value);
                 }
                 ShippedOp::Run(run) => {
                     bump(&mine.shipped_runs, 1);
@@ -789,14 +796,12 @@ fn worker_loop(
                     for &(key, value) in &items {
                         overlay.insert(key, Some(value));
                     }
-                    run_buf.extend(items);
-                    run_replies.push(reply);
+                    bump(&mine.coalesced_inserts, items.len() as u64);
+                    inner.insert_batch(&items);
+                    reply.done(shared);
                 }
-                // Sync ops flush the pending insert train first so FIFO
-                // ship order is the apply order per key.
                 ShippedOp::Remove(key, reply) => {
                     bump(&mine.shipped_ops, 1);
-                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
                     let prev = match overlay.insert(key, None) {
                         Some(state) => state,
                         None => inner.get(key),
@@ -806,24 +811,19 @@ fn worker_loop(
                 }
                 ShippedOp::Get(key, reply) => {
                     bump(&mine.shipped_ops, 1);
-                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
                     let result = match overlay.get(&key) {
                         Some(&state) => state,
                         None => inner.get(key),
                     };
                     reply.complete(result, shared);
                 }
-                ShippedOp::Barrier(reply) => {
-                    flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
-                    reply.done(shared);
-                }
+                ShippedOp::Barrier(reply) => reply.done(shared),
                 ShippedOp::Stop => {
                     stop = true;
                     break;
                 }
             }
         }
-        flush_coalesced(inner, &mut run_buf, &mut run_replies, shared, mine);
         // Only now, with the pass's replies sent: `notify`'s fence drains
         // this core's store buffer, so in front of the first op it would
         // hold the `get` until the freed slots' stamp stores had their lines
@@ -853,26 +853,6 @@ fn worker_loop(
             bump(&mine.overlay_settles, 1);
             bump(&mine.overlay_settle_ns, started.elapsed().as_nanos() as u64);
         }
-    }
-}
-
-/// Applies the coalesced insert train through the inner `insert_batch` fast
-/// path (arrival order preserved — later duplicates win, as with point
-/// inserts) and counts down the replies of any shipped runs in it.
-fn flush_coalesced(
-    inner: &dyn ConcurrentMap,
-    run_buf: &mut Vec<(Key, Value)>,
-    run_replies: &mut Vec<&'static ReplyCell>,
-    shared: &Shared,
-    mine: &WorkerCounters,
-) {
-    if !run_buf.is_empty() {
-        bump(&mine.coalesced_inserts, run_buf.len() as u64);
-        inner.insert_batch(run_buf);
-        run_buf.clear();
-    }
-    for reply in run_replies.drain(..) {
-        reply.done(shared);
     }
 }
 
@@ -1163,7 +1143,50 @@ mod tests {
         let stats = map.stats();
         assert!(stats.shipped_ops >= 203);
         assert!(stats.drained_batches > 0);
-        assert!(stats.coalesced_inserts >= 200);
+        assert_eq!(
+            stats.coalesced_inserts, 0,
+            "point inserts take the point path"
+        );
+    }
+
+    /// One drain pass takes single inserts, a shipped run, a `get` and a
+    /// `remove` on the same keys and applies them in the order they were
+    /// shipped: the run overwrites the inserts before it, the insert after
+    /// it overwrites the run, and the sync ops answer what was shipped
+    /// before them.
+    #[test]
+    fn a_drain_pass_applies_runs_inserts_and_sync_ops_in_ship_order() {
+        let (inner, entered, release) = GatedMap::new();
+        let map = router_over(
+            Arc::clone(&inner) as Arc<dyn ConcurrentMap>,
+            64,
+            OverloadPolicy::Block,
+            Duration::ZERO,
+        );
+        map.insert(HOLD, 0);
+        entered.recv().expect("worker reaches the gate");
+        let queued = |ops: usize| until("the op is queued", || map.ingress_depth() == ops);
+        std::thread::scope(|scope| {
+            map.insert(1, 10);
+            map.insert(2, 20);
+            let run = scope.spawn(|| map.insert_batch(&[(1, 11), (2, 21), (3, 31)]));
+            queued(3);
+            map.insert(2, 22);
+            let get = scope.spawn(|| map.get(2));
+            queued(5);
+            let remove = scope.spawn(|| map.remove(1));
+            queued(6);
+            map.insert(3, 32);
+            release.send(()).expect("worker is waiting");
+            run.join().expect("run");
+            assert_eq!(get.join().expect("get"), Some(22));
+            assert_eq!(remove.join().expect("remove"), Some(11));
+        });
+        map.flush();
+        let items = inner.items.lock().clone();
+        assert_eq!(items, BTreeMap::from([(HOLD, 0), (2, 22), (3, 32)]));
+        let stats = map.stats();
+        assert_eq!((stats.shipped_runs, stats.coalesced_inserts), (1, 3));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pma_common::{metrics_of, ConcurrentMap, PmaError, Registry};
+use pma_core::{ConcurrentPma, PmaParams, UpdateMode};
 use rma_concurrent::engine::{CoreRouter, CoreRouterConfig, OverloadPolicy};
 use rma_concurrent::workloads::{
     build_or_panic, ensure_builtin_backends, run_open_loop, saturation_sweep, Distribution,
@@ -357,13 +358,13 @@ fn oversubscribed_workers_and_producers_match_the_model() {
     assert_eq!(combining.late_replays, 0, "{combining:?}");
 }
 
-/// The worker applies each coalesced insert train through the inner map's
-/// `insert_batch`. A one-insert train whose key lands in a segment with room
-/// merges into that segment's gap: however many such trains the served
-/// stack takes, no local rebalance is counted, and the map agrees with the
-/// model.
+/// The worker applies each shipped single insert through the inner map's
+/// point `insert` as it drains it: no insert is applied through
+/// `insert_batch`, and inserts into segments with room ask for no rebalance
+/// of any kind, however many sync ops they are interleaved with. The map
+/// agrees with the model.
 #[test]
-fn one_insert_trains_into_segments_with_room_count_no_local_rebalance() {
+fn shipped_single_inserts_apply_through_the_point_path() {
     const STORED: i64 = 131_072;
     const EVERY: usize = 512;
     ensure_builtin_backends();
@@ -373,10 +374,15 @@ fn one_insert_trains_into_segments_with_room_count_no_local_rebalance() {
         .build_loaded("cores:1:sharded:4:pma-batch:100", &items)
         .expect("spec builds");
     let counter = |name| metrics_of(map.as_ref()).counter(name).unwrap();
-    let rebalances = counter("local_rebalances");
+    let rebalances = [
+        "local_rebalances",
+        "global_rebalances",
+        "batch_span_rebuilds",
+    ];
+    let before = rebalances.map(counter);
     let mut model: BTreeMap<i64, i64> = items.iter().copied().collect();
-    // One insert per `EVERY` stored keys, so never two into one segment; the
-    // read behind each ends its train.
+    // One insert per `EVERY` stored keys, so never two into one segment,
+    // each followed by a read of it.
     for k in (0..STORED).step_by(EVERY) {
         let key = k * 1_000 + 1;
         map.insert(key, -k);
@@ -384,9 +390,8 @@ fn one_insert_trains_into_segments_with_room_count_no_local_rebalance() {
         model.insert(key, -k);
     }
     map.flush();
-    let trains = STORED as u64 / EVERY as u64;
-    assert_eq!(counter("coalesced_inserts"), trains);
-    assert_eq!(counter("local_rebalances"), rebalances);
+    assert_eq!(counter("coalesced_inserts"), 0);
+    assert_eq!(rebalances.map(counter), before, "{rebalances:?}");
     assert_eq!(map.len(), model.len());
     let scanned = map.scan_all();
     assert_eq!(scanned.count as usize, model.len());
@@ -398,4 +403,78 @@ fn one_insert_trains_into_segments_with_room_count_no_local_rebalance() {
         scanned.value_sum,
         model.values().map(|&v| v as i128).sum::<i128>()
     );
+}
+
+/// Read-your-writes through `cores:` while the inner map queues writes. The
+/// inner is a batch-mode PMA with tiny segments and gates, so it grows
+/// through resizes and global rebalances. Each round a producer ships a run
+/// of 16 keys that overflows its gate — `insert_batch` hands it to the
+/// rebalancer and returns — and then insert, get, remove, get on a key in
+/// the middle of that run: the point writes meet the gate under the service
+/// (or delegated) and join its combining queue instead of landing in a
+/// chunk. Every shipped `get` must answer the last shipped write (the
+/// worker's overlay covers what the inner still queues), and the end state
+/// must equal the model.
+#[test]
+fn shipped_reads_see_shipped_writes_while_the_inner_queues() {
+    const PRODUCERS: i64 = 4;
+    const ROUNDS: i64 = 1_000;
+    const RUN: i64 = 16;
+    // The runs' bases, scattered over both sides of 0, the fence between
+    // the two workers (an odd multiplier permutes the residues mod 2^20); a
+    // run takes the even keys above its base, the point ops odd ones.
+    let base_of =
+        |t: i64, i: i64| (((i * PRODUCERS + t) * 0x9E37_79B1) % (1 << 20) - (1 << 19)) * 4 * RUN;
+
+    let params = PmaParams {
+        update_mode: UpdateMode::Batch {
+            t_delay: Duration::from_millis(1),
+        },
+        ..PmaParams::small()
+    };
+    let inner: Arc<dyn ConcurrentMap> = Arc::new(ConcurrentPma::new(params).expect("params"));
+    let config = CoreRouterConfig {
+        workers: 2,
+        queue_depth: 256,
+        policy: OverloadPolicy::Block,
+        pin: false,
+    };
+    let map = CoreRouter::new(config, inner).expect("valid router config");
+    std::thread::scope(|scope| {
+        for t in 0..PRODUCERS {
+            let map = &map;
+            scope.spawn(move || {
+                for i in 0..ROUNDS {
+                    let base = base_of(t, i);
+                    let run: Vec<(i64, i64)> = (0..RUN).map(|j| (base + 2 * j, i)).collect();
+                    map.insert_batch(&run);
+                    let key = base + RUN + 1;
+                    map.insert(key, -i);
+                    assert_eq!(map.get(key), Some(-i), "key {key}");
+                    assert_eq!(map.remove(key), Some(-i), "key {key}");
+                    assert_eq!(map.get(key), None, "key {key}");
+                    assert_eq!(map.get(base + RUN), Some(i), "key {}", base + RUN);
+                }
+            });
+        }
+    });
+    map.flush();
+
+    let model: BTreeMap<i64, i64> = (0..PRODUCERS)
+        .flat_map(|t| {
+            (0..ROUNDS).flat_map(move |i| (0..RUN).map(move |j| (base_of(t, i) + 2 * j, i)))
+        })
+        .collect();
+    assert_eq!(map.len(), model.len(), "length diverged");
+    assert_eq!(
+        map.collect_range(i64::MIN, i64::MAX),
+        model.into_iter().collect::<Vec<_>>()
+    );
+    let counter = |name| metrics_of(&map).counter(name).unwrap();
+    assert!(
+        counter("combined_ops") > 0,
+        "the inner never queued a write"
+    );
+    let combining = map.combining_stats().expect("the inner has combining");
+    assert_eq!(combining.late_replays, 0, "{combining:?}");
 }
