@@ -290,7 +290,8 @@ pub fn metrics_of<M: ConcurrentMap + ?Sized>(map: &M) -> MetricsSnapshot {
 /// versions that writers copy instead of mutating (copy-on-write). The view
 /// reflects the map's *settled* state at freeze time — operations still
 /// travelling through combining queues become visible only to views frozen
-/// after they settle, exactly as they become visible to live `get`/`len`.
+/// after they settle, exactly as they become visible to live `len` and scans
+/// (a live point `get` answers them at once).
 pub trait FrozenView: Send + Sync {
     /// Looks up `key` in the frozen state.
     fn get(&self, key: Key) -> Option<Value>;
@@ -369,10 +370,16 @@ pub trait ConcurrentMap: Send + Sync {
         Ok(())
     }
 
-    /// Removes `key`, returning its value if it was present.
+    /// Removes `key`, returning its value if it was present. (An
+    /// asynchronous structure that queues the removal may return `None`
+    /// for a present key; `get` first reads the value.)
     fn remove(&self, key: Key) -> Option<Value>;
 
-    /// Looks up `key`.
+    /// Looks up `key`. A point read answers the last acknowledged write of
+    /// `key`, for every registered backend: a write the structure queued
+    /// rather than applied (a PMA's combining queue, a sharded engine's
+    /// split log, a router's ingress ring) is read too. Aggregate reads
+    /// (`len`, scans) may see it only once it settles.
     fn get(&self, key: Key) -> Option<Value>;
 
     /// Number of elements currently stored.

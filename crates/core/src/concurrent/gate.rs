@@ -16,8 +16,8 @@
 //! # The latch word
 //!
 //! ```text
-//!  63        52  51      50           49         48      47 .. 32   31 .. 0
-//! | (unused)  | PARKED | INVALIDATED | REBALANCE | WRITE | waiters | readers |
+//!  63    53   52       51       50            49          48      47 .. 32   31 .. 0
+//! | (unused) | QUEUED | PARKED | INVALIDATED | REBALANCE | WRITE | waiters | readers |
 //! ```
 //!
 //! * `readers` — threads holding the latch in shared mode.
@@ -32,6 +32,17 @@
 //!   resize; sticky. Clients restart from the new entry pointer.
 //! * `PARKED` — some thread is (about to be) asleep on the gate's condvar.
 //!   A releaser notifies only when it finds this bit set.
+//! * `QUEUED` — the combining queue holds operations while no exclusive
+//!   owner does (a delegated queue waiting for its drain). Readers still
+//!   join; one that finds the bit in its admission CAS's value takes the
+//!   mutex and answers from the queue before the chunk
+//!   ([`SharedGuard::last_queued`]). Kept at two places only: every
+//!   exclusive transition sets or clears it from the queue under the mutex,
+//!   and the delegated append — the one way a queue grows without an
+//!   exclusive owner — sets it after its push. Queues are drained only under
+//!   exclusive ownership, so while nobody holds the gate exclusively the bit
+//!   is exactly "the queue is non-empty"; under an exclusive owner it is
+//!   stale, and nobody reads it then (readers cannot join).
 //!
 //! A shared acquisition is one `compare_exchange` (`Acquire`) on the word, a
 //! shared release one `fetch_sub` (`Release`). Exclusive acquisitions
@@ -57,6 +68,12 @@
 //!   mutex the parker is registered with the condvar and the notify reaches
 //!   it (the condvar elides notifies when nobody is registered, which is why
 //!   the mutex hand-off is needed and not just nice).
+//!
+//! **Lock order.** A reader that found `QUEUED` takes the mutex while it
+//! holds its shared latch. That cannot deadlock because no mutex holder
+//! ever waits for readers with the mutex held: an exclusive acquirer polls
+//! for them a bounded while and then parks through the condvar, which
+//! releases the mutex ([`Gate::wait_exclusive`]).
 //!
 //! Every notify is a `notify_all` and every woken thread re-evaluates from
 //! scratch, re-setting `PARKED` if it parks again. An exclusive acquirer
@@ -154,8 +171,9 @@ const WRITE: u64 = 1 << 48;
 const REBALANCE: u64 = 1 << 49;
 const INVALIDATED: u64 = 1 << 50;
 const PARKED: u64 = 1 << 51;
+const QUEUED: u64 = 1 << 52;
 const EXCLUSIVE: u64 = WRITE | REBALANCE;
-/// Anything that keeps a reader from joining.
+/// Anything that keeps a reader from joining (`QUEUED` does not).
 const BLOCKS_READERS: u64 = EXCLUSIVE | WAITERS | INVALIDATED;
 /// How long an exclusive acquirer polls for the readers to leave before it
 /// parks: a few microseconds, the order of one chunk scan.
@@ -246,6 +264,8 @@ impl std::fmt::Debug for Gate {
 pub struct SharedGuard<'a> {
     gate: &'a Gate,
     stats: &'a Stats,
+    /// `QUEUED`, as the admission CAS found it.
+    queued: bool,
 }
 
 impl SharedGuard<'_> {
@@ -269,6 +289,27 @@ impl SharedGuard<'_> {
     /// it first.
     pub fn version(&self) -> ChunkData {
         self.chunk().clone()
+    }
+
+    /// Whether the gate's combining queue held operations when this latch
+    /// was taken (the word's `QUEUED` bit, read from the admission CAS).
+    /// When it did not, the chunk alone answers a point read: an operation
+    /// queued since then was acknowledged after this read's linearization
+    /// point.
+    #[inline]
+    pub(crate) fn queued(&self) -> bool {
+        self.queued
+    }
+
+    /// The last operation the combining queue holds for `key`, if any — the
+    /// value a point read must answer before the chunk's, since the queue
+    /// drains over the chunk with the last operation per key winning. Takes
+    /// the gate's mutex under this shared latch (see *Lock order* in the
+    /// module documentation).
+    #[cold]
+    pub(crate) fn last_queued(&self, key: Key) -> Option<UpdateOp> {
+        let st = self.gate.lock();
+        st.pending.iter().rev().find(|op| op.key() == key).copied()
     }
 }
 
@@ -397,7 +438,7 @@ impl Gate {
                 Ordering::Acquire,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Some(SharedGuard { gate: self, stats }),
+                Ok(_) => return Some(self.shared_guard(stats, w)),
                 Err(now) => w = now,
             }
         }
@@ -422,8 +463,18 @@ impl Gate {
                 .compare_exchange_weak(w, w + 1, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                return Some(SharedGuard { gate: self, stats });
+                return Some(self.shared_guard(stats, w));
             }
+        }
+    }
+
+    /// The guard of a shared acquisition whose CAS replaced `w`.
+    #[inline]
+    fn shared_guard<'a>(&'a self, stats: &'a Stats, w: u64) -> SharedGuard<'a> {
+        SharedGuard {
+            gate: self,
+            stats,
+            queued: w & QUEUED != 0,
         }
     }
 
@@ -466,6 +517,11 @@ impl Gate {
     /// the caller's retry a reader can slip in — readers do not take the
     /// mutex — which costs the acquirer one more round, not its turn: its
     /// next announcement holds later readers back again.)
+    ///
+    /// Lock order: a reader that found `QUEUED` waits for the mutex while it
+    /// holds its shared latch, so nothing here may wait for readers with the
+    /// mutex held beyond the bounded poll: the wait for them is the
+    /// condvar's, which releases the mutex.
     pub fn wait_exclusive(&self, st: &mut MutexGuard<'_, GateState>, stats: &Stats) {
         let _span = pma_common::obs::span(pma_common::obs::Category::GateWait, self.id as u64);
         let announced = self.hot.word.fetch_add(WAITER_ONE, Ordering::AcqRel);
@@ -538,15 +594,17 @@ impl Gate {
     }
 
     /// One exclusive transition of the word: clears `clear | PARKED`, sets
-    /// `set`, and notifies if somebody was parked.
+    /// `set`, sets `QUEUED` exactly when the combining queue is non-empty,
+    /// and notifies if somebody was parked.
     fn transition(&self, st: MutexGuard<'_, GateState>, stats: &Stats, clear: u64, set: u64) {
+        let queued = if st.pending.is_empty() { 0 } else { QUEUED };
         // `Release`: publishes the owner's chunk, fence and queue writes to
         // whoever acquires next.
         let prev = self
             .hot
             .word
             .fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
-                Some(w & !(clear | PARKED) | set)
+                Some(w & !(clear | PARKED | QUEUED) | set | queued)
             })
             .expect("the update closure never declines");
         debug_assert!(
@@ -558,6 +616,33 @@ impl Gate {
             Stats::bump(&stats.gate_wakes);
             self.cond.notify_all();
         }
+    }
+
+    /// Records an append to a delegated combining queue, after the push:
+    /// the appender does not hold the gate, which may be free, read-held or
+    /// owned by the service, so no release is coming from it, and readers
+    /// that join from now on take the queue into account. (Under an
+    /// exclusive owner the bit is stale until that owner's transition
+    /// recomputes it, which is harmless: readers cannot join then.) The
+    /// caller holds the mutex (`st`), so no transition can interleave and
+    /// clear the bit under a non-empty queue — which is also why an append
+    /// that finds the bit set leaves the word alone: a delegated queue can
+    /// take hundreds of thousands of appends behind one resize, and the
+    /// other writers read this line.
+    pub(crate) fn mark_queued(&self, st: &MutexGuard<'_, GateState>) {
+        debug_assert!(!st.pending.is_empty(), "marking an empty queue");
+        // `Relaxed`: the bit only sends a reader to the mutex, which is what
+        // publishes the queue itself.
+        if self.hot.word.load(Ordering::Relaxed) & QUEUED == 0 {
+            self.hot.word.fetch_or(QUEUED, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether the latch is held exclusively (`Write` or `Rebalance`): the
+    /// one state in which a combining queue may be drained.
+    #[inline]
+    pub(crate) fn is_held_exclusively(&self) -> bool {
+        self.hot.word.load(Ordering::Relaxed) & EXCLUSIVE != 0
     }
 
     /// Releases an exclusive acquisition (either mode) and wakes waiters.
@@ -963,6 +1048,60 @@ mod tests {
         });
         assert!(g.is_invalidated());
         assert_eq!(g.mode(), GateMode::Free);
+    }
+
+    /// `QUEUED` as the word holds it.
+    fn queued_bit(gate: &Gate) -> bool {
+        gate.hot.word.load(Ordering::Relaxed) & QUEUED != 0
+    }
+
+    #[test]
+    fn queued_bit_follows_the_queue_of_an_unowned_gate() {
+        let stats = Stats::new();
+        let g = Gate::new(0, 1, 4);
+        assert!(!g.acquire_shared(&stats).unwrap().queued());
+        // A delegated append to a `Free` gate sets it.
+        {
+            let mut st = g.lock();
+            st.delegated = true;
+            st.pending.push_back(UpdateOp::Insert(3, 30));
+            g.mark_queued(&st);
+        }
+        assert_eq!(g.mode(), GateMode::Free);
+        assert!(queued_bit(&g));
+        // A shared acquisition reports it, and the queue answers for its keys.
+        {
+            let guard = g.acquire_shared(&stats).unwrap();
+            assert!(guard.queued());
+            assert_eq!(guard.last_queued(3), Some(UpdateOp::Insert(3, 30)));
+            assert_eq!(guard.last_queued(4), None);
+        }
+        // The exclusive acquisition keeps the bit, and a release that leaves
+        // the queue non-empty keeps it too.
+        hold_exclusive(&g, Exclusive::Rebalance);
+        assert!(queued_bit(&g));
+        g.lock().pending.push_back(UpdateOp::Delete(3));
+        g.release_exclusive(g.lock(), &stats);
+        assert!(queued_bit(&g));
+        {
+            let guard = g.acquire_shared(&stats).unwrap();
+            assert!(guard.queued());
+            assert_eq!(guard.last_queued(3), Some(UpdateOp::Delete(3)));
+        }
+        // The release that drains the queue clears it.
+        hold_exclusive(&g, Exclusive::Write);
+        let mut st = g.lock();
+        st.pending.clear();
+        st.delegated = false;
+        g.release_exclusive(st, &stats);
+        assert!(!queued_bit(&g));
+        assert!(!g.acquire_shared(&stats).unwrap().queued());
+        // A hand-over computes it as well: set under a non-empty queue.
+        hold_exclusive(&g, Exclusive::Write);
+        g.lock().pending.push_back(UpdateOp::Insert(5, 50));
+        g.hand_over(g.lock(), &stats);
+        assert!(queued_bit(&g));
+        assert_eq!(g.mode(), GateMode::Rebalance);
     }
 
     #[test]

@@ -208,13 +208,25 @@ impl ConcurrentPma {
 
     /// Removes `key`. Returns the removed value when the removal was executed
     /// synchronously; returns `None` when the key was absent *or* when the
-    /// operation was delegated to another writer's combining queue.
+    /// operation was delegated to another writer's combining queue. A caller
+    /// that needs the previous value under an asynchronous mode reads it
+    /// with [`ConcurrentPma::get`] first: a point read answers queued writes
+    /// too, so for a key no other thread writes, `get` then `remove` is
+    /// exact.
     pub fn remove(&self, key: Key) -> Option<Value> {
         let allow_queue = self.shared.params.update_mode != UpdateMode::Synchronous;
         self.update(UpdateOp::Delete(key), allow_queue)
     }
 
-    /// Looks up `key`.
+    /// Looks up `key`, answering the last acknowledged write of it in every
+    /// update mode: an operation still waiting in its gate's combining
+    /// queue (a delegated batch, `t_delay` not yet elapsed) is read from the
+    /// queue. Only point reads do this; `len`, scans and
+    /// [`ConcurrentPma::frozen`] see queued operations once they settle.
+    ///
+    /// The gate's latch word says whether its queue holds anything
+    /// (`QUEUED`, read from the admission CAS), so a read on a gate with an
+    /// empty queue costs one bit test over the chunk search.
     pub fn get(&self, key: Key) -> Option<Value> {
         self.shared.stats.count_lookup();
         loop {
@@ -222,9 +234,24 @@ impl ConcurrentPma {
             // SAFETY: pinned above.
             let inst = unsafe { self.shared.instance_ref() };
             match self.acquire_read(inst, key) {
+                Some((_, guard)) if guard.queued() => return self.get_queued(&guard, key),
                 Some((_, guard)) => return guard.chunk().get(key),
                 None => Stats::bump(&self.shared.stats.resize_restarts),
             }
+        }
+    }
+
+    /// [`ConcurrentPma::get`] on a gate whose combining queue held
+    /// operations at admission: the last queued operation for `key` answers
+    /// (the queue drains over the chunk, last operation per key winning),
+    /// and the chunk does when the queue holds none.
+    #[cold]
+    fn get_queued(&self, guard: &SharedGuard<'_>, key: Key) -> Option<Value> {
+        Stats::bump(&self.shared.stats.queued_reads);
+        match guard.last_queued(key) {
+            Some(UpdateOp::Insert(_, value)) => Some(value),
+            Some(UpdateOp::Delete(_)) => None,
+            None => guard.chunk().get(key),
         }
     }
 
@@ -250,9 +277,10 @@ impl ConcurrentPma {
     /// ([`gate::Gate::chunk_mut_cow`], counted in the `cow_copies` counter), so
     /// every read against the returned [`FrozenSnapshot`] keeps returning the
     /// state as of the freeze — across concurrent updates, rebalances and
-    /// resizes. Like every read, the snapshot sees the *settled* state:
-    /// operations still travelling through combining queues are invisible to
-    /// it (call [`ConcurrentPma::flush`] first for an exact cut).
+    /// resizes. Like scans (and unlike a point [`ConcurrentPma::get`]), the
+    /// snapshot sees the *settled* state: operations still travelling
+    /// through combining queues are invisible to it (call
+    /// [`ConcurrentPma::flush`] first for an exact cut).
     ///
     /// Capture takes the gates one at a time and validates afterwards that
     /// the recorded fences still tile the key space — a concurrent
@@ -707,8 +735,10 @@ impl ConcurrentPma {
                 // This is the right gate (or the edge of the array).
                 if allow_queue && st.delegated && !st.queue_closed {
                     // The combining queue was handed to the rebalancer; keep
-                    // appending to it (paper section 3.5).
+                    // appending to it (paper section 3.5). Nobody releases
+                    // the gate for this append, so it tells readers itself.
                     st.pending.push_back(op);
+                    gate.mark_queued(&st);
                     return WriteAcquire::Queued;
                 }
                 match gate.mode() {
@@ -886,6 +916,7 @@ impl ConcurrentPma {
         loop {
             let op = {
                 let mut st = gate.lock();
+                debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
                 match st.pending.pop_front() {
                     Some(op) => op,
                     None => {
@@ -935,6 +966,7 @@ impl ConcurrentPma {
                     gate.release_exclusive(st, &self.shared.stats);
                     return;
                 }
+                debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
                 st.pending.drain(..).collect()
             };
             // The deletions-first processing below would reorder same-key

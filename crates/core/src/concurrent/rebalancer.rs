@@ -321,6 +321,7 @@ impl Master {
         let gate = &inst.gates[gate_id];
         let ops = {
             let mut st = gate.lock();
+            debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
             st.delegated = false;
             st.pending.drain(..).collect::<Vec<_>>()
         };
@@ -492,6 +493,7 @@ impl Master {
             if st.pending.is_empty() {
                 continue;
             }
+            debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
             let (lo, hi) = fences[g - g_lo];
             let mut kept = std::collections::VecDeque::with_capacity(st.pending.len());
             for op in st.pending.drain(..) {
@@ -725,6 +727,7 @@ impl Master {
             let before = pending_ops.len();
             for gate in inst.gates.iter() {
                 let mut st = gate.lock();
+                debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
                 st.queue_closed = true;
                 st.delegated = false;
                 pending_ops.extend(st.pending.drain(..));
@@ -820,6 +823,7 @@ impl Master {
         let gate = &inst.gates[gate_id];
         let ops = {
             let mut st = gate.lock();
+            debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
             st.delegated = false;
             st.pending.drain(..).collect::<Vec<_>>()
         };

@@ -77,6 +77,9 @@ pub struct Stats {
     /// Times a gate release found a parked thread and notified. Zero, like
     /// `gate_parks`, on a quiescent read path.
     pub gate_wakes: AtomicU64,
+    /// Point lookups that found their gate's combining queue non-empty
+    /// (the latch word's `QUEUED` bit) and searched it before the chunk.
+    pub queued_reads: AtomicU64,
 }
 
 impl Stats {
@@ -199,6 +202,7 @@ impl MetricSource for Stats {
             ("cow_copies", &self.cow_copies),
             ("gate_parks", &self.gate_parks),
             ("gate_wakes", &self.gate_wakes),
+            ("queued_reads", &self.queued_reads),
         ] {
             out.counter(name, load(counter));
         }
@@ -231,7 +235,7 @@ mod tests {
         assert_eq!(snap.counter("resizes"), Some(1));
         assert_eq!(snap.counter("deletes"), Some(0));
         assert_eq!(snap.counter("bulk_loaded_keys"), Some(0));
-        assert_eq!(snap.metrics.len(), 18, "one name per counter: {snap:?}");
+        assert_eq!(snap.metrics.len(), 19, "one name per counter: {snap:?}");
         assert_eq!(s.len(), 2, "upserts counted as insertions add no element");
     }
 

@@ -34,7 +34,8 @@
 //!   (up to [`DRAIN_RUN`] ops per pass; an empty poll reads one stamp and
 //!   writes nothing), applying each op in ring order as it goes: a point
 //!   insert through the inner map's `insert`, a shipped run through its
-//!   `insert_batch`, a `get`/`remove` against the overlay and the inner.
+//!   `insert_batch`, a `get` through its `get`, a `remove` through its `get`
+//!   and then its `remove`.
 //!   Nothing is held back for a later op, so ship order is apply order.
 //!   (A worker is the only writer of its shards, so there is no contention
 //!   to combine away, and the inserts between two sync ops are a few: as
@@ -54,16 +55,17 @@
 //!   `head` and its counters.
 //!
 //! **Visibility**: shipped `get`/`remove` give genuine read-your-writes.
-//! FIFO application alone is not enough — a batch-mode inner may *queue* a
-//! write it was given (a point write that meets a service rebalance or a
-//! delegated gate, a run handed over to the rebalancer): acknowledged,
-//! ordered, but not yet in any chunk. So the worker keeps a read overlay of
-//! every write it has acknowledged since the inner last settled and answers
-//! sync ops from it before falling through to the inner (sound because a
-//! worker is the sole writer for its key range; the overlay is
-//! settled-and-cleared past a fixed threshold). Aggregate reads (`len`,
-//! scans) bypass the queues and keep the inner batch structures' deferred
-//! model;
+//! FIFO application gives the order; the inner's point read gives the
+//! rest. A batch-mode inner may *queue* a write it was given (a point write
+//! that meets a service rebalance or a delegated gate, a run handed over to
+//! the rebalancer): acknowledged, ordered, but not yet in any chunk — and
+//! its `get` answers from that queue ([`ConcurrentMap::get`] answers the
+//! last acknowledged write for every registered backend). So a `get`
+//! shipped after a write reads it, and a `remove` reads the previous value
+//! with `get` before it removes: exact, because a worker is the sole writer
+//! of its key range, although the inner's own `remove` reports `None` for a
+//! removal it queued. Aggregate reads (`len`, scans) bypass the queues and
+//! keep the inner batch structures' deferred model;
 //! [`ConcurrentMap::flush`] ships a barrier to every worker and then
 //! flushes the inner map, after which everything acknowledged is applied —
 //! exactly the promise the workload drivers rely on.
@@ -78,11 +80,10 @@
 //! any other op (a worker always drains, so they get their slot); while one
 //! is queued it occupies one of the `queue_depth` slots.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use pma_common::obs::{Fold, MetricSource, Observe};
@@ -103,11 +104,6 @@ const MAX_WORKERS: usize = 256;
 
 /// Hard cap on `queue_depth`: a ring is allocated up front (32 B a slot).
 const MAX_QUEUE_DEPTH: usize = 1 << 20;
-
-/// Overlay size at which a worker settles the inner structure and clears
-/// its read overlay. Bounds the overlay's memory (~a few MB per worker)
-/// while amortising the settle to one `flush` per this many writes.
-const OVERLAY_SETTLE: usize = 1 << 16;
 
 /// What a producer experiences when the owning worker's bounded ingress
 /// queue is full.
@@ -272,13 +268,13 @@ enum ShippedOp {
     /// Fire-and-forget upsert (§3.5 batch mode: acknowledged at enqueue),
     /// applied through the inner's point `insert` as it is drained.
     Insert(Key, Value),
-    /// Sync removal: the worker replies with the previous value (resolved
-    /// against its read overlay, so it is exact even when the inner
-    /// structure would have delegated the delete).
+    /// Sync removal: the worker replies with the previous value, read with
+    /// the inner's `get` before its `remove` (so it is exact even when the
+    /// inner structure queues the delete and its `remove` says `None`).
     Remove(Key, &'static ReplyCell),
-    /// Sync lookup: FIFO behind earlier same-worker inserts and answered
-    /// overlay-first, so it reads its own worker's writes even while the
-    /// inner structure still holds them parked in a combining queue.
+    /// Sync lookup: FIFO behind earlier same-worker inserts, so it reads
+    /// its own worker's writes — through the inner's `get`, which answers
+    /// them even while they are parked in a combining queue.
     Get(Key, &'static ReplyCell),
     /// A whole per-worker batch run, applied through the inner's
     /// `insert_batch` as it is drained. Boxed so a ring slot stays at 32
@@ -391,8 +387,6 @@ struct WorkerCounters {
     drained_batches: AtomicU64,
     coalesced_inserts: AtomicU64,
     worker_parks: AtomicU64,
-    overlay_settles: AtomicU64,
-    overlay_settle_ns: AtomicU64,
 }
 
 /// Adds `by` to a counter that only the calling thread writes.
@@ -431,10 +425,6 @@ pub struct CoreRouterStats {
     /// Wake-ups sent to parked threads. Parks growing with wakes flat is
     /// the stuck signature.
     pub wakes_sent: u64,
-    /// Times a worker settled the inner structure to clear its overlay.
-    pub overlay_settles: u64,
-    /// Total time those settles blocked their workers' rings.
-    pub overlay_settle_ns: u64,
 }
 
 impl MetricSource for CoreRouterStats {
@@ -450,8 +440,6 @@ impl MetricSource for CoreRouterStats {
         out.counter("reply_parks", self.reply_parks);
         out.counter("producer_parks", self.producer_parks);
         out.counter("wakes_sent", self.wakes_sent);
-        out.counter("overlay_settles", self.overlay_settles);
-        out.counter("overlay_settle_ns", self.overlay_settle_ns);
     }
 }
 
@@ -484,8 +472,6 @@ impl Shared {
             stats.drained_batches += load(&worker.drained_batches);
             stats.coalesced_inserts += load(&worker.coalesced_inserts);
             stats.worker_parks += load(&worker.worker_parks);
-            stats.overlay_settles += load(&worker.overlay_settles);
-            stats.overlay_settle_ns += load(&worker.overlay_settle_ns);
         }
         stats
     }
@@ -754,8 +740,8 @@ impl std::fmt::Debug for CoreRouter {
 
 /// The worker service loop: drain the ingress queue in runs, apply each op
 /// in ring order (a point insert through the inner's `insert`, a shipped run
-/// through its `insert_batch`), answer sync ops as they come, exit on
-/// `Stop`.
+/// through its `insert_batch`), answer sync ops from the inner's `get` as
+/// they come, exit on `Stop`.
 fn worker_loop(
     worker: usize,
     pin: bool,
@@ -770,13 +756,6 @@ fn worker_loop(
     let mine = &shared.workers[worker];
     let mut ring = queue.ring.consumer();
     let mut batch: Vec<ShippedOp> = Vec::with_capacity(DRAIN_RUN);
-    // Writes acknowledged since the inner last settled (`None` = removed).
-    // A batch-mode inner may queue an applied write — a point write behind
-    // a service rebalance or a delegated gate, a run handed over to the
-    // rebalancer — ordered but not yet chunk-visible, so sync ops answer
-    // overlay-first; the worker is the sole writer for its key range, which
-    // makes the overlay authoritative for every key it holds.
-    let mut overlay: HashMap<Key, Option<Value>> = HashMap::new();
     loop {
         queue.pop_run(&mut ring, &mut batch, shared.poll, &mine.worker_parks);
         let mut span = obs::span(obs::Category::IngressDrain, worker as u64);
@@ -787,35 +766,27 @@ fn worker_loop(
             match op {
                 ShippedOp::Insert(key, value) => {
                     bump(&mine.shipped_ops, 1);
-                    overlay.insert(key, Some(value));
                     inner.insert(key, value);
                 }
                 ShippedOp::Run(run) => {
                     bump(&mine.shipped_runs, 1);
                     let ShippedRun { items, reply } = *run;
-                    for &(key, value) in &items {
-                        overlay.insert(key, Some(value));
-                    }
                     bump(&mine.coalesced_inserts, items.len() as u64);
                     inner.insert_batch(&items);
                     reply.done(shared);
                 }
                 ShippedOp::Remove(key, reply) => {
                     bump(&mine.shipped_ops, 1);
-                    let prev = match overlay.insert(key, None) {
-                        Some(state) => state,
-                        None => inner.get(key),
-                    };
+                    // A queued removal returns `None` from the inner's
+                    // `remove`; its `get` reads the previous value, queued
+                    // writes included, and nobody else writes this key.
+                    let prev = inner.get(key);
                     inner.remove(key);
                     reply.complete(prev, shared);
                 }
                 ShippedOp::Get(key, reply) => {
                     bump(&mine.shipped_ops, 1);
-                    let result = match overlay.get(&key) {
-                        Some(&state) => state,
-                        None => inner.get(key),
-                    };
-                    reply.complete(result, shared);
+                    reply.complete(inner.get(key), shared);
                 }
                 ShippedOp::Barrier(reply) => reply.done(shared),
                 ShippedOp::Stop => {
@@ -841,17 +812,6 @@ fn worker_loop(
             .notify_if(wakes, || ring.len() < ring.capacity());
         if stop {
             return;
-        }
-        // Keep the overlay bounded: settle the inner (its queues drain, so
-        // chunk state becomes authoritative again) and start a fresh one.
-        // The ring is not served meanwhile; the two counters say how often
-        // and for how long.
-        if overlay.len() >= OVERLAY_SETTLE {
-            let started = Instant::now();
-            inner.flush();
-            overlay.clear();
-            bump(&mine.overlay_settles, 1);
-            bump(&mine.overlay_settle_ns, started.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -1189,6 +1149,81 @@ mod tests {
         assert_eq!((stats.shipped_runs, stats.coalesced_inserts), (1, 3));
     }
 
+    /// A shipped `remove` answers the last write shipped before it even
+    /// when the inner PMA holds that write in a combining queue. Two side
+    /// threads write interleaved keys straight into the batch-mode inner —
+    /// each fills its share and empties it again, so the array keeps growing
+    /// and shrinking — which lands the worker's writes in their combining
+    /// queues and in queues delegated behind rebalances. The worker runs
+    /// until the inner has queued writes and read a queue back.
+    #[test]
+    fn a_shipped_remove_answers_a_write_the_inner_queued() {
+        use pma_core::{ConcurrentPma, PmaParams, UpdateMode};
+        const SHARE: i64 = 4_096;
+        const MAX_ROUNDS: i64 = 1 << 20;
+        let params = PmaParams {
+            update_mode: UpdateMode::Batch {
+                t_delay: Duration::from_millis(1),
+            },
+            ..PmaParams::small()
+        };
+        let pma = Arc::new(ConcurrentPma::new(params).expect("params"));
+        let map = router_over(
+            Arc::clone(&pma) as Arc<dyn ConcurrentMap>,
+            64,
+            OverloadPolicy::Block,
+            POLL_BUDGET,
+        );
+        let counter = |name| pma_common::metrics_of(pma.as_ref()).counter(name).unwrap();
+        let done = AtomicBool::new(false);
+        let rounds = std::thread::scope(|scope| {
+            for side in 0..2i64 {
+                let (pma, done) = (&pma, &done);
+                scope.spawn(move || {
+                    // Odd keys, interleaved with the router's even ones.
+                    let key = |i: i64| (i % SHARE * 2 + side) * 2 + 1;
+                    for i in (0..).take_while(|_| !done.load(Ordering::Relaxed)) {
+                        if i / SHARE % 2 == 0 {
+                            pma.insert(key(i), i);
+                        } else {
+                            pma.remove(key(i));
+                        }
+                    }
+                });
+            }
+            let mut round = 0i64;
+            while round < MAX_ROUNDS
+                && (round % 1_024 != 0
+                    || counter("combined_ops") == 0
+                    || counter("queued_reads") == 0)
+            {
+                let key = round % (4 * SHARE) * 2;
+                map.insert(key, round);
+                map.insert(key, -round);
+                assert_eq!(map.remove(key), Some(-round), "key {key}, round {round}");
+                assert_eq!(map.get(key), None, "key {key}, round {round}");
+                round += 1;
+            }
+            done.store(true, Ordering::Relaxed);
+            round
+        });
+        map.flush();
+        assert!(
+            counter("combined_ops") > 0,
+            "no write queued in {rounds} rounds"
+        );
+        assert!(
+            counter("queued_reads") > 0,
+            "no read found a queue in {rounds} rounds"
+        );
+        assert_eq!(counter("late_replays"), 0);
+        let mut even = 0;
+        map.range(Key::MIN, Key::MAX, &mut |key, _| {
+            even += (key % 2 == 0) as usize
+        });
+        assert_eq!(even, 0, "a shipped remove was lost");
+    }
+
     #[test]
     fn batch_runs_fan_out_across_workers() {
         let map = router(4, 256, OverloadPolicy::Block);
@@ -1272,8 +1307,6 @@ mod tests {
             "reply_parks",
             "producer_parks",
             "wakes_sent",
-            "overlay_settles",
-            "overlay_settle_ns",
         ] {
             assert!(rendered.contains(metric), "missing {metric}: {rendered}");
         }

@@ -19,11 +19,17 @@
 //! removes keys inserted by a *different* thread so the same keys flow
 //! through two threads without ever being operated on concurrently.
 //!
+//! Read-your-writes: under both asynchronous modes a writer whose operation
+//! was appended to a delegated combining queue returns before the operation
+//! reaches a chunk; its next point read must answer it anyway (the gate's
+//! `QUEUED` bit sends the read to the queue).
+//!
 //! Iteration counts scale with the build profile and are overridable:
 //! `LINEARIZABILITY_ITERS` sets the per-test iteration count and
 //! `LINEARIZABILITY_SEED` perturbs the key layout (the CI release job runs a
 //! seeded matrix of these).
 
+use std::collections::BTreeMap;
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -312,4 +318,63 @@ fn owned_applies_counter_moves_under_contention() {
         total_owned > 0,
         "queue-heavy contention must resolve ops through owned-window applies"
     );
+}
+
+/// Read-your-writes through the combining queues: 4 threads on disjoint
+/// keys, each doing insert → get → remove → get → insert → get per key, and
+/// every `get` must answer the thread's own last write — in batch mode and
+/// in one-by-one mode, where a write that meets a delegated gate or a
+/// service rebalance is acknowledged from the queue. The run must really
+/// have queued writes (`combined_ops`) and read them back from a queue
+/// (`queued_reads`); afterwards the settled contents equal the model.
+#[test]
+fn queued_writes_are_read_by_their_writers() {
+    const THREADS: i64 = 4;
+    const KEYS_PER_THREAD: i64 = 400;
+    let seed = seed();
+    let key = |t: i64, j: i64| (j * THREADS + t) * 7 + seed;
+    let model: BTreeMap<i64, i64> = (0..THREADS)
+        .flat_map(|t| (0..KEYS_PER_THREAD).map(move |j| (key(t, j), -key(t, j))))
+        .collect();
+    let one_by_one = PmaParams {
+        update_mode: UpdateMode::OneByOne,
+        ..PmaParams::small()
+    };
+    for params in [batch_params(), one_by_one] {
+        let mode = params.update_mode;
+        let (mut combined, mut queued_reads) = (0, 0);
+        for iteration in 0..iters() {
+            let pma = ConcurrentPma::new(params.clone()).unwrap();
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let pma = &pma;
+                    scope.spawn(move || {
+                        for j in 0..KEYS_PER_THREAD {
+                            let k = key(t, j);
+                            let at = format!("key {k}, {mode:?}, iteration {iteration}");
+                            pma.insert(k, k);
+                            assert_eq!(pma.get(k), Some(k), "insert unread: {at}");
+                            pma.remove(k);
+                            assert_eq!(pma.get(k), None, "remove unread: {at}");
+                            pma.insert(k, -k);
+                            assert_eq!(pma.get(k), Some(-k), "reinsert unread: {at}");
+                        }
+                    });
+                }
+            });
+            pma.flush();
+            let stats = metrics_of(&pma);
+            assert_eq!(stats.counter("late_replays"), Some(0), "{mode:?}");
+            combined += stats.counter("combined_ops").unwrap();
+            queued_reads += stats.counter("queued_reads").unwrap();
+            assert_eq!(pma.len(), model.len(), "{mode:?}, iteration {iteration}");
+            assert_eq!(
+                pma.collect_range(i64::MIN, i64::MAX),
+                model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
+                "{mode:?}, iteration {iteration}"
+            );
+        }
+        assert!(combined > 0, "{mode:?}: no write was ever queued");
+        assert!(queued_reads > 0, "{mode:?}: no read searched a queue");
+    }
 }
