@@ -2,8 +2,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Returns the smallest power of two greater than or equal to `n` (minimum 1).
 #[inline]
@@ -193,6 +194,91 @@ impl StripedCounter {
     }
 }
 
+/// Folds every entry of `plan` into an `A` with `f`: the workspace's one
+/// fan-out (the sharded engine's bulk load, whole-shard scans and large
+/// batches; the PMA's resize stretches). The plan is cut into contiguous
+/// stretches, at most `threads` of them; every stretch but the last folds
+/// on a scoped thread, the last on the caller — so a single stretch spawns
+/// nothing and allocates nothing — and the stretches' folds are combined
+/// with `merge` in plan order. A stretch whose thread cannot be spawned
+/// folds on the caller instead. After the first error no further entry is
+/// started, the first error in plan order is returned and whatever was
+/// folded is dropped.
+pub fn side_by_side<P: Sync, A: Default + Send, E: Send>(
+    plan: &[P],
+    threads: usize,
+    f: impl Fn(&mut A, &P) -> Result<(), E> + Sync,
+    merge: impl Fn(&mut A, A),
+) -> Result<A, E> {
+    let failed = AtomicBool::new(false);
+    let run = |stretch: &[P]| {
+        let mut acc = A::default();
+        for entry in stretch {
+            if failed.load(Ordering::Relaxed) {
+                break;
+            }
+            f(&mut acc, entry).inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
+        }
+        Ok(acc)
+    };
+    let mut stretches = plan.chunks(plan.len().div_ceil(threads.max(1)).max(1));
+    let Some(last) = stretches.next_back() else {
+        return Ok(A::default());
+    };
+    if stretches.len() == 0 {
+        return run(last);
+    }
+    std::thread::scope(|scope| {
+        // A refused spawn folds its stretch right here, in plan order.
+        let started: Vec<_> = stretches
+            .map(|s| spawn_scoped(scope, move || run(s)).map_err(|_| run(s)))
+            .collect();
+        let mine = run(last);
+        let mut all = A::default();
+        let mut first_error = None;
+        let joined = started.into_iter().map(|started| match started {
+            Ok(handle) => handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(folded) => folded,
+        });
+        for result in joined.chain([mine]) {
+            match result {
+                Ok(part) => merge(&mut all, part),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        first_error.map_or(Ok(all), Err)
+    })
+}
+
+/// Spawns one stretch of [`side_by_side`]. Under test, the calling thread
+/// can have its next spawns refused (`REFUSED_SPAWNS`).
+fn spawn_scoped<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::io::Result<ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if tests::REFUSED_SPAWNS.with(|n| n.replace(n.get().saturating_sub(1))) > 0 {
+        return Err(std::io::Error::other("spawn refused"));
+    }
+    std::thread::Builder::new().spawn_scoped(scope, f)
+}
+
+/// Threads a fan-out may use: one per core, at most 8. Resolved once per
+/// process — `available_parallelism` is a syscall plus cgroup reads.
+pub fn fanout_parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+            .min(8)
+    })
+}
+
 impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -209,6 +295,7 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     /// Serialises the tests that hold thread indices, so the smallest free
     /// index is theirs to predict (every test runs on a thread of its own,
@@ -333,6 +420,109 @@ mod tests {
         });
         // The pool survived the refusal, and the exits made room again.
         assert!(pool.claim() < LIMIT);
+    }
+
+    thread_local! {
+        /// Spawns [`spawn_scoped`] refuses next on this thread.
+        pub(super) static REFUSED_SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn side_by_side_keeps_plan_order_and_runs_the_last_stretch_on_the_caller() {
+        use std::thread::current;
+        for threads in 1..=3usize {
+            for n in [0, 1, threads, threads + 1, 3 * threads] {
+                let plan: Vec<usize> = (0..n).collect();
+                let record = |out: &mut Vec<_>, &i: &usize| {
+                    out.push((i, current().id()));
+                    Ok::<_, Infallible>(())
+                };
+                let Ok(out) = side_by_side(&plan, threads, record, Extend::extend);
+                let what = format!("{n} entries on {threads} threads");
+                assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), plan, "{what}");
+                // Contiguous stretches, each on its own thread, the last on
+                // the caller's: a single stretch spawns nothing.
+                let stretches: Vec<_> = out.chunks(n.div_ceil(threads).max(1)).collect();
+                let ids: Vec<_> = stretches.iter().map(|s| s[0].1).collect();
+                let distinct = ids.iter().enumerate().all(|(i, id)| !ids[..i].contains(id));
+                assert!(ids.len() <= threads && distinct, "{what}");
+                assert!(
+                    stretches.iter().all(|s| s.iter().all(|o| o.1 == s[0].1)),
+                    "{what}"
+                );
+                assert!(n == 0 || ids[ids.len() - 1] == current().id(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn side_by_side_starts_nothing_after_the_first_error() {
+        // One stretch: the entries behind the failing one never start.
+        let started = AtomicU64::new(0);
+        let plan: Vec<usize> = (0..10).collect();
+        let fail_at_4 = |_: &mut (), &i: &usize| {
+            started.fetch_add(1, Ordering::Relaxed);
+            (i != 4).then_some(()).ok_or(i)
+        };
+        let result = side_by_side(&plan, 1, fail_at_4, |_, _| {});
+        assert_eq!(result, Err(4));
+        assert_eq!(started.load(Ordering::Relaxed), 5);
+
+        // Two stretches: the spawned one fails on its first entry once the
+        // caller has started its own first (had it failed sooner, the
+        // caller would start nothing), and the caller's first waits until
+        // that thread has exited — its thread-local's destructor runs after
+        // the failure was recorded — so the caller starts no other.
+        static CALLER_STARTED: AtomicBool = AtomicBool::new(false);
+        static EXITED: AtomicBool = AtomicBool::new(false);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.store(true, Ordering::Release);
+            }
+        }
+        thread_local!(static ON_EXIT: OnExit = const { OnExit });
+        let started = AtomicU64::new(0);
+        let plan: Vec<usize> = (0..100).collect();
+        let fail_first = |_: &mut (), &i: &usize| {
+            started.fetch_add(1, Ordering::Relaxed);
+            if i == 0 {
+                while !CALLER_STARTED.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                ON_EXIT.with(|_| {});
+                return Err(i);
+            }
+            if i == 50 {
+                CALLER_STARTED.store(true, Ordering::Release);
+                while !EXITED.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            Ok(())
+        };
+        let result = side_by_side(&plan, 2, fail_first, |_, _| {});
+        assert_eq!(result, Err(0));
+        assert_eq!(started.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn side_by_side_folds_a_refused_stretch_on_the_caller() {
+        use std::thread::current;
+        let plan: Vec<usize> = (0..12).collect();
+        let record = |out: &mut Vec<_>, &i: &usize| {
+            out.push((i, current().id()));
+            Ok::<_, Infallible>(())
+        };
+        for refused in 0..=3 {
+            REFUSED_SPAWNS.with(|n| n.set(refused));
+            let Ok(out) = side_by_side(&plan, 4, record, Extend::extend);
+            assert_eq!(REFUSED_SPAWNS.with(|n| n.get()), 0);
+            assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), plan);
+            // The first `refused` stretches and the last ran on the caller.
+            let on_caller = out.iter().filter(|o| o.1 == current().id()).count();
+            assert_eq!(on_caller, 3 * (refused + 1), "{refused} spawns refused");
+        }
     }
 
     #[test]

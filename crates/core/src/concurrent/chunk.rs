@@ -1170,6 +1170,13 @@ impl ChunkData {
         self.slab = wide.slab;
     }
 
+    /// The slab's words — geometry, base, minima, counts, keys, values — for
+    /// tests that compare two builds bit for bit.
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> &[i64] {
+        &self.slab
+    }
+
     /// Where the slab's allocation starts (the reference counts; the words
     /// follow), as a number: what the static index keeps as this chunk's
     /// prefetch hint. Not a pointer — nothing may be read through it.

@@ -7,8 +7,10 @@
 //! brand-new instance, publishes it atomically and retires the old one
 //! through the epoch-based garbage collector.
 
-use std::ops::RangeInclusive;
+use std::convert::Infallible;
+use std::ops::{Range, RangeInclusive};
 
+use pma_common::util::side_by_side;
 use pma_common::{Key, Value, KEY_MAX, KEY_MIN};
 
 use crate::calibrator::{even_targets, CalibratorTree};
@@ -57,30 +59,75 @@ impl PmaInstance {
         num_gates: usize,
         params: &PmaParams,
     ) -> Self {
+        let targets = Self::targets(len, num_gates, params);
+        let (spg, seg_cap) = (params.segments_per_gate, params.segment_capacity);
+        let chunks = targets
+            .chunks(spg)
+            .map(|gate_targets| ChunkData::from_stream(spg, seg_cap, gate_targets, &mut stream))
+            .collect();
+        assert!(stream.next().is_none(), "stream longer than `len`");
+        Self::from_chunks(chunks, params)
+    }
+
+    /// Builds the instance [`PmaInstance::from_sorted`] builds from the same
+    /// `len` elements, cut into (at most) `stretches` contiguous runs of
+    /// whole gates that are built side by side
+    /// ([`pma_common::util::side_by_side`]). `runs_at(r)` hands out the
+    /// elements in key order from rank `r` on; a stretch starts at the rank
+    /// the even targets of the gates before it add up to, so the layout —
+    /// targets, narrow bases, fences, index — is the one a single stretch
+    /// lays out.
+    ///
+    /// # Panics
+    /// As [`PmaInstance::from_sorted`], except that elements past `len` go
+    /// unread.
+    pub(crate) fn from_stretches<R: SortedRuns>(
+        len: usize,
+        num_gates: usize,
+        params: &PmaParams,
+        stretches: usize,
+        runs_at: impl Fn(usize) -> R + Sync,
+    ) -> Self {
+        let targets = Self::targets(len, num_gates, params);
+        let spg = params.segments_per_gate;
+        let per_stretch = num_gates.div_ceil(stretches.max(1));
+        let mut plan = Vec::new();
+        let mut rank = 0;
+        for lo in (0..num_gates).step_by(per_stretch) {
+            let segments = lo * spg..(lo + per_stretch).min(num_gates) * spg;
+            plan.push((rank, segments.clone()));
+            rank += targets[segments].iter().sum::<usize>();
+        }
+        let build = |chunks: &mut Vec<ChunkData>, (rank, segments): &(usize, Range<usize>)| {
+            let runs = &mut runs_at(*rank);
+            chunks.extend(build_chunks(&targets[segments.clone()], params, runs));
+            Ok::<_, Infallible>(())
+        };
+        let Ok(chunks) = side_by_side(&plan, plan.len(), build, Extend::extend);
+        Self::from_chunks(chunks, params)
+    }
+
+    /// The per-segment element counts of `len` elements spread evenly over
+    /// `num_gates` gates.
+    fn targets(len: usize, num_gates: usize, params: &PmaParams) -> Vec<usize> {
         assert!(
             num_gates.is_power_of_two(),
             "num_gates must be a power of two"
         );
+        let num_segments = num_gates * params.segments_per_gate;
+        assert!(
+            len <= num_segments * params.segment_capacity,
+            "elements do not fit in the instance"
+        );
+        even_targets(len, num_segments, params.segment_capacity)
+    }
+
+    /// The instance over `chunks`, one per gate in key order: fences, index
+    /// and calibrator follow from them.
+    fn from_chunks(chunks: Vec<ChunkData>, params: &PmaParams) -> Self {
         let segments_per_gate = params.segments_per_gate;
         let segment_capacity = params.segment_capacity;
-        let num_segments = num_gates * segments_per_gate;
-        let capacity = num_segments * segment_capacity;
-        assert!(len <= capacity, "elements do not fit in the instance");
-
-        let targets = even_targets(len, num_segments, segment_capacity);
-
-        // Build each gate's chunk from its slice of the per-segment targets.
-        let mut chunks = Vec::with_capacity(num_gates);
-        for g in 0..num_gates {
-            let t = &targets[g * segments_per_gate..(g + 1) * segments_per_gate];
-            chunks.push(ChunkData::from_stream(
-                segments_per_gate,
-                segment_capacity,
-                t,
-                &mut stream,
-            ));
-        }
-        assert!(stream.next().is_none(), "stream longer than `len`");
+        let num_segments = chunks.len() * segments_per_gate;
         #[cfg(debug_assertions)]
         {
             let mut prev = None;
@@ -191,6 +238,35 @@ impl PmaInstance {
     pub fn first_segment_of_gate(&self, gate: usize) -> usize {
         gate * self.segments_per_gate
     }
+}
+
+/// Sorted elements a build pulls in runs, one chunk's worth at a time.
+pub(crate) trait SortedRuns {
+    /// Appends the next `n` elements to `keys` and `values`; fewer when the
+    /// source runs dry.
+    fn take_into(&mut self, n: usize, keys: &mut Vec<Key>, values: &mut Vec<Value>);
+}
+
+/// Builds one chunk per gate's worth of `targets` (a whole number of
+/// gates), pulling the elements from `runs` in key order through one pair
+/// of reused buffers.
+pub(crate) fn build_chunks(
+    targets: &[usize],
+    params: &PmaParams,
+    runs: &mut impl SortedRuns,
+) -> Vec<ChunkData> {
+    let (spg, seg_cap) = (params.segments_per_gate, params.segment_capacity);
+    let (mut keys, mut values) = (Vec::new(), Vec::new());
+    targets
+        .chunks(spg)
+        .map(|gate_targets| {
+            keys.clear();
+            values.clear();
+            runs.take_into(gate_targets.iter().sum(), &mut keys, &mut values);
+            let elements = &mut keys.iter().copied().zip(values.iter().copied());
+            ChunkData::from_stream(spg, seg_cap, gate_targets, elements)
+        })
+        .collect()
 }
 
 /// Recomputes the fence keys of a run of gates after their elements were

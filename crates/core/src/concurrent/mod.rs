@@ -1003,10 +1003,6 @@ impl ConcurrentPma {
             if inserts.is_empty() {
                 continue;
             }
-            // Stable sort: the queue may contain several upserts of the same
-            // key, and `merge_batch` keeps the last equal-key entry — which
-            // must be the one appended last, not an arbitrary one.
-            inserts.sort_by_key(|&(k, _)| k);
 
             // Second pass: find the smallest window that fits all insertions.
             // If the whole gate fits them, merge locally; otherwise the batch
@@ -1086,20 +1082,25 @@ impl ConcurrentPma {
 
 /// Reduces a FIFO run of queued operations to the last operation per key
 /// (upsert semantics: an earlier same-key operation is superseded by a later
-/// one), preserving the relative order of the surviving entries. Batch drains
-/// apply deletions before insertions, which is only order-safe once every key
-/// occurs at most once.
-pub(crate) fn dedup_last_op_per_key(ops: Vec<UpdateOp>) -> Vec<UpdateOp> {
-    let mut seen: std::collections::HashSet<Key> =
-        std::collections::HashSet::with_capacity(ops.len());
-    let mut kept: Vec<UpdateOp> = Vec::with_capacity(ops.len());
-    for op in ops.into_iter().rev() {
-        if seen.insert(op.key()) {
-            kept.push(op);
+/// one), sorted by key. Batch drains apply deletions before insertions,
+/// which is only order-safe once every key occurs at most once; a resize
+/// reads the result as its overlay.
+pub(crate) fn dedup_last_op_per_key(mut ops: Vec<UpdateOp>) -> Vec<UpdateOp> {
+    last_per_key(&mut ops, UpdateOp::key);
+    ops
+}
+
+/// Sorts `items` by key and keeps each key's last entry: the stable sort
+/// leaves same-key entries in arrival order.
+pub(crate) fn last_per_key<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> Key) {
+    items.sort_by_key(&key);
+    items.dedup_by(|later, kept| {
+        let same = key(later) == key(kept);
+        if same {
+            *kept = *later;
         }
-    }
-    kept.reverse();
-    kept
+        same
+    });
 }
 
 /// Finds the smallest calibrator window *inside* the gate whose density —
@@ -1251,6 +1252,37 @@ mod tests {
             .map(|name| counter(p, name))
             .iter()
             .sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// The sorted last-op-per-key reduction keeps, as a map, what the
+        /// FIFO reduction it replaced kept — the newest operation per key,
+        /// found through a hash set of the keys seen walking backwards — and
+        /// hands it over sorted, one entry per key.
+        #[test]
+        fn the_sorted_reduction_keeps_the_last_op_per_key(
+            writes in proptest::collection::vec((0..24 as Key, 0u64..3, 0..100 as Value), 0..60),
+        ) {
+            let ops: Vec<UpdateOp> = writes
+                .iter()
+                .map(|&(k, kind, v)| match kind {
+                    0 => UpdateOp::Delete(k),
+                    _ => UpdateOp::Insert(k, v),
+                })
+                .collect();
+            let mut seen = std::collections::HashSet::new();
+            let hashed: std::collections::BTreeMap<Key, UpdateOp> = ops
+                .iter()
+                .rev()
+                .filter(|op| seen.insert(op.key()))
+                .map(|&op| (op.key(), op))
+                .collect();
+            let sorted = dedup_last_op_per_key(ops);
+            proptest::prop_assert!(sorted.windows(2).all(|w| w[0].key() < w[1].key()));
+            proptest::prop_assert_eq!(sorted, hashed.into_values().collect::<Vec<_>>());
+        }
     }
 
     fn pma(mode: UpdateMode) -> ConcurrentPma {

@@ -9,9 +9,13 @@
 //! updates fence keys and the static index, and wakes the waiting clients.
 //!
 //! The paper fans the per-gate rebuilds out to a pool of *worker* threads.
-//! That is not modelled: one gate's chunk is ~1024 slots, cheaper to build
-//! than a channel round trip to hand it out, and the widest rebuild — a
-//! resize — runs on the master anyway (`docs/ARCHITECTURE.md`, §3.3 row).
+//! Here the fan-out sits where the work is widest: a resize cuts the new
+//! instance's gates into contiguous stretches and builds them side by side
+//! on scoped threads ([`pma_common::util::side_by_side`]) while the master
+//! owns every gate and both clients are parked; a window rebuild, ~1024
+//! slots a gate, stays on the master (`docs/ARCHITECTURE.md`, §3.3 row).
+//! Both rebuilds stream the owned gates, merged with a sorted overlay of
+//! the writes to fold in, straight into the new chunks (`Fold`).
 //!
 //! The master also owns resizes (section 3.4), the `t_delay` parking of
 //! delegated batches (section 3.5), downsize checks and epoch-based garbage
@@ -24,13 +28,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pma_common::obs;
-use pma_common::{Key, Value};
+use pma_common::util::fanout_parallelism;
+use pma_common::{Key, Value, KEY_MAX, KEY_MIN};
 
 use crate::stats::Stats;
 
 use super::chunk::{self, ChunkData, ChunkInsert};
-use super::gate::{Exclusive, GateMode, UpdateOp};
-use super::instance::{compute_window_fences, PmaInstance};
+use super::gate::{Exclusive, Gate, GateMode, UpdateOp};
+use super::instance::{build_chunks, compute_window_fences, PmaInstance, SortedRuns};
 use super::shared::Shared;
 
 /// Requests accepted by the rebalancer master.
@@ -334,10 +339,11 @@ impl Master {
         }
     }
 
-    /// Reduces an already-deduplicated queue drain of a service-owned gate to
-    /// the work left to do: deletions are applied to the gate's chunk right
-    /// here (the gate is owned, deletions always succeed) and the sorted
-    /// insertions are returned for the caller to merge.
+    /// Reduces a queue drain of a service-owned gate, already reduced to the
+    /// last operation per key in key order, to the work left to do:
+    /// deletions are applied to the gate's chunk right here (the gate is
+    /// owned, deletions always succeed) and the insertions, still sorted,
+    /// are returned for the caller to merge.
     ///
     /// Every operation must lie within the gate's fences — queue appends are
     /// fence-checked, and every fence movement settles the queue in-window
@@ -382,10 +388,6 @@ impl Master {
         if removed > 0 {
             self.shared.stats.removed(removed);
         }
-        // Stable sort so duplicate-key upserts resolve to the entry appended
-        // last (the dedup above already guarantees unique keys, but keep the
-        // ordering contract explicit for `merge_batch`/`merge_sorted`).
-        inserts.sort_by_key(|&(k, _)| k);
         QueueDrain::Inserts(inserts)
     }
 
@@ -593,29 +595,21 @@ impl Master {
         let num_gates = g_hi - g_lo;
         let num_segments = num_gates * spg;
 
-        // The window is merged once — the even targets need its length — and
-        // streamed through the window's gates in order, the way a resize
-        // streams the whole array.
-        let batch = normalise_batch(batch);
-        let mut keys = Vec::with_capacity(cardinality);
-        let mut values = Vec::with_capacity(cardinality);
-        for g in g_lo..g_hi {
-            // SAFETY: gates are service-owned by the caller.
-            unsafe { inst.gates[g].chunk() }.collect_into(&mut keys, &mut values);
-        }
-        let (keys, values) = merge_sorted(keys, values, &batch);
-        // The merge dedupes colliding keys, so the number of *new* keys (for
-        // the element counter) falls out of the length difference.
-        let total = keys.len();
+        // The window's gates merged with the batch (sorted, one entry per
+        // key: the drain's reduction), streamed into the staged chunks the
+        // way a resize streams the whole array.
+        let batch: Vec<UpdateOp> = batch
+            .into_iter()
+            .map(|(k, v)| UpdateOp::Insert(k, v))
+            .collect();
+        // SAFETY: the caller owns every gate of the window until after the
+        // staged chunks are installed, which is after the fold's last read.
+        let fold = unsafe { Fold::new(&inst.gates[g_lo..g_hi], &batch) };
+        let total = fold.len();
         let new_keys = total - cardinality;
         debug_assert!(total <= num_segments * seg_cap);
         let targets = crate::calibrator::even_targets(total, num_segments, seg_cap);
-        let mut stream = keys.iter().copied().zip(values.iter().copied());
-        let staged: Vec<ChunkData> = targets
-            .chunks(spg)
-            .map(|gate_targets| ChunkData::from_stream(spg, seg_cap, gate_targets, &mut stream))
-            .collect();
-        debug_assert!(stream.next().is_none());
+        let staged = build_chunks(&targets, &self.shared.params, &mut fold.stream_at(0));
 
         // Freeze the window's combining queues before any fence moves. While
         // two adjacent gates are mid-update a key can transiently be covered
@@ -696,14 +690,14 @@ impl Master {
             }
         }
 
-        // Collect all elements.
-        let mut keys: Vec<Key> = Vec::new();
-        let mut values: Vec<Value> = Vec::new();
-        for g in 0..inst.num_gates() {
-            // SAFETY: every gate is now service-owned.
-            unsafe { inst.gates[g].chunk() }.collect_into(&mut keys, &mut values);
-        }
-        let old_len = keys.len();
+        // SAFETY: every gate is service-owned (`Rebalance` mode) from here
+        // until the old instance is invalidated, and the stretch scope that
+        // reads these chunks on helper threads joins before publication.
+        let old_len: usize = inst
+            .gates
+            .iter()
+            .map(|gate| unsafe { gate.chunk() }.cardinality())
+            .sum();
 
         if shrink_check {
             debug_assert!(batch.is_empty() && pre_ops.is_empty());
@@ -720,59 +714,56 @@ impl Master {
         // `delegated` cleared) every would-be queueing writer blocks on the
         // gate's condvar instead, so the queues cannot grow behind our back.
         // Everything queued so far is drained and folded into the rebuild,
-        // behind the caller's `pre_ops` (which predate any still-queued
-        // same-key operation).
-        let mut pending_ops: Vec<UpdateOp> = pre_ops;
+        // behind the hand-over batch and the caller's `pre_ops` (which both
+        // predate any still-queued same-key operation).
+        let mut ops: Vec<UpdateOp> = batch
+            .into_iter()
+            .map(|(k, v)| UpdateOp::Insert(k, v))
+            .chain(pre_ops)
+            .collect();
         let folded_from_queues = {
-            let before = pending_ops.len();
+            let before = ops.len();
             for gate in inst.gates.iter() {
                 let mut st = gate.lock();
                 debug_assert!(gate.is_held_exclusively(), "queue drained unowned");
                 st.queue_closed = true;
                 st.delegated = false;
-                pending_ops.extend(st.pending.drain(..));
+                ops.extend(st.pending.drain(..));
             }
-            // `pre_ops` were already accounted for by whichever settle
-            // produced them; only the queue drains are new owned resolutions.
-            (pending_ops.len() - before) as u64
+            // The batch and `pre_ops` were already accounted for by whichever
+            // settle produced them; only the queue drains are new owned
+            // resolutions.
+            (ops.len() - before) as u64
         };
         Stats::add(&self.shared.stats.owned_applies, folded_from_queues);
 
-        // Fold everything into one sorted stream: first the hand-over batch
-        // (it predates every queued operation), then the queued operations
-        // reduced to the last one per key and applied as one upsert-merge
-        // plus one delete-filter pass.
-        let batch = normalise_batch(batch);
-        let (keys, values) = merge_sorted(keys, values, &batch);
-        let ops = super::dedup_last_op_per_key(pending_ops);
-        let mut deletes: Vec<Key> = Vec::new();
-        let mut inserts: Vec<(Key, Value)> = Vec::new();
-        for op in ops {
-            match op {
-                UpdateOp::Delete(k) => deletes.push(k),
-                UpdateOp::Insert(k, v) => inserts.push((k, v)),
-            }
-        }
-        inserts.sort_by_key(|&(k, _)| k);
-        deletes.sort_unstable();
-        let (keys, values) = merge_sorted(keys, values, &inserts);
-        let (final_keys, final_values) = filter_deleted(keys, values, &deletes);
-        let new_len = final_keys.len();
+        // The last write per key, in key order: the overlay the old gates
+        // are streamed through into the new instance.
+        let overlay = super::dedup_last_op_per_key(ops);
+        // SAFETY: as for `old_len` above.
+        let fold = unsafe { Fold::new(&inst.gates, &overlay) };
+        let new_len = fold.len();
 
         // Paper: C' = 2 N / (rho_h + tau_h), rounded up to a power-of-two
         // number of gates — the same capacity-planning rule the bulk-load
         // constructor uses.
         let num_gates = self.shared.params.presized_gates(new_len);
         resize_span.set_payload(num_gates as u64);
+        let stretches = if new_len < FANOUT_MIN_LEN {
+            1
+        } else {
+            fanout_parallelism()
+        };
 
         // Snapshots holding the old instance's chunk versions keep them
         // alive through their own Arc clones, independent of the epoch
         // retirement below.
-        let new_instance = Box::new(PmaInstance::from_sorted(
-            final_keys.iter().copied().zip(final_values.iter().copied()),
+        let new_instance = Box::new(PmaInstance::from_stretches(
             new_len,
             num_gates,
             &self.shared.params,
+            stretches,
+            |rank| fold.stream_at(rank),
         ));
         // Covers publication plus the invalidate/retire epilogue below.
         let _publish_span = obs::span(obs::Category::ResizePublish, num_gates as u64);
@@ -890,79 +881,179 @@ impl Master {
 
 /// Sorts a batch by key and keeps only the last occurrence of each key.
 pub(crate) fn normalise_batch(mut batch: Vec<(Key, Value)>) -> Vec<(Key, Value)> {
-    if batch.is_empty() {
-        return batch;
-    }
-    batch.sort_by_key(|&(k, _)| k);
-    // Keep the *last* entry for every key: iterate backwards.
-    let mut out: Vec<(Key, Value)> = Vec::with_capacity(batch.len());
-    for &(k, v) in batch.iter().rev() {
-        if out.last().map(|&(lk, _)| lk) != Some(k) {
-            out.push((k, v));
-        }
-    }
-    out.reverse();
-    out
+    super::last_per_key(&mut batch, |&(k, _)| k);
+    batch
 }
 
-/// Drops every entry whose key appears in the sorted `deletes` list (the
-/// delete half of the queued operations a resize folds into the rebuild).
-fn filter_deleted(keys: Vec<Key>, values: Vec<Value>, deletes: &[Key]) -> (Vec<Key>, Vec<Value>) {
-    if deletes.is_empty() {
-        return (keys, values);
-    }
-    let mut out_k = Vec::with_capacity(keys.len());
-    let mut out_v = Vec::with_capacity(values.len());
-    let mut d = 0usize;
-    for (k, v) in keys.into_iter().zip(values) {
-        while d < deletes.len() && deletes[d] < k {
-            d += 1;
-        }
-        if d < deletes.len() && deletes[d] == k {
-            continue;
-        }
-        out_k.push(k);
-        out_v.push(v);
-    }
-    (out_k, out_v)
+/// Merged elements below which a resize builds its new instance on the
+/// master alone. A scoped thread costs 34–43 µs to start and join, and its
+/// first allocations come from a cold malloc arena: two stretches lost to
+/// one up to 32 K elements and won from 64 K (`docs/INTERNALS.md`, *Resize
+/// budget*). The serve path's small inner PMAs never spawn.
+const FANOUT_MIN_LEN: usize = 1 << 16;
+
+/// A run of owned gates merged with a sorted overlay — the last write per
+/// key, an insert or upsert replacing a stored key and a delete dropping it
+/// — without materialising the merge: the counts per gate give its length
+/// and the rank each gate starts at, and [`Fold::stream_at`] streams it
+/// from any rank, one gate at a time.
+struct Fold<'a> {
+    chunks: Vec<&'a ChunkData>,
+    overlay: &'a [UpdateOp],
+    /// `ov[g]..ov[g + 1]`: the overlay entries within gate `g`'s fences.
+    ov: Vec<usize>,
+    /// `ranks[g]`: merged elements before gate `g`'s; `ranks[n]` is the
+    /// length.
+    ranks: Vec<usize>,
 }
 
-/// Merges sorted `(keys, values)` with a sorted, deduplicated batch; batch
-/// entries win on key collisions. An empty batch hands the input back.
-fn merge_sorted(
+impl<'a> Fold<'a> {
+    /// Counts the merge of `gates` (contiguous, in key order) with
+    /// `overlay` (sorted, one entry per key, within the gates' fences). A
+    /// gate no overlay entry falls in counts its cardinality; the others
+    /// are merge-counted against their slice of the overlay.
+    ///
+    /// # Safety
+    /// The caller owns every gate of `gates` (`Rebalance` mode) for as long
+    /// as the fold, or any stream of it, is alive.
+    unsafe fn new(gates: &'a [Gate], overlay: &'a [UpdateOp]) -> Self {
+        debug_assert!(overlay.windows(2).all(|w| w[0].key() < w[1].key()));
+        // SAFETY: the caller's contract.
+        let chunks: Vec<&ChunkData> = gates.iter().map(|gate| unsafe { gate.chunk() }).collect();
+        let mut ov: Vec<usize> = gates[1..]
+            .iter()
+            .map(|gate| overlay.partition_point(|op| op.key() < gate.fences().0))
+            .collect();
+        ov.insert(0, 0);
+        ov.push(overlay.len());
+        let mut ranks = Vec::with_capacity(gates.len() + 1);
+        ranks.push(0);
+        for (g, chunk) in chunks.iter().enumerate() {
+            let ops = &overlay[ov[g]..ov[g + 1]];
+            let count = if ops.is_empty() {
+                chunk.cardinality()
+            } else {
+                merged_count(chunk, ops)
+            };
+            ranks.push(ranks[g] + count);
+        }
+        Self {
+            chunks,
+            overlay,
+            ov,
+            ranks,
+        }
+    }
+
+    /// Elements in the merge.
+    fn len(&self) -> usize {
+        self.ranks[self.chunks.len()]
+    }
+
+    /// The merge in key order from rank `rank` on: starts in the gate that
+    /// holds that rank and skips inside it.
+    fn stream_at(&self, rank: usize) -> Merge<'_> {
+        let n = self.chunks.len();
+        let g = self.ranks[..n].partition_point(|&r| r <= rank) - 1;
+        let mut stream = Merge {
+            fold: self,
+            gate: g,
+            keys: Vec::new(),
+            values: Vec::new(),
+            at: 0,
+            op: self.ov[g],
+            ops_end: 0,
+        };
+        stream.load(g);
+        stream.take_into(rank - self.ranks[g], &mut Vec::new(), &mut Vec::new());
+        stream
+    }
+}
+
+/// The number of elements `chunk` holds once `ops` (sorted, within its
+/// fences) are applied: one linear pass over both.
+fn merged_count(chunk: &ChunkData, ops: &[UpdateOp]) -> usize {
+    let mut count = chunk.cardinality();
+    let mut ops = ops.iter().peekable();
+    chunk.runs(KEY_MIN, KEY_MAX, |keys, _| {
+        for &k in keys {
+            while let Some(op) = ops.next_if(|op| op.key() < k) {
+                count += usize::from(matches!(op, UpdateOp::Insert(..)));
+            }
+            if let Some(op) = ops.next_if(|op| op.key() == k) {
+                count -= usize::from(matches!(op, UpdateOp::Delete(_)));
+            }
+        }
+    });
+    count + ops.filter(|op| matches!(op, UpdateOp::Insert(..))).count()
+}
+
+/// A stream of a [`Fold`]: the current old gate's elements, copied into
+/// one reused gate-sized buffer, merged with that gate's overlay slice. The
+/// stored keys between two overlay entries go out as one run.
+struct Merge<'f> {
+    fold: &'f Fold<'f>,
+    gate: usize,
     keys: Vec<Key>,
     values: Vec<Value>,
-    batch: &[(Key, Value)],
-) -> (Vec<Key>, Vec<Value>) {
-    debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0));
-    if batch.is_empty() {
-        return (keys, values);
+    /// Next stored element of the gate.
+    at: usize,
+    /// Next overlay entry, and the end of the gate's slice.
+    op: usize,
+    ops_end: usize,
+}
+
+impl Merge<'_> {
+    fn load(&mut self, g: usize) {
+        self.gate = g;
+        self.keys.clear();
+        self.values.clear();
+        self.fold.chunks[g].collect_into(&mut self.keys, &mut self.values);
+        self.at = 0;
+        self.ops_end = self.fold.ov[g + 1];
     }
-    let mut out_k = Vec::with_capacity(keys.len() + batch.len());
-    let mut out_v = Vec::with_capacity(keys.len() + batch.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < keys.len() || j < batch.len() {
-        if j >= batch.len() || (i < keys.len() && keys[i] < batch[j].0) {
-            out_k.push(keys[i]);
-            out_v.push(values[i]);
-            i += 1;
-        } else if i >= keys.len() || keys[i] > batch[j].0 {
-            out_k.push(batch[j].0);
-            out_v.push(batch[j].1);
-            j += 1;
-        } else {
-            out_k.push(batch[j].0);
-            out_v.push(batch[j].1);
-            i += 1;
-            j += 1;
+}
+
+impl SortedRuns for Merge<'_> {
+    fn take_into(&mut self, mut n: usize, keys: &mut Vec<Key>, values: &mut Vec<Value>) {
+        while n > 0 {
+            let stored = &self.keys[self.at..];
+            let run = match self.fold.overlay[self.op..self.ops_end].first() {
+                Some(op) => stored.partition_point(|&k| k < op.key()),
+                None => stored.len(),
+            }
+            .min(n);
+            keys.extend_from_slice(&stored[..run]);
+            values.extend_from_slice(&self.values[self.at..self.at + run]);
+            self.at += run;
+            n -= run;
+            if n == 0 {
+                break;
+            }
+            if self.op < self.ops_end {
+                // The entry replaces or drops the stored key equal to it.
+                let op = self.fold.overlay[self.op];
+                self.op += 1;
+                self.at += usize::from(self.keys.get(self.at) == Some(&op.key()));
+                if let UpdateOp::Insert(key, value) = op {
+                    keys.push(key);
+                    values.push(value);
+                    n -= 1;
+                }
+            } else if self.gate + 1 < self.fold.chunks.len() {
+                self.load(self.gate + 1);
+            } else {
+                break;
+            }
         }
     }
-    (out_k, out_v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn normalise_batch_sorts_and_dedupes_keeping_last() {
@@ -971,25 +1062,230 @@ mod tests {
         assert!(normalise_batch(vec![]).is_empty());
     }
 
-    #[test]
-    fn merge_sorted_upserts() {
-        let (k, v) = merge_sorted(
-            vec![1, 3, 5],
-            vec![10, 30, 50],
-            &[(2, 20), (3, 33), (9, 90)],
-        );
-        assert_eq!(k, vec![1, 2, 3, 5, 9]);
-        assert_eq!(v, vec![10, 20, 33, 50, 90]);
+    /// `stored` with `ops` applied in order, as the sorted pairs a fold of
+    /// them must stream.
+    fn model(stored: &[(Key, Value)], ops: &[UpdateOp]) -> Vec<(Key, Value)> {
+        let mut model: BTreeMap<Key, Value> = stored.iter().copied().collect();
+        for op in ops {
+            match *op {
+                UpdateOp::Insert(k, v) => model.insert(k, v),
+                UpdateOp::Delete(k) => model.remove(&k),
+            };
+        }
+        model.into_iter().collect()
     }
 
+    /// `n` keys `step` apart, centred on 0.
+    fn keys(n: usize, step: Key) -> Vec<Key> {
+        (0..n as Key).map(|i| (i - n as Key / 2) * step).collect()
+    }
+
+    /// Keys far enough apart that no chunk of a few of them is narrow.
+    const WIDE: Key = 1 << 33;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The overlay merge stream against a `BTreeMap`, from every rank:
+        /// stored keys narrow or wide over one to eight gates, and overlays
+        /// of new keys, upserts and deletes of stored and absent keys
+        /// (repeated keys reduced to the last write first, as a resize
+        /// does).
+        #[test]
+        fn the_overlay_merge_stream_matches_a_model(
+            wide in 0u64..2,
+            density in 0u64..5,
+            picks in proptest::collection::vec(0u64..4, 48..49),
+            gates_log in 0u32..4,
+            writes in proptest::collection::vec((0usize..48, 0u64..3, 0..100 as Value), 0..40),
+        ) {
+            let params = crate::PmaParams::small();
+            let pool = keys(48, if wide == 1 { WIDE } else { 3 });
+            let stored: Vec<(Key, Value)> = pool
+                .iter()
+                .zip(&picks)
+                .filter(|&(_, &pick)| pick < density)
+                .map(|(&k, _)| (k, -k))
+                .collect();
+            let num_gates = params.presized_gates(stored.len()).max(1 << gates_log);
+            let old = PmaInstance::from_sorted(stored.iter().copied(), stored.len(), num_gates, &params);
+            let ops: Vec<UpdateOp> = writes
+                .iter()
+                .map(|&(i, kind, v)| match kind {
+                    0 => UpdateOp::Delete(pool[i]),
+                    _ => UpdateOp::Insert(pool[i], v),
+                })
+                .collect();
+            let overlay = crate::concurrent::dedup_last_op_per_key(ops.clone());
+            // SAFETY: single-threaded test; nothing else touches `old`.
+            let fold = unsafe { Fold::new(&old.gates, &overlay) };
+            let expected = model(&stored, &ops);
+            prop_assert_eq!(fold.len(), expected.len());
+            for rank in 0..=expected.len() {
+                let (mut keys, mut values) = (Vec::new(), Vec::new());
+                // Asking for more than is left takes what is left.
+                fold.stream_at(rank).take_into(expected.len() + 1, &mut keys, &mut values);
+                let merged: Vec<(Key, Value)> = keys.into_iter().zip(values).collect();
+                prop_assert_eq!(merged, &expected[rank..]);
+            }
+        }
+    }
+
+    /// A new instance built in 1, 2, 3 or 8 stretches from a fold is the
+    /// instance `from_sorted` builds from the merged pairs, bit for bit:
+    /// every slab word (cards, keys, values, narrow bases), every fence, and
+    /// the index's separators and hints. New instances of 1, 2, 64 and 1024
+    /// gates; empty, one-element and longer runs; narrow and wide chunks;
+    /// overlays that delete every third stored key, upsert every fifth and
+    /// add keys between them, so every stretch boundary has writes around it.
     #[test]
-    fn merge_sorted_with_empty_sides() {
-        let (k, v) = merge_sorted(vec![], vec![], &[(1, 1)]);
-        assert_eq!(k, vec![1]);
-        assert_eq!(v, vec![1]);
-        let (k, v) = merge_sorted(vec![1, 2], vec![10, 20], &[]);
-        assert_eq!(k, vec![1, 2]);
-        assert_eq!(v, vec![10, 20]);
+    fn a_build_in_stretches_is_bit_identical_to_one_stretch() {
+        let params = crate::PmaParams::small();
+        for num_gates in [1usize, 2, 64, 1024] {
+            let fill = num_gates * params.gate_capacity() / 2;
+            for (stored_len, step) in [(0, 4), (0, WIDE), (1, 4), (fill, 4), (fill, WIDE)] {
+                let stored: Vec<(Key, Value)> = keys(stored_len, step)
+                    .into_iter()
+                    .map(|k| (k, -k))
+                    .collect();
+                let ops: Vec<UpdateOp> = stored
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &(k, _))| {
+                        let write = match i % 15 {
+                            0 | 3 | 6 | 9 | 12 => UpdateOp::Delete(k),
+                            5 | 10 => UpdateOp::Insert(k, k),
+                            _ => UpdateOp::Insert(k + 1, k),
+                        };
+                        // An empty run still gets one element to build.
+                        (i % 2 == 0).then_some(write)
+                    })
+                    .chain((stored_len == 0).then_some(UpdateOp::Insert(7, 70)))
+                    .collect();
+                let expected = model(&stored, &ops);
+                let old_gates = params.presized_gates(stored.len());
+                let old = PmaInstance::from_sorted(
+                    stored.iter().copied(),
+                    stored.len(),
+                    old_gates,
+                    &params,
+                );
+                let overlay = crate::concurrent::dedup_last_op_per_key(ops);
+                // SAFETY: single-threaded test; nothing else touches `old`.
+                let fold = unsafe { Fold::new(&old.gates, &overlay) };
+                assert_eq!(fold.len(), expected.len());
+                let one = PmaInstance::from_sorted(
+                    expected.iter().copied(),
+                    expected.len(),
+                    num_gates,
+                    &params,
+                );
+                for stretches in [1, 2, 3, 8] {
+                    let what = format!(
+                        "{num_gates} gates, {} pairs {step} apart, {stretches} stretches",
+                        expected.len()
+                    );
+                    let built = PmaInstance::from_stretches(
+                        fold.len(),
+                        num_gates,
+                        &params,
+                        stretches,
+                        |rank| fold.stream_at(rank),
+                    );
+                    assert_eq!(built.num_gates(), num_gates, "{what}");
+                    for g in 0..num_gates {
+                        // SAFETY: single-threaded test.
+                        let (a, b) = unsafe { (built.gates[g].chunk(), one.gates[g].chunk()) };
+                        assert_eq!(a.words(), b.words(), "gate {g}: {what}");
+                        assert_eq!(built.gates[g].fences(), one.gates[g].fences(), "{what}");
+                        let index = (&built.index, &one.index);
+                        assert_eq!(index.0.separator(g), index.1.separator(g), "{what}");
+                        assert_eq!(index.0.segment_hint(g), index.1.segment_hint(g), "{what}");
+                        assert_eq!(index.0.slab_hint_narrow(g), index.1.slab_hint_narrow(g));
+                        assert_eq!(index.0.slab_hint(g), Some(a.head_addr()), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A resize run by a second `Master` over a quiet PMA folds a hand-over
+    /// batch, `pre_ops` and queued operations — new keys, upserts of stored
+    /// and batch keys, deletes of stored, absent and batch keys — the way a
+    /// `BTreeMap` applies them in that order, with `len()` exact, below and
+    /// above the fan-out threshold.
+    #[test]
+    fn a_resize_folds_its_batch_pre_ops_and_queues_like_a_model() {
+        for stored_len in [1_000, FANOUT_MIN_LEN + 1_000] {
+            let stored: Vec<(Key, Value)> = (0..stored_len as Key).map(|i| (4 * i, i)).collect();
+            let pma = super::super::ConcurrentPma::from_sorted(
+                crate::PmaParams::default().synchronous(),
+                &stored,
+            )
+            .unwrap();
+            let n = 4 * stored_len as Key;
+            // Stored keys are multiples of 4; 4i + 1 are new to the batch,
+            // 4i + 2 new to `pre_ops` and the queues, 4i + 3 never written.
+            let batch: Vec<(Key, Value)> = (0..n)
+                .step_by(40)
+                .flat_map(|k| [(k + 1, -1), (k + 20, -2)])
+                .collect();
+            let pre_ops: Vec<UpdateOp> = (0..n)
+                .step_by(80)
+                .flat_map(|k| {
+                    [
+                        UpdateOp::Insert(k + 2, -3),
+                        UpdateOp::Insert(k + 4, -4),
+                        UpdateOp::Insert(k + 1, -5),
+                        UpdateOp::Delete(k + 8),
+                        UpdateOp::Delete(k + 3),
+                        UpdateOp::Delete(k + 20),
+                    ]
+                })
+                .collect();
+            let queued: Vec<UpdateOp> = (0..n)
+                .step_by(120)
+                .flat_map(|k| {
+                    [
+                        UpdateOp::Insert(k + 6, -6),
+                        UpdateOp::Insert(k + 12, -7),
+                        UpdateOp::Delete(k + 41),
+                        UpdateOp::Delete(k + 16),
+                        UpdateOp::Delete(k + 7),
+                        UpdateOp::Insert(k + 2, -8),
+                        UpdateOp::Delete(k + 4),
+                    ]
+                })
+                .collect();
+            let ops: Vec<UpdateOp> = batch
+                .iter()
+                .map(|&(k, v)| UpdateOp::Insert(k, v))
+                .chain(pre_ops.iter().copied())
+                .chain(queued.iter().copied())
+                .collect();
+            let expected = model(&stored, &ops);
+
+            let resizes = pma_common::metrics_of(&pma).counter("resizes").unwrap();
+            {
+                let _pin = pma.shared.pin();
+                // SAFETY: pinned above.
+                let inst = unsafe { pma.shared.instance_ref() };
+                for &op in &queued {
+                    let gate = &inst.gates[inst.index.find_gate(op.key())];
+                    assert!(gate.covers(op.key()));
+                    gate.lock().pending.push_back(op);
+                }
+                let (tx, rx) = unbounded();
+                let master = Master::new(pma.shared.clone(), rx, tx);
+                master.resize(inst, 0, 0, batch, pre_ops, false);
+            }
+            let what = format!("{stored_len} stored keys");
+            let metrics = pma_common::metrics_of(&pma);
+            assert_eq!(metrics.counter("resizes").unwrap(), resizes + 1, "{what}");
+            assert_eq!(metrics.counter("late_replays").unwrap(), 0, "{what}");
+            assert_eq!(pma.len(), expected.len(), "{what}");
+            assert_eq!(pma.collect_range(KEY_MIN, KEY_MAX), expected, "{what}");
+        }
     }
 
     /// The master sleeps in `recv()` only while its bin is empty: the

@@ -58,8 +58,9 @@
 //! [`ShardedMap::range`] walks the covering shards sequentially so the
 //! visitor observes the global ascending order. All three pin one directory
 //! generation end to end. The engine keeps no thread pool: the bulk load,
-//! those scans and large batches share one fan-out helper (`side_by_side`)
-//! whose threads live as long as the call.
+//! those scans and large batches share one fan-out helper
+//! ([`pma_common::util::side_by_side`]) whose threads live as long as the
+//! call.
 //!
 //! # Incremental splits and merges
 //!
@@ -110,8 +111,7 @@
 //! # Layout
 //!
 //! One file per protocol: this one holds the configuration, [`ShardedMap`]
-//! and its [`ConcurrentMap`] impl, the bulk-load plan and the `side_by_side`
-//! fan-out; `directory.rs` the shards, their version word and the directory;
+//! and its [`ConcurrentMap`] impl and the bulk-load plan; `directory.rs` the shards, their version word and the directory;
 //! `rebuild.rs` the one copy-on-write rebuild, its chase rounds and the
 //! monitor; `delta.rs` the striped delta log; `view.rs` [`ShardSnapshot`] and
 //! [`ShardedFrozen`].
@@ -124,12 +124,13 @@ mod view;
 use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use pma_common::obs::{Fold, MetricSource, Observe, Totals};
+use pma_common::util::{fanout_parallelism, side_by_side};
 use pma_common::{
     check_sorted, ConcurrentMap, FrozenView, Key, PmaError, Registry, ScanStats, Value, KEY_MAX,
     KEY_MIN,
@@ -350,71 +351,6 @@ fn plan_shards(items: &[(Key, Value)], n: usize) -> Vec<(Key, Key, usize, usize)
         plan.push((lo, hi, start, end));
     }
     plan
-}
-
-/// Folds every entry of `plan` into an `A` with `f`: the engine's one
-/// fan-out (bulk load, whole-shard scans, large batches). The plan is cut
-/// into contiguous stretches, at most `threads` of them; every stretch but
-/// the last folds on a scoped thread, the last on the caller — so a single
-/// stretch spawns nothing and allocates nothing — and the stretches' folds
-/// are combined with `merge` in plan order. After the first error no further
-/// entry is started, the first error in plan order is returned and whatever
-/// was folded is dropped.
-fn side_by_side<P: Sync, A: Default + Send, E: Send>(
-    plan: &[P],
-    threads: usize,
-    f: impl Fn(&mut A, &P) -> Result<(), E> + Sync,
-    merge: impl Fn(&mut A, A),
-) -> Result<A, E> {
-    let failed = AtomicBool::new(false);
-    let run = |stretch: &[P]| {
-        let mut acc = A::default();
-        for entry in stretch {
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
-            f(&mut acc, entry).inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
-        }
-        Ok(acc)
-    };
-    let mut stretches = plan.chunks(plan.len().div_ceil(threads.max(1)).max(1));
-    let Some(last) = stretches.next_back() else {
-        return Ok(A::default());
-    };
-    if stretches.len() == 0 {
-        return run(last);
-    }
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = stretches.map(|s| scope.spawn(move || run(s))).collect();
-        let mine = run(last);
-        let mut all = A::default();
-        let mut first_error = None;
-        let joined = spawned.into_iter().map(|h| {
-            h.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        });
-        for result in joined.chain([mine]) {
-            match result {
-                Ok(part) => merge(&mut all, part),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        first_error.map_or(Ok(all), Err)
-    })
-}
-
-/// Threads a fan-out may use: one per core, at most 8. Resolved once per
-/// process — `available_parallelism` is a syscall plus cgroup reads.
-fn fanout_parallelism() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(8)
-    })
 }
 
 /// A range-partitioned [`ConcurrentMap`] composing N inner instances behind
@@ -840,7 +776,6 @@ mod tests {
     use pma_common::metrics_of;
     use rebuild::DELTA_BACKPRESSURE;
     use std::collections::BTreeMap;
-    use std::sync::atomic::AtomicU64;
 
     /// One counter `map` exports; panics on a name it does not export.
     pub(super) fn counter(map: &ShardedMap, name: &str) -> u64 {
@@ -1217,85 +1152,6 @@ mod tests {
         let map = ShardedMap::from_sorted(clean, &local, &items).unwrap();
         assert_eq!(map.num_shards(), 16);
         assert_eq!(map.len(), items.len());
-    }
-
-    #[test]
-    fn side_by_side_keeps_plan_order_and_runs_the_last_stretch_on_the_caller() {
-        use std::thread::current;
-        for threads in 1..=3usize {
-            for n in [0, 1, threads, threads + 1, 3 * threads] {
-                let plan: Vec<usize> = (0..n).collect();
-                let record = |out: &mut Vec<_>, &i: &usize| {
-                    out.push((i, current().id()));
-                    Ok::<_, Infallible>(())
-                };
-                let Ok(out) = side_by_side(&plan, threads, record, Extend::extend);
-                let what = format!("{n} entries on {threads} threads");
-                assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), plan, "{what}");
-                // Contiguous stretches, each on its own thread, the last on
-                // the caller's: a single stretch spawns nothing.
-                let stretches: Vec<_> = out.chunks(n.div_ceil(threads).max(1)).collect();
-                let ids: Vec<_> = stretches.iter().map(|s| s[0].1).collect();
-                let distinct = ids.iter().enumerate().all(|(i, id)| !ids[..i].contains(id));
-                assert!(ids.len() <= threads && distinct, "{what}");
-                assert!(
-                    stretches.iter().all(|s| s.iter().all(|o| o.1 == s[0].1)),
-                    "{what}"
-                );
-                assert!(n == 0 || ids[ids.len() - 1] == current().id(), "{what}");
-            }
-        }
-    }
-
-    #[test]
-    fn side_by_side_starts_nothing_after_the_first_error() {
-        // One stretch: the entries behind the failing one never start.
-        let started = AtomicU64::new(0);
-        let plan: Vec<usize> = (0..10).collect();
-        let fail_at_4 = |_: &mut (), &i: &usize| {
-            started.fetch_add(1, Ordering::Relaxed);
-            (i != 4).then_some(()).ok_or(i)
-        };
-        let result = side_by_side(&plan, 1, fail_at_4, |_, _| {});
-        assert_eq!(result, Err(4));
-        assert_eq!(started.load(Ordering::Relaxed), 5);
-
-        // Two stretches: the spawned one fails on its first entry once the
-        // caller has started its own first (had it failed sooner, the
-        // caller would start nothing), and the caller's first waits until
-        // that thread has exited — its thread-local's destructor runs after
-        // the failure was recorded — so the caller starts no other.
-        static CALLER_STARTED: AtomicBool = AtomicBool::new(false);
-        static EXITED: AtomicBool = AtomicBool::new(false);
-        struct OnExit;
-        impl Drop for OnExit {
-            fn drop(&mut self) {
-                EXITED.store(true, Ordering::Release);
-            }
-        }
-        thread_local!(static ON_EXIT: OnExit = const { OnExit });
-        let started = AtomicU64::new(0);
-        let plan: Vec<usize> = (0..100).collect();
-        let fail_first = |_: &mut (), &i: &usize| {
-            started.fetch_add(1, Ordering::Relaxed);
-            if i == 0 {
-                while !CALLER_STARTED.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                ON_EXIT.with(|_| {});
-                return Err(i);
-            }
-            if i == 50 {
-                CALLER_STARTED.store(true, Ordering::Release);
-                while !EXITED.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }
-            Ok(())
-        };
-        let result = side_by_side(&plan, 2, fail_first, |_, _| {});
-        assert_eq!(result, Err(0));
-        assert_eq!(started.load(Ordering::Relaxed), 2);
     }
 
     /// The three callers of the fan-out on a 6-shard engine: a range inside

@@ -7,11 +7,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pma_common::obs;
+use pma_common::util::{fanout_parallelism, side_by_side};
 use pma_common::{FrozenView, Key, ScanStats, Value, KEY_MAX, KEY_MIN};
 use pma_core::concurrent::epoch::EpochGuard;
 
 use super::directory::{Directory, Shard};
-use super::{fanout_parallelism, side_by_side, Engine, ShardedMap};
+use super::{Engine, ShardedMap};
 use crate::stats::EngineStats;
 
 /// A consistent view of one shard-directory generation.
